@@ -16,16 +16,15 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.config import GPUConfig, SchedulerKind, small_config
+from repro.config import GPUConfig, SchedulerKind
 from repro.errors import FailureKind, PermanentError
 from repro.exec import DEFAULT_CACHE_DIR, ExecutionEngine, RunKey
-from repro.exec.cache import key_fingerprint
+from repro.exec.cache import key_fingerprint, make_key
 from repro.exec.journal import SweepJournal, sweep_id
 from repro.exec.runner import CellFailure
 from repro.guard.bundle import write_diagnostic_bundle
-from repro.prefetch.factory import default_scheduler_for
 from repro.sim.gpu import SimResult
-from repro.workloads import Scale, normalize_benchmark
+from repro.workloads import Scale
 
 __all__ = [
     "RunKey",
@@ -63,28 +62,6 @@ def set_engine(engine: ExecutionEngine) -> ExecutionEngine:
 def clear_cache() -> None:
     """Drop the engine's in-process memo (persistent cache untouched)."""
     _ENGINE.clear_memo()
-
-
-def make_key(
-    benchmark: str,
-    prefetcher: str = "none",
-    *,
-    config: Optional[GPUConfig] = None,
-    scale: Scale = Scale.SMALL,
-    scheduler: Optional[SchedulerKind] = None,
-) -> RunKey:
-    """Resolve defaults into the canonical :class:`RunKey` for one cell.
-
-    ``benchmark`` may be a single abbreviation or a ``"A+B"`` co-run
-    pair; either form is canonicalized (uppercased, aliases resolved)
-    so equivalent spellings share one cache cell.  The co-run allocation
-    policy travels inside the config (``config.multi``) and is folded
-    into the cache fingerprint with every other config field.
-    """
-    cfg = config if config is not None else small_config()
-    kind = scheduler if scheduler is not None else default_scheduler_for(prefetcher)
-    return RunKey(normalize_benchmark(benchmark), prefetcher, scale,
-                  cfg.with_scheduler(kind))
 
 
 def run_benchmark(

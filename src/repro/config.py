@@ -362,13 +362,13 @@ class GPUConfig:
     #: phase profiling); everything defaults to off — see
     #: docs/observability.md.
     obs: ObsConfig = field(default_factory=ObsConfig)
-    #: Simulator core: ``"event"`` (default) skips provably quiet cycles
-    #: via per-component next-event hooks; ``"cycle"`` is the reference
-    #: cycle-by-cycle loop the event core is differentially tested
-    #: against (see docs/architecture.md and tests/sim/
-    #: test_differential_engines.py).  Both produce bit-identical
-    #: results; ``deep_checks`` and ``obs.profile`` force the reference
-    #: loop regardless of this knob.
+    #: Step of the one run loop (repro.sim.fastcore): ``"event"``
+    #: (default) skips provably quiet cycles in batches; ``"cycle"`` is
+    #: the reference every-component-every-cycle step the event step is
+    #: differentially tested against (see docs/architecture.md and
+    #: tests/sim/test_differential_engines.py).  Both produce
+    #: bit-identical results; ``deep_checks`` and ``obs.profile`` are
+    #: hooks of the loop and apply to whichever step is configured.
     engine: str = "event"
     #: Concurrent-kernel execution knobs; inert for single-kernel runs
     #: but always part of the cache fingerprint (schema v4).
@@ -442,7 +442,7 @@ class GPUConfig:
 
     def with_engine(self, engine: str) -> "GPUConfig":
         """Copy of this config with the simulator core replaced
-        (``"cycle"`` reference loop or ``"event"`` fast core)."""
+        (``"cycle"`` reference step or ``"event"`` fast core)."""
         return replace(self, engine=engine)
 
     def with_multi(self, **overrides) -> "GPUConfig":

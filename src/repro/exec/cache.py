@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional
 
-from repro.config import GPUConfig
+from repro.config import GPUConfig, SchedulerKind, small_config
+from repro.prefetch.factory import default_scheduler_for
 from repro.prefetch.stats import PrefetchStats
 from repro.sim.gpu import SimResult
 from repro.sim.sm import SMStats
-from repro.workloads import Scale
+from repro.workloads import Scale, normalize_benchmark
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +75,31 @@ class RunKey:
         """Short human-readable cell label for logs and errors."""
         return (f"{self.benchmark}/{self.prefetcher}"
                 f"@{self.scale.value}/{self.config.scheduler.value}")
+
+
+def make_key(
+    benchmark: str,
+    prefetcher: str = "none",
+    *,
+    config: Optional[GPUConfig] = None,
+    scale: Scale = Scale.SMALL,
+    scheduler: Optional[SchedulerKind] = None,
+) -> RunKey:
+    """Resolve defaults into the canonical :class:`RunKey` for one cell.
+
+    The one place a cell is named: the serial driver, the CLI and the
+    serve protocol all come through here, so equivalent requests share
+    one cache cell.  ``benchmark`` may be a single abbreviation or a
+    ``"A+B"`` co-run pair; either form is canonicalized (uppercased,
+    aliases resolved).  The scheduler defaults to the engine's Figure 10
+    pairing.  The co-run allocation policy travels inside the config
+    (``config.multi``) and is folded into the cache fingerprint with
+    every other config field.
+    """
+    cfg = config if config is not None else small_config()
+    kind = scheduler if scheduler is not None else default_scheduler_for(prefetcher)
+    return RunKey(normalize_benchmark(benchmark), prefetcher, scale,
+                  cfg.with_scheduler(kind))
 
 
 def _jsonify(obj: Any) -> Any:

@@ -49,16 +49,6 @@ class _L2Partition:
         self.in_queue.append(req)
         return True
 
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which this partition does work.
-
-        A partition acts only on its input queue (one head per cycle:
-        lookup, stall accounting, or a channel push); with an empty
-        queue it is pure combinational logic and the event engine may
-        skip it.  MSHR releases are driven by the DRAM channel, whose
-        own hook covers them."""
-        return now if self.in_queue else 1 << 62
-
 
 class MemorySubsystem:
     """Everything behind the SMs' L1 caches."""
@@ -289,8 +279,11 @@ class MemorySubsystem:
         q = self.response_pipe._q
         if q and q[0][0] <= now:
             self.response_pipe.drain(now, self._deliver_response)
-        # Inline next_event_cycle(now + 1), reusing the partition
-        # occupancy already observed above.
+        # Next event: the earliest cycle > now at which cycle() would
+        # change any state other than batch-accruable idle counters —
+        # the minimum over partition input queues (occupancy observed
+        # above), DRAM channels, the L2 wait heap and both pipes' head
+        # ready times.  submit() pulls it earlier mid-span.
         if busy or self.request_pipe._q and self.request_pipe._q[0][0] <= now:
             self._next_event = now + 1
             return
@@ -323,41 +316,6 @@ class MemorySubsystem:
             if gap > 0:
                 ch.account_idle_span(gap)
                 ch._accounted_to = now
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`cycle` changes any
-        state other than batch-accruable idle counters.
-
-        The subsystem half of the next-event contract: the minimum over
-        partition input queues, DRAM channel queues/completions, the L2
-        wait heap, and both interconnect pipes' head ready times.
-        :meth:`submit` moves the cached ``_next_event`` earlier when an
-        SM injects a new request mid-span."""
-        nxt = 1 << 62
-        for part in self.partitions:
-            if part.in_queue:
-                return now
-        for ch in self.channels:
-            t = ch.next_event_cycle(now)
-            if t < nxt:
-                nxt = t
-                if nxt <= now:
-                    return now
-        if self._l2_wait:
-            t = self._l2_wait[0][0]
-            if t < nxt:
-                nxt = t
-        q = self.request_pipe._q
-        if q:
-            t = q[0][0]
-            if t < nxt:
-                nxt = t
-        q = self.response_pipe._q
-        if q:
-            t = q[0][0]
-            if t < nxt:
-                nxt = t
-        return now if nxt <= now else nxt
 
     def earliest_delivery_cycle(self, now: int) -> int:
         """Conservative lower bound on the next ``on_response`` delivery

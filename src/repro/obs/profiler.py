@@ -1,11 +1,12 @@
 """Host-side phase profiling (the profiling third of :mod:`repro.obs`).
 
 :class:`PhaseProfiler` accumulates wall-clock time per named simulator
-*phase* (SM issue pipelines, memory-subsystem cycling, CTA dispatch,
-result collection).  :class:`repro.sim.gpu.GPU` switches its main loop
-to an instrumented variant when ``ObsConfig.profile`` is on — the
-default loop carries no timing calls at all, keeping the disabled path
-free — and stores :meth:`PhaseProfiler.as_dict` under
+*phase* (SM issue pipelines, memory-subsystem cycling, obs flushes,
+deep checks).  With ``ObsConfig.profile`` on, the one main loop
+(:func:`repro.sim.fastcore.run_loop`) reads ``perf_counter`` around the
+phases of whichever engine step is configured — so the profile
+describes the loop that runs in production — and
+:meth:`PhaseProfiler.as_dict` lands under
 ``SimResult.extra["profile"]``.
 
 Because the payload is plain JSON it rides the :mod:`repro.exec` result
@@ -40,7 +41,7 @@ class PhaseProfiler:
     @contextmanager
     def phase(self, name: str):
         """Context manager timing one phase entry (convenience form;
-        the GPU's hot loop uses explicit ``perf_counter`` + :meth:`add`)."""
+        the run loop uses explicit ``perf_counter`` + :meth:`add`)."""
         t0 = time.perf_counter()
         try:
             yield

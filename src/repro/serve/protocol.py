@@ -59,9 +59,8 @@ from repro.errors import (
     ShuttingDownError,
     classify,
 )
-from repro.exec.cache import RunKey
+from repro.exec.cache import RunKey, make_key
 from repro.prefetch import PREFETCHERS
-from repro.prefetch.factory import default_scheduler_for
 from repro.workloads import ALL_BENCHMARKS, Scale, normalize_benchmark
 
 #: Bump on incompatible request/response schema changes; the server
@@ -303,17 +302,12 @@ def apply_overrides(config: GPUConfig, overrides: Dict[str, Any]):
 
 
 def request_to_key(request: Request) -> RunKey:
-    """Resolve a validated ``simulate`` request into its canonical cell.
-
-    Mirrors :func:`repro.analysis.driver.make_key`: the scheduler
-    defaults to the engine's Figure 10 pairing, so a request and the
-    serial CLI name (and therefore cache-share) the exact same cell.
-    """
+    """Resolve a validated ``simulate`` request into its canonical cell
+    through :func:`repro.exec.cache.make_key`, so a request and the
+    serial CLI name (and therefore cache-share) the exact same cell."""
     config = apply_overrides(PRESETS[request.preset](), request.overrides)
-    kind = (request.scheduler if request.scheduler is not None
-            else default_scheduler_for(request.engine))
-    return RunKey(request.benchmark, request.engine, request.scale,
-                  config.with_scheduler(kind))
+    return make_key(request.benchmark, request.engine, config=config,
+                    scale=request.scale, scheduler=request.scheduler)
 
 
 # ----------------------------------------------------------- stats schema

@@ -1,20 +1,36 @@
-"""Event-driven fast core: the ``engine="event"`` simulator main loop.
+"""The simulator main loop: one scaffold, two engine steps.
 
-The reference loop (:meth:`repro.sim.gpu.GPU.run`, ``engine="cycle"``)
-advances every component every cycle.  Most cycles do nothing but accrue
-a stall counter: warps wait on memory, DRAM waits on its completion
-heap, the interconnect pipes wait on their latency.  This module skips
-those cycles in batches while staying *bit-identical* to the reference —
-the differential suite (``tests/sim/test_differential_engines.py``)
-pins every counter, series and snapshot across both engines.
+:func:`run_loop` is the only loop that advances a
+:class:`repro.sim.gpu.GPU` and :func:`flush_memory` the only post-run
+drain.  The scaffold owns everything that is not the machine itself —
+the done probe, the ``limit`` cutoff, the clock, the boundary hooks
+(monitor sample, obs window flush, per-cycle deep checks, watchdog) and
+the optional phase timing (``obs.profile``) — and is parameterised by
+``GPUConfig.engine``:
 
-Design (docs/architecture.md has the full contract):
+* ``"cycle"`` — the reference step: ``sm.cycle(now)`` for every SM,
+  ``subsystem.cycle(now)``, ``now += 1``.  Every component advances
+  every cycle; this is the oracle the differential suite
+  (``tests/sim/test_differential_engines.py``) compares against.
 
-* **Next-event hooks.**  Each component exposes ``next_event_cycle(now)``
-  — the earliest cycle at which it would do more than batch-accruable
-  accounting.  ``SM.next_event_cycle``, ``Scheduler.next_issue_cycle``,
-  ``MemorySubsystem.next_event_cycle`` and
-  ``DramChannel.next_event_cycle`` are conservative lower bounds: they
+* ``"event"`` — the default step.  Most cycles do nothing but accrue a
+  stall counter: warps wait on memory, DRAM waits on its completion
+  heap, the interconnect pipes wait on their latency.  The event step
+  skips those cycles in batches while staying *bit-identical* to the
+  reference — every counter, series and snapshot is pinned across both
+  steps.
+
+Hooks, profiling and deep checks belong to the scaffold, so they never
+change which step runs; spans charge their cycles through the same
+``SM._charge_stall`` / ``_charge_kernels`` the per-cycle path calls
+with a count of one.  How the event step stays exact
+(docs/architecture.md has the contract):
+
+* **Next-event sources.**  :func:`_dispatch` opens an SM's next span
+  from ``Scheduler.next_issue_cycle``, ``Prefetcher.next_event_cycle``
+  and the SM's own hit heap; the subsystem runs ``cycle_event`` when
+  its cached ``_next_event`` (recomputed there, pulled earlier by
+  ``submit``) is ripe.  All are conservative lower bounds: they
   may fire early (wasting a check) but never late (missing work).
 
 * **Response bound.**  SM state can change under an SM span only via a
@@ -32,7 +48,7 @@ Design (docs/architecture.md has the full contract):
   span records only its start (``sm._span_from``) and settles the
   elapsed stall cycles via :meth:`SM._settle_span` at the first
   subsequent touch point — re-dispatch (settle to ``now``), a memory
-  response (settle to ``now + 1``, since the reference loop charges the
+  response (settle to ``now + 1``, since the reference step charges the
   arrival cycle as stalled), or a hook/exit boundary (settle to
   ``now``).  This keeps a span interrupted mid-flight from ever having
   over-accrued.
@@ -46,8 +62,8 @@ Design (docs/architecture.md has the full contract):
   Lazy stall spans are never hard: a response settles them immediately.
 
 * **Hook boundaries.**  Spans and clock jumps never cross the next
-  monitor / obs-window / watchdog boundary, so samples, window flushes
-  and hang checks fire at exactly the reference cycles with exactly the
+  hook boundary, so samples, window flushes, deep checks and hang
+  checks fire at exactly the reference cycles with exactly the
   reference counter state.  This is also what anchors the watchdog to
   *simulated* cycles rather than loop iterations.
 
@@ -62,50 +78,27 @@ Design (docs/architecture.md has the full contract):
 
 from __future__ import annotations
 
+import time
+
 from repro.sim.isa import InstrKind
 from repro.sim.sched import TwoLevel
 
 #: Sentinel "never" cycle shared by every next-event hook.
 NEVER = 1 << 62
+#: Simulated cycles :func:`flush_memory` may spend draining.
+DRAIN_CAP = 100_000
 
 
-def _next_hook(t: int, limit: int, interval: int, obs_interval: int,
-               wd_interval: int) -> int:
+def _next_hook(t: int, limit: int, intervals) -> int:
     """First cycle after ``t`` at which any periodic hook (monitor
-    sample, obs window flush, watchdog check) fires, capped at
-    ``limit``.  Spans and clock jumps never cross this boundary."""
+    sample, obs window flush, deep check, watchdog check) fires, capped
+    at ``limit``.  Spans and clock jumps never cross this boundary."""
     nh = limit
-    if interval:
+    for interval in intervals:
         b = t - t % interval + interval
         if b < nh:
             nh = b
-    if obs_interval:
-        b = t - t % obs_interval + obs_interval
-        if b < nh:
-            nh = b
-    if wd_interval:
-        b = t - t % wd_interval + wd_interval
-        if b < nh:
-            nh = b
     return nh
-
-
-def _accrue_stall(sm, k: int) -> None:
-    """Batch-accrue ``k`` pure stall cycles (issue returned nothing).
-
-    Mirrors ``SM._account_stall`` + the per-cycle ``active_cycles``
-    increment; the waiting/unfinished counts are constant over a span
-    because blocks, finishes and launches all stop spans."""
-    stats = sm.stats
-    stats.active_cycles += k
-    if sm.waiting_mem_warps >= sm.unfinished_warps:
-        stats.stall_mem_all += k
-    elif sm.waiting_mem_warps > 0:
-        stats.stall_mem_partial += k
-    else:
-        stats.stall_other += k
-    if sm._multi:
-        sm._kernel_stall_cycles(k)
 
 
 def _replay_wedged(sm, rp) -> bool:
@@ -149,7 +142,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     ready = sched.ready
     n = len(ready)
     if n == 0:
-        _accrue_stall(sm, end - now)
+        sm._charge_stall(end - now)
         return end
     # Fast prelude: resolve the pick at `now` without building the slot
     # arrays.  Most calls bail here — either the pick is a load/store
@@ -193,7 +186,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                 if k is LOAD or k is STORE:
                     continue
             nxt = rw
-        _accrue_stall(sm, nxt - now)
+        sm._charge_stall(nxt - now)
         return nxt
     c = ready[first].cursor
     ins = c._peeked
@@ -332,11 +325,12 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                             kind[s] = 0
 
     if stalls:
-        _accrue_stall(sm, stalls)
+        sm._charge_stall(stalls)
     if issued:
         sched._ptr = ptr
         total = 0
-        per_kernel = {} if sm._multi else None
+        own = {}  # kernel id -> instructions (= issue cycles) this span
+        multi = sm._multi
         for j in range(n):
             if cnt[j]:
                 ready[j].cursor.consume_alu(cnt[j])
@@ -346,35 +340,16 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                 w.instructions_issued += tj
                 w.ready_at = ra[j]
                 total += tj
-                if per_kernel is not None:
-                    kid = w.kernel_id
-                    per_kernel[kid] = per_kernel.get(kid, 0) + tj
+                if multi:
+                    own[w.kernel_id] = own.get(w.kernel_id, 0) + tj
         stats = sm.stats
         stats.instructions += total
         stats.issue_cycles += issued
         stats.active_cycles += issued
-        if per_kernel is not None:
-            # Each issue cycle belongs to exactly one kernel; from every
-            # co-resident kernel's perspective the same cycle is a stall
-            # (warp counts are constant over an ALU-only span, so the
-            # per-kernel classification is too).
-            for kid, unfin in sm.k_unfinished.items():
-                if unfin <= 0:
-                    continue
-                ks = sm.kstats[kid]
-                own = per_kernel.get(kid, 0)
-                ks.active_cycles += issued
-                ks.issue_cycles += own
-                ks.instructions += own
-                other = issued - own
-                if other:
-                    kw = sm.k_waiting.get(kid, 0)
-                    if kw >= unfin:
-                        ks.stall_mem_all += other
-                    elif kw > 0:
-                        ks.stall_mem_partial += other
-                    else:
-                        ks.stall_other += other
+        if multi:
+            for kid, tj in own.items():
+                sm.kstats[kid].instructions += tj
+            sm._charge_kernels(issued, own)
     return t
 
 
@@ -474,35 +449,56 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
         sm.cycle(now)
         return
     if rp is not None:
-        # Wedged load replay: every skipped cycle retried the head,
-        # failed, and charged the replay + L1 miss counters.
-        k = t - now
-        sm.stats.replay_cycles += k
-        l1 = sm.l1
-        l1._tick += k
-        l1.accesses += k
-        l1.misses += k
-        if sm._multi:
-            ks = sm.kstats[rp.warp.kernel_id]
-            ks.l1_accesses += k
-            ks.l1_misses += k
+        sm._charge_wedged_replay(t - now)
     sm._skip_until = t
     sm._span_hard = hard
 
 
-def run_event_loop(gpu, limit: int, monitor, interval: int) -> None:
-    """Event-engine replacement for the reference main loop in
-    :meth:`repro.sim.gpu.GPU.run`; advances ``gpu.now`` to exactly the
-    cycle the reference loop would have stopped at, with bit-identical
-    component state."""
+def _settle(gpu, now: int) -> None:
+    """Event step only: bring every lazily accounted counter (open
+    stall spans, idle DRAM channels) up to ``now`` before anything
+    outside the step reads it.  The cycle step keeps no such debt —
+    ``DramChannel.cycle`` does not maintain ``_accounted_to``, so
+    syncing there would count idle cycles twice."""
+    for sm in gpu.sms:
+        if sm._span_from >= 0:
+            sm._settle_span(now)
+    gpu.subsystem.sync_accounting(now)
+
+
+def _timed(prof, phase: str, fn, *args) -> None:
+    """Call ``fn(*args)``, crediting its wall time to ``phase`` when a
+    profiler is attached."""
+    if prof is None:
+        fn(*args)
+    else:
+        with prof.phase(phase):
+            fn(*args)
+
+
+def run_loop(gpu, limit: int, monitor=None) -> None:
+    """Advance ``gpu`` until every CTA retired or ``gpu.now == limit``.
+
+    The single main loop (module docstring): ``gpu.config.engine``
+    selects the step, everything else is shared.  ``monitor.sample(gpu,
+    now)`` fires every ``monitor.interval`` cycles; the obs window
+    flush, the per-cycle deep checks (an interval-1 hook) and the
+    watchdog fire at their own multiples, all with bit-identical
+    component state under either step."""
     sub = gpu.subsystem
     sms = gpu.sms
     obs = gpu.obs
     wd = gpu.watchdog
-    wd_interval = wd.check_interval if wd is not None else 0
+    event = gpu.config.engine == "event"
+    interval = getattr(monitor, "interval", 0)
     obs_interval = obs.window_interval if obs is not None else 0
-    now = gpu.now
-    hook_at = _next_hook(now, limit, interval, obs_interval, wd_interval)
+    deep = 1 if gpu.config.deep_checks else 0
+    wd_interval = wd.check_interval if wd is not None else 0
+    intervals = [i for i in (interval, obs_interval, deep, wd_interval) if i]
+    prof = obs.profiler if obs is not None else None
+    perf = time.perf_counter
+    start = now = gpu.now
+    hook_at = _next_hook(now, limit, intervals)
     cap_box = [0]
     while now < limit:
         # Cheap done probe: unfinished_warps is a plain attribute, and
@@ -515,81 +511,99 @@ def run_event_loop(gpu, limit: int, monitor, interval: int) -> None:
                 break
         if not running and gpu.done:
             break
-        # Components read the clock during dispatch (CTA launches,
+        # Components read the clock during the step (CTA launches,
         # response timestamps), so it must be live every iteration.
         gpu.now = now
-        min_wake = sub._next_event
-        ran = False
-        cap_box[0] = 0
-        for sm in sms:
-            su = sm._skip_until
-            if su > now:
-                if su < min_wake:
-                    min_wake = su
-            else:
+        if prof is not None:
+            t0 = perf()
+        if event:
+            min_wake = sub._next_event
+            ran = False
+            cap_box[0] = 0
+            for sm in sms:
+                su = sm._skip_until
+                if su > now:
+                    if su < min_wake:
+                        min_wake = su
+                else:
+                    ran = True
+                    _dispatch(sm, now, hook_at, sub, cap_box)
+            if prof is not None:
+                t1 = perf()
+            # Re-read: SM dispatches may have submitted requests and
+            # pulled the subsystem's next event earlier (possibly to
+            # `now` itself under a zero-latency interconnect).
+            if sub._next_event <= now:
+                sub.cycle_event(now)
                 ran = True
-                _dispatch(sm, now, hook_at, sub, cap_box)
-        # Re-read: SM dispatches may have submitted requests and pulled
-        # the subsystem's next event earlier (possibly to `now` itself
-        # under a zero-latency interconnect).
-        if sub._next_event <= now:
-            sub.cycle_event(now)
-            ran = True
-        now += 1
-        if not ran and min_wake > now:
-            # Quiet iteration: every SM is inside a span and the
-            # subsystem has no ripe work.  Jump to the next wake-up,
-            # never crossing a hook boundary.
-            tgt = min_wake if min_wake < hook_at else hook_at
-            if tgt > now:
-                now = tgt
+            now += 1
+            if not ran and min_wake > now:
+                # Quiet iteration: every SM is inside a span and the
+                # subsystem has no ripe work.  Jump to the next wake-up,
+                # never crossing a hook boundary.
+                tgt = min_wake if min_wake < hook_at else hook_at
+                if tgt > now:
+                    now = tgt
+        else:
+            for sm in sms:
+                sm.cycle(now)
+            if prof is not None:
+                t1 = perf()
+            sub.cycle(now)
+            now += 1
+        if prof is not None:
+            prof.add("sm_cycle", t1 - t0)
+            prof.add("mem_cycle", perf() - t1)
         if now >= hook_at:
             gpu.now = now
-            for sm in sms:
-                if sm._span_from >= 0:
-                    sm._settle_span(now)
-            sub.sync_accounting(now)
+            if event:
+                _settle(gpu, now)
             if interval and now % interval == 0:
                 monitor.sample(gpu, now)
             if obs_interval and now % obs_interval == 0:
-                obs.flush(gpu, now)
+                _timed(prof, "obs_flush", obs.flush, gpu, now)
+            if deep:
+                _timed(prof, "deep_checks", gpu.invariants.check_cycle,
+                       gpu, now)
             if wd_interval and now % wd_interval == 0:
                 wd.check(gpu, now)
-            hook_at = _next_hook(now, limit, interval, obs_interval,
-                                 wd_interval)
+            hook_at = _next_hook(now, limit, intervals)
     gpu.now = now
-    for sm in sms:
-        if sm._span_from >= 0:
-            sm._settle_span(now)
-    sub.sync_accounting(now)
+    if event:
+        _settle(gpu, now)
+    if prof is not None:
+        # Record the simulated-cycle count so profile consumers can
+        # derive host-seconds-per-cycle without the SimResult in hand.
+        prof.add("cycles", 0.0, calls=now - start)
 
 
-def flush_memory_event(gpu, limit: int) -> None:
-    """Event-engine counterpart of :meth:`repro.sim.gpu.GPU._flush_memory`.
+def flush_memory(gpu) -> None:
+    """Drain in-flight stores/prefetches after the last warp retires so
+    traffic counters balance.  Flush cycles are not charged to the
+    kernel (completion time is the last warp's retirement).
 
-    Drains in-flight traffic after the last warp retires, skipping the
-    quiet gaps between subsystem events.  The drain deadline counts
-    *simulated* cycles — identical to the reference formula — so the
-    fast engine can neither trip nor mask the post-run drain cap."""
+    Same two steps as :func:`run_loop`; the event step skips the quiet
+    gaps between subsystem events.  The drain cap counts *simulated*
+    cycles, so neither step can trip or mask it for the other."""
     sub = gpu.subsystem
-    sms = gpu.sms
+    event = gpu.config.engine == "event"
     t = gpu.now
-    deadline = t + min(100_000, max(0, limit - t) + 100_000)
+    deadline = t + DRAIN_CAP
     while t < deadline:
         busy = False
-        for sm in sms:
+        for sm in gpu.sms:
             if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
                 sm._drain_miss_queue(t)
                 busy = True
-        if sub._next_event <= t:
+        if not event:
+            sub.cycle(t)
+        elif sub._next_event <= t:
             sub.cycle_event(t)
         t += 1
         if not busy:
             if sub.drained():
                 break
-            ne = sub._next_event
-            if ne > t:
-                if ne > deadline:
-                    ne = deadline
-                t = ne
-    sub.sync_accounting(t)
+            if event and sub._next_event > t:
+                t = min(sub._next_event, deadline)
+    if event:
+        sub.sync_accounting(t)

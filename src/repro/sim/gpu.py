@@ -8,7 +8,6 @@ paper's figures report.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -20,6 +19,7 @@ from repro.obs import build as build_obs
 from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.stats import PrefetchStats
 from repro.sim.cta import CTADistributor
+from repro.sim.fastcore import flush_memory, run_loop
 from repro.sim.kernel import KernelInfo
 from repro.sim.sm import SM, SMStats
 
@@ -106,11 +106,17 @@ class GPU:
     ``config.deep_checks``) and the observability hub
     (:mod:`repro.obs`, enabled via ``config.obs``).  Construction
     launches the initial CTA wave; :meth:`run` advances the machine
-    cycle by cycle until every CTA retires.
+    (:func:`repro.sim.fastcore.run_loop`, with the step
+    ``config.engine`` selects) until every CTA retires.
 
     Most callers should use :func:`simulate` rather than instantiating
     this class directly.
     """
+
+    #: Whether the SMs host several kernels at once and slice their
+    #: counters per kernel (:class:`repro.sim.multi.MultiGPU`);
+    #: ``kernel`` is then the co-run app.
+    multi = False
 
     def __init__(
         self,
@@ -135,21 +141,24 @@ class GPU:
         # Created before the SMs: _launch_initial() below already emits
         # CTA/warp launch events through the hub.
         self.obs = build_obs(config, config.num_sms)
-        self.sms: List[SM] = []
-        for sm_id in range(config.num_sms):
-            pf = factory(config, sm_id)
-            self.sms.append(
-                SM(sm_id, config, kernel, pf, self.subsystem,
-                   self._on_cta_done, obs=self.obs)
-            )
+        self.sms: List[SM] = [
+            SM(sm_id, config, kernel, factory(config, sm_id), self.subsystem,
+               self._on_cta_done, obs=self.obs, multi=self.multi)
+            for sm_id in range(config.num_sms)
+        ]
+        self.distributor = self._make_distributor()
+        self.now = 0
+        self._launch_initial()
+
+    def _make_distributor(self):
+        kernel = self.kernel
+        config = self.config
         max_ctas = min(config.max_ctas_per_sm, kernel.max_ctas_per_sm(config))
-        self.distributor = CTADistributor(
+        return CTADistributor(
             num_ctas=kernel.num_ctas,
             num_sms=config.num_sms,
             max_ctas_per_sm=max_ctas,
         )
-        self.now = 0
-        self._launch_initial()
 
     def _launch_initial(self) -> None:
         for cta_id, sm_id in self.distributor.initial_fill():
@@ -178,51 +187,14 @@ class GPU:
         cycles.
         """
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
-        interval = getattr(monitor, "interval", 0)
-        wd = self.watchdog
-        deep = self.config.deep_checks
-        obs = self.obs
-        obs_interval = obs.window_interval if obs is not None else 0
-        # The event engine is bit-identical to the cycle loop below but
-        # skips quiet cycles in batches (repro.sim.fastcore).  Deep
-        # per-cycle invariant checks and the profiled loop inspect every
-        # cycle by design, so they force the reference path.
-        use_event = (
-            self.config.engine == "event"
-            and not deep
-            and (obs is None or obs.profiler is None)
-        )
-        if obs is not None and obs.profiler is not None:
-            self._run_loop_profiled(limit, monitor, interval, obs_interval)
-        elif use_event:
-            from repro.sim.fastcore import run_event_loop
-
-            run_event_loop(self, limit, monitor, interval)
-        else:
-            while not self.done and self.now < limit:
-                for sm in self.sms:
-                    sm.cycle(self.now)
-                self.subsystem.cycle(self.now)
-                self.now += 1
-                if interval and self.now % interval == 0:
-                    monitor.sample(self, self.now)
-                if obs_interval and self.now % obs_interval == 0:
-                    obs.flush(self, self.now)
-                if deep:
-                    self.invariants.check_cycle(self, self.now)
-                if wd is not None and self.now % wd.check_interval == 0:
-                    wd.check(self, self.now)
+        run_loop(self, limit, monitor)
         completed = self.done
         cycles = self.now
         if completed:
-            if use_event:
-                from repro.sim.fastcore import flush_memory_event
-
-                flush_memory_event(self, limit)
-            else:
-                self._flush_memory(limit)
+            flush_memory(self)
         for sm in self.sms:
             sm.finalize()
+        obs = self.obs
         if obs is not None:
             obs.finalize(self, cycles)
         self.invariants.verify_end(self, completed)
@@ -232,61 +204,6 @@ class GPU:
         if not completed:
             result.extra["hang_snapshot"] = build_snapshot(self, cycles)
         return result
-
-    def _run_loop_profiled(self, limit: int, monitor, interval: int,
-                           obs_interval: int) -> None:
-        """Main loop variant with per-phase wall timing (``obs.profile``).
-
-        Kept separate from the default loop so the common un-profiled
-        path carries no timing calls at all."""
-        obs = self.obs
-        prof = obs.profiler
-        wd = self.watchdog
-        deep = self.config.deep_checks
-        perf = time.perf_counter
-        cycles0 = self.now
-        while not self.done and self.now < limit:
-            t0 = perf()
-            for sm in self.sms:
-                sm.cycle(self.now)
-            t1 = perf()
-            self.subsystem.cycle(self.now)
-            t2 = perf()
-            prof.add("sm_cycle", t1 - t0)
-            prof.add("mem_cycle", t2 - t1)
-            self.now += 1
-            if interval and self.now % interval == 0:
-                monitor.sample(self, self.now)
-            if obs_interval and self.now % obs_interval == 0:
-                t3 = perf()
-                obs.flush(self, self.now)
-                prof.add("obs_flush", perf() - t3)
-            if deep:
-                t4 = perf()
-                self.invariants.check_cycle(self, self.now)
-                prof.add("deep_checks", perf() - t4)
-            if wd is not None and self.now % wd.check_interval == 0:
-                wd.check(self, self.now)
-        # Record the simulated-cycle count so profile consumers can
-        # derive host-seconds-per-cycle without the SimResult in hand.
-        prof.add("cycles", 0.0, calls=self.now - cycles0)
-
-    def _flush_memory(self, limit: int) -> None:
-        """Drain in-flight stores/prefetches after the last warp retires
-        so traffic counters balance.  Flush cycles are not charged to the
-        kernel (completion time is the last warp's retirement)."""
-        t = self.now
-        deadline = t + min(100_000, max(0, limit - t) + 100_000)
-        while t < deadline:
-            busy = False
-            for sm in self.sms:
-                if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
-                    sm._drain_miss_queue(t)
-                    busy = True
-            self.subsystem.cycle(t)
-            t += 1
-            if not busy and self.subsystem.drained():
-                return
 
     def _collect(self, completed: bool, cycles: Optional[int] = None) -> SimResult:
         sm_stats = SMStats()

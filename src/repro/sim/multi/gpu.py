@@ -1,12 +1,13 @@
 """Concurrent-kernel GPU driver.
 
 :class:`MultiGPU` is a :class:`repro.sim.gpu.GPU` whose SMs host CTAs
-from several kernels at once.  The run loop, both engines, memory
-flush, observability and the always-on guard invariants are inherited
-unchanged — the subclass only swaps the CTA distributor for a
-policy-driven multi-kernel one, switches every SM into per-kernel
-accounting mode, and extends the collected :class:`SimResult` with
-per-kernel sub-records that conservation-sum to the global counters.
+from several kernels at once.  Construction, the run loop with both
+engine steps, memory flush, observability and the always-on guard
+invariants are inherited unchanged — the subclass only swaps the CTA
+distributor for a policy-driven multi-kernel one, switches every SM
+into per-kernel accounting mode (``multi = True``), and extends the
+collected :class:`SimResult` with per-kernel sub-records that
+conservation-sum to the global counters.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import GPUConfig
-from repro.guard.invariants import InvariantChecker
-from repro.guard.watchdog import Watchdog
-from repro.mem.subsystem import MemorySubsystem
-from repro.obs import build as build_obs
-from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.stats import PrefetchStats
 from repro.sim.gpu import GPU, SimResult
 from repro.sim.kernel import KernelInfo
-from repro.sim.sm import SM, KernelStats
+from repro.sim.sm import KernelStats
 
 from .app import MultiKernelApp
 from .distributor import MultiKernelDistributor
@@ -38,6 +34,8 @@ class MultiGPU(GPU):
     expect, so none of that plumbing needs multi-kernel special cases.
     """
 
+    multi = True
+
     def __init__(
         self,
         app: MultiKernelApp,
@@ -46,37 +44,17 @@ class MultiGPU(GPU):
         faults=None,
     ):
         self.app = app
-        self.kernel = app
-        self.config = config
-        factory = prefetcher_factory or (lambda cfg, sm_id: NoPrefetcher(cfg, sm_id))
-        injector = None
-        if faults is not None and faults.affects_simulation:
-            from repro.guard.faults import MemoryFaultInjector
-            injector = MemoryFaultInjector(faults)
-        self.subsystem = MemorySubsystem(
-            config, config.num_sms, self._on_response, faults=injector
-        )
+        super().__init__(app, config, prefetcher_factory, faults)
         # Pre-install every kernel's traffic slice so zero-traffic
         # kernels still appear in the per-kernel records.
         self.subsystem.per_kernel = {
             k.kernel_id: [0, 0, 0, 0] for k in app.kernels
         }
-        self.watchdog = (Watchdog(config.hang_cycles)
-                         if config.hang_cycles else None)
-        self.invariants = InvariantChecker(config)
-        self.obs = build_obs(config, config.num_sms)
-        self.sms: List[SM] = []
-        for sm_id in range(config.num_sms):
-            pf = factory(config, sm_id)
-            self.sms.append(
-                SM(sm_id, config, app.kernels[0], pf, self.subsystem,
-                   self._on_cta_done, obs=self.obs, multi=True)
-            )
-        self.policy = make_policy(config.multi.alloc_policy,
-                                  app.kernels, config)
-        self.distributor = MultiKernelDistributor(app, config, self.policy)
-        self.now = 0
-        self._launch_initial()
+
+    def _make_distributor(self) -> MultiKernelDistributor:
+        self.policy = make_policy(self.config.multi.alloc_policy,
+                                  self.app.kernels, self.config)
+        return MultiKernelDistributor(self.app, self.config, self.policy)
 
     # ----------------------------------------------------------- launches
     def _launch_initial(self) -> None:

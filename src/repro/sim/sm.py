@@ -227,9 +227,8 @@ class SM:
         self._mark_leading = (
             config.scheduler.prefetch_aware or prefetcher.wants_leading_warps
         )
-        self._kernel_load_sites: Dict[int, int] = {
-            kernel.kernel_id: max(1, len(kernel.program.load_sites()))
-        }
+        #: kernel id -> static load sites, filled as kernels launch CTAs.
+        self._kernel_load_sites: Dict[int, int] = {}
 
         # Concurrent-kernel accounting (all dormant when ``multi`` is
         # False — the single-kernel hot path pays one bool test per
@@ -341,15 +340,11 @@ class SM:
         issued = self._issue(now, lsu_free=not lsu_busy)
         if issued:
             self.stats.issue_cycles += 1
+            self.stats.active_cycles += 1
+            if self._multi:
+                self._charge_kernels(1, {self._issued_kid: 1})
         else:
-            self._account_stall()
-        self.stats.active_cycles += 1
-        if self._multi:
-            if issued:
-                self._kernel_issue_cycle(self._issued_kid)
-                self._issued_kid = -1
-            else:
-                self._kernel_stall_cycles(1)
+            self._charge_stall(1)
 
         # The L1 port is free for a prefetch when no demand access used
         # it: no memory instruction issued and any replay attempt failed
@@ -361,43 +356,6 @@ class SM:
             and self.unused_prefetched_resident < self._prefetch_resident_limit
         ):
             self._service_prefetch(now)
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`cycle` does more
-        than accrue a stall — the SM half of the event engine's
-        next-event contract (docs/architecture.md).
-
-        Returns ``now`` whenever any per-cycle work is pending (ripe L1
-        hits, queued misses/stores/prefetches, an active replay, a
-        serviceable prefetch candidate, or an issuable warp); otherwise
-        the earliest cycle a resident warp could issue.  External events
-        (memory responses, CTA launches) may move the true next event
-        earlier at any time; the event engine accounts for that with the
-        memory subsystem's response bound.
-        """
-        if self.unfinished_warps == 0:
-            if self.miss_queue or self.store_queue or self.prefetch_miss_queue:
-                return now
-            return 1 << 62
-        if (
-            self.replay is not None
-            or self.miss_queue
-            or self.store_queue
-            or self.prefetch_miss_queue
-            or (self._hit_heap and self._hit_heap[0][0] <= now)
-            or (
-                self.prefetch_queue
-                and self.unused_prefetched_resident < self._prefetch_resident_limit
-            )
-        ):
-            return now
-        nxt = self.scheduler.next_issue_cycle()
-        pf_next = self.prefetcher.next_event_cycle(now)
-        if pf_next < nxt:
-            nxt = pf_next
-        if self._hit_heap and self._hit_heap[0][0] < nxt:
-            nxt = self._hit_heap[0][0]
-        return now if nxt <= now else nxt
 
     def _settle_span(self, upto: int) -> None:
         """Close the open lazy stall span, accruing cycles ``[_span_from,
@@ -417,74 +375,70 @@ class SM:
         self._span_from = -1
         replay = self._span_replay
         self._span_replay = False
-        if k <= 0:
-            return
+        if k > 0:
+            self._charge_stall(k)
+            if replay:
+                self._charge_wedged_replay(k)
+
+    # ------------------------------------------------------- cycle accounting
+    def _charge_stall(self, k: int) -> None:
+        """Charge ``k`` cycles in which nothing issued: active time, the
+        stall class, and (multi mode) every resident kernel's view.
+
+        The one stall classifier: the per-cycle path calls it with
+        ``k == 1`` and the event engine with whole spans, over which the
+        warp counts are constant (blocks, unblocks, finishes and
+        launches all end spans first)."""
         stats = self.stats
         stats.active_cycles += k
-        if self.waiting_mem_warps >= self.unfinished_warps:
+        if self.waiting_mem_warps >= self.unfinished_warps and self.unfinished_warps:
             stats.stall_mem_all += k
         elif self.waiting_mem_warps > 0:
             stats.stall_mem_partial += k
         else:
             stats.stall_other += k
-        if replay:
-            stats.replay_cycles += k
-            l1 = self.l1
-            l1._tick += k
-            l1.accesses += k
-            l1.misses += k
         if self._multi:
-            self._kernel_stall_cycles(k)
-            if replay:
-                ks = self.kstats[self.replay.warp.kernel_id]
-                ks.l1_accesses += k
-                ks.l1_misses += k
+            self._charge_kernels(k, {})
 
-    def _account_stall(self) -> None:
-        if self.waiting_mem_warps >= self.unfinished_warps and self.unfinished_warps:
-            self.stats.stall_mem_all += 1
-        elif self.waiting_mem_warps > 0:
-            self.stats.stall_mem_partial += 1
-        else:
-            self.stats.stall_other += 1
+    def _charge_wedged_replay(self, k: int) -> None:
+        """Charge ``k`` skipped cycles of a wedged load replay: on each
+        the per-cycle path would have retried the head line, missed L1
+        and failed its reservation again."""
+        self.stats.replay_cycles += k
+        l1 = self.l1
+        l1._tick += k
+        l1.accesses += k
+        l1.misses += k
+        if self._multi:
+            ks = self.kstats[self.replay.warp.kernel_id]
+            ks.l1_accesses += k
+            ks.l1_misses += k
 
-    # ------------------------------------------------- per-kernel accounting
-    def _kernel_stall_cycles(self, k: int) -> None:
-        """Multi-mode: charge ``k`` non-issue cycles to every kernel with
-        unfinished warps on this SM, classified from that kernel's own
-        waiting/unfinished counts (constant over a span: blocks,
-        unblocks, finishes and launches all end spans first)."""
+    def _charge_kernels(self, cycles: int, own: Dict[int, int]) -> None:
+        """Multi mode: charge a window of ``cycles`` SM cycles from each
+        resident kernel's perspective.  ``own[kid]`` of them issued an
+        instruction of kernel ``kid``; the rest (another kernel's issue
+        cycles included) are stalls of its own, classified from its own
+        waiting/unfinished counts, constant over the window as in
+        :meth:`_charge_stall`."""
         for kid, unfin in self.k_unfinished.items():
-            if unfin <= 0:
+            issued = own.get(kid, 0)
+            if unfin <= 0 and not issued:
+                # Not resident — unless the EXIT that retired its last
+                # warp is the instruction this very cycle issued.
                 continue
             ks = self.kstats[kid]
-            ks.active_cycles += k
-            kw = self.k_waiting.get(kid, 0)
-            if kw >= unfin:
-                ks.stall_mem_all += k
-            elif kw > 0:
-                ks.stall_mem_partial += k
-            else:
-                ks.stall_other += k
-
-    def _kernel_issue_cycle(self, issued_kid: int) -> None:
-        """Multi-mode: one cycle in which kernel ``issued_kid`` issued;
-        co-resident kernels see the same cycle as a stall of their own."""
-        for kid, unfin in self.k_unfinished.items():
-            if kid == issued_kid or unfin <= 0:
-                continue
-            ks = self.kstats[kid]
-            ks.active_cycles += 1
-            kw = self.k_waiting.get(kid, 0)
-            if kw >= unfin:
-                ks.stall_mem_all += 1
-            elif kw > 0:
-                ks.stall_mem_partial += 1
-            else:
-                ks.stall_other += 1
-        ks = self.kstats[issued_kid]
-        ks.active_cycles += 1
-        ks.issue_cycles += 1
+            ks.active_cycles += cycles
+            ks.issue_cycles += issued
+            stalled = cycles - issued
+            if stalled:
+                kw = self.k_waiting.get(kid, 0)
+                if kw >= unfin:
+                    ks.stall_mem_all += stalled
+                elif kw > 0:
+                    ks.stall_mem_partial += stalled
+                else:
+                    ks.stall_other += stalled
 
     def _complete_hits(self, now: int) -> None:
         heap = self._hit_heap
@@ -506,16 +460,21 @@ class SM:
             else:
                 self.scheduler.on_unblock(warp)
 
+    def _warp_blocked(self, warp: Warp, now: int) -> None:
+        """``warp`` just entered WAITING_MEM: count it and tell the
+        scheduler and the trace."""
+        self.waiting_mem_warps += 1
+        if self._multi:
+            self.k_waiting[warp.kernel_id] = (
+                self.k_waiting.get(warp.kernel_id, 0) + 1
+            )
+        self.scheduler.on_block(warp)
+        if self.obs is not None:
+            self.obs.warp_block(warp, now)
+
     def _charge_defer(self, warp: Warp, now: int) -> None:
         if warp.charge_defer_budget(now):
-            self.waiting_mem_warps += 1
-            if self._multi:
-                self.k_waiting[warp.kernel_id] = (
-                    self.k_waiting.get(warp.kernel_id, 0) + 1
-                )
-            self.scheduler.on_block(warp)
-            if self.obs is not None:
-                self.obs.warp_block(warp, now)
+            self._warp_blocked(warp, now)
 
     def _drain_miss_queue(self, now: int) -> None:
         for _ in range(MISS_QUEUE_DRAIN):
@@ -551,14 +510,7 @@ class SM:
                 warp.exit_pending = True
                 warp.state = WarpState.WAITING_MEM
                 warp.blocked_since = now
-                self.waiting_mem_warps += 1
-                if self._multi:
-                    self.k_waiting[warp.kernel_id] = (
-                        self.k_waiting.get(warp.kernel_id, 0) + 1
-                    )
-                self.scheduler.on_block(warp)
-                if self.obs is not None:
-                    self.obs.warp_block(warp, now)
+                self._warp_blocked(warp, now)
             else:
                 self._finish_warp(warp, now)
             return "alu"
@@ -628,14 +580,7 @@ class SM:
             already_blocked = warp.state is WarpState.WAITING_MEM
             warp.block_on_memory(len(line_addrs), now)
             if not already_blocked:
-                self.waiting_mem_warps += 1
-                if self._multi:
-                    self.k_waiting[warp.kernel_id] = (
-                        self.k_waiting.get(warp.kernel_id, 0) + 1
-                    )
-                self.scheduler.on_block(warp)
-                if self.obs is not None:
-                    self.obs.warp_block(warp, now)
+                self._warp_blocked(warp, now)
         remaining = list(line_addrs)
         self._process_demand_lines(warp, instr.site.pc, remaining, instr.iteration, now)
         if remaining:
@@ -711,12 +656,6 @@ class SM:
                         self.obs.pf_useful(
                             self.sm_id, now - line.prefetch_issue_cycle, now
                         )
-                    if (
-                        self.prefetcher.wants_eager_wakeup
-                        and self.config.prefetch.eager_wakeup
-                    ):
-                        # consumed; nothing to wake (this warp is the consumer)
-                        pass
                 heapq.heappush(
                     self._hit_heap, (now + self.l1.config.hit_latency, warp.uid)
                 )
@@ -747,22 +686,11 @@ class SM:
                 remaining.pop(0)
                 continue
             mshr = self.l1.mshr
-            if mshr.pending(line_addr):
+            merge = mshr.pending(line_addr)
+            if merge:
                 if not mshr.can_merge(line_addr):
                     return  # replay
-                req = MemoryRequest(
-                    line_addr=line_addr,
-                    sm_id=self.sm_id,
-                    access=Access.DEMAND,
-                    pc=pc,
-                    warp_uid=warp.uid,
-                    issue_cycle=now,
-                    kernel_id=warp.kernel_id,
-                )
-                mshr.merge(req)
-                remaining.pop(0)
-                continue
-            if mshr.full or len(self.miss_queue) >= self.miss_queue_depth:
+            elif mshr.full or len(self.miss_queue) >= self.miss_queue_depth:
                 return  # replay
             req = MemoryRequest(
                 line_addr=line_addr,
@@ -773,6 +701,10 @@ class SM:
                 issue_cycle=now,
                 kernel_id=warp.kernel_id,
             )
+            remaining.pop(0)
+            if merge:
+                mshr.merge(req)
+                continue
             mshr.allocate(req)
             self.miss_queue.append(req)
             self.stats.demand_mem_fetches += 1
@@ -783,7 +715,6 @@ class SM:
             cands = self.prefetcher.on_l1_miss(warp, pc, line_addr, now)
             if cands:
                 self.enqueue_prefetches(cands)
-            remaining.pop(0)
 
     def _process_store_lines(
         self, warp: Warp, pc: int, remaining: List[int], now: int
@@ -901,12 +832,7 @@ class SM:
             self.kstats[req.kernel_id].mshr_released += 1
         victim = self.l1.fill(line_addr, cycle=now)
         if victim is not None and victim.prefetched and not victim.used:
-            self.pstats.early_evicted += 1
-            if self._multi:
-                self._pk(victim.line_addr).early_evicted += 1
-            self.unused_prefetched_resident -= 1
-            if self.obs is not None:
-                self.obs.pf_early_evict(self.sm_id, now)
+            self._early_evicted(victim, now)
         for m in merged:
             if m.access is Access.DEMAND:
                 warp = self.warps_by_uid.get(m.warp_uid)
@@ -915,6 +841,15 @@ class SM:
                 # flight and must still receive its data.
                 if warp is not None and warp.pending_pieces > 0:
                     self._piece_arrived(warp, now)
+
+    def _early_evicted(self, victim, now: int) -> None:
+        """A fill displaced a prefetched line no demand ever used."""
+        self.pstats.early_evicted += 1
+        if self._multi:
+            self._pk(victim.line_addr).early_evicted += 1
+        self.unused_prefetched_resident -= 1
+        if self.obs is not None:
+            self.obs.pf_early_evict(self.sm_id, now)
 
     def _on_prefetch_fill(self, meta: "_InflightPrefetch", now: int) -> None:
         line_addr = meta.req.line_addr
@@ -932,12 +867,7 @@ class SM:
         if untouched:
             self.unused_prefetched_resident += 1
         if victim is not None and victim.prefetched and not victim.used:
-            self.pstats.early_evicted += 1
-            if self._multi:
-                self._pk(victim.line_addr).early_evicted += 1
-            self.unused_prefetched_resident -= 1
-            if self.obs is not None:
-                self.obs.pf_early_evict(self.sm_id, now)
+            self._early_evicted(victim, now)
         for uid in meta.waiters:
             warp = self.warps_by_uid.get(uid)
             if warp is not None and warp.pending_pieces > 0:

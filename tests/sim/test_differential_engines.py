@@ -16,9 +16,11 @@ import pytest
 
 from repro.config import SchedulerKind
 from repro.config import test_config as tiny_config
+from repro.exec import result_bytes
 from repro.guard.faults import FaultPlan
 from repro.obs.collector import series
 from repro.prefetch.factory import make_prefetcher
+from repro.sim.gpu import GPU
 from repro.workloads import ALL_BENCHMARKS, Scale, build
 
 from tests._difftools import (
@@ -99,11 +101,32 @@ class TestHangAndGuards:
         assert_identical(fingerprint(gpu_ref, res_ref),
                          fingerprint(gpu_evt, res_evt), "hang@400")
 
-    def test_deep_checks_force_reference_loop(self):
-        """deep_checks inspects every cycle, so the event engine defers."""
+    def test_deep_checks_identical_every_cycle(self):
+        """deep_checks is an interval-1 hook of the shared scaffold: it
+        audits every cycle under either engine and changes no result."""
         cfg = tiny_config(deep_checks=True)
-        _, res = run_engine(lambda: build("MRQ", Scale.TINY), cfg, "event")
-        assert res.completed  # ran (and passed) under per-cycle invariants
+        gpu_ref, res_ref = run_engine(
+            lambda: build("MRQ", Scale.TINY), cfg, "cycle")
+        gpu_evt, res_evt = run_engine(
+            lambda: build("MRQ", Scale.TINY), cfg, "event")
+        assert res_ref.completed
+        assert_identical(fingerprint(gpu_ref, res_ref),
+                         fingerprint(gpu_evt, res_evt), "deep_checks")
+        assert gpu_ref.invariants.cycle_checks == res_ref.cycles
+        assert gpu_evt.invariants.cycle_checks == res_evt.cycles
+
+    @pytest.mark.parametrize("max_cycles", (200, 400, 700, 1000, 1500))
+    @pytest.mark.parametrize("bench", ("MRQ", "BFS", "MM"))
+    def test_truncated_caps_run_identical(self, bench, max_cycles):
+        """A cut with prefetches in flight (some already merged into by
+        a demand) returns a diagnosable result, not an invariant trip."""
+        res = run_differential(
+            lambda: build(bench, Scale.TINY), tiny_config(),
+            _factory("caps"), max_cycles=max_cycles,
+            label=f"{bench}/caps/truncated@{max_cycles}",
+        )
+        assert not res.completed
+        assert "hang_snapshot" in res.extra
 
     def test_fault_injection_identical(self):
         """Delayed responses perturb timing the same way in both engines."""
@@ -115,6 +138,63 @@ class TestHangAndGuards:
             lambda: build("MRQ", Scale.TINY), cfg, "event", faults=plan)
         assert_identical(fingerprint(gpu_ref, res_ref),
                          fingerprint(gpu_evt, res_evt), "faults/delay")
+
+
+class _RecordingMonitor:
+    interval = 7
+
+    def __init__(self):
+        self.cycles = []
+
+    def sample(self, gpu, now):
+        self.cycles.append(now)
+
+
+def _spy(obj, name, log):
+    """Log the ``now`` of every ``obj.name(gpu, now)`` call."""
+    inner = getattr(obj, name)
+
+    def wrapped(gpu, now):
+        log.append(now)
+        inner(gpu, now)
+    setattr(obj, name, wrapped)
+
+
+class TestSharedScaffold:
+    """Hooks, deep checks and profiling belong to the one run loop, not
+    to an engine: both steps see them at the same cycles."""
+
+    @pytest.mark.parametrize("engine", ("cycle", "event"))
+    def test_hooks_fire_at_exact_multiples(self, engine):
+        cfg = dataclasses.replace(
+            tiny_config(hang_cycles=800).with_obs(metrics=True, window=64),
+            engine=engine)
+        gpu = GPU(build("MRQ", Scale.TINY), cfg, _factory("caps"))
+        monitor = _RecordingMonitor()
+        flushes, checks = [], []
+        _spy(gpu.obs, "flush", flushes)
+        _spy(gpu.watchdog, "check", checks)
+        res = gpu.run(monitor=monitor)
+        assert res.completed
+        end = res.cycles + 1
+        assert monitor.cycles == list(range(7, end, 7))
+        assert flushes == list(range(64, end, 64))
+        every = gpu.watchdog.check_interval
+        assert checks == list(range(every, end, every))
+
+    def test_profile_times_the_configured_engine(self):
+        cfg = tiny_config()
+        _, plain = run_engine(lambda: build("MM", Scale.TINY), cfg,
+                              "event", _factory("caps"))
+        _, profiled = run_engine(lambda: build("MM", Scale.TINY),
+                                 cfg.with_obs(profile=True),
+                                 "event", _factory("caps"))
+        phases = profiled.extra.pop("profile")["phases"]
+        assert {"sm_cycle", "mem_cycle", "cycles"} <= set(phases)
+        assert phases["cycles"]["calls"] == profiled.cycles
+        # The event step ran: fewer loop iterations than cycles.
+        assert phases["sm_cycle"]["calls"] < profiled.cycles
+        assert result_bytes(profiled) == result_bytes(plain)
 
 
 class TestEngineKnob:
@@ -156,20 +236,16 @@ class TestMultiKernel:
     def test_truncated_corun_identical(self, policy):
         """A run cut off mid-flight (CTAs still resident, preemption
         decisions half-made) must still fingerprint identically.
-
-        No prefetcher: truncation with prefetches in flight trips the
-        (pre-existing, engine-independent) prefetch-outcome invariant,
-        which is about accounting at the cut, not engine identity.
         """
         cfg = tiny_config().with_multi(alloc_policy=policy)
         full = run_corun_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
-            label=f"corun/{policy}/full",
+            _factory("caps"), label=f"corun/{policy}/full",
         )
         cut = max(64, full.cycles // 3)
         res = run_corun_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
-            max_cycles=cut,
+            _factory("caps"), max_cycles=cut,
             label=f"corun/{policy}/truncated@{cut}",
         )
         assert not res.completed

@@ -153,6 +153,7 @@ class TestGeneratedKernelsIdentical:
         """Even a mid-flight cutoff leaves both engines in the same state."""
         cfg = tiny_config()
         run_differential(lambda: _rebuild(kernel), cfg,
+                         make_prefetcher("caps"),
                          max_cycles=cutoff, label=f"prop-cut@{cutoff}")
 
 
