@@ -85,8 +85,7 @@ async def drive_sweep(tmp_path):
     engine = ExecutionEngine(jobs=1,
                              cache=ResultCache(tmp_path / "sweep-cache"),
                              events=EventLog())
-    config = ServeConfig(socket_path=str(tmp_path / "bench-sweep.sock"),
-                         batch_window_s=0.005)
+    config = ServeConfig(socket_path=str(tmp_path / "bench-sweep.sock"))
     server = SimulationServer(engine, config)
     await server.start()
     try:
@@ -119,9 +118,7 @@ async def drive(tmp_path):
     rows = []
     for concurrency in CONCURRENCIES:
         config = ServeConfig(
-            socket_path=str(tmp_path / f"bench-{concurrency}.sock"),
-            batch_window_s=0.005,
-        )
+            socket_path=str(tmp_path / f"bench-{concurrency}.sock"))
         server = SimulationServer(engine, config)
         await server.start()
         try:
@@ -157,7 +154,6 @@ async def drive_fleet(tmp_path):
         supervisor, router = make_fleet(
             backends, str(runtime),
             cache_dir=str(runtime / "cache"),
-            serve_template=ServeConfig(batch_window_s=0.005),
             router_config=RouterConfig(probe_interval_s=0.2))
         supervisor.start()
         await router.start()

@@ -360,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 64)")
     srv.add_argument("--batch-window", type=float, default=0.02,
                      metavar="SECONDS",
-                     help="how long the dispatcher coalesces arriving "
-                          "requests into one batch (default: 0.02)")
+                     help="how long the engine must be free of real work "
+                          "before queued speculation may take it; real "
+                          "requests dispatch at once (default: 0.02)")
     srv.add_argument("--batch-max", type=int, default=32, metavar="N",
                      help="max cells per dispatched batch (default: 32)")
     srv.add_argument("--default-deadline", type=float, default=None,

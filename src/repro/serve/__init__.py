@@ -12,7 +12,8 @@ tiered cache or by batching them into the existing
   speculative-entry handling and eviction counters, layered over the
   persistent :class:`~repro.exec.cache.ResultCache`;
 * :mod:`repro.serve.scheduler` — bounded admission with explicit
-  ``overloaded`` shedding, request batching into one engine dispatch,
+  ``overloaded`` shedding, work-conserving dispatch (requests batch
+  into one engine dispatch only while the engine is busy),
   single-flight dedup of identical in-flight cells,
   interactive-over-sweep priority classes and an idle-capacity-only
   speculative lane (abort-on-pressure, promote-on-demand);

@@ -11,10 +11,15 @@
 * **single-flight** — concurrent requests for the same cell fingerprint
   share one in-flight future, so N clients asking for the same config
   cost one simulation (``dedup_joined`` counts the sharers);
-* **batching** — admitted cells are collected for ``batch_window_s``
-  and dispatched as one :meth:`~ExecutionEngine.run_recorded` batch on
-  a worker thread, which lets the engine deduplicate, parallelize
-  across its process pool, and serve its cache tiers in one pass;
+* **batching** — dispatch is work-conserving: a real cell that finds
+  the engine idle is dispatched at once, with no coalescing timer.
+  Batches form by themselves while the engine is busy — everything
+  admitted during a running batch is the next batch (up to
+  ``batch_max``), one :meth:`~ExecutionEngine.run_recorded` call on a
+  worker thread, which lets the engine deduplicate, parallelize across
+  its process pool, and serve its cache tiers in one pass.  Each cell's
+  waiters are answered as that cell finishes (the engine's
+  ``on_complete`` hook), not when the slowest cell of its batch does;
 * **priorities** — every queued ``interactive`` cell dispatches before
   any ``sweep`` cell, so cheap ad-hoc queries are not stuck behind a
   bulk sweep's backlog;
@@ -22,9 +27,12 @@
   (:mod:`repro.serve.predict`) submits predicted cells at the internal
   ``speculative`` priority.  Speculative cells only ever occupy *idle*
   capacity: admission requires queue headroom and at most
-  ``spec_limit`` outstanding speculative cells, they dispatch only in
-  batches that carry no real work, and they are the first thing
-  sacrificed when real traffic needs the space: a real submit that finds the queue full
+  ``spec_limit`` outstanding speculative cells; they take the engine
+  only after it has had no real work for ``batch_window_s`` (a real
+  arrival or a promotion ends that wait at once), one cell per batch,
+  so a real request never waits behind more than one speculative
+  simulation; and they are the first thing sacrificed when real
+  traffic needs the space: a real submit that finds the queue full
   aborts every still-queued speculative cell (resolving their futures
   with :class:`SpeculationAborted`) before it ever sheds.  A real
   request arriving for a cell that speculation already queued
@@ -69,8 +77,8 @@ from repro.serve.memcache import ServeMemCache
 from repro.serve.protocol import PRIORITIES
 from repro.sim.gpu import SimResult
 
-#: Default batching window (seconds) the dispatcher waits to coalesce
-#: concurrently-arriving requests into one engine batch.
+#: Default window (seconds) the engine must have been free of real work
+#: before queued speculation may take it.  Real cells never wait on it.
 DEFAULT_BATCH_WINDOW_S = 0.02
 
 #: Default cap on cells per dispatched batch.
@@ -383,8 +391,8 @@ class RequestScheduler:
         now belongs to real traffic (its completion counts as a real
         completion, its result is cached unmarked) and, when the cell
         is still queued, it moves to the head of the requested real
-        priority so it dispatches with real work instead of waiting for
-        an idle batch.
+        priority and dispatches as real work: at once on an idle engine,
+        ahead of what queued there while the engine was busy.
         """
         if fingerprint not in self._spec_inflight:
             return False
@@ -392,7 +400,11 @@ class RequestScheduler:
         cell = self._spec_queued.pop(fingerprint, None)
         if cell is not None:
             self._queues[SPECULATIVE_PRIORITY].remove(cell)
-            self._queues[priority].append(cell)
+            # queue_wait times what real traffic pays: from here on.
+            cell.enqueued_at = time.perf_counter()
+            self._queues[priority].appendleft(cell)
+            if self._wakeup is not None:
+                self._wakeup.set()
         return True
 
     def _abort_queued_speculation(self) -> None:
@@ -417,8 +429,8 @@ class RequestScheduler:
                     "admission pressure"))
 
     # --------------------------------------------------------- dispatcher
-    def _queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+    def _real_queued(self) -> bool:
+        return any(self._queues[p] for p in PRIORITIES)
 
     def _take_batch(self) -> List[QueuedCell]:
         batch: List[QueuedCell] = []
@@ -426,97 +438,133 @@ class RequestScheduler:
             queue = self._queues[priority]
             while queue and len(batch) < self.batch_max:
                 batch.append(queue.popleft())
-            if len(batch) >= self.batch_max:
-                break
-        if not batch:
-            # Speculative cells dispatch only in otherwise-empty
-            # batches: real work never waits on a speculative cell.
-            queue = self._queues[SPECULATIVE_PRIORITY]
-            while queue and len(batch) < self.batch_max:
-                cell = queue.popleft()
-                self._spec_queued.pop(cell.fingerprint, None)
-                batch.append(cell)
+        queue = self._queues[SPECULATIVE_PRIORITY]
+        if not batch and queue:
+            # Speculation dispatches only when no real cell is queued,
+            # one cell a batch: real work arriving meanwhile waits
+            # behind at most one speculative simulation.
+            cell = queue.popleft()
+            del self._spec_queued[cell.fingerprint]
+            batch.append(cell)
         return batch
 
     async def _run(self) -> None:
         assert self._wakeup is not None
+        loop = asyncio.get_running_loop()
         while True:
-            if not self._queued():
+            # No await between these checks and the wait below, so no
+            # submit, promotion or drain can slip in unseen.
+            if self._real_queued():
+                await self._dispatch(self._take_batch())
+                continue
+            if not self._queues[SPECULATIVE_PRIORITY]:
                 if self._draining:
                     return
                 self._wakeup.clear()
-                # Re-check: a submit (or drain) may have raced the clear.
-                if not self._queued() and not self._draining:
-                    await self._wakeup.wait()
+                await self._wakeup.wait()
                 continue
-            if self.batch_window_s > 0 and not self._draining:
-                await asyncio.sleep(self.batch_window_s)
-            batch = self._take_batch()
-            if batch:
-                await self._dispatch(batch)
+            # Only speculation is queued: it yields the idle engine to
+            # real traffic for batch_window_s.  Every submit, promotion
+            # and drain sets _wakeup, so a real arrival ends the wait at
+            # once; a speculative one resumes it on the same deadline.
+            deadline = loop.time() + self.batch_window_s
+            while (self._queues[SPECULATIVE_PRIORITY]
+                   and not self._real_queued()):
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    await self._dispatch(self._take_batch())
+                    break
+                self._wakeup.clear()
+                try:
+                    await asyncio.wait_for(self._wakeup.wait(), remaining)
+                except asyncio.TimeoutError:
+                    pass
 
     async def _dispatch(self, batch: List[QueuedCell]) -> None:
+        """Run one engine batch, resolving each cell as it finishes."""
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         for cell in batch:
-            self.latency.record("queue_wait", start - cell.enqueued_at)
+            # Speculative cells wait by design; the stage times what a
+            # real request pays (a promoted cell counts as real).
+            if cell.fingerprint not in self._spec_inflight:
+                self.latency.record("queue_wait", start - cell.enqueued_at)
         self.batches += 1
         self.dispatched_cells += len(batch)
-        keys = [cell.key for cell in batch]
+        unresolved = {cell.key: cell for cell in batch}
+
+        def resolve(key, result, failure, fallback=None):
+            cell = unresolved.pop(key, None)
+            if cell is not None:
+                self._resolve(cell, result, failure, fallback,
+                              time.perf_counter() - start)
+
+        def on_complete(key, result, failure):
+            # Fires on the executor thread; futures, counters and the
+            # memcache belong to the loop.
+            loop.call_soon_threadsafe(resolve, key, result, failure)
+
+        results: Dict[RunKey, SimResult] = {}
+        failures: Dict[RunKey, Any] = {}
+        fallback: Optional[Exception] = None
         try:
             results, failures = await loop.run_in_executor(
-                None, partial(self.engine.run_recorded, keys))
-        except BaseException as exc:  # engine-level failure: fail the batch
-            results, failures = {}, {}
-            fallback: Optional[BaseException] = exc
-        else:
-            fallback = None
-        wall = time.perf_counter() - start
-        for cell in batch:
-            self.latency.record("dispatch", wall)
-            future = self._inflight.pop(cell.fingerprint, None)
-            self._pending -= 1
-            # A flight still marked at completion ran purely on
-            # speculation's budget; promotion would have unmarked it.
-            speculative = cell.fingerprint in self._spec_inflight
-            self._spec_inflight.discard(cell.fingerprint)
-            result = results.get(cell.key)
-            if result is not None:
-                if speculative:
-                    self.spec_completed += 1
-                else:
-                    self.completed += 1
-                self.memcache.put(cell.fingerprint, result,
-                                  len(result_bytes(result)),
-                                  prefix=sweep_prefix(cell.key),
-                                  speculative=speculative)
-                if future is not None and not future.done():
-                    future.set_result(result)
-                continue
+                None, partial(self.engine.run_recorded, list(unresolved),
+                              on_complete=on_complete))
+        except Exception as exc:  # engine-level failure: fail the rest
+            fallback = exc
+        # Backstop: on_complete callbacks were queued to the loop ahead
+        # of the batch's own completion, so whatever is still unresolved
+        # here was never reported cell by cell.
+        for key in list(unresolved):
+            resolve(key, results.get(key), failures.get(key), fallback)
+
+    def _resolve(self, cell: QueuedCell, result: Optional[SimResult],
+                 failure: Any, fallback: Optional[Exception],
+                 wall: float) -> None:
+        """Settle one dispatched cell: counters, memcache, its future."""
+        self.latency.record("dispatch", wall)
+        future = self._inflight.pop(cell.fingerprint, None)
+        self._pending -= 1
+        # A flight still marked at completion ran purely on
+        # speculation's budget; promotion would have unmarked it.
+        speculative = cell.fingerprint in self._spec_inflight
+        self._spec_inflight.discard(cell.fingerprint)
+        if result is not None:
             if speculative:
-                self.spec_failed += 1
+                self.spec_completed += 1
             else:
-                self.failed += 1
-            failure = failures.get(cell.key)
-            if failure is not None:
-                # Any exception past this point would strand every
-                # waiter future of the batch — resolve no matter what.
-                try:
-                    error: BaseException = RequestFailedError(
-                        failure.describe(),
-                        details=_failure_details(failure))
-                except BaseException as exc:
-                    error = RequestFailedError(
-                        f"{cell.key.describe()}: cell failed (and its "
-                        f"failure could not be described: {exc!r})")
-            elif fallback is not None:
-                error = RequestFailedError(
-                    f"batch dispatch failed: {fallback!r}")
-            else:  # engine contract violation; surface loudly
-                error = RequestFailedError(
-                    f"{cell.key.describe()}: cell vanished from the batch")
+                self.completed += 1
+            self.memcache.put(cell.fingerprint, result,
+                              len(result_bytes(result)),
+                              prefix=sweep_prefix(cell.key),
+                              speculative=speculative)
             if future is not None and not future.done():
-                future.set_exception(error)
+                future.set_result(result)
+            return
+        if speculative:
+            self.spec_failed += 1
+        else:
+            self.failed += 1
+        if failure is not None:
+            # Any exception past this point would strand the cell's
+            # waiters — resolve no matter what.
+            try:
+                error: Exception = RequestFailedError(
+                    failure.describe(),
+                    details=_failure_details(failure))
+            except Exception as exc:
+                error = RequestFailedError(
+                    f"{cell.key.describe()}: cell failed (and its "
+                    f"failure could not be described: {exc!r})")
+        elif fallback is not None:
+            error = RequestFailedError(
+                f"batch dispatch failed: {fallback!r}")
+        else:  # engine contract violation; surface loudly
+            error = RequestFailedError(
+                f"{cell.key.describe()}: cell vanished from the batch")
+        if future is not None and not future.done():
+            future.set_exception(error)
 
     # -------------------------------------------------------------- stats
     @property

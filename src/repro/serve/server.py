@@ -3,8 +3,8 @@
 :class:`SimulationServer` listens on a Unix or TCP socket, speaks the
 line-delimited JSON protocol of :mod:`repro.serve.protocol`, and feeds
 ``simulate`` requests through the :class:`RequestScheduler` (admission
-bound, batching, single-flight, priorities) into the synchronous
-:class:`~repro.exec.runner.ExecutionEngine`.
+bound, work-conserving dispatch, single-flight, priorities) into the
+synchronous :class:`~repro.exec.runner.ExecutionEngine`.
 
 Request lifecycle guarantees (the failure semantics of
 ``docs/serving.md``):
@@ -116,7 +116,10 @@ class ServeConfig:
 
     Exactly one of ``socket_path`` (Unix domain socket) or
     ``host``/``port`` (TCP) selects the listener; ``socket_path`` wins
-    when both are set.
+    when both are set.  ``batch_window_s`` is how long the engine must
+    have been free of real work before queued speculation may take it;
+    real requests never wait on it (they dispatch as soon as the engine
+    is idle, and coalesce into batches only while it is busy).
     """
 
     socket_path: Optional[str] = None

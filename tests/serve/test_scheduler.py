@@ -1,4 +1,5 @@
-"""Tests for admission, batching, single-flight and priorities.
+"""Tests for admission, work-conserving dispatch, single-flight and
+priorities.
 
 The scheduler only needs ``run_recorded``, ``events`` and ``cache``
 from its engine, so these tests drive it with a gate-controlled fake
@@ -7,7 +8,6 @@ or fail selected cells — no real process pools involved.
 """
 
 import asyncio
-import threading
 
 import pytest
 
@@ -19,8 +19,13 @@ from repro.errors import (
 )
 from repro.exec import EventLog, RunKey, execute_cell, key_fingerprint
 from repro.serve.memcache import ServeMemCache
-from repro.serve.scheduler import RequestScheduler
+from repro.serve.scheduler import (
+    SPECULATIVE_PRIORITY,
+    RequestScheduler,
+    SpeculationAborted,
+)
 from repro.workloads import Scale
+from tests.serve._gate import Gate, wait_for_gate
 
 
 @pytest.fixture(scope="module")
@@ -43,44 +48,45 @@ class FakeFailure:
         return f"{self.key.describe()}: injected test failure"
 
 
-class FakeEngine:
-    """run_recorded stub with an optional blocking gate per dispatch."""
+class FakeEngine(Gate):
+    """run_recorded stub with an optional blocking gate per dispatch.
 
-    def __init__(self, result, fail_benchmarks=()):
+    Cells are reported through ``on_complete`` one by one, as the real
+    engine does; ``hold_at`` places the gate before the cell of that
+    index (0: before anything is reported), and a benchmark listed in
+    ``vanish_benchmarks`` is neither reported nor returned.
+    """
+
+    def __init__(self, result, fail_benchmarks=(), vanish_benchmarks=()):
+        super().__init__()
         self.events = EventLog()
         self.cache = None
         self.result = result
         self.fail_benchmarks = set(fail_benchmarks)
+        self.vanish_benchmarks = set(vanish_benchmarks)
         self.batches = []
-        self.blocking = False
-        self.entered = threading.Event()
-        self.release = threading.Event()
+        self.hold_at = 0
 
     def run_recorded(self, keys, use_cache=True, on_complete=None):
         self.batches.append(list(keys))
-        if self.blocking:
-            self.entered.set()
-            if not self.release.wait(timeout=10):
-                raise RuntimeError("test gate never released")
         results, failures = {}, {}
-        for key in keys:
+        for index, key in enumerate(keys):
+            if index == self.hold_at:
+                self.hold()
+            if key.benchmark in self.vanish_benchmarks:
+                continue
             if key.benchmark in self.fail_benchmarks:
                 failures[key] = FakeFailure(key)
             else:
                 results[key] = self.result
+            if on_complete is not None:
+                on_complete(key, results.get(key), failures.get(key))
         return results, failures
 
 
 def make_scheduler(engine, **kwargs):
     kwargs.setdefault("batch_window_s", 0.0)
     return RequestScheduler(engine, ServeMemCache(max_entries=64), **kwargs)
-
-
-async def wait_for_gate(event):
-    """Block the test coroutine (not the loop) on a threading.Event."""
-    entered = await asyncio.get_running_loop().run_in_executor(
-        None, event.wait, 5)
-    assert entered, "dispatch gate was never entered"
 
 
 class TestValidation:
@@ -157,6 +163,8 @@ class TestPaths:
         asyncio.run(scenario())
 
     def test_interactive_dispatches_before_sweep(self, canned_result):
+        """Cells admitted while a batch runs coalesce into one following
+        batch, in priority order — no window needed to batch them."""
         async def scenario():
             engine = FakeEngine(canned_result)
             engine.blocking = True
@@ -180,6 +188,41 @@ class TestPaths:
             await scheduler.drain()
         asyncio.run(scenario())
 
+    def test_promoted_cell_moves_to_head_of_its_priority(self, canned_result):
+        """A queued speculative cell a real request asks for dispatches
+        ahead of real cells admitted after it, not behind them."""
+        async def scenario():
+            engine = FakeEngine(canned_result)
+            engine.blocking = True
+            scheduler = make_scheduler(engine, batch_max=8)
+            await scheduler.start()
+            blocker = asyncio.ensure_future(scheduler.submit(cell("MM")))
+            await wait_for_gate(engine.entered)
+            waiters = [
+                asyncio.ensure_future(
+                    scheduler.submit(cell("HST"), SPECULATIVE_PRIORITY)),
+                asyncio.ensure_future(scheduler.submit(cell("BFS"), "sweep")),
+                asyncio.ensure_future(
+                    scheduler.submit(cell("FFT"), "interactive")),
+            ]
+            await asyncio.sleep(0)                  # all three enqueue
+            promoter = asyncio.ensure_future(
+                scheduler.submit(cell("HST"), "interactive"))
+            await asyncio.sleep(0)                  # joins, promotes
+            assert scheduler.spec_promoted == 1
+            engine.blocking = False
+            engine.release.set()
+            await asyncio.gather(blocker, promoter, *waiters)
+            order = [key.benchmark for key in engine.batches[1]]
+            assert order == ["HST", "FFT", "BFS"]
+            assert len(engine.batches) == 2
+            # Its queue_wait runs from the promotion (after FFT was
+            # admitted), not from the speculative admission (before).
+            _, hst_wait, fft_wait, _ = scheduler.latency.samples("queue_wait")
+            assert hst_wait <= fft_wait
+            await scheduler.drain()
+        asyncio.run(scenario())
+
     def test_batch_max_splits_batches(self, canned_result):
         async def scenario():
             engine = FakeEngine(canned_result)
@@ -200,6 +243,128 @@ class TestPaths:
             assert sizes[0] == 1
             assert all(size <= 2 for size in sizes)
             assert sum(sizes) == 4
+            await scheduler.drain()
+        asyncio.run(scenario())
+
+
+class TestWorkConservingDispatch:
+    def test_real_cell_never_waits_for_the_window(self, canned_result):
+        """With a 60 s window a real cell on an idle engine dispatches at
+        once, past a speculative cell that was queued first: the window
+        holds speculation back and nothing else, and a real arrival
+        ends the speculative wait."""
+        async def scenario():
+            engine = FakeEngine(canned_result)
+            engine.blocking = True
+            scheduler = make_scheduler(engine, batch_window_s=60)
+            await scheduler.start()
+            spec = asyncio.ensure_future(
+                scheduler.submit(cell("BFS"), SPECULATIVE_PRIORITY))
+            await asyncio.sleep(0)          # queued; the dispatcher yields
+            assert engine.batches == []
+            real = asyncio.ensure_future(scheduler.submit(cell("MM")))
+            await wait_for_gate(engine.entered)
+            engine.release.set()
+            _, source = await asyncio.wait_for(real, 5)
+            assert source == "dispatch"
+            assert engine.batches == [[cell("MM")]]
+            assert scheduler.stats()["queued_speculative"] == 1
+            await scheduler.drain()         # aborts the waiting cell
+            with pytest.raises(SpeculationAborted):
+                await spec
+            assert engine.batches == [[cell("MM")]]
+        asyncio.run(scenario())
+
+    def test_speculation_runs_after_real_work_one_cell_a_batch(
+            self, canned_result):
+        async def scenario():
+            engine = FakeEngine(canned_result)
+            scheduler = make_scheduler(engine, batch_window_s=0.01)
+            waiters = [
+                asyncio.ensure_future(
+                    scheduler.submit(cell("BFS"), SPECULATIVE_PRIORITY)),
+                asyncio.ensure_future(
+                    scheduler.submit(cell("FFT"), SPECULATIVE_PRIORITY)),
+                asyncio.ensure_future(scheduler.submit(cell("MM"))),
+            ]
+            await asyncio.sleep(0)          # all three enqueue
+            await scheduler.start()
+            await asyncio.wait_for(asyncio.gather(*waiters), 5)
+            assert engine.batches == [[cell("MM")], [cell("BFS")],
+                                      [cell("FFT")]]
+            # Only the real cell's wait is a queue_wait sample.
+            assert scheduler.latency.totals["queue_wait"] == 1
+            assert scheduler.latency.totals["dispatch"] == 3
+            assert scheduler.spec_completed == 2
+            await scheduler.drain()
+        asyncio.run(scenario())
+
+    def test_each_cell_resolves_as_it_finishes(self, canned_result):
+        """The first cell of a two-cell batch is answered, and cached,
+        while the engine is still held on the second."""
+        async def scenario():
+            engine = FakeEngine(canned_result)
+            engine.blocking = True
+            engine.hold_at = 1
+            scheduler = make_scheduler(engine)
+            first = asyncio.ensure_future(scheduler.submit(cell("MM")))
+            second = asyncio.ensure_future(scheduler.submit(cell("BFS")))
+            await asyncio.sleep(0)          # both enqueue
+            await scheduler.start()
+            await wait_for_gate(engine.entered)     # MM reported, BFS held
+            result, source = await asyncio.wait_for(first, 5)
+            assert (result, source) == (canned_result, "dispatch")
+            assert scheduler.memcache.peek(
+                key_fingerprint(cell("MM"))) is canned_result
+            assert scheduler.completed == 1
+            assert scheduler.queue_depth == 1
+            assert not second.done()
+            engine.release.set()
+            await asyncio.wait_for(second, 5)
+            assert engine.batches == [[cell("MM"), cell("BFS")]]
+            assert scheduler.latency.totals["dispatch"] == 2
+            await scheduler.drain()
+        asyncio.run(scenario())
+
+    def test_unreported_cell_fails_its_waiter(self, canned_result):
+        """The post-batch backstop: a cell the engine neither reports
+        nor returns still resolves."""
+        async def scenario():
+            engine = FakeEngine(canned_result, vanish_benchmarks={"BFS"})
+            scheduler = make_scheduler(engine)
+            waiters = [asyncio.ensure_future(scheduler.submit(cell(b)))
+                       for b in ("MM", "BFS")]
+            await asyncio.sleep(0)          # both enqueue
+            await scheduler.start()
+            assert (await asyncio.wait_for(waiters[0], 5))[1] == "dispatch"
+            with pytest.raises(RequestFailedError, match="vanished"):
+                await asyncio.wait_for(waiters[1], 5)
+            assert scheduler.queue_depth == 0
+            await scheduler.drain()
+        asyncio.run(scenario())
+
+    def test_crash_mid_batch_fails_only_unreported_cells(
+            self, canned_result):
+        async def scenario():
+            engine = FakeEngine(canned_result)
+            scheduler = make_scheduler(engine)
+
+            def report_one_then_explode(keys, use_cache=True,
+                                        on_complete=None):
+                on_complete(keys[0], canned_result, None)
+                raise RuntimeError("pool exploded")
+
+            engine.run_recorded = report_one_then_explode
+            waiters = [asyncio.ensure_future(scheduler.submit(cell(b)))
+                       for b in ("MM", "BFS")]
+            await asyncio.sleep(0)          # both enqueue
+            await scheduler.start()
+            result, _ = await asyncio.wait_for(waiters[0], 5)
+            assert result is canned_result
+            with pytest.raises(RequestFailedError, match="pool exploded"):
+                await asyncio.wait_for(waiters[1], 5)
+            assert (scheduler.completed, scheduler.failed) == (1, 1)
+            assert scheduler.queue_depth == 0
             await scheduler.drain()
         asyncio.run(scenario())
 

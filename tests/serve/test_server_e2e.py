@@ -35,6 +35,7 @@ from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.server import ServeConfig, SimulationServer, run_server
 from repro.sim.gpu import SimResult
 from repro.workloads import Scale
+from tests.serve._gate import EngineGate, wait_for_gate
 
 CELLS = ("MM", "BFS", "FFT", "HST")
 
@@ -47,7 +48,6 @@ def make_engine(tmp_path, jobs=1):
 @contextlib.asynccontextmanager
 async def serving(tmp_path, jobs=1, **config_kwargs):
     """Start a unix-socket server in this loop; always drain on exit."""
-    config_kwargs.setdefault("batch_window_s", 0.05)
     config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
                          **config_kwargs)
     server = SimulationServer(make_engine(tmp_path, jobs=jobs), config)
@@ -143,15 +143,18 @@ class TestCachePaths:
 class TestFailureSemantics:
     def test_deadline_exceeded_then_retry_succeeds(self, tmp_path):
         async def scenario():
-            # A long batch window guarantees the tiny deadline fires
-            # while the cell is still queued.
-            async with serving(tmp_path, batch_window_s=0.3) as server:
+            async with serving(tmp_path) as server:
+                # The held engine guarantees the tiny deadline fires
+                # while the cell is still in flight.
+                gate = EngineGate(server.engine)
                 async with AsyncServeClient(
                         server.config.socket_path) as client:
                     with pytest.raises(DeadlineExceededError):
                         await client.simulate(deadline_s=0.01,
                                               **simulate_kwargs("MM"))
                     assert server.counters["deadline_exceeded"] == 1
+                    assert gate.entered.is_set()
+                    gate.open()
                     # The cell kept running; an undeadlined retry is
                     # answered from a cache tier or the same flight.
                     _, meta = await client.simulate(**simulate_kwargs("MM"))
@@ -160,16 +163,17 @@ class TestFailureSemantics:
 
     def test_queue_full_sheds_with_explicit_overloaded(self, tmp_path):
         async def scenario():
-            async with serving(tmp_path, queue_limit=1,
-                               batch_window_s=0.3) as server:
+            async with serving(tmp_path, queue_limit=1) as server:
+                gate = EngineGate(server.engine)
                 async with AsyncServeClient(
                         server.config.socket_path) as client:
                     first = asyncio.ensure_future(
                         client.simulate(**simulate_kwargs("MM")))
-                    await asyncio.sleep(0.05)   # MM admitted, in-window
+                    await wait_for_gate(gate.entered)   # MM admitted, held
                     with pytest.raises(OverloadedError):
                         await client.simulate(**simulate_kwargs("BFS"))
                     assert server.stats()["shed"] == 1
+                    gate.open()
                     result, _ = await first     # the admitted cell finishes
                     assert isinstance(result, SimResult)
         asyncio.run(scenario())

@@ -31,6 +31,7 @@ from repro.serve.scheduler import (
     SpeculationAborted,
 )
 from repro.serve.server import ServeConfig, SimulationServer
+from tests.serve._gate import EngineGate, wait_for_gate
 
 #: The swept knob and its base value for every sweep in this file.
 SWEEP_KNOB = "prefetch_window"
@@ -193,22 +194,23 @@ class TestSpeculationShedsFirst:
         real requests are admitted in its place (shed stays 0)."""
         async def scenario():
             engine = make_engine(tmp_path)
+            gate = EngineGate(engine)
             memcache = ServeMemCache()
-            scheduler = RequestScheduler(engine, memcache, queue_limit=2,
-                                         batch_window_s=0.3)
+            scheduler = RequestScheduler(engine, memcache, queue_limit=2)
             await scheduler.start()
-            spec = asyncio.ensure_future(
-                scheduler.submit(key_for(100), SPECULATIVE_PRIORITY))
-            await asyncio.sleep(0.05)   # speculative cell queued
             real_b = asyncio.ensure_future(
                 scheduler.submit(key_for(101), "interactive"))
-            await asyncio.sleep(0.05)   # queue now full (2/2)
+            await wait_for_gate(gate.entered)   # real cell holds the engine
+            spec = asyncio.ensure_future(
+                scheduler.submit(key_for(100), SPECULATIVE_PRIORITY))
+            await asyncio.sleep(0)      # speculative cell queued
+            assert scheduler.queue_depth == 2   # queue now full (2/2)
             # A further real request must abort the speculation, not shed.
             real_c = asyncio.ensure_future(
                 scheduler.submit(key_for(102), "interactive"))
-            await asyncio.sleep(0.05)
             with pytest.raises(SpeculationAborted):
                 await spec
+            gate.open()
             results = await asyncio.gather(real_b, real_c)
             stats = scheduler.stats()
             await scheduler.drain()
@@ -224,22 +226,28 @@ class TestSpeculationShedsFirst:
 
     def test_aborted_speculation_persists_nothing(self, tmp_path):
         """The never-poison guarantee in isolation: abort-then-drain
-        leaves the disk cache untouched."""
+        leaves no trace of the speculative cell in any cache tier."""
         async def scenario():
             engine = make_engine(tmp_path)
-            scheduler = RequestScheduler(engine, ServeMemCache(),
-                                         batch_window_s=5.0)
+            gate = EngineGate(engine)
+            scheduler = RequestScheduler(engine, ServeMemCache())
             await scheduler.start()
+            real = asyncio.ensure_future(
+                scheduler.submit(key_for(101), "interactive"))
+            await wait_for_gate(gate.entered)   # real cell holds the engine
             spec = asyncio.ensure_future(
                 scheduler.submit(key_for(100), SPECULATIVE_PRIORITY))
-            await asyncio.sleep(0.05)   # queued, far inside the window
-            await scheduler.drain()     # aborts queued speculation
+            await asyncio.sleep(0)      # queued behind the held batch
+            drain = asyncio.ensure_future(scheduler.drain())
             with pytest.raises(SpeculationAborted):
-                await spec
-            return len(engine.cache), scheduler.stats()
+                await spec              # drain aborts queued speculation
+            gate.open()
+            await asyncio.gather(real, drain)
+            return engine.cache, scheduler.stats()
 
-        disk_entries, stats = asyncio.run(scenario())
-        assert disk_entries == 0
+        cache, stats = asyncio.run(scenario())
+        assert len(cache) == 1          # the real cell and nothing else
+        assert cache.get(key_for(100)) is None
         assert stats["speculation"]["aborted"] == 1
         assert stats["memcache"]["spec_puts"] == 0
 
@@ -250,16 +258,24 @@ class TestPromotion:
         flight at real priority (CAP's prefetch late-merge analogue)."""
         async def scenario():
             engine = make_engine(tmp_path)
+            gate = EngineGate(engine)
             memcache = ServeMemCache()
-            scheduler = RequestScheduler(engine, memcache,
-                                         batch_window_s=0.2)
+            scheduler = RequestScheduler(engine, memcache)
             await scheduler.start()
+            blocker = asyncio.ensure_future(
+                scheduler.submit(key_for(101), "interactive"))
+            await wait_for_gate(gate.entered)   # real cell holds the engine
             spec = asyncio.ensure_future(
                 scheduler.submit(key_for(100), SPECULATIVE_PRIORITY))
-            await asyncio.sleep(0.05)   # queued, within the batch window
-            result, source = await scheduler.submit(key_for(100),
-                                                    "interactive")
+            await asyncio.sleep(0)      # queued behind the held batch
+            promoter = asyncio.ensure_future(
+                scheduler.submit(key_for(100), "interactive"))
+            await asyncio.sleep(0)      # joined and promoted the flight
+            assert scheduler.spec_promoted == 1
+            gate.open()
+            result, source = await promoter
             spec_result, spec_source = await spec
+            await blocker
             stats = scheduler.stats()
             await scheduler.drain()
             return result, source, spec_result, spec_source, stats, memcache
@@ -270,9 +286,10 @@ class TestPromotion:
         assert spec_source == "dispatch"
         assert result_bytes(result) == result_bytes(spec_result)
         assert stats["speculation"]["promoted"] == 1
-        # The promoted flight completed as real work and its cache
-        # entry is not marked speculative.
-        assert stats["completed"] == 1
+        # The promoted flight completed as real work (beside the cell
+        # that held the engine) and its cache entry is not marked
+        # speculative.
+        assert stats["completed"] == 2
         assert stats["speculation"]["completed"] == 0
         assert memcache.spec_entries == 0
 
