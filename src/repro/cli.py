@@ -375,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SIZE",
                      help="in-memory result-cache byte cap "
                           "(default: 64M; accepts K/M/G suffixes)")
-    srv.add_argument("--evict-policy",
-                     choices=("lru", "lfu", "fifo", "mru", "filo"),
-                     default="lru",
-                     help="memcache eviction policy (default: lru)")
     srv.add_argument("--no-predict", action="store_true",
                      help="disable sweep prediction and speculative "
                           "execution of the forecast next cells")
@@ -417,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     rq.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="per-request deadline enforced by the server")
     rq.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                    help="client-side socket timeout")
+                    help="client-side bound on the whole request, "
+                         "retries included (exit 5 when it expires)")
     rq.add_argument("--retries", type=int, default=3, metavar="N",
                     help="total attempts for transient failures "
                          "(connection refused/reset, overloaded, "
@@ -428,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the raw response payload as JSON")
     rq.add_argument("--stats", action="store_true",
                     help="fetch the server's introspection snapshot "
-                         "(versioned payload, stats_schema v3: counters "
+                         "(versioned payload, stats_schema v4: counters "
                          "plus speculation/predictor/tiers blocks, or "
-                         "the router's fleet/health payload; see "
+                         "the router's fleet/backends payload; see "
                          "docs/serving.md and docs/fleet.md)")
     rq.add_argument("--ping", action="store_true",
                     help="liveness probe")
@@ -843,7 +840,6 @@ def cmd_serve(args) -> int:
         default_deadline_s=args.default_deadline,
         memcache_entries=args.memcache_entries,
         memcache_bytes=args.memcache_bytes,
-        evict_policy=args.evict_policy,
         predict=not args.no_predict,
         predict_min_run=args.predict_min_run,
         predict_depth=args.predict_depth,

@@ -56,7 +56,6 @@ from repro.obs.cachestats import (
     TierHitSeries,
 )
 from repro.obs.export import write_csv, write_json, write_jsonl, write_metrics
-from repro.obs.health import DEFAULT_CAPACITY, HealthTimeline
 from repro.obs.latency import SUMMARY_QUANTILES, LatencyRecorder, percentile
 from repro.obs.profiler import PhaseProfiler, format_profile, merge_profiles
 from repro.obs.trace import (
@@ -98,8 +97,6 @@ __all__ = [
     "SERVE_TIERS",
     "DEFAULT_WINDOW_S",
     "DEFAULT_MAX_WINDOWS",
-    "HealthTimeline",
-    "DEFAULT_CAPACITY",
 ]
 
 

@@ -7,10 +7,10 @@ tiered cache or by batching them into the existing
 * :mod:`repro.serve.protocol` — versioned line-delimited JSON schema
   (request ids, ops, the stable error-code taxonomy, the versioned
   ``stats`` payload schema);
-* :mod:`repro.serve.memcache` — in-memory LRU/LFU/FIFO/MRU/FILO result
-  tier with entry/byte caps, prefix-aware per-sweep accounting,
-  speculative-entry handling and eviction counters, layered over the
-  persistent :class:`~repro.exec.cache.ResultCache`;
+* :mod:`repro.serve.memcache` — in-memory LRU result tier with
+  entry/byte caps, speculative entries that shed first and eviction
+  counters, layered over the persistent
+  :class:`~repro.exec.cache.ResultCache`;
 * :mod:`repro.serve.scheduler` — bounded admission with explicit
   ``overloaded`` shedding, work-conserving dispatch (requests batch
   into one engine dispatch only while the engine is busy),
@@ -20,16 +20,18 @@ tiered cache or by batching them into the existing
 * :mod:`repro.serve.predict` — the request-stream pattern miner and
   speculative dispatcher (CAP's predict-then-prefetch applied to the
   request stream);
-* :mod:`repro.serve.server` — the asyncio front-end (Unix/TCP socket,
-  per-request deadlines, graceful SIGTERM drain, ``stats``
+* :mod:`repro.serve.server` — the asyncio front-end: the
+  :class:`~repro.serve.server.LineEndpoint` listener a backend and the
+  fleet router share (Unix/TCP socket, pipelined connections, graceful
+  drain) and the backend built on it (per-request deadlines, ``stats``
   introspection wired into :mod:`repro.obs` latency recording and
   per-tier hit-rate series);
-* :mod:`repro.serve.client` — sync and async client libraries backing
-  the ``repro serve`` / ``repro request`` CLI pair, with bounded
-  connect timeouts, optional retry policies and hedged requests;
-* :mod:`repro.serve.retry` — client-side resilience primitives
+* :mod:`repro.serve.client` — the pipelining async client and its
+  blocking facade behind ``repro request``, with bounded connect
+  timeouts and optional retry policies;
+* :mod:`repro.serve.retry` — client-side resilience
   (:class:`RetryPolicy` backoff/jitter over the transient/permanent
-  error taxonomy, :func:`~repro.serve.retry.hedged` request racing);
+  error taxonomy);
 * :mod:`repro.serve.fleet` — the fault-tolerant multi-backend fleet
   (process supervisor, consistent-hash router, per-backend circuit
   breakers, degraded-mode disk fallback) behind ``repro fleet``.
@@ -55,15 +57,7 @@ from repro.serve.fleet import (
     make_fleet,
     run_fleet,
 )
-from repro.serve.memcache import (
-    EVICTION_POLICIES,
-    FIFOStrategy,
-    FILOStrategy,
-    LFUStrategy,
-    LRUStrategy,
-    MRUStrategy,
-    ServeMemCache,
-)
+from repro.serve.memcache import ServeMemCache
 from repro.serve.predict import PatternMiner, Predictor
 from repro.serve.protocol import (
     ERROR_CODES,
@@ -79,18 +73,12 @@ from repro.serve.protocol import (
     validate_router_stats,
     validate_stats,
 )
-from repro.serve.retry import (
-    NO_RETRY,
-    HedgePolicy,
-    RetryPolicy,
-    RetryStats,
-    hedged,
-    retryable,
-)
+from repro.serve.retry import RetryPolicy, RetryStats, retryable
 from repro.serve.scheduler import RequestScheduler, SpeculationAborted
 from repro.serve.server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
+    LineEndpoint,
     ServeConfig,
     SimulationServer,
     run_server,
@@ -109,19 +97,10 @@ __all__ = [
     "RouterConfig",
     "make_fleet",
     "run_fleet",
-    "NO_RETRY",
-    "HedgePolicy",
     "RetryPolicy",
     "RetryStats",
-    "hedged",
     "retryable",
     "validate_router_stats",
-    "EVICTION_POLICIES",
-    "FIFOStrategy",
-    "FILOStrategy",
-    "LFUStrategy",
-    "LRUStrategy",
-    "MRUStrategy",
     "ServeMemCache",
     "PatternMiner",
     "Predictor",
@@ -140,6 +119,7 @@ __all__ = [
     "SpeculationAborted",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
+    "LineEndpoint",
     "ServeConfig",
     "SimulationServer",
     "run_server",

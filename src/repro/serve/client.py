@@ -1,26 +1,27 @@
-"""Client library for the simulation service (sync and async).
+"""Client library for the simulation service (async, and a sync facade).
 
-:class:`ServeClient` is the blocking client the ``repro request`` CLI
-uses — one socket, one request at a time, typed exceptions mapped back
-from the wire error codes.  :class:`AsyncServeClient` is the asyncio
-equivalent used by the end-to-end tests and the throughput benchmark;
-it supports pipelining many concurrent requests over one connection
-(responses are correlated by request id).
+:class:`AsyncServeClient` is the one implementation of connect / send /
+read-a-line / close: an asyncio client that pipelines many concurrent
+requests over one connection (responses are correlated by request id),
+used by the fleet router, the end-to-end tests and the throughput
+benchmark.  :class:`ServeClient` is the blocking facade the
+``repro request`` CLI uses: it drives one :class:`AsyncServeClient` on
+a private event loop, one request at a time.
 
-Both clients deserialize ``simulate`` payloads back into
+``simulate`` payloads are deserialized back into
 :class:`~repro.sim.gpu.SimResult` objects via
 :func:`repro.exec.cache.deserialize_result`, so a served result is
 byte-identical (under :func:`~repro.exec.cache.result_bytes`) to the
-same cell executed in-process.
+same cell executed in-process; wire error codes come back as the typed
+exceptions of :mod:`repro.errors`.
 
 Resilience: connecting always has a bounded timeout
-(:data:`DEFAULT_CONNECT_TIMEOUT_S`, distinct from the per-request
-``timeout`` — a dead endpoint fails fast even when requests may run
-unbounded), an optional :class:`~repro.serve.retry.RetryPolicy`
-re-runs transient failures with backoff (reconnecting between
-attempts), and :class:`AsyncServeClient` can hedge interactive
-``simulate`` calls (:class:`~repro.serve.retry.HedgePolicy`) — safe
-because every request is idempotent by content-hash.
+(:data:`DEFAULT_CONNECT_TIMEOUT_S`, distinct from the blocking
+facade's per-call ``timeout`` — a dead endpoint fails fast even when
+requests may run unbounded), and an optional
+:class:`~repro.serve.retry.RetryPolicy` re-runs transient failures with
+backoff, reconnecting between attempts — safe because every request is
+idempotent by content-hash.
 """
 
 from __future__ import annotations
@@ -28,18 +29,17 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-import socket
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RequestError
 from repro.exec.cache import deserialize_result
 from repro.serve import protocol
-from repro.serve.retry import HedgePolicy, RetryPolicy, RetryStats
+from repro.serve.retry import RetryPolicy, RetryStats
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
 from repro.sim.gpu import SimResult
 
 #: Bound on connection establishment (seconds).  Distinct from the
-#: per-request ``timeout``: ``timeout=None`` legitimately means "wait
+#: per-call ``timeout``: ``timeout=None`` legitimately means "wait
 #: however long the simulation takes", but waiting forever for a SYN/
 #: accept that will never come (dead endpoint, wedged listener) is
 #: never useful.
@@ -53,173 +53,18 @@ def _next_id() -> str:
     return f"{os.getpid()}-{next(_REQUEST_IDS)}"
 
 
-def _simulate_payload(benchmark: str, engine: str, scale: str, preset: str,
-                      overrides: Optional[Dict[str, Any]],
-                      scheduler: Optional[str], priority: str,
-                      deadline_s: Optional[float]) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "v": protocol.PROTOCOL_VERSION,
-        "id": _next_id(),
-        "op": "simulate",
-        "benchmark": benchmark,
-        "engine": engine,
-        "scale": scale,
-        "preset": preset,
-        "priority": priority,
-    }
-    if overrides:
-        payload["overrides"] = overrides
-    if scheduler is not None:
-        payload["scheduler"] = scheduler
-    if deadline_s is not None:
-        payload["deadline_s"] = deadline_s
-    return payload
-
-
-class ServeClient:
-    """Blocking line-protocol client (one request in flight at a time)."""
-
-    def __init__(self, socket_path: Optional[str] = None,
-                 host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-                 timeout: Optional[float] = None,
-                 connect_timeout: Optional[float] = DEFAULT_CONNECT_TIMEOUT_S,
-                 retry: Optional[RetryPolicy] = None):
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.retry = retry
-        self.retry_stats = RetryStats()
-        self._sock: Optional[socket.socket] = None
-        self._file = None
-
-    # --------------------------------------------------------- connection
-    def connect(self) -> "ServeClient":
-        """Open the connection (idempotent); returns self for chaining.
-
-        Establishment is bounded by ``connect_timeout`` even when the
-        per-request ``timeout`` is ``None`` — a dead endpoint raises
-        instead of hanging the caller forever.
-        """
-        if self._sock is not None:
-            return self
-        if self.socket_path:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            try:
-                sock.connect(self.socket_path)
-            except Exception:
-                sock.close()
-                raise
-        else:
-            sock = socket.create_connection((self.host, self.port),
-                                            timeout=self.connect_timeout)
-        # Connected: switch to the per-request deadline semantics.
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._file = sock.makefile("rb")
-        return self
-
-    def close(self) -> None:
-        """Close the connection (safe to call repeatedly)."""
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "ServeClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ----------------------------------------------------------- requests
-    def _request_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One attempt: send, read one line, raise typed errors.
-
-        Transport failures tear the connection down so the next attempt
-        starts from a fresh connect (the old socket may be half-dead).
-        """
-        try:
-            self.connect()
-            assert self._sock is not None and self._file is not None
-            self._sock.sendall(protocol.encode(payload))
-            line = self._file.readline()
-        except (ConnectionError, socket.timeout, OSError):
-            self.close()
-            raise
-        if not line:
-            self.close()
-            raise ConnectionError(
-                "server closed the connection before responding")
-        return protocol.raise_for_response(protocol.decode_line(line))
-
-    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one raw message dict; return the ok-checked response.
-
-        Raises the typed :class:`~repro.errors.RequestError` subclass
-        matching the response's error code on failure, and
-        :class:`ConnectionError` if the server closed mid-request.
-        When the client was built with a ``retry`` policy, transient
-        failures are retried (with backoff, reconnecting in between)
-        before anything is raised.
-        """
-        if self.retry is None:
-            return self._request_once(payload)
-        return self.retry.call(lambda: self._request_once(payload),
-                               stats=self.retry_stats)
-
-    def simulate(self, benchmark: str, engine: str = "none",
-                 scale: str = "small", preset: str = "small",
-                 overrides: Optional[Dict[str, Any]] = None,
-                 scheduler: Optional[str] = None,
-                 priority: str = "interactive",
-                 deadline_s: Optional[float] = None,
-                 ) -> Tuple[SimResult, Dict[str, Any]]:
-        """Request one cell; returns ``(SimResult, response meta)``."""
-        response = self.request(_simulate_payload(
-            benchmark, engine, scale, preset, overrides, scheduler,
-            priority, deadline_s))
-        return deserialize_result(response["result"]), response.get("meta", {})
-
-    def stats(self) -> Dict[str, Any]:
-        """Fetch the server's introspection snapshot."""
-        response = self.request({
-            "v": protocol.PROTOCOL_VERSION, "id": _next_id(), "op": "stats",
-        })
-        return response["result"]
-
-    def ping(self) -> bool:
-        """Liveness probe; True when the server answered."""
-        response = self.request({
-            "v": protocol.PROTOCOL_VERSION, "id": _next_id(), "op": "ping",
-        })
-        return bool(response["result"].get("pong"))
-
-
 class AsyncServeClient:
     """Asyncio client supporting pipelined concurrent requests."""
 
     def __init__(self, socket_path: Optional[str] = None,
                  host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
                  connect_timeout: Optional[float] = DEFAULT_CONNECT_TIMEOUT_S,
-                 retry: Optional[RetryPolicy] = None,
-                 hedge: Optional[HedgePolicy] = None):
+                 retry: Optional[RetryPolicy] = None):
         self.socket_path = socket_path
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
         self.retry = retry
-        self.hedge = hedge
         self.retry_stats = RetryStats()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -355,27 +200,11 @@ class AsyncServeClient:
                        scheduler: Optional[str] = None,
                        priority: str = "interactive",
                        deadline_s: Optional[float] = None,
-                       hedge: Optional[HedgePolicy] = None,
                        ) -> Tuple[SimResult, Dict[str, Any]]:
-        """Request one cell; returns ``(SimResult, response meta)``.
-
-        With a hedge policy (per-call ``hedge`` or the client-wide
-        default), ``interactive`` requests race staggered duplicates —
-        each duplicate is a fresh request id, so a pipelined server (or
-        a fleet router) treats them independently; single-flight dedup
-        makes the duplicate nearly free when both land on one backend.
-        """
-        hedge = hedge if hedge is not None else self.hedge
-        if hedge is not None and priority == "interactive":
-            def attempt():
-                return self.request(_simulate_payload(
-                    benchmark, engine, scale, preset, overrides, scheduler,
-                    priority, deadline_s))
-            response = await hedge.run(attempt)
-        else:
-            response = await self.request(_simulate_payload(
-                benchmark, engine, scale, preset, overrides, scheduler,
-                priority, deadline_s))
+        """Request one cell; returns ``(SimResult, response meta)``."""
+        response = await self.request(protocol.simulate_payload(
+            _next_id(), benchmark, engine, scale, preset, overrides,
+            scheduler, priority, deadline_s))
         return deserialize_result(response["result"]), response.get("meta", {})
 
     async def stats(self) -> Dict[str, Any]:
@@ -391,3 +220,77 @@ class AsyncServeClient:
             "v": protocol.PROTOCOL_VERSION, "id": _next_id(), "op": "ping",
         })
         return bool(response["result"].get("pong"))
+
+
+class ServeClient:
+    """Blocking facade: one :class:`AsyncServeClient` on a private loop.
+
+    One request in flight at a time.  ``timeout`` bounds each call as a
+    whole (connect, retries and backoff included) and expires as the
+    builtin :class:`TimeoutError`; ``None`` waits as long as the
+    simulation takes.
+    """
+
+    def __init__(self, socket_path: Optional[str] = None,
+                 host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
+                 timeout: Optional[float] = None,
+                 connect_timeout: Optional[float] = DEFAULT_CONNECT_TIMEOUT_S,
+                 retry: Optional[RetryPolicy] = None):
+        self.timeout = timeout
+        self.connect_timeout = connect_timeout
+        self._client = AsyncServeClient(
+            socket_path, host, port, connect_timeout=connect_timeout,
+            retry=retry)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    @property
+    def retry_stats(self) -> RetryStats:
+        """Attempt/retry accounting of every call made so far."""
+        return self._client.retry_stats
+
+    def _run(self, call):
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        run = self._loop.run_until_complete
+        task = self._loop.create_task(call)
+        run(asyncio.wait({task}, timeout=self.timeout))
+        if task.done():
+            return task.result()
+        # Not asyncio.wait_for: before Python 3.12 the wait_for inside
+        # connect() loses a cancellation that lands as the connection
+        # opens, and an outer wait_for would then wait the call out.
+        while not task.done():
+            task.cancel()
+            run(asyncio.wait({task}, timeout=0))
+        # The builtin, an OSError: callers treat a timeout as one more
+        # way of not reaching the server.
+        raise TimeoutError(f"no response within {self.timeout}s")
+
+    def close(self) -> None:
+        """Close the connection and the loop (safe to call repeatedly)."""
+        if self._loop is not None:
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
+            self._loop = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def simulate(self, benchmark: str, **request: Any,
+                 ) -> Tuple[SimResult, Dict[str, Any]]:
+        """Request one cell; returns ``(SimResult, response meta)``.
+
+        Takes the keywords of :meth:`AsyncServeClient.simulate`.
+        """
+        return self._run(self._client.simulate(benchmark, **request))
+
+    def stats(self) -> Dict[str, Any]:
+        """Fetch the server's introspection snapshot."""
+        return self._run(self._client.stats())
+
+    def ping(self) -> bool:
+        """Liveness probe; True when the server answered."""
+        return self._run(self._client.ping())

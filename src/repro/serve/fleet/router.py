@@ -45,11 +45,10 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.errors import DegradedError
 from repro.exec.cache import ResultCache, key_fingerprint, serialize_result
-from repro.obs.health import HealthTimeline
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
 from repro.serve.fleet.hashring import DEFAULT_VNODES, HashRing
@@ -61,12 +60,7 @@ from repro.serve.fleet.health import (
 )
 from repro.serve.fleet.supervisor import BackendSpec, BackendSupervisor
 from repro.serve.retry import RetryStats
-from repro.serve.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    STREAM_LIMIT,
-    remove_stale_socket,
-)
+from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, LineEndpoint
 
 #: Default bound on one forwarded request (seconds): long enough for a
 #: real simulation, short enough that a blackholed backend is detected
@@ -176,67 +170,36 @@ class BackendLink:
         }
 
 
-class FleetRouter:
+class FleetRouter(LineEndpoint):
     """Line-protocol front-end consistent-hashing over backend links."""
+
+    role = "router"
 
     def __init__(self, links: List[BackendLink],
                  config: Optional[RouterConfig] = None,
                  supervisor: Optional[BackendSupervisor] = None):
         if not links:
             raise ValueError("router needs at least one backend link")
+        super().__init__(config if config is not None else RouterConfig())
+        self.counters.update(routed=0, failovers=0, degraded_disk_hits=0,
+                             degraded_errors=0)
         self.links = {link.spec.index: link for link in links}
-        self.config = config if config is not None else RouterConfig()
         self.supervisor = supervisor
         self.ring = HashRing(sorted(self.links), vnodes=self.config.vnodes)
         self.disk_cache = (ResultCache(self.config.degraded_cache_dir)
                            if self.config.degraded_cache_dir else None)
-        self.timeline = HealthTimeline()
         self.retry_stats = RetryStats()
-        self.counters: Dict[str, int] = {
-            "connections": 0, "requests": 0, "responses": 0,
-            "routed": 0, "failovers": 0, "degraded_disk_hits": 0,
-            "degraded_errors": 0, "bad_lines": 0,
-        }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._request_tasks: Set[asyncio.Task] = set()
         self._prober_task: Optional[asyncio.Task] = None
         self._monitor_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._started_at = 0.0
 
     # --------------------------------------------------------- lifecycle
-    @property
-    def draining(self) -> bool:
-        """True once drain began."""
-        return self._draining
-
-    @property
-    def endpoint(self) -> str:
-        """Human-readable listener address."""
-        if self.config.socket_path:
-            return f"unix:{self.config.socket_path}"
-        return f"tcp:{self.config.host}:{self.config.port}"
-
     async def start(self) -> None:
         """Bind the listener, start the prober and supervisor monitor."""
-        if self.config.socket_path:
-            remove_stale_socket(self.config.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path,
-                limit=STREAM_LIMIT)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port, limit=STREAM_LIMIT)
-            sockets = self._server.sockets or ()
-            if sockets:
-                self.config.port = sockets[0].getsockname()[1]
+        await super().start()
         loop = asyncio.get_running_loop()
         self._prober_task = loop.create_task(self._prober())
         if self.supervisor is not None:
             self._monitor_task = loop.create_task(self._monitor())
-        self._started_at = time.monotonic()
 
     async def wait_backends_ready(self, timeout_s: float = 15.0) -> bool:
         """Poll until every backend answers a ping (or timeout).
@@ -255,19 +218,19 @@ class FleetRouter:
                     up += 1
                     if link.breaker.state is not CircuitState.CLOSED:
                         link.breaker.reset("startup probe succeeded")
-            self._observe_states()
             if up == len(self.links):
                 return True
             await asyncio.sleep(0.05)
         return False
 
     async def drain(self) -> None:
-        """Graceful shutdown: answer in-flight work, close everything."""
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
+        """Graceful shutdown: answer in-flight work, close everything
+        (idempotent), the backend links last."""
+        await super().drain()
+        for link in self.links.values():
+            await link.client.close()
+
+    async def _quiesce(self) -> None:
         for task in (self._prober_task, self._monitor_task):
             if task is not None:
                 task.cancel()
@@ -275,42 +238,24 @@ class FleetRouter:
                     await task
                 except (asyncio.CancelledError, Exception):
                     pass
-        if self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks),
-                                 return_exceptions=True)
-        for writer in list(self._writers):
-            writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
-        for link in self.links.values():
-            await link.client.close()
-        if self.config.socket_path:
-            try:
-                os.unlink(self.config.socket_path)
-            except OSError:  # pragma: no cover - already removed
-                pass
 
     # ----------------------------------------------------- background work
-    def _observe_states(self) -> None:
-        self.timeline.record({
-            index: link.breaker.state.value
-            for index, link in self.links.items()
-        })
-
     async def _prober(self) -> None:
         """Active health probing at ``probe_interval_s`` cadence.
 
         Open breakers are skipped (that is the point of the open state:
         no traffic at all); once the reset timeout lazily moves them to
         half-open, the probe itself is the trial request that closes
-        them again.
+        them again.  The loop also ends on ``draining``: before Python
+        3.12 ``asyncio.wait_for`` (under :meth:`BackendLink.forward`)
+        swallows a cancellation that lands as the ping's answer does,
+        and drain awaits this task.
         """
-        while True:
+        while not self._draining:
             await asyncio.sleep(self.config.probe_interval_s)
             for link in list(self.links.values()):
                 if link.breaker.allow():
                     await link.probe()
-            self._observe_states()
 
     async def _monitor(self) -> None:
         """Drive the supervisor's crash detection/restart loop."""
@@ -319,73 +264,9 @@ class FleetRouter:
             await asyncio.sleep(self.config.monitor_interval_s)
             self.supervisor.poll()
 
-    # -------------------------------------------------------- connections
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.counters["connections"] += 1
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.counters["bad_lines"] += 1
-                    break
-                except asyncio.CancelledError:
-                    # Event-loop teardown after drain: treat like EOF.
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_line(line, writer, write_lock))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          write_lock: asyncio.Lock) -> None:
-        self.counters["requests"] += 1
-        response = await self._response_for(line)
-        async with write_lock:
-            if writer.is_closing():
-                return
-            try:
-                writer.write(protocol.encode(response))
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                return
-        self.counters["responses"] += 1
-
     # ------------------------------------------------------------ routing
-    async def _response_for(self, line: bytes) -> Dict[str, Any]:
-        req_id = ""
-        try:
-            payload = protocol.decode_line(line)
-            raw_id = payload.get("id")
-            req_id = raw_id if isinstance(raw_id, str) else ""
-            request = protocol.parse_request(payload)
-        except Exception as exc:
-            return protocol.error_response(req_id, exc)
-        if request.op == "ping":
-            return protocol.ok_response(request.id, {
-                "pong": True, "v": protocol.PROTOCOL_VERSION,
-                "role": "router", "draining": self._draining,
-            })
-        if request.op == "stats":
-            return protocol.ok_response(request.id, self.stats())
-        return await self._route(request, payload)
-
-    async def _route(self, request: protocol.Request,
-                     payload: Dict[str, Any]) -> Dict[str, Any]:
+    async def _simulate(self, request: protocol.Request,
+                        payload: Dict[str, Any]) -> Dict[str, Any]:
         """Forward one simulate request along its ring preference."""
         try:
             key = protocol.request_to_key(request)
@@ -409,7 +290,6 @@ class FleetRouter:
                 self.counters["failovers"] += 1
                 self.retry_stats.retries += 1
                 self.retry_stats.last_error = repr(exc)
-                self._observe_states()
                 continue
             # Any protocol-level answer proves the backend alive; typed
             # errors (overloaded, simulation_failed, ...) are the
@@ -461,35 +341,20 @@ class FleetRouter:
                     if self.supervisor is not None else 0)
             for index in self.links
         }
-        out: Dict[str, Any] = {
-            "stats_schema": protocol.STATS_SCHEMA_VERSION,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "role": "router",
-            "endpoint": self.endpoint,
-            "uptime_s": round(time.monotonic() - self._started_at, 3)
-            if self._started_at else 0.0,
-            "draining": self._draining,
+        out = super().stats()
+        out.update({
             "fleet": {
                 "backends": len(self.links),
                 "healthy": healthy,
                 "vnodes": self.config.vnodes,
             },
-            "router": {
-                "requests": self.counters["requests"],
-                "routed": self.counters["routed"],
-                "failovers": self.counters["failovers"],
-                "degraded_disk_hits": self.counters["degraded_disk_hits"],
-                "degraded_errors": self.counters["degraded_errors"],
-                "connections": self.counters["connections"],
-                "bad_lines": self.counters["bad_lines"],
-            },
+            "router": dict(self.counters),
             "retry": self.retry_stats.as_dict(),
             "backends": [
                 self.links[index].health(restarts[index])
                 for index in sorted(self.links)
             ],
-            "health": self.timeline.snapshot(),
-        }
+        })
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.stats()
         return out

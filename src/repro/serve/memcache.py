@@ -10,28 +10,17 @@ The serving stack caches at three levels:
 3. the persistent **disk cache** (:class:`repro.exec.cache.ResultCache`)
    shared with the serial CLI and across server restarts.
 
-Eviction follows the sglang ``mem_cache/evict_policy.py`` shape: a
-pluggable :class:`EvictionStrategy` maps each entry to a priority and
-the minimum-priority entry is evicted first.  ``lru`` (the default)
-evicts the least-recently-used entry, ``lfu`` the least-hit (ties by
-recency), ``fifo`` the oldest insertion, ``mru`` the most-recently-used
-entry (scan-resistant: a one-pass sweep cannot flush the whole tier)
-and ``filo`` the newest insertion.  Recency is a monotonic access
-counter, not wall-clock time, so eviction order is deterministic.
+Eviction is least-recently-used: entries live in one access-ordered
+``OrderedDict`` (a hit or a refresh moves the entry to the end, the
+victim is the first key), so eviction order is a pure function of the
+operation sequence and replays deterministically.
 
-Entries carry two speculation-era attributes:
-
-* a **prefix** — the cell coordinates minus the config hash
-  (``benchmark/engine@scale/scheduler``), so every cell of one sweep
-  over a fixed baseline shares a prefix and eviction/stats can reason
-  per-sweep (:meth:`ServeMemCache.prefix_stats`,
-  :meth:`ServeMemCache.evict_prefix`);
-* a **speculative** flag — set when the entry was produced by the
-  predictive dispatcher rather than a real request.  Speculative
-  entries that no demand request has read yet are evicted *first*
-  under pressure (speculation sheds before real traffic, in the cache
-  as in the admission queue); the first demand hit clears the flag and
-  counts ``spec_hits``.
+An entry produced by the predictive dispatcher rather than a real
+request carries a **speculative** flag.  Speculative entries that no
+demand request has read yet are evicted *first* under pressure
+(speculation sheds before real traffic, in the cache as in the
+admission queue); the first demand hit clears the flag and counts
+``spec_hits``.
 
 Both an entry-count cap and an approximate byte cap (sum of each
 entry's canonical serialized size) bound the tier; ``hits`` /
@@ -40,6 +29,7 @@ entry's canonical serialized size) bound the tier; ``hits`` /
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -52,14 +42,10 @@ DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 @dataclass
 class CacheEntry:
-    """One memcache slot: the value plus its eviction bookkeeping."""
+    """One memcache slot: the value, its weight and its speculation bit."""
 
     value: Any
     size_bytes: int
-    insert_seq: int
-    last_access: int
-    hit_count: int = 0
-    prefix: str = ""
     speculative: bool = False
 
 
@@ -75,110 +61,32 @@ class CacheRecord:
     speculative_hit: bool
 
 
-class EvictionStrategy:
-    """Maps an entry to an eviction priority (lowest evicts first)."""
-
-    name = "base"
-
-    def get_priority(self, entry: CacheEntry):
-        """Priority of ``entry``; the minimum across entries is evicted."""
-        raise NotImplementedError
-
-
-class LRUStrategy(EvictionStrategy):
-    """Evict the least-recently-accessed entry first."""
-
-    name = "lru"
-
-    def get_priority(self, entry: CacheEntry) -> int:
-        return entry.last_access
-
-
-class LFUStrategy(EvictionStrategy):
-    """Evict the least-hit entry first (ties broken by recency)."""
-
-    name = "lfu"
-
-    def get_priority(self, entry: CacheEntry):
-        return (entry.hit_count, entry.last_access)
-
-
-class FIFOStrategy(EvictionStrategy):
-    """Evict the oldest-inserted entry first, regardless of use."""
-
-    name = "fifo"
-
-    def get_priority(self, entry: CacheEntry) -> int:
-        return entry.insert_seq
-
-
-class MRUStrategy(EvictionStrategy):
-    """Evict the most-recently-accessed entry first.
-
-    Scan-resistant: a linear sweep touching every cell once keeps
-    evicting its own newest entry instead of flushing older residents,
-    so the working set that predates the scan survives it.
-    """
-
-    name = "mru"
-
-    def get_priority(self, entry: CacheEntry) -> int:
-        return -entry.last_access
-
-
-class FILOStrategy(EvictionStrategy):
-    """Evict the newest insertion first (first-in, last-out).
-
-    The insertion-order mirror of ``fifo``: long-resident entries are
-    never displaced by churn at the tail.
-    """
-
-    name = "filo"
-
-    def get_priority(self, entry: CacheEntry) -> int:
-        return -entry.insert_seq
-
-
-#: Policy name -> strategy class (the ``--evict-policy`` CLI choices).
-EVICTION_POLICIES = {
-    cls.name: cls
-    for cls in (LRUStrategy, LFUStrategy, FIFOStrategy, MRUStrategy,
-                FILOStrategy)
-}
-
-
 class ServeMemCache:
-    """Bounded in-memory fingerprint -> result cache with eviction stats."""
+    """Bounded in-memory fingerprint -> result LRU with eviction stats."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 policy: str = "lru"):
+                 max_bytes: int = DEFAULT_MAX_BYTES):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1 (got {max_entries})")
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1 (got {max_bytes})")
-        try:
-            self.strategy = EVICTION_POLICIES[policy]()
-        except KeyError:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; choose from "
-                f"{sorted(EVICTION_POLICIES)}"
-            ) from None
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._entries: Dict[str, CacheEntry] = {}
-        self._clock = 0
+        # Least recently used first.
+        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.puts = 0
         # Speculation bookkeeping: puts by the predictive dispatcher,
-        # first-demand-reads of such entries, and evictions that removed
-        # a never-read speculative entry (wasted speculation).
+        # first-demand-reads of such entries, evictions that removed a
+        # never-read speculative entry (wasted speculation), and how
+        # many never-read speculative entries are resident right now.
         self.spec_puts = 0
         self.spec_hits = 0
         self.spec_evictions = 0
+        self.spec_entries = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,12 +94,8 @@ class ServeMemCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._entries
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def peek(self, fingerprint: str) -> Optional[Any]:
-        """Return the cached value without touching any counter or clock.
+        """Return the cached value without touching counters or recency.
 
         The predictive dispatcher uses this to short-circuit predictions
         that are already resident — a peek must not perturb hit ratios
@@ -212,12 +116,12 @@ class ServeMemCache:
         if entry is None:
             self.misses += 1
             return None
-        entry.last_access = self._tick()
-        entry.hit_count += 1
+        self._entries.move_to_end(fingerprint)
         self.hits += 1
         first_spec_hit = entry.speculative
         if first_spec_hit:
             entry.speculative = False
+            self.spec_entries -= 1
             self.spec_hits += 1
         return CacheRecord(entry.value, first_spec_hit)
 
@@ -227,7 +131,7 @@ class ServeMemCache:
         return record.value if record is not None else None
 
     def put(self, fingerprint: str, value: Any, size_bytes: int,
-            prefix: str = "", speculative: bool = False) -> None:
+            speculative: bool = False) -> None:
         """Insert (or refresh) an entry, evicting until under both caps.
 
         ``size_bytes`` is the entry's accounting weight — the serving
@@ -236,78 +140,59 @@ class ServeMemCache:
         value larger than ``max_bytes`` is cached alone (the cache never
         rejects; it just cannot hold anything else beside it).
 
-        ``prefix`` groups sweep cells sharing a baseline config;
         ``speculative`` marks entries landed by the predictive
         dispatcher (evicted first while unread; refreshing an existing
         real entry never demotes it to speculative).
         """
         old = self._entries.pop(fingerprint, None)
         if old is not None:
-            self.current_bytes -= old.size_bytes
+            self._forget(old)
             # A refresh of a demand-proven entry stays demand-proven.
             speculative = speculative and old.speculative
-        seq = self._tick()
-        self._entries[fingerprint] = CacheEntry(
-            value=value, size_bytes=max(0, size_bytes),
-            insert_seq=seq, last_access=seq,
-            prefix=prefix, speculative=speculative,
-        )
-        self.current_bytes += max(0, size_bytes)
+        size_bytes = max(0, size_bytes)
+        self._entries[fingerprint] = CacheEntry(value, size_bytes,
+                                                speculative)
+        self.current_bytes += size_bytes
         self.puts += 1
         if speculative:
             self.spec_puts += 1
-        self._evict_to_caps(protect=fingerprint)
+            self.spec_entries += 1
+        self._evict_to_caps(fingerprint)
+
+    def _forget(self, entry: CacheEntry) -> None:
+        """Take a removed entry out of the residency accounting."""
+        self.current_bytes -= entry.size_bytes
+        if entry.speculative:
+            self.spec_entries -= 1
 
     def _over_caps(self) -> bool:
         return (len(self._entries) > self.max_entries
                 or (self.current_bytes > self.max_bytes
                     and len(self._entries) > 1))
 
-    def _evict_to_caps(self, protect: Optional[str] = None) -> None:
+    def _evict_to_caps(self, newcomer: str) -> None:
+        """Evict until under both caps; ``newcomer`` is what room is
+        being made for, so it is never the victim (it is the last key,
+        and a lone oversized entry is never over the caps)."""
         while self._over_caps():
-            # The just-inserted entry is not a victim candidate (it is
-            # what the eviction makes room for; without this, MRU and
-            # FILO would always evict the newcomer itself).
-            # Speculation sheds first: unread speculative entries are
-            # the victim pool whenever any exist; within a pool the
-            # strategy picks (logical clocks make the order replayable).
-            candidates = [fp for fp in self._entries if fp != protect]
-            if not candidates:
-                return      # a single oversized entry is cached alone
-            pool = [fp for fp in candidates
-                    if self._entries[fp].speculative]
-            if not pool:
-                pool = candidates
-            victim = min(
-                pool,
-                key=lambda fp: self.strategy.get_priority(self._entries[fp]),
-            )
+            victim = next(iter(self._entries))
+            if self.spec_entries:
+                # Speculation sheds first: the least recently used
+                # unread speculative entry goes before any real one.
+                victim = next(
+                    (fp for fp, entry in self._entries.items()
+                     if entry.speculative and fp != newcomer), victim)
             entry = self._entries.pop(victim)
-            self.current_bytes -= entry.size_bytes
+            self._forget(entry)
             self.evictions += 1
             if entry.speculative:
                 self.spec_evictions += 1
-
-    def evict_prefix(self, prefix: str) -> int:
-        """Drop every entry of one sweep group; returns the count dropped.
-
-        Used to invalidate a whole sweep at once (the per-sweep
-        counterpart of :meth:`clear`); the drops count as evictions.
-        """
-        victims = [fp for fp, e in self._entries.items()
-                   if e.prefix == prefix]
-        for fp in victims:
-            entry = self._entries.pop(fp)
-            self.current_bytes -= entry.size_bytes
-            self.evictions += 1
-            if entry.speculative:
-                self.spec_evictions += 1
-        return len(victims)
 
     def clear(self) -> None:
         """Drop every entry (counters keep their lifetime values)."""
         self._entries.clear()
         self.current_bytes = 0
+        self.spec_entries = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -315,32 +200,9 @@ class ServeMemCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def spec_entries(self) -> int:
-        """Resident entries still marked speculative (never demand-read)."""
-        return sum(1 for e in self._entries.values() if e.speculative)
-
-    def prefix_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-prefix residency: entries, bytes, hits and unread spec.
-
-        Entries with an empty prefix (pre-speculation callers) group
-        under ``""``.
-        """
-        out: Dict[str, Dict[str, int]] = {}
-        for entry in self._entries.values():
-            group = out.setdefault(entry.prefix, {
-                "entries": 0, "bytes": 0, "hits": 0, "speculative": 0,
-            })
-            group["entries"] += 1
-            group["bytes"] += entry.size_bytes
-            group["hits"] += entry.hit_count
-            group["speculative"] += 1 if entry.speculative else 0
-        return out
-
     def stats(self) -> Dict[str, Any]:
         """Snapshot for the ``stats`` introspection request."""
         return {
-            "policy": self.strategy.name,
             "entries": len(self._entries),
             "max_entries": self.max_entries,
             "bytes": self.current_bytes,
@@ -354,5 +216,4 @@ class ServeMemCache:
             "spec_hits": self.spec_hits,
             "spec_evictions": self.spec_evictions,
             "spec_entries": self.spec_entries,
-            "prefixes": self.prefix_stats(),
         }

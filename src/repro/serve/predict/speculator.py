@@ -78,22 +78,10 @@ def prediction_to_request(prediction: Prediction) -> protocol.Request:
     dropped before any engine work.
     """
     spec = prediction.spec
-    payload: Dict[str, Any] = {
-        "v": protocol.PROTOCOL_VERSION,
-        "id": f"predict-{prediction.knob}-{prediction.value}",
-        "op": "simulate",
-        "benchmark": spec.benchmark,
-        "engine": spec.engine,
-        "scale": spec.scale,
-        "preset": spec.preset,
-        "priority": "sweep",
-    }
-    overrides = spec.nested_overrides()
-    if overrides:
-        payload["overrides"] = overrides
-    if spec.scheduler is not None:
-        payload["scheduler"] = spec.scheduler
-    return protocol.parse_request(payload)
+    return protocol.parse_request(protocol.simulate_payload(
+        f"predict-{prediction.knob}-{prediction.value}",
+        spec.benchmark, spec.engine, spec.scale, spec.preset,
+        spec.nested_overrides(), spec.scheduler, priority="sweep"))
 
 
 @dataclass

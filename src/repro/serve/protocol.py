@@ -89,8 +89,12 @@ PRESETS = {
 #: required ``role`` discriminator (``backend``/``router``) and with it
 #: a second payload family: the fleet router's stats (see
 #: :data:`ROUTER_STATS_SCHEMA`) with per-backend health, circuit-breaker
-#: state series and retry/hedge counters.
-STATS_SCHEMA_VERSION = 3
+#: transitions and retry counters.  v4 removes ``memcache.policy`` and
+#: ``memcache.prefixes`` (the tier is LRU only) from the backend payload
+#: and, from the router's, the ``health`` timeline (a copy of
+#: ``backends[].circuit.transitions``) and the two always-zero
+#: duplicate-request counters of ``retry``.
+STATS_SCHEMA_VERSION = 4
 
 #: Values the ``role`` stats field may take: a standalone/fleet backend
 #: :class:`~repro.serve.server.SimulationServer`, or the fleet router.
@@ -180,6 +184,28 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return payload
 
 
+def simulate_payload(req_id: str, benchmark: str, engine: str = "none",
+                     scale: str = "small", preset: str = "small",
+                     overrides: Optional[Dict[str, Any]] = None,
+                     scheduler: Optional[str] = None,
+                     priority: str = "interactive",
+                     deadline_s: Optional[float] = None) -> Dict[str, Any]:
+    """Build the wire form of one ``simulate`` request (the inverse of
+    :func:`parse_request`; optional fields are left out when unset)."""
+    payload: Dict[str, Any] = {
+        "v": PROTOCOL_VERSION, "id": req_id, "op": "simulate",
+        "benchmark": benchmark, "engine": engine, "scale": scale,
+        "preset": preset, "priority": priority,
+    }
+    if overrides:
+        payload["overrides"] = overrides
+    if scheduler is not None:
+        payload["scheduler"] = scheduler
+    if deadline_s is not None:
+        payload["deadline_s"] = deadline_s
+    return payload
+
+
 def parse_request(payload: Dict[str, Any]) -> Request:
     """Validate a decoded message dict into a :class:`Request`.
 
@@ -263,15 +289,27 @@ def parse_request(payload: Dict[str, Any]) -> Request:
     )
 
 
+def _accepts(current: Any, value: Any) -> bool:
+    """Whether wire ``value`` has the type of scalar field value
+    ``current``: ``bool`` and ``int`` only their own, ``float`` also an
+    ``int``, anything else (``str``, ``None``) exactly its type."""
+    if isinstance(current, bool) or isinstance(value, bool):
+        return isinstance(current, bool) and isinstance(value, bool)
+    if isinstance(current, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(current))
+
+
 def apply_overrides(config: GPUConfig, overrides: Dict[str, Any]):
     """Apply a nested override dict onto a (frozen) config dataclass.
 
-    Scalar fields are replaced directly, enum fields are parsed from
-    their wire value, and dict values recurse into nested config
-    dataclasses (``{"prefetch": {"nlp_degree": 2}}``).  Unknown field
-    names raise :class:`~repro.errors.BadRequestError`; invalid values
-    surface as :class:`~repro.errors.ConfigError` from the config's own
-    validation (mapped to ``bad_request`` on the wire).
+    Scalar fields take a value of their current type, enum fields are
+    parsed from their wire value, and nested config dataclasses take a
+    dict and recurse (``{"prefetch": {"nlp_degree": 2}}``).  Unknown
+    field names, values of the wrong shape or type, and whatever the
+    config's own validation rejects all raise
+    :class:`~repro.errors.BadRequestError`, so a malformed payload is
+    refused before it is keyed, admitted or simulated.
     """
     if not overrides:
         return config
@@ -284,7 +322,11 @@ def apply_overrides(config: GPUConfig, overrides: Dict[str, Any]):
                 f"{type(config).__name__}; choose from {sorted(fields)}"
             )
         current = getattr(config, name)
-        if isinstance(value, dict) and dataclasses.is_dataclass(current):
+        if dataclasses.is_dataclass(current):
+            if not isinstance(value, dict):
+                raise BadRequestError(
+                    f"config field {name!r} takes an object of "
+                    f"{type(current).__name__} overrides (got {value!r})")
             patch[name] = apply_overrides(current, value)
         elif isinstance(current, enum.Enum):
             try:
@@ -293,11 +335,15 @@ def apply_overrides(config: GPUConfig, overrides: Dict[str, Any]):
                 raise BadRequestError(
                     f"invalid value {value!r} for enum field {name!r}"
                 ) from None
-        else:
+        elif _accepts(current, value):
             patch[name] = value
+        else:
+            raise BadRequestError(
+                f"config field {name!r} takes "
+                f"{type(current).__name__} values (got {value!r})")
     try:
         return dataclasses.replace(config, **patch)
-    except (ConfigError, TypeError) as exc:
+    except Exception as exc:
         raise BadRequestError(f"invalid config overrides: {exc}") from exc
 
 
@@ -311,7 +357,7 @@ def request_to_key(request: Request) -> RunKey:
 
 
 # ----------------------------------------------------------- stats schema
-#: Required fields of a v3 *backend* stats payload: dotted path ->
+#: Required fields of a *backend* stats payload: dotted path ->
 #: accepted types.  ``?`` marks the value as nullable.  Documented
 #: (with per-field semantics) in ``docs/serving.md``; the round-trip
 #: test in ``tests/serve/test_stats_schema.py`` holds a live server to
@@ -353,7 +399,6 @@ STATS_SCHEMA: Dict[str, tuple] = {
     "speculation.warm_hits": (int,),
     "predictor?": (dict,),
     "memcache": (dict,),
-    "memcache.policy": (str,),
     "memcache.entries": (int,),
     "memcache.hits": (int,),
     "memcache.misses": (int,),
@@ -362,7 +407,6 @@ STATS_SCHEMA: Dict[str, tuple] = {
     "memcache.spec_hits": (int,),
     "memcache.spec_evictions": (int,),
     "memcache.spec_entries": (int,),
-    "memcache.prefixes": (dict,),
     "disk_cache?": (dict,),
     "latency_s": (dict,),
     "tiers": (dict,),
@@ -372,12 +416,12 @@ STATS_SCHEMA: Dict[str, tuple] = {
 }
 
 
-#: Required fields of a v3 *router* stats payload (the fleet front-end;
+#: Required fields of a *router* stats payload (the fleet front-end;
 #: ``role`` is ``"router"``).  ``backends`` is a list of per-backend
 #: health dicts, each validated against
 #: :data:`BACKEND_HEALTH_SCHEMA`; ``retry`` carries the router's
-#: failover retry counters and ``hedge`` the client-visible hedge
-#: counters (:meth:`repro.serve.retry.RetryStats.as_dict` shapes both).
+#: failover retry counters
+#: (:meth:`repro.serve.retry.RetryStats.as_dict` shapes it).
 ROUTER_STATS_SCHEMA: Dict[str, tuple] = {
     "stats_schema": (int,),
     "protocol": (int,),
@@ -400,8 +444,6 @@ ROUTER_STATS_SCHEMA: Dict[str, tuple] = {
     "retry.retries": (int,),
     "retry.gave_up": (int,),
     "retry.succeeded": (int,),
-    "retry.hedges_launched": (int,),
-    "retry.hedge_wins": (int,),
     "backends": (list,),
 }
 

@@ -1,37 +1,29 @@
-"""Client-side resilience: bounded retry with backoff, and hedging.
+"""Client-side resilience: bounded retry with backoff.
 
 Every ``simulate`` request is deterministic and idempotent — the cell
 is named by its content hash (:func:`repro.exec.cache.key_fingerprint`)
 and two executions of the same cell are byte-identical — so retrying a
-request, racing two copies of it, or replaying it against a different
-backend can never change the answer.  This module exploits that:
+request, or replaying it against a different backend, can never change
+the answer.  :class:`RetryPolicy` exploits that: bounded exponential
+backoff with jitter, classified through the :mod:`repro.errors`
+taxonomy.  Transient wire errors (``overloaded``, ``deadline_exceeded``,
+``shutting_down``, ``degraded``) and transport failures (connection
+refused/reset, a dead socket, a timeout) are retried; permanent ones
+(``bad_request``, ``simulation_failed``) fail immediately because
+resubmission would fail identically.  A server-supplied
+``retry_after_s`` hint (the ``degraded`` error of the fleet router)
+floors the computed delay.
 
-* :class:`RetryPolicy` — bounded exponential backoff with jitter,
-  classified through the :mod:`repro.errors` taxonomy: transient wire
-  errors (``overloaded``, ``deadline_exceeded``, ``shutting_down``,
-  ``degraded``) and transport failures (connection refused/reset, a
-  dead socket, a timeout) are retried; permanent ones (``bad_request``,
-  ``simulation_failed``) fail immediately because resubmission would
-  fail identically.  A server-supplied ``retry_after_s`` hint (the
-  ``degraded`` error of the fleet router) floors the computed delay.
-* :func:`hedged` — tail-latency insurance for interactive-class calls:
-  start the primary, and if no answer arrives within the hedge delay,
-  race a second copy; first success wins, the loser is cancelled.
-  Safe by idempotence — both copies resolve to the same bytes.
-
-Both keep :class:`RetryStats` counters so the caller (client CLI, fleet
-router, benchmarks) can export attempt/retry/hedge accounting into its
-stats payload.
+:class:`RetryStats` counters let the caller (client CLI, fleet router,
+benchmarks) export attempt/retry accounting into its stats payload.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import socket
-import time
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro.errors import RequestError, is_transient
 
@@ -56,20 +48,19 @@ def retryable(exc: BaseException) -> bool:
     """
     if isinstance(exc, RequestError):
         return is_transient(exc)
-    return isinstance(exc, (ConnectionError, TimeoutError, socket.timeout,
-                            asyncio.TimeoutError, OSError))
+    # ConnectionError, socket.timeout and the builtin TimeoutError are
+    # all OSErrors; asyncio.TimeoutError is one only from Python 3.11.
+    return isinstance(exc, (OSError, asyncio.TimeoutError))
 
 
 @dataclass
 class RetryStats:
-    """Counters one retry/hedge consumer accumulates across calls."""
+    """Counters one retry consumer accumulates across calls."""
 
     attempts: int = 0
     retries: int = 0
     gave_up: int = 0
     succeeded: int = 0
-    hedges_launched: int = 0
-    hedge_wins: int = 0
     slept_s: float = 0.0
     last_error: str = ""
 
@@ -80,8 +71,6 @@ class RetryStats:
             "retries": self.retries,
             "gave_up": self.gave_up,
             "succeeded": self.succeeded,
-            "hedges_launched": self.hedges_launched,
-            "hedge_wins": self.hedge_wins,
             "slept_s": round(self.slept_s, 4),
             "last_error": self.last_error,
         }
@@ -140,11 +129,11 @@ class RetryPolicy:
             base = max(base, hint_s)
         return base
 
-    # -------------------------------------------------------------- sync
-    def call(self, fn: Callable[[], Any], *,
-             stats: Optional[RetryStats] = None,
-             sleep: Callable[[float], None] = time.sleep) -> Any:
-        """Run ``fn`` under the policy; return its value or re-raise.
+    async def acall(self, fn: Callable[[], Awaitable[Any]], *,
+                    stats: Optional[RetryStats] = None,
+                    sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
+                    ) -> Any:
+        """Await ``fn()`` under the policy; return its value or re-raise.
 
         Retries only failures :func:`retryable` approves, sleeping the
         jittered backoff in between.  ``stats`` (when given) accrues the
@@ -152,41 +141,11 @@ class RetryPolicy:
         """
         stats = stats if stats is not None else RetryStats()
         rng = self.rng()
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.attempts + 1):
-            stats.attempts += 1
-            try:
-                value = fn()
-            except Exception as exc:
-                last = exc
-                stats.last_error = repr(exc)
-                if attempt >= self.attempts or not retryable(exc):
-                    stats.gave_up += 1
-                    raise
-                stats.retries += 1
-                delay = self.delay_s(attempt, rng,
-                                     getattr(exc, "retry_after_s", None))
-                stats.slept_s += delay
-                if delay > 0:
-                    sleep(delay)
-            else:
-                stats.succeeded += 1
-                return value
-        raise last if last is not None else RuntimeError("unreachable")
-
-    # ------------------------------------------------------------- async
-    async def acall(self, fn: Callable[[], Awaitable[Any]], *,
-                    stats: Optional[RetryStats] = None) -> Any:
-        """Async twin of :meth:`call` (backoff via ``asyncio.sleep``)."""
-        stats = stats if stats is not None else RetryStats()
-        rng = self.rng()
-        last: Optional[BaseException] = None
         for attempt in range(1, self.attempts + 1):
             stats.attempts += 1
             try:
                 value = await fn()
             except Exception as exc:
-                last = exc
                 stats.last_error = repr(exc)
                 if attempt >= self.attempts or not retryable(exc):
                     stats.gave_up += 1
@@ -196,96 +155,8 @@ class RetryPolicy:
                                      getattr(exc, "retry_after_s", None))
                 stats.slept_s += delay
                 if delay > 0:
-                    await asyncio.sleep(delay)
+                    await sleep(delay)
             else:
                 stats.succeeded += 1
                 return value
-        raise last if last is not None else RuntimeError("unreachable")
-
-
-#: A no-retry policy (single attempt), for call sites that want the
-#: plumbing without the behaviour.
-NO_RETRY = RetryPolicy(attempts=1)
-
-
-async def hedged(factories: Sequence[Callable[[], Awaitable[Any]]],
-                 hedge_delay_s: float,
-                 stats: Optional[RetryStats] = None) -> Any:
-    """Race staggered copies of an idempotent request; first success wins.
-
-    ``factories`` build independent attempts (typically over separate
-    connections).  The first starts immediately; each further one only
-    if no attempt has succeeded ``hedge_delay_s`` later.  Losers are
-    cancelled.  If every attempt fails, the last failure is raised.
-    """
-    if not factories:
-        raise ValueError("hedged() needs at least one attempt factory")
-    stats = stats if stats is not None else RetryStats()
-    tasks: list = []
-    last_exc: Optional[BaseException] = None
-    try:
-        for index, factory in enumerate(factories):
-            tasks.append(asyncio.ensure_future(factory()))
-            if index > 0:
-                stats.hedges_launched += 1
-            while True:
-                pending = [t for t in tasks if not t.done()]
-                more_to_launch = index + 1 < len(factories)
-                if not pending:
-                    break
-                done, _ = await asyncio.wait(
-                    pending,
-                    timeout=hedge_delay_s if more_to_launch else None,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:        # hedge delay expired: launch the next
-                    break
-                for task in done:
-                    if task.cancelled():
-                        continue
-                    if task.exception() is None:
-                        if tasks.index(task) > 0:
-                            stats.hedge_wins += 1
-                        stats.succeeded += 1
-                        return task.result()
-                    last_exc = task.exception()
-                    stats.last_error = repr(last_exc)
-            if not more_to_launch and all(t.done() for t in tasks):
-                break
-        stats.gave_up += 1
-        raise last_exc if last_exc is not None else RuntimeError(
-            "hedged(): every attempt was cancelled")
-    finally:
-        for task in tasks:
-            if not task.done():
-                task.cancel()
-        for task in tasks:
-            if not task.done():
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-
-
-@dataclass
-class HedgePolicy:
-    """When and how to hedge an interactive request.
-
-    ``delay_s`` is the stagger before the duplicate is raced; ``max_hedges``
-    bounds how many duplicates may launch (1 = one duplicate).
-    """
-
-    delay_s: float = 0.1
-    max_hedges: int = 1
-    stats: RetryStats = field(default_factory=RetryStats)
-
-    def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0 (got {self.delay_s})")
-        if self.max_hedges < 1:
-            raise ValueError(
-                f"max_hedges must be >= 1 (got {self.max_hedges})")
-
-    async def run(self, factory: Callable[[], Awaitable[Any]]) -> Any:
-        """Run ``factory`` with up to ``max_hedges`` staggered duplicates."""
-        copies = [factory] * (1 + self.max_hedges)
-        return await hedged(copies, self.delay_s, stats=self.stats)
+        raise AssertionError("unreachable: attempts >= 1")

@@ -147,18 +147,6 @@ def _failure_details(failure) -> Dict[str, Any]:
     return details
 
 
-def sweep_prefix(key: RunKey) -> str:
-    """Cache-prefix of a cell: its coordinates minus the config hash.
-
-    Every cell of one sweep over a fixed baseline — same benchmark,
-    engine, scale and scheduler, one knob stepping — shares this
-    prefix, which is what makes the memcache's per-prefix accounting
-    and eviction (:meth:`~repro.serve.memcache.ServeMemCache.
-    prefix_stats`) group by sweep.
-    """
-    return key.describe()
-
-
 @dataclass
 class QueuedCell:
     """One admitted cell awaiting dispatch."""
@@ -537,7 +525,6 @@ class RequestScheduler:
                 self.completed += 1
             self.memcache.put(cell.fingerprint, result,
                               len(result_bytes(result)),
-                              prefix=sweep_prefix(cell.key),
                               speculative=speculative)
             if future is not None and not future.done():
                 future.set_result(result)

@@ -1,10 +1,13 @@
 """Asyncio front-end of the simulation service.
 
-:class:`SimulationServer` listens on a Unix or TCP socket, speaks the
-line-delimited JSON protocol of :mod:`repro.serve.protocol`, and feeds
+:class:`LineEndpoint` is the listener: a Unix or TCP socket speaking
+the line-delimited JSON protocol of :mod:`repro.serve.protocol`, with
+pipelined connections, the ``ping`` / ``stats`` ops and a graceful
+drain.  :class:`SimulationServer` is the backend built on it — it feeds
 ``simulate`` requests through the :class:`RequestScheduler` (admission
 bound, work-conserving dispatch, single-flight, priorities) into the
-synchronous :class:`~repro.exec.runner.ExecutionEngine`.
+synchronous :class:`~repro.exec.runner.ExecutionEngine` — and the fleet
+router (:mod:`repro.serve.fleet.router`) is the other.
 
 Request lifecycle guarantees (the failure semantics of
 ``docs/serving.md``):
@@ -37,13 +40,13 @@ import socket
 import stat
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import DeadlineExceededError, ShuttingDownError
 from repro.exec.cache import key_fingerprint, serialize_result
 from repro.exec.runner import ExecutionEngine
 from repro.guard.faults import ServeFaultInjector, ServeFaultPlan
-from repro.obs.cachestats import DEFAULT_WINDOW_S, TierHitSeries
+from repro.obs.cachestats import TierHitSeries
 from repro.obs.latency import LatencyRecorder
 from repro.serve import protocol
 from repro.serve.memcache import (
@@ -131,13 +134,11 @@ class ServeConfig:
     default_deadline_s: Optional[float] = None
     memcache_entries: int = DEFAULT_MAX_ENTRIES
     memcache_bytes: int = DEFAULT_MAX_BYTES
-    evict_policy: str = "lru"
     predict: bool = True
     predict_min_run: int = DEFAULT_MIN_RUN
     predict_depth: int = DEFAULT_DEPTH
     mispredict_limit: int = DEFAULT_MISPREDICT_LIMIT
     spec_limit: int = DEFAULT_SPEC_LIMIT
-    tier_window_s: float = DEFAULT_WINDOW_S
     #: Position of this server within a fleet (0 when standalone);
     #: selects the fault streams of ``fault_plan`` and shows up in
     #: stats so the router can correlate.
@@ -148,65 +149,34 @@ class ServeConfig:
     fault_plan: Optional[ServeFaultPlan] = None
 
 
-class SimulationServer:
-    """Line-protocol asyncio server over one :class:`ExecutionEngine`."""
+class LineEndpoint:
+    """The line-protocol listener shared by a backend and the router.
 
-    def __init__(self, engine: ExecutionEngine,
-                 config: Optional[ServeConfig] = None):
-        if engine.timeout_s:
-            # call_with_timeout arms SIGALRM, which only works on the
-            # main thread; dispatch happens on an executor thread.  Use
-            # per-request deadlines instead.
-            raise ValueError(
-                "ExecutionEngine.timeout_s is not supported under the "
-                "server (SIGALRM needs the main thread); use request "
-                "deadlines / --default-deadline instead")
-        self.engine = engine
-        self.config = config if config is not None else ServeConfig()
-        self.latency = LatencyRecorder(
-            stages=("queue_wait", "dispatch", "total"))
-        self.memcache = ServeMemCache(
-            max_entries=self.config.memcache_entries,
-            max_bytes=self.config.memcache_bytes,
-            policy=self.config.evict_policy,
-        )
-        self.tiers = TierHitSeries(window_s=self.config.tier_window_s)
-        self.scheduler = RequestScheduler(
-            engine, self.memcache,
-            queue_limit=self.config.queue_limit,
-            batch_window_s=self.config.batch_window_s,
-            batch_max=self.config.batch_max,
-            spec_limit=self.config.spec_limit,
-            latency=self.latency,
-            tiers=self.tiers,
-        )
-        self.predictor = build_predictor(self.scheduler, self.config)
-        plan = self.config.fault_plan
-        self.faults: Optional[ServeFaultInjector] = (
-            ServeFaultInjector(plan, self.config.backend_index)
-            if plan is not None and plan.any_faults else None)
-        # The disk tier is observed from execution events: a dispatched
-        # cell either hit the engine's memo/disk cache or started a
-        # simulation.  Events fire on the executor thread; the series
-        # is thread-safe.
-        engine.events.subscribe(self._on_exec_event)
+    Owns everything that does not depend on what a ``simulate`` request
+    means: binding a Unix or TCP listener (stale socket file removed,
+    port 0 rebound to the port the kernel chose), one task per request
+    line so a connection pipelines, the per-connection write lock, the
+    ``ping`` and ``stats`` ops, the decode → ``parse_request`` →
+    typed-error prelude, and the graceful drain.  A subclass sets
+    ``role`` and supplies :meth:`_simulate`, :meth:`stats` and
+    :meth:`_quiesce`; ``config`` needs ``socket_path``, ``host`` and
+    ``port``.
+    """
+
+    #: The ``role`` a ``ping`` and the stats header report.
+    role = ""
+
+    def __init__(self, config):
+        self.config = config
+        self.counters: Dict[str, int] = {
+            "connections": 0, "requests": 0, "responses": 0,
+            "errors": 0, "bad_lines": 0,
+        }
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._request_tasks: Set[asyncio.Task] = set()
         self._draining = False
         self._started_at = 0.0
-        # Request counters by op plus terminal outcomes.
-        self.counters: Dict[str, int] = {
-            "connections": 0, "requests": 0, "responses": 0,
-            "errors": 0, "deadline_exceeded": 0, "bad_lines": 0,
-        }
-
-    def _on_exec_event(self, event) -> None:
-        """Record disk-tier outcomes from the engine's event stream."""
-        if event.kind == "cache_hit":
-            self.tiers.record("disk", True)
-        elif event.kind == "started":
-            self.tiers.record("disk", False)
 
     # ---------------------------------------------------------- lifecycle
     @property
@@ -222,8 +192,7 @@ class SimulationServer:
         return f"tcp:{self.config.host}:{self.config.port}"
 
     async def start(self) -> None:
-        """Bind the listener and start the dispatcher."""
-        await self.scheduler.start()
+        """Bind the listener and start accepting connections."""
         if self.config.socket_path:
             remove_stale_socket(self.config.socket_path)
             self._server = await asyncio.start_unix_server(
@@ -242,21 +211,16 @@ class SimulationServer:
     async def drain(self) -> None:
         """Graceful shutdown: finish in-flight work, then close.
 
-        Idempotent.  On return every admitted request has been answered,
-        no engine workers are left running, and every connection is
-        closed.
+        Idempotent.  On return every request read off a connection has
+        been answered, every connection is closed and the socket file
+        is gone.
         """
         if self._draining:
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
-        # Stop speculating first (cancels prediction tasks), then
-        # finish everything already admitted (resolves the futures the
-        # request tasks await) and let those tasks write responses.
-        if self.predictor is not None:
-            await self.predictor.drain()
-        await self.scheduler.drain()
+        await self._quiesce()
         if self._request_tasks:
             await asyncio.gather(*list(self._request_tasks),
                                  return_exceptions=True)
@@ -269,6 +233,10 @@ class SimulationServer:
                 os.unlink(self.config.socket_path)
             except OSError:  # pragma: no cover - already removed
                 pass
+
+    async def _quiesce(self) -> None:
+        """Drain hook, run once the listener is closed: stop background
+        work and resolve whatever the request tasks still await."""
 
     # -------------------------------------------------------- connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -309,22 +277,8 @@ class SimulationServer:
         self.counters["requests"] += 1
         response = await self._response_for(line)
         if response is None:
-            return  # blackholed by the fault plan: never answered
-        data = protocol.encode(response)
-        if self.faults is not None:
-            torn = self.faults.tear(data)
-            if torn is not None:
-                # Torn-line fault: write half the response, then drop
-                # the connection (a crash between write and flush).
-                async with write_lock:
-                    if not writer.is_closing():
-                        try:
-                            writer.write(torn)
-                            await writer.drain()
-                        except (ConnectionError, BrokenPipeError):
-                            pass
-                        writer.close()
-                return
+            return  # _simulate chose never to answer
+        data, hang_up = self._wire(response)
         async with write_lock:
             if writer.is_closing():
                 return
@@ -333,17 +287,23 @@ class SimulationServer:
                 await writer.drain()
             except (ConnectionError, BrokenPipeError):
                 return
+            finally:
+                if hang_up:
+                    writer.close()
+        if hang_up:
+            return  # what was written is not a response
         self.counters["responses"] += 1
         if not response.get("ok"):
             self.counters["errors"] += 1
 
+    def _wire(self, response: Dict[str, Any]) -> Tuple[bytes, bool]:
+        """Bytes to write for ``response``, and whether to hang up
+        after writing them (the hook of the torn-line fault)."""
+        return protocol.encode(response), False
+
     # ------------------------------------------------------------ request
     async def _response_for(self, line: bytes) -> Optional[Dict[str, Any]]:
-        """Compute the response for one request line.
-
-        ``None`` means the fault plan blackholed the request (accepted,
-        never answered) — production code never returns it.
-        """
+        """Compute the response for one request line (``None``: none)."""
         req_id = ""
         try:
             payload = protocol.decode_line(line)
@@ -355,21 +315,117 @@ class SimulationServer:
         if request.op == "ping":
             return protocol.ok_response(request.id, {
                 "pong": True, "v": protocol.PROTOCOL_VERSION,
-                "draining": self._draining,
+                "role": self.role, "draining": self._draining,
             })
         if request.op == "stats":
             return protocol.ok_response(request.id, self.stats())
-        return await self._simulate(request)
+        return await self._simulate(request, payload)
 
-    async def _simulate(
-            self, request: protocol.Request) -> Optional[Dict[str, Any]]:
+    async def _simulate(self, request: protocol.Request,
+                        payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """Answer one validated ``simulate`` request (``payload`` is its
+        decoded wire form); ``None`` leaves the request unanswered."""
+        raise NotImplementedError
+
+    # -------------------------------------------------------------- stats
+    def stats(self) -> Dict[str, Any]:
+        """Introspection snapshot answered to a ``stats`` request: the
+        header every role shares, which subclasses extend."""
+        return {
+            "stats_schema": protocol.STATS_SCHEMA_VERSION,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "role": self.role,
+            "endpoint": self.endpoint,
+            "uptime_s": round(time.monotonic() - self._started_at, 3)
+            if self._started_at else 0.0,
+            "draining": self._draining,
+        }
+
+
+class SimulationServer(LineEndpoint):
+    """Line-protocol asyncio server over one :class:`ExecutionEngine`."""
+
+    role = "backend"
+
+    def __init__(self, engine: ExecutionEngine,
+                 config: Optional[ServeConfig] = None):
+        if engine.timeout_s:
+            # call_with_timeout arms SIGALRM, which only works on the
+            # main thread; dispatch happens on an executor thread.  Use
+            # per-request deadlines instead.
+            raise ValueError(
+                "ExecutionEngine.timeout_s is not supported under the "
+                "server (SIGALRM needs the main thread); use request "
+                "deadlines / --default-deadline instead")
+        super().__init__(config if config is not None else ServeConfig())
+        self.counters["deadline_exceeded"] = 0
+        self.engine = engine
+        self.latency = LatencyRecorder(
+            stages=("queue_wait", "dispatch", "total"))
+        self.memcache = ServeMemCache(
+            max_entries=self.config.memcache_entries,
+            max_bytes=self.config.memcache_bytes,
+        )
+        self.tiers = TierHitSeries()
+        self.scheduler = RequestScheduler(
+            engine, self.memcache,
+            queue_limit=self.config.queue_limit,
+            batch_window_s=self.config.batch_window_s,
+            batch_max=self.config.batch_max,
+            spec_limit=self.config.spec_limit,
+            latency=self.latency,
+            tiers=self.tiers,
+        )
+        self.predictor = build_predictor(self.scheduler, self.config)
+        plan = self.config.fault_plan
+        self.faults: Optional[ServeFaultInjector] = (
+            ServeFaultInjector(plan, self.config.backend_index)
+            if plan is not None and plan.any_faults else None)
+        # The disk tier is observed from execution events: a dispatched
+        # cell either hit the engine's memo/disk cache or started a
+        # simulation.  Events fire on the executor thread; the series
+        # is thread-safe.
+        engine.events.subscribe(self._on_exec_event)
+
+    def _on_exec_event(self, event) -> None:
+        """Record disk-tier outcomes from the engine's event stream."""
+        if event.kind == "cache_hit":
+            self.tiers.record("disk", True)
+        elif event.kind == "started":
+            self.tiers.record("disk", False)
+
+    # ---------------------------------------------------------- lifecycle
+    async def start(self) -> None:
+        """Start the dispatcher, then bind the listener."""
+        await self.scheduler.start()
+        await super().start()
+
+    async def _quiesce(self) -> None:
+        # Stop speculating first (cancels prediction tasks), then
+        # finish everything already admitted (resolves the futures the
+        # request tasks await); the engine's pools end with their batch,
+        # so no worker outlives the drain.
+        if self.predictor is not None:
+            await self.predictor.drain()
+        await self.scheduler.drain()
+
+    def _wire(self, response: Dict[str, Any]) -> Tuple[bytes, bool]:
+        data = protocol.encode(response)
+        torn = self.faults.tear(data) if self.faults is not None else None
+        # Torn-line fault: half the response, then a dropped connection
+        # (a crash between write and flush).
+        return (data, False) if torn is None else (torn, True)
+
+    # ------------------------------------------------------------ request
+    async def _simulate(self, request: protocol.Request,
+                        payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         start = time.perf_counter()
         if self.faults is not None:
             fate = self.faults.on_simulate()
             if fate == "kill":
                 self.faults.kill_now()  # hard-exits: mid-flight crash
             elif fate == "blackhole":
-                return None
+                return None  # accepted, never answered
             elif fate == "slow":
                 await asyncio.sleep(self.faults.plan.slow_request_s)
         try:
@@ -415,21 +471,15 @@ class SimulationServer:
     # -------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
         """Introspection snapshot answered to a ``stats`` request."""
-        out = {
-            "stats_schema": protocol.STATS_SCHEMA_VERSION,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "role": "backend",
+        out = super().stats()
+        out.update({
             "backend_index": self.config.backend_index,
-            "endpoint": self.endpoint,
-            "uptime_s": round(time.monotonic() - self._started_at, 3)
-            if self._started_at else 0.0,
-            "draining": self._draining,
             "engine_jobs": self.engine.jobs,
             "server": dict(self.counters),
             "predictor": (self.predictor.stats()
                           if self.predictor is not None else None),
             "tiers": self.tiers.snapshot(),
-        }
+        })
         if self.faults is not None:
             out["faults"] = self.faults.stats()
         out.update(self.scheduler.stats())

@@ -151,9 +151,13 @@ class TestKillMidSweep:
                 assert all(len(b) == 1 for b in blobs.values())
 
                 # The victim really died the hard way and was revived.
+                # (The revived victim runs the same plan: when it came
+                # back early enough to own two more requests, it has
+                # just died again and its next restart is awaited.)
                 deadline = asyncio.get_running_loop().time() + 20
                 while asyncio.get_running_loop().time() < deadline:
                     if (supervisor.restarts(victim) >= 1
+                            and supervisor.alive(victim)
                             and router.links[victim].breaker.state
                             is CircuitState.CLOSED):
                         break

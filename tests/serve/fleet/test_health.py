@@ -1,8 +1,7 @@
-"""Circuit breaker state machine and the obs-layer health timeline."""
+"""Circuit breaker state machine."""
 
 import pytest
 
-from repro.obs.health import HealthTimeline
 from repro.serve.fleet.health import CircuitBreaker, CircuitState
 
 
@@ -148,40 +147,3 @@ class TestSnapshot:
         assert snap["successes"] == 1
         assert snap["opened"] == 1
         assert len(snap["transitions"]) == 3
-
-
-class TestHealthTimeline:
-    def test_only_changes_are_stored(self):
-        timeline = HealthTimeline()
-        assert timeline.record({0: "closed", 1: "closed"}, t=1.0)
-        assert not timeline.record({0: "closed", 1: "closed"}, t=2.0)
-        assert timeline.record({0: "open", 1: "closed"}, t=3.0)
-        assert timeline.observations == 3
-        assert timeline.changes == 2
-        assert [s["healthy"] for s in timeline.samples] == [2, 1]
-
-    def test_states_seen_collapses_runs(self):
-        timeline = HealthTimeline()
-        for i, state in enumerate(
-                ["closed", "open", "open", "half_open", "closed"]):
-            timeline.record({0: state, 1: "closed"}, t=float(i))
-        assert timeline.states_seen(0) == [
-            "closed", "open", "half_open", "closed"]
-        assert timeline.states_seen(1) == ["closed"]
-
-    def test_capacity_evicts_oldest(self):
-        timeline = HealthTimeline(capacity=2)
-        states = ["closed", "open", "half_open"]
-        for i, s in enumerate(states):
-            timeline.record({0: s}, t=float(i))
-        assert timeline.dropped == 1
-        assert [s["states"]["0"] for s in timeline.samples] == [
-            "open", "half_open"]
-
-    def test_snapshot_round_trips_json(self):
-        import json
-
-        timeline = HealthTimeline()
-        timeline.record({0: "closed"}, t=0.0)
-        snap = timeline.snapshot()
-        assert json.loads(json.dumps(snap)) == snap

@@ -89,6 +89,60 @@ class TestRoundTrip:
         asyncio.run(scenario())
 
 
+class TestDrain:
+    def test_drain_ends_a_prober_that_outlived_its_cancellation(
+            self, tmp_path):
+        """Before Python 3.12 ``asyncio.wait_for`` returns normally when
+        a cancellation lands as the awaited ping is answered, so the
+        prober can survive drain's ``cancel()``; drain must still end."""
+        async def scenario():
+            _, router = make_fleet(
+                1, str(tmp_path / "runtime"),
+                router_config=RouterConfig(probe_interval_s=0))
+            probing = asyncio.Event()
+
+            async def probe():
+                probing.set()
+                try:
+                    await asyncio.Event().wait()
+                except asyncio.CancelledError:
+                    return True     # the cancellation is lost here
+
+            router.links[0].probe = probe
+            await router.start()
+            await probing.wait()
+            await asyncio.wait_for(router.drain(), 5)
+        asyncio.run(scenario())
+
+
+class TestBadRequests:
+    @pytest.mark.parametrize("overrides", [
+        {"prefetch": 5}, {"dram": "x"}, {"num_sms": 2.5},
+        {"num_sms": True},
+    ])
+    def test_malformed_overrides_are_refused_before_any_forward(
+            self, tmp_path, overrides):
+        """The router keys a request to route it, so it meets malformed
+        overrides first: ``bad_request`` / permanent, nothing forwarded
+        (no backend is even running here)."""
+        async def scenario():
+            _, router = make_fleet(1, str(tmp_path / "runtime"))
+            await router.start()
+            try:
+                async with AsyncServeClient(
+                        router.config.socket_path) as client:
+                    response = await client.request_raw(
+                        protocol.simulate_payload(
+                            "malformed", overrides=overrides,
+                            **simulate_kwargs("MM")))
+                assert response["error"]["code"] == "bad_request"
+                assert response["error"]["kind"] == "permanent"
+                assert router.stats()["retry"]["attempts"] == 0
+            finally:
+                await router.drain()
+        asyncio.run(scenario())
+
+
 class TestFailover:
     def test_killed_backend_fails_over_without_losing_requests(
             self, tmp_path):

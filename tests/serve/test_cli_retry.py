@@ -6,6 +6,8 @@ retrying entirely.  The fake client records what the CLI built so the
 wiring — not just the outcome — is asserted.
 """
 
+import asyncio
+
 import pytest
 
 import repro.serve.client as client_module
@@ -33,16 +35,19 @@ class FakeServeClient:
         return False
 
     def ping(self):
-        def attempt():
+        async def attempt():
             self.attempts += 1
             outcome = FakeServeClient.ping_outcomes.pop(0)
             if isinstance(outcome, Exception):
                 raise outcome
             return outcome
 
+        async def no_wait(_delay):
+            pass
+
         if self.retry is None:
-            return attempt()
-        return self.retry.call(attempt, sleep=lambda _: None)
+            return asyncio.run(attempt())
+        return asyncio.run(self.retry.acall(attempt, sleep=no_wait))
 
 
 @pytest.fixture

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.serve.memcache import (
-    EVICTION_POLICIES,
-    ServeMemCache,
-)
+from repro.serve.memcache import ServeMemCache
 
 
 class TestBasics:
@@ -43,10 +40,6 @@ class TestBasics:
         assert cache.hits == 1
         assert cache.puts == 1
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="eviction policy"):
-            ServeMemCache(policy="random")
-
     def test_invalid_caps_rejected(self):
         with pytest.raises(ValueError):
             ServeMemCache(max_entries=0)
@@ -56,7 +49,7 @@ class TestBasics:
 
 class TestEviction:
     def test_lru_evicts_least_recently_used(self):
-        cache = ServeMemCache(max_entries=2, policy="lru")
+        cache = ServeMemCache(max_entries=2)
         cache.put("a", 1, 1)
         cache.put("b", 2, 1)
         cache.get("a")          # b is now least recently used
@@ -65,27 +58,8 @@ class TestEviction:
         assert "b" not in cache
         assert cache.evictions == 1
 
-    def test_lfu_evicts_least_hit(self):
-        cache = ServeMemCache(max_entries=2, policy="lfu")
-        cache.put("a", 1, 1)
-        cache.put("b", 2, 1)
-        cache.get("a")
-        cache.get("a")          # a:2 hits, b:0 hits, c:0 hits (older b
-        cache.put("c", 3, 1)    # loses the tie against the newcomer)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
-
-    def test_fifo_ignores_access_pattern(self):
-        cache = ServeMemCache(max_entries=2, policy="fifo")
-        cache.put("a", 1, 1)
-        cache.put("b", 2, 1)
-        cache.get("a")          # does not save "a" under FIFO
-        cache.put("c", 3, 1)
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
     def test_byte_cap_evicts_until_under(self):
-        cache = ServeMemCache(max_entries=100, max_bytes=10, policy="lru")
+        cache = ServeMemCache(max_entries=100, max_bytes=10)
         cache.put("a", 1, 4)
         cache.put("b", 2, 4)
         cache.put("c", 3, 4)    # 12 bytes > 10 -> evict oldest-used
@@ -95,7 +69,7 @@ class TestEviction:
 
     def test_oversized_value_cached_alone(self):
         """An entry larger than max_bytes still caches (by itself)."""
-        cache = ServeMemCache(max_entries=100, max_bytes=10, policy="lru")
+        cache = ServeMemCache(max_entries=100, max_bytes=10)
         cache.put("small", 1, 2)
         cache.put("big", 2, 50)
         assert "big" in cache
@@ -105,7 +79,7 @@ class TestEviction:
     def test_eviction_order_is_deterministic(self):
         """Recency is a logical clock, so eviction replays identically."""
         def run():
-            cache = ServeMemCache(max_entries=3, policy="lru")
+            cache = ServeMemCache(max_entries=3)
             survivors = []
             for i in range(10):
                 cache.put(f"k{i}", i, 1)
@@ -118,12 +92,11 @@ class TestEviction:
 
 class TestStats:
     def test_stats_snapshot(self):
-        cache = ServeMemCache(max_entries=2, max_bytes=100, policy="lfu")
+        cache = ServeMemCache(max_entries=2, max_bytes=100)
         cache.put("a", 1, 10)
         cache.get("a")
         cache.get("zzz")
         stats = cache.stats()
-        assert stats["policy"] == "lfu"
         assert stats["entries"] == 1
         assert stats["max_entries"] == 2
         assert stats["bytes"] == 10
@@ -132,82 +105,6 @@ class TestStats:
         assert stats["hit_ratio"] == 0.5
         assert stats["puts"] == 1
         assert stats["evictions"] == 0
-
-    def test_policy_registry_complete(self):
-        assert set(EVICTION_POLICIES) == {"lru", "lfu", "fifo", "mru", "filo"}
-        for name, cls in EVICTION_POLICIES.items():
-            assert cls.name == name
-
-
-class TestNewStrategies:
-    def test_mru_evicts_most_recently_used(self):
-        cache = ServeMemCache(max_entries=2, policy="mru")
-        cache.put("a", 1, 1)
-        cache.put("b", 2, 1)
-        cache.get("a")          # a is now the most recently used
-        cache.put("c", 3, 1)
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-
-    def test_mru_is_scan_resistant(self):
-        """A one-pass scan keeps evicting its own tail, not residents."""
-        cache = ServeMemCache(max_entries=3, policy="mru")
-        cache.put("res1", 1, 1)
-        cache.put("res2", 2, 1)
-        for i in range(10):     # scan of never-reused keys
-            cache.put(f"scan{i}", i, 1)
-        assert "res1" in cache and "res2" in cache
-
-    def test_filo_evicts_newest_insertion(self):
-        cache = ServeMemCache(max_entries=2, policy="filo")
-        cache.put("a", 1, 1)
-        cache.put("b", 2, 1)
-        cache.get("b")          # access does not matter under FILO
-        cache.put("c", 3, 1)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-
-    def test_mru_and_filo_tie_breaking_is_deterministic(self):
-        """Logical clocks make every priority unique, so a scripted
-        op sequence evicts identically on every replay."""
-        def run(policy):
-            cache = ServeMemCache(max_entries=3, policy=policy)
-            for i in range(8):
-                cache.put(f"k{i}", i, 1)
-                cache.get(f"k{max(0, i - 1)}")
-            return sorted(cache._entries), cache.evictions
-        for policy in ("mru", "filo"):
-            assert run(policy) == run(policy)
-
-
-class TestPrefixGrouping:
-    def test_prefix_stats_group_by_sweep(self):
-        cache = ServeMemCache(max_entries=8)
-        cache.put("f1", 1, 10, prefix="MM/caps@tiny/pas")
-        cache.put("f2", 2, 20, prefix="MM/caps@tiny/pas")
-        cache.put("f3", 3, 5, prefix="BFS/caps@tiny/pas")
-        cache.get("f1")
-        stats = cache.prefix_stats()
-        assert stats["MM/caps@tiny/pas"] == {
-            "entries": 2, "bytes": 30, "hits": 1, "speculative": 0,
-        }
-        assert stats["BFS/caps@tiny/pas"]["entries"] == 1
-
-    def test_evict_prefix_drops_exactly_one_sweep(self):
-        cache = ServeMemCache(max_entries=8)
-        cache.put("f1", 1, 1, prefix="sweepA")
-        cache.put("f2", 2, 1, prefix="sweepA")
-        cache.put("f3", 3, 1, prefix="sweepB")
-        dropped = cache.evict_prefix("sweepA")
-        assert dropped == 2
-        assert "f1" not in cache and "f2" not in cache
-        assert "f3" in cache
-        assert cache.evictions == 2
-
-    def test_unprefixed_entries_group_under_empty_string(self):
-        cache = ServeMemCache(max_entries=8)
-        cache.put("f1", 1, 1)
-        assert cache.prefix_stats()[""]["entries"] == 1
 
 
 class TestSpeculativeEntries:
@@ -226,18 +123,18 @@ class TestSpeculativeEntries:
     def test_peek_touches_no_counters_or_recency(self):
         cache = ServeMemCache(max_entries=4)
         cache.put("f1", 1, 1, speculative=True)
-        clock = cache._clock
+        order = list(cache._entries)
         assert cache.peek("f1") == 1
         assert cache.peek("nope") is None
         assert cache.hits == 0 and cache.misses == 0
         assert cache.spec_hits == 0
-        assert cache._clock == clock
+        assert list(cache._entries) == order
 
     def test_unread_speculative_entries_evict_first(self):
         """Speculation sheds first in the cache: under pressure the
         victim pool is unread speculative entries, whatever the
         strategy would otherwise pick."""
-        cache = ServeMemCache(max_entries=3, policy="lru")
+        cache = ServeMemCache(max_entries=3)
         cache.put("real_old", 1, 1)
         cache.put("spec", 2, 1, speculative=True)
         cache.put("real_new", 3, 1)
@@ -248,7 +145,7 @@ class TestSpeculativeEntries:
         assert cache.spec_evictions == 1
 
     def test_demand_read_promotes_to_real_retention(self):
-        cache = ServeMemCache(max_entries=3, policy="lru")
+        cache = ServeMemCache(max_entries=3)
         cache.put("real_old", 1, 1)
         cache.put("spec", 2, 1, speculative=True)
         cache.get("spec")       # proven useful: competes like any entry
@@ -266,10 +163,9 @@ class TestSpeculativeEntries:
 
     def test_spec_counters_in_stats(self):
         cache = ServeMemCache(max_entries=4)
-        cache.put("f1", 1, 1, speculative=True, prefix="p")
+        cache.put("f1", 1, 1, speculative=True)
         cache.get("f1")
         stats = cache.stats()
         assert stats["spec_puts"] == 1
         assert stats["spec_hits"] == 1
         assert stats["spec_entries"] == 0
-        assert stats["prefixes"]["p"]["entries"] == 1

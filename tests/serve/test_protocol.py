@@ -143,6 +143,27 @@ class TestApplyOverrides:
         with pytest.raises(BadRequestError):
             protocol.apply_overrides(tiny_config(), {"scheduler": "???"})
 
+    @pytest.mark.parametrize("overrides", [
+        {"prefetch": 5},        # a scalar where a nested config goes
+        {"prefetch": [1, 2]},   # ... or a list
+        {"dram": "x"},          # used to escape as AttributeError
+        {"num_sms": 2.5},       # a float is not an int
+        {"num_sms": True},      # nor is a bool
+        {"deep_checks": 1},     # and an int is not a bool
+        {"engine": None},
+        {"multi": {"spatial_split": "half"}},
+    ])
+    def test_wrong_shape_or_type_rejected(self, overrides):
+        """Malformed values are refused here, before the request is
+        keyed or admitted, not by a crash inside a worker."""
+        with pytest.raises(BadRequestError, match="config field"):
+            protocol.apply_overrides(tiny_config(), overrides)
+
+    def test_float_field_accepts_an_int(self):
+        config = protocol.apply_overrides(
+            tiny_config(), {"multi": {"predictor_cpi_prior": 3}})
+        assert config.multi.predictor_cpi_prior == 3
+
 
 class TestRequestToKey:
     def test_mirrors_serial_cli_key(self):

@@ -1,4 +1,4 @@
-"""Retry policy and hedging: classification, backoff, accounting."""
+"""Retry policy: classification, backoff, accounting."""
 
 import asyncio
 
@@ -10,14 +10,11 @@ from repro.errors import (
     OverloadedError,
     RequestFailedError,
 )
-from repro.serve.retry import (
-    NO_RETRY,
-    HedgePolicy,
-    RetryPolicy,
-    RetryStats,
-    hedged,
-    retryable,
-)
+from repro.serve.retry import RetryPolicy, RetryStats, retryable
+
+
+async def no_wait(_delay):
+    """Injected backoff: the schedule is computed, nothing waits."""
 
 
 class TestClassification:
@@ -86,7 +83,7 @@ class TestCall:
     def test_eventual_success_after_transient_failures(self):
         calls = []
 
-        def flaky():
+        async def flaky():
             calls.append(1)
             if len(calls) < 3:
                 raise ConnectionResetError("boom")
@@ -94,7 +91,8 @@ class TestCall:
 
         stats = RetryStats()
         policy = RetryPolicy(attempts=3, base_delay_s=0.0)
-        assert policy.call(flaky, stats=stats, sleep=lambda _: None) == "ok"
+        assert asyncio.run(
+            policy.acall(flaky, stats=stats, sleep=no_wait)) == "ok"
         assert stats.attempts == 3
         assert stats.retries == 2
         assert stats.succeeded == 1
@@ -103,42 +101,50 @@ class TestCall:
     def test_permanent_failure_raises_immediately(self):
         calls = []
 
-        def broken():
+        async def broken():
             calls.append(1)
             raise BadRequestError("no")
 
         policy = RetryPolicy(attempts=5, base_delay_s=0.0)
         with pytest.raises(BadRequestError):
-            policy.call(broken, sleep=lambda _: None)
+            asyncio.run(policy.acall(broken, sleep=no_wait))
         assert len(calls) == 1
 
     def test_exhaustion_raises_last_error(self):
+        async def down():
+            raise ConnectionRefusedError("always down")
+
         stats = RetryStats()
         policy = RetryPolicy(attempts=3, base_delay_s=0.0)
         with pytest.raises(ConnectionRefusedError):
-            policy.call(lambda: (_ for _ in ()).throw(
-                ConnectionRefusedError("always down")),
-                stats=stats, sleep=lambda _: None)
+            asyncio.run(policy.acall(down, stats=stats, sleep=no_wait))
         assert stats.attempts == 3
         assert stats.gave_up == 1
 
     def test_no_retry_policy_is_single_shot(self):
         calls = []
 
-        def failing():
+        async def failing():
             calls.append(1)
             raise ConnectionResetError()
 
         with pytest.raises(ConnectionResetError):
-            NO_RETRY.call(failing, sleep=lambda _: None)
+            asyncio.run(
+                RetryPolicy(attempts=1).acall(failing, sleep=no_wait))
         assert len(calls) == 1
 
     def test_sleeps_follow_the_schedule(self):
         slept = []
+
+        async def down():
+            raise ConnectionRefusedError()
+
+        async def record(delay):
+            slept.append(delay)
+
         policy = RetryPolicy(attempts=3, base_delay_s=0.1, jitter=0.0)
         with pytest.raises(ConnectionRefusedError):
-            policy.call(lambda: (_ for _ in ()).throw(
-                ConnectionRefusedError()), sleep=slept.append)
+            asyncio.run(policy.acall(down, sleep=record))
         assert slept == [pytest.approx(0.1), pytest.approx(0.2)]
 
     def test_acall_matches_call(self):
@@ -153,62 +159,3 @@ class TestCall:
         policy = RetryPolicy(attempts=3, base_delay_s=0.0)
         assert asyncio.run(policy.acall(flaky)) == 42
         assert len(calls) == 2
-
-
-class TestHedging:
-    def test_primary_fast_enough_no_hedge_launched(self):
-        async def scenario():
-            stats = RetryStats()
-
-            async def fast():
-                return "primary"
-
-            value = await hedged([fast, fast], hedge_delay_s=5.0,
-                                 stats=stats)
-            assert value == "primary"
-            assert stats.hedges_launched == 0
-        asyncio.run(scenario())
-
-    def test_slow_primary_loses_to_hedge(self):
-        async def scenario():
-            stats = RetryStats()
-
-            async def slow():
-                await asyncio.sleep(30)
-                return "slow"
-
-            async def quick():
-                return "hedge"
-
-            value = await hedged([slow, quick], hedge_delay_s=0.01,
-                                 stats=stats)
-            assert value == "hedge"
-            assert stats.hedges_launched == 1
-            assert stats.hedge_wins == 1
-        asyncio.run(scenario())
-
-    def test_all_attempts_failing_raises_last(self):
-        async def scenario():
-            async def failing():
-                raise ConnectionResetError("down")
-
-            with pytest.raises(ConnectionResetError):
-                await hedged([failing, failing], hedge_delay_s=0.0)
-        asyncio.run(scenario())
-
-    def test_hedge_policy_validation(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(delay_s=-1)
-        with pytest.raises(ValueError):
-            HedgePolicy(max_hedges=0)
-
-    def test_hedge_policy_runs_factory_copies(self):
-        async def scenario():
-            policy = HedgePolicy(delay_s=0.005, max_hedges=1)
-
-            async def attempt():
-                return "value"
-
-            assert await policy.run(attempt) == "value"
-            assert policy.stats.succeeded == 1
-        asyncio.run(scenario())

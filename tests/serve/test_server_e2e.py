@@ -161,6 +161,33 @@ class TestFailureSemantics:
                     assert meta["source"] in ("memcache", "dedup")
         asyncio.run(scenario())
 
+    def test_default_deadline_applies_to_requests_without_one(
+            self, tmp_path):
+        async def scenario():
+            async with serving(tmp_path,
+                               default_deadline_s=0.05) as server:
+                gate = EngineGate(server.engine)
+                async with AsyncServeClient(
+                        server.config.socket_path) as client:
+                    patient = asyncio.ensure_future(client.simulate(
+                        deadline_s=30, **simulate_kwargs("MM")))
+                    # Once a later request on the connection is
+                    # answered, the patient one is on the wire, ahead
+                    # of whatever follows.
+                    assert await client.ping()
+                    with pytest.raises(DeadlineExceededError):
+                        await client.simulate(**simulate_kwargs("MM"))
+                    # The request that carries its own deadline started
+                    # waiting first and is waiting still.
+                    assert server.counters["deadline_exceeded"] == 1
+                    assert not patient.done()
+                    gate.open()
+                    _, meta = await patient
+                    assert meta["source"] == "dispatch"
+                    _, meta = await client.simulate(**simulate_kwargs("MM"))
+                    assert meta["source"] == "memcache"
+        asyncio.run(scenario())
+
     def test_queue_full_sheds_with_explicit_overloaded(self, tmp_path):
         async def scenario():
             async with serving(tmp_path, queue_limit=1) as server:
@@ -208,7 +235,17 @@ class TestFailureSemantics:
                         await client.simulate(
                             overrides={"warp_speed": 9},
                             **simulate_kwargs("MM"))
-                assert server.counters["errors"] == 3
+                    # A well-named field with a malformed value is as
+                    # permanent: never admitted, never retried.
+                    response = await client.request_raw(
+                        protocol.simulate_payload(
+                            "malformed", overrides={"prefetch": 5},
+                            **simulate_kwargs("MM")))
+                    assert response["error"]["code"] == "bad_request"
+                    assert response["error"]["kind"] == "permanent"
+                assert server.counters["errors"] == 4
+                assert server.stats()["admitted"] == 0
+                assert server.stats()["simulations"] == 0
         asyncio.run(scenario())
 
 
@@ -293,6 +330,62 @@ class TestSyncClient:
                 assert isinstance(result, SimResult)
                 assert meta["source"] == "dispatch"
                 assert stats["server"]["requests"] == 3
+        asyncio.run(scenario())
+
+    def test_timeout_expires_as_an_oserror(self, tmp_path):
+        """``repro request --timeout`` reports an expiry as one more way
+        of not reaching the server (exit 5) by catching ``OSError``,
+        which ``asyncio.TimeoutError`` is not before Python 3.11."""
+        async def scenario():
+            async with serving(tmp_path) as server:
+                gate = EngineGate(server.engine)
+
+                def impatient_call():
+                    with ServeClient(server.config.socket_path,
+                                     timeout=0.05) as client:
+                        with pytest.raises(OSError, match="0.05s"):
+                            client.simulate(**simulate_kwargs("MM"))
+                        assert client.ping()    # the connection survives
+
+                try:
+                    await asyncio.to_thread(impatient_call)
+                finally:
+                    gate.open()
+        asyncio.run(scenario())
+
+    def test_timeout_holds_when_the_cancellation_is_lost(
+            self, tmp_path, monkeypatch):
+        """Before Python 3.12 the ``wait_for`` inside ``connect`` returns
+        normally when a cancellation lands as the connection opens; the
+        call then runs on, and the timeout has to end it all the same."""
+        real_connect = AsyncServeClient.connect
+
+        async def connect(self):
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                pass                # the cancellation is lost here
+            return await real_connect(self)
+
+        async def scenario():
+            async with serving(tmp_path) as server:
+                gate = EngineGate(server.engine)
+
+                def impatient_call():
+                    with ServeClient(server.config.socket_path,
+                                     timeout=0.05) as client:
+                        monkeypatch.setattr(AsyncServeClient, "connect",
+                                            connect)
+                        with pytest.raises(TimeoutError):
+                            client.simulate(**simulate_kwargs("MM"))
+                        monkeypatch.undo()
+                        assert client.ping()
+
+                try:
+                    await asyncio.wait_for(
+                        asyncio.to_thread(impatient_call), 30)
+                finally:
+                    gate.open()
         asyncio.run(scenario())
 
     def test_sync_client_raises_typed_errors(self, tmp_path):
