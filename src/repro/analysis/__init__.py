@@ -13,8 +13,7 @@ from repro.analysis.driver import (
     speedups_over_baseline,
 )
 from repro.analysis.report import format_table, format_percent
-from repro.analysis.store import ResultStore, RunRecord
-from repro.analysis.timeline import TimelineMonitor, render_timeline, sparkline
+from repro.analysis.timeline import burstiness, render_timeline, sparkline
 from repro.analysis.validate import Check, all_passed, validate_shape
 
 __all__ = [
@@ -32,9 +31,7 @@ __all__ = [
     "speedups_over_baseline",
     "format_table",
     "format_percent",
-    "ResultStore",
-    "RunRecord",
-    "TimelineMonitor",
+    "burstiness",
     "render_timeline",
     "sparkline",
     "Check",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig, SchedulerKind
-from repro.errors import FailureKind, PermanentError
+from repro.errors import FailureKind, PermanentError, hang_snapshot
 from repro.exec import DEFAULT_CACHE_DIR, ExecutionEngine, RunKey
 from repro.exec.cache import key_fingerprint, make_key
 from repro.exec.journal import SweepJournal, sweep_id
@@ -84,6 +84,16 @@ def run_benchmark(
     return _ENGINE.run(key, use_cache=use_cache)
 
 
+def _matrix_keys(benchmarks, prefetchers, config, scale, scheduler):
+    """``(benchmark, prefetcher) -> RunKey`` for every cell of a matrix."""
+    return {
+        (b, p): make_key(b, p, config=config, scale=scale,
+                         scheduler=scheduler)
+        for b in benchmarks
+        for p in prefetchers
+    }
+
+
 def run_matrix(
     benchmarks: Sequence[str],
     prefetchers: Sequence[str],
@@ -98,12 +108,7 @@ def run_matrix(
     ``jobs > 1`` cells execute in parallel, duplicates collapse to one
     simulation, and cached cells are never re-run.
     """
-    keys = {
-        (b, p): make_key(b, p, config=config, scale=scale,
-                         scheduler=scheduler)
-        for b in benchmarks
-        for p in prefetchers
-    }
+    keys = _matrix_keys(benchmarks, prefetchers, config, scale, scheduler)
     results = _ENGINE.run_many(list(keys.values()))
     return {bp: results[key] for bp, key in keys.items()}
 
@@ -152,12 +157,7 @@ def run_sweep(
     completed cells are served from the persistent cache and journaled
     permanent failures are reported without re-execution.
     """
-    keys = {
-        (b, p): make_key(b, p, config=config, scale=scale,
-                         scheduler=scheduler)
-        for b in benchmarks
-        for p in prefetchers
-    }
+    keys = _matrix_keys(benchmarks, prefetchers, config, scale, scheduler)
     fps = {key: key_fingerprint(key) for key in keys.values()}
     engine = _ENGINE
     if cache_root is not None:
@@ -195,12 +195,9 @@ def run_sweep(
             journal.record(fp, cell, "done")
             return
         err = failure.error
-        snapshot = getattr(err, "snapshot", None)
-        if not snapshot and getattr(err, "result", None) is not None:
-            snapshot = err.result.extra.get("hang_snapshot")
         bundle = write_diagnostic_bundle(
             root, cell=cell, config=key.config, error=err,
-            snapshot=snapshot, events=engine.events,
+            snapshot=hang_snapshot(err), events=engine.events,
             seed=engine.faults.seed if engine.faults is not None else None,
         )
         if bundle is not None:

@@ -208,6 +208,18 @@ def fig11_cta_sweep(
 
 # --------------------------------------------------------------- Figure 12
 
+def _mean_pairs(out, benchmarks, engines) -> Dict[str, Tuple[float, float]]:
+    """The ``Mean`` row of Figures 12 and 13: per engine, the mean over
+    ``benchmarks`` of each half of its value pairs."""
+    return {
+        e: (
+            mean([out[b][e][0] for b in benchmarks]),
+            mean([out[b][e][1] for b in benchmarks]),
+        )
+        for e in engines
+    }
+
+
 def fig12_coverage_accuracy(
     *,
     scale: Scale = Scale.SMALL,
@@ -223,13 +235,7 @@ def fig12_coverage_accuracy(
             r = run_benchmark(b, e, config=config, scale=scale)
             row[e] = (r.coverage(), r.accuracy())
         out[b] = row
-    out["Mean"] = {
-        e: (
-            mean([out[b][e][0] for b in benchmarks]),
-            mean([out[b][e][1] for b in benchmarks]),
-        )
-        for e in engines
-    }
+    out["Mean"] = _mean_pairs(out, benchmarks, engines)
     return out
 
 
@@ -255,13 +261,7 @@ def fig13_bandwidth_overhead(
                 r.dram_reads / max(1, base.dram_reads),
             )
         out[b] = row
-    out["Mean"] = {
-        e: (
-            mean([out[b][e][0] for b in benchmarks]),
-            mean([out[b][e][1] for b in benchmarks]),
-        )
-        for e in engines
-    }
+    out["Mean"] = _mean_pairs(out, benchmarks, engines)
     return out
 
 

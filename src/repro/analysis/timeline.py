@@ -1,94 +1,63 @@
-"""Execution timelines: sampled machine state over a run.
+"""Execution timelines: a sparkline view of the sampled metric series.
 
 The paper's Section I argument is *temporal*: L1 misses arrive in
 bursts, the memory system congests, and every warp ends up waiting at
-once.  A :class:`TimelineMonitor` samples the machine every ``interval``
-cycles — issue/stall fractions, warps waiting on memory, DRAM queue
-depth — so that burstiness (and what CAPS does to it) can be seen, not
-just inferred from end-of-run totals.
+once.  :class:`repro.obs.MetricsCollector` already samples the machine
+every ``obs.window`` cycles — issue/stall counters, warps waiting on
+memory, DRAM queue depth — so this module only *renders* that series
+(``SimResult.extra["timeseries"]``), letting burstiness (and what CAPS
+does to it) be seen, not just inferred from end-of-run totals.
 
 Usage::
 
-    monitor = TimelineMonitor(interval=200)
-    gpu = GPU(kernel, config)
-    gpu.run(monitor=monitor)
-    print(render_timeline(monitor, width=72))
+    cfg = small_config().with_obs(metrics=True, window=200)
+    payload = simulate(build("CNV", Scale.SMALL), cfg).extra["timeseries"]
+    print(render_timeline(payload, width=72))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.collector import series
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
-
-@dataclass(frozen=True)
-class TimelineSample:
-    """Machine state over one sampling interval."""
-
-    cycle: int
-    issue_fraction: float        # instructions issued / SM-cycles
-    stall_all_fraction: float    # all-warps-waiting stalls / SM-cycles
-    replay_fraction: float       # LSU replay cycles / SM-cycles
-    waiting_warps: int           # warps blocked on memory right now
-    dram_queue_depth: int        # outstanding read requests at DRAM
-    prefetches_inflight: int     # prefetch buffer occupancy
+#: Rendered rows: (label, series column, column is a per-window counter
+#: delta shown as a fraction of the window's SM-cycles).
+ROWS = (
+    ("issue   ", "instructions", True),
+    ("stalled ", "stall_mem_all", True),
+    ("replay  ", "replay_cycles", True),
+    ("waiting ", "waiting_warps", False),
+    ("dram q  ", "dram_queue_depth", False),
+    ("pf infl ", "prefetch_inflight", False),
+)
 
 
-class TimelineMonitor:
-    """Samples a :class:`repro.sim.gpu.GPU` every ``interval`` cycles."""
+def window_fractions(payload: Dict[str, Any], field: str) -> List[float]:
+    """A counter column as a fraction of each window's SM-cycles (the
+    final window of a run is usually shorter than ``payload["window"]``)."""
+    out: List[float] = []
+    prev = 0
+    for cycle, value in zip(series(payload, "cycle"), series(payload, field)):
+        out.append(value / (max(1, cycle - prev) * payload["num_sms"]))
+        prev = cycle
+    return out
 
-    def __init__(self, interval: int = 100):
-        if interval < 1:
-            raise ValueError("interval must be >= 1")
-        self.interval = interval
-        self.samples: List[TimelineSample] = []
-        self._last_instructions = 0
-        self._last_stall_all = 0
-        self._last_replay = 0
 
-    def sample(self, gpu, now: int) -> None:
-        instructions = sum(sm.stats.instructions for sm in gpu.sms)
-        stall_all = sum(sm.stats.stall_mem_all for sm in gpu.sms)
-        replay = sum(sm.stats.replay_cycles for sm in gpu.sms)
-        sm_cycles = max(1, self.interval * len(gpu.sms))
-        self.samples.append(
-            TimelineSample(
-                cycle=now,
-                issue_fraction=(instructions - self._last_instructions)
-                / sm_cycles,
-                stall_all_fraction=(stall_all - self._last_stall_all)
-                / sm_cycles,
-                replay_fraction=(replay - self._last_replay) / sm_cycles,
-                waiting_warps=sum(sm.waiting_mem_warps for sm in gpu.sms),
-                dram_queue_depth=sum(
-                    len(ch) + ch.inflight for ch in gpu.subsystem.channels
-                ),
-                prefetches_inflight=sum(
-                    len(sm._inflight_prefetch) for sm in gpu.sms
-                ),
-            )
-        )
-        self._last_instructions = instructions
-        self._last_stall_all = stall_all
-        self._last_replay = replay
-
-    # ------------------------------------------------------------- metrics
-    def series(self, field: str) -> List[float]:
-        return [getattr(s, field) for s in self.samples]
-
-    def burstiness(self, field: str = "dram_queue_depth") -> float:
-        """Coefficient of variation of a series — the paper's burst
-        claim in one number (higher = burstier demand)."""
-        vals = self.series(field)
-        if not vals:
-            return 0.0
-        m = sum(vals) / len(vals)
-        if m == 0:
-            return 0.0
-        var = sum((v - m) ** 2 for v in vals) / len(vals)
-        return var ** 0.5 / m
+def burstiness(payload: Dict[str, Any],
+               field: str = "dram_queue_depth") -> float:
+    """Coefficient of variation of a series column — the paper's burst
+    claim in one number (higher = burstier demand)."""
+    vals = series(payload, field)
+    if not vals:
+        return 0.0
+    m = sum(vals) / len(vals)
+    if m == 0:
+        return 0.0
+    var = sum((v - m) ** 2 for v in vals) / len(vals)
+    return var ** 0.5 / m
 
 
 def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
@@ -113,19 +82,12 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
     return "".join(out)
 
 
-def render_timeline(monitor: TimelineMonitor, width: int = 72) -> str:
-    """Multi-row sparkline view of a run."""
-    rows = [
-        ("issue   ", "issue_fraction"),
-        ("stalled ", "stall_all_fraction"),
-        ("replay  ", "replay_fraction"),
-        ("waiting ", "waiting_warps"),
-        ("dram q  ", "dram_queue_depth"),
-        ("pf infl ", "prefetches_inflight"),
-    ]
+def render_timeline(payload: Dict[str, Any], width: int = 72) -> str:
+    """Multi-row sparkline view of a run's ``extra["timeseries"]``."""
     lines = []
-    for label, field in rows:
-        series = monitor.series(field)
-        peak = max(series) if series else 0
-        lines.append(f"{label}|{sparkline(series, width)}| peak={peak:.2f}")
+    for label, field, is_counter in ROWS:
+        vals = (window_fractions(payload, field) if is_counter
+                else series(payload, field))
+        peak = max(vals) if vals else 0
+        lines.append(f"{label}|{sparkline(vals, width)}| peak={peak:.2f}")
     return "\n".join(lines)

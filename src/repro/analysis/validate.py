@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.driver import run_matrix
+from repro.analysis.driver import run_matrix, speedups_over_baseline
 from repro.analysis.metrics import geomean, mean
 from repro.config import GPUConfig
 from repro.workloads import ALL_BENCHMARKS, IRREGULAR, REGULAR, Scale
@@ -47,12 +47,9 @@ def validate_shape(
     data: Dict[str, Dict[str, object]] = {}
     for b in benchmarks:
         data[b] = {e: matrix[(b, e)] for e in engines}
-
-    def speedups(engine):
-        return [data[b][engine].ipc / data[b]["none"].ipc for b in benchmarks]
-
-    caps_sp = dict(zip(benchmarks, speedups("caps")))
-    inter_sp = speedups("inter")
+    sp = speedups_over_baseline(matrix, benchmarks, ("inter", "caps"))
+    caps_sp = {b: sp[(b, "caps")] for b in benchmarks}
+    inter_sp = [sp[(b, "inter")] for b in benchmarks]
     reg = [b for b in benchmarks if b in REGULAR]
     irreg = [b for b in benchmarks if b in IRREGULAR]
 

@@ -7,12 +7,11 @@ Commands
     Show the workload suite and available prefetch engines.
 ``run BENCH``
     Simulate one benchmark under one engine; print the headline metrics
-    (optionally append to a JSON result store, export windowed metric
-    series with ``--metrics-out``, or print a host-side phase profile
-    with ``--profile``).
+    (optionally export windowed metric series with ``--metrics-out``,
+    or print a host-side phase profile with ``--profile``).
 ``sweep``
     Run a (benchmark × engine) matrix and print the Figure 10-style
-    normalized-IPC table; optionally persist every run.
+    normalized-IPC table (``--cache`` persists every run).
 ``figures``
     Regenerate the paper's figures/tables into text files (the same
     content the pytest benchmark harness produces).
@@ -51,10 +50,14 @@ import pathlib
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.driver import run_benchmark, run_sweep, set_engine
+from repro.analysis.driver import (
+    make_key,
+    run_benchmark,
+    run_sweep,
+    set_engine,
+)
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_percent, format_table
-from repro.analysis.store import ResultStore
 from repro.config import (
     ALLOC_POLICIES,
     SchedulerKind,
@@ -65,6 +68,7 @@ from repro.errors import (
     ConfigError,
     IncompleteRunError,
     SimulationHangError,
+    hang_snapshot,
 )
 from repro.exec import (
     DEFAULT_CACHE_DIR,
@@ -74,6 +78,7 @@ from repro.exec import (
     JSONLSink,
     ResultCache,
     TTYProgress,
+    execute_cell,
 )
 from repro.guard.watchdog import format_snapshot
 from repro.prefetch import PREFETCHERS
@@ -81,7 +86,6 @@ from repro.workloads import (
     ALL_BENCHMARKS,
     WORKLOADS,
     Scale,
-    canonical_name,
     normalize_benchmark,
 )
 
@@ -105,45 +109,37 @@ def _config(name: str):
     raise argparse.ArgumentTypeError(f"unknown config preset {name!r}")
 
 
-_SIZE_SUFFIXES = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
+_SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
 _DURATION_SUFFIXES = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 
 
-def _size(text: str) -> int:
-    """Parse a byte size: plain int or K/M/G-suffixed (``500M``)."""
+def _suffixed(text: str, suffixes: dict, what: str, examples: str) -> float:
+    """Parse a non-negative number with an optional one-letter unit."""
     raw = text.strip()
     factor = 1
-    if raw and raw[-1].upper() in _SIZE_SUFFIXES:
-        factor = _SIZE_SUFFIXES[raw[-1].upper()]
-        raw = raw[:-1]
-    try:
-        value = int(float(raw) * factor)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid size {text!r} (use e.g. 1048576, 500M, 2G)"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"size must be >= 0 (got {text!r})")
-    return value
-
-
-def _duration(text: str) -> float:
-    """Parse a duration: plain seconds or s/m/h/d-suffixed (``7d``)."""
-    raw = text.strip()
-    factor = 1
-    if raw and raw[-1].lower() in _DURATION_SUFFIXES:
-        factor = _DURATION_SUFFIXES[raw[-1].lower()]
+    if raw and raw[-1].lower() in suffixes:
+        factor = suffixes[raw[-1].lower()]
         raw = raw[:-1]
     try:
         value = float(raw) * factor
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid duration {text!r} (use e.g. 90, 30s, 12h, 7d)"
-        ) from None
+            f"invalid {what} {text!r} (use e.g. {examples})") from None
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"duration must be >= 0 (got {text!r})")
+            f"{what} must be >= 0 (got {text!r})")
     return value
+
+
+def _size(text: str) -> int:
+    """Parse a byte size: plain int or K/M/G-suffixed (``500M``)."""
+    return int(_suffixed(text, _SIZE_SUFFIXES, "size", "1048576, 500M, 2G"))
+
+
+def _duration(text: str) -> float:
+    """Parse a duration: plain seconds or s/m/h/d-suffixed (``7d``)."""
+    return _suffixed(text, _DURATION_SUFFIXES, "duration",
+                     "90, 30s, 12h, 7d")
 
 
 def _override(text: str):
@@ -178,15 +174,18 @@ def _overrides_dict(pairs) -> dict:
     return out
 
 
-def _bench(name: str) -> str:
-    """Canonical benchmark name for a CLI argument (aliases accepted)."""
-    canonical = canonical_name(name)
-    if canonical not in ALL_BENCHMARKS:
-        raise argparse.ArgumentTypeError(
-            f"unknown benchmark {name!r}; choose from "
-            f"{', '.join(sorted(ALL_BENCHMARKS))}"
-        )
-    return canonical
+def _names(text: str) -> List[str]:
+    """Split a comma-separated CLI list, dropping blanks."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _cell(name: str) -> str:
+    """Canonical cell name for a CLI argument: one benchmark or an
+    ``A+B`` co-run, aliases accepted (what :func:`make_key` stores)."""
+    try:
+        return normalize_benchmark(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _scheduler(name: Optional[str]) -> Optional[SchedulerKind]:
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one benchmark",
                          parents=[ex])
-    run.add_argument("bench", type=_bench, nargs="?", default=None,
+    run.add_argument("bench", type=_cell, nargs="?", default=None,
                      help="benchmark abbreviation (omit when using "
                           "--co-run)")
     run.add_argument("--co-run", type=str, default=None, metavar="A,B",
@@ -252,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", choices=sorted(SCALES), default="small")
     run.add_argument("--config", type=_config, default="small")
     run.add_argument("--scheduler", type=_scheduler, default=None)
-    run.add_argument("--store", type=pathlib.Path, default=None,
-                     help="append the run to this JSON result store")
     run.add_argument("--metrics-out", type=pathlib.Path, default=None,
                      metavar="FILE",
                      help="export windowed metric series (per-SM IPC, "
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated engine list")
     sweep.add_argument("--scale", choices=sorted(SCALES), default="small")
     sweep.add_argument("--config", type=_config, default="small")
-    sweep.add_argument("--store", type=pathlib.Path, default=None)
     sweep.add_argument("--resume", action="store_true",
                        help="resume a previous sweep of the same matrix: "
                             "skip journaled-complete cells (implies "
@@ -305,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline",
         help="render a sparkline execution timeline (burstiness view)",
     )
-    tl.add_argument("bench", type=str.upper, choices=sorted(ALL_BENCHMARKS))
+    tl.add_argument("bench", type=_cell,
+                    help="benchmark abbreviation or A+B co-run")
     tl.add_argument("--engine", choices=ENGINE_CHOICES, default="none")
     tl.add_argument("--scale", choices=sorted(SCALES), default="small")
     tl.add_argument("--interval", type=int, default=150)
@@ -315,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="export a Chrome trace-event / Perfetto timeline of one run",
     )
-    tr.add_argument("bench", type=str.upper, choices=sorted(ALL_BENCHMARKS))
+    tr.add_argument("bench", type=_cell,
+                    help="benchmark abbreviation or A+B co-run")
     tr.add_argument("--engine", choices=ENGINE_CHOICES, default="caps")
     tr.add_argument("--scale", choices=sorted(SCALES), default="tiny")
     tr.add_argument("--out", type=pathlib.Path, default=None, metavar="FILE",
@@ -336,20 +334,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TCP port (default: 8642; 0 binds an ephemeral "
                          "port on serve)")
 
+    # What one backend runs on: `serve` is one, `fleet` spawns several.
+    be = argparse.ArgumentParser(add_help=False)
+    be.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="worker processes per backend for dispatched "
+                         "batches (default: 1, in-thread)")
+    be.add_argument("--cache", type=pathlib.Path,
+                    default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
+                    help="persistent result-cache directory; a fleet's "
+                         "backends share it and its router reads it as "
+                         "the degraded fallback "
+                         f"(default: {DEFAULT_CACHE_DIR})")
+    be.add_argument("--no-disk-cache", action="store_true",
+                    help="serve from the in-memory tiers only (a fleet "
+                         "then has no degraded disk fallback either)")
+
     srv = sub.add_parser(
         "serve",
         help="run the long-lived simulation service (see docs/serving.md)",
-        parents=[ep],
+        parents=[ep, be],
     )
-    srv.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for dispatched batches "
-                          "(default: 1, in-thread)")
-    srv.add_argument("--cache", type=pathlib.Path,
-                     default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-                     help="persistent result-cache directory "
-                          f"(default: {DEFAULT_CACHE_DIR})")
-    srv.add_argument("--no-disk-cache", action="store_true",
-                     help="serve from the in-memory tiers only")
     srv.add_argument("--events-log", type=pathlib.Path, default=None,
                      metavar="FILE",
                      help="append engine telemetry events to this JSONL "
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run the fault-tolerant multi-backend serve fleet "
              "(see docs/fleet.md)",
-        parents=[ep],
+        parents=[ep, be],
     )
     fl.add_argument("--backends", type=int, default=3, metavar="N",
                     help="supervised backend processes (default: 3)")
@@ -444,24 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="DIR",
                     help="directory for backend Unix sockets (default: "
                          "a fresh temporary directory)")
-    fl.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes per backend (default: 1)")
-    fl.add_argument("--cache", type=pathlib.Path,
-                    default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-                    help="shared persistent result cache; also the "
-                         "router's read-only degraded fallback "
-                         f"(default: {DEFAULT_CACHE_DIR})")
-    fl.add_argument("--no-disk-cache", action="store_true",
-                    help="no persistent cache (disables the degraded "
-                         "disk fallback too)")
     fl.add_argument("--restart-budget", type=int, default=None, metavar="N",
                     help="restarts per backend before the supervisor "
                          "gives up on it (default: 3)")
     fl.add_argument("--probe-interval", type=float, default=None,
-                    metavar="SECONDS",
+                    dest="probe_interval_s", metavar="SECONDS",
                     help="active health-probe cadence (default: 0.25)")
     fl.add_argument("--forward-timeout", type=float, default=None,
-                    metavar="SECONDS",
+                    dest="forward_timeout_s", metavar="SECONDS",
                     help="bound on one forwarded request "
                          "(default: 60; detects blackholed backends)")
     fl.add_argument("--failure-threshold", type=int, default=None,
@@ -469,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="consecutive failures that open a backend's "
                          "circuit breaker (default: 3)")
     fl.add_argument("--reset-timeout", type=float, default=None,
-                    metavar="SECONDS",
+                    dest="reset_timeout_s", metavar="SECONDS",
                     help="how long an open breaker waits before "
                          "half-open trial requests (default: 1.0)")
     chaos = fl.add_argument_group(
@@ -515,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _guarded_config(args, base=None):
+def _guarded_config(args):
     """Apply the shared --hang-cycles/--deep-checks flags to a config."""
-    cfg = base if base is not None else getattr(args, "config", None)
+    cfg = getattr(args, "config", None)
     if cfg is None:
         cfg = small_config()
     overrides = {}
@@ -550,7 +544,7 @@ def _run_corun(args, cfg) -> int:
     """
     from repro.sim.multi import antt_stp
 
-    parts = [b.strip() for b in args.co_run.split(",") if b.strip()]
+    parts = _names(args.co_run)
     if len(parts) < 2:
         raise SystemExit(
             "repro run --co-run: name at least two comma-separated "
@@ -592,12 +586,6 @@ def _run_corun(args, cfg) -> int:
     print(f"\ntotal cycles {co.cycles}  "
           f"ANTT {t['antt']:.3f}  STP {t['stp']:.3f}  "
           f"(policy: {cfg.multi.alloc_policy})")
-    if args.store:
-        store = (ResultStore.load(args.store) if args.store.exists()
-                 else ResultStore())
-        store.add_result(co, scale=args.scale)
-        store.save(args.store)
-        print(f"\nsaved to {args.store} ({len(store)} records)")
     return EXIT_OK
 
 
@@ -612,10 +600,6 @@ def cmd_run(args) -> int:
     if args.bench is None:
         raise SystemExit(
             "repro run: name a benchmark or pass --co-run A,B")
-    if args.bench not in ALL_BENCHMARKS:
-        raise SystemExit(
-            f"repro run: unknown benchmark {args.bench!r} "
-            f"(choose from {', '.join(sorted(ALL_BENCHMARKS))})")
     want_metrics = (args.metrics_out is not None
                     or args.metrics_window is not None)
     if want_metrics or args.profile:
@@ -655,20 +639,12 @@ def cmd_run(args) -> int:
         print(f"\nphase profile ({args.engine} run):")
         for line in format_profile(r.extra["profile"]):
             print(line)
-    if args.store:
-        store = (ResultStore.load(args.store) if args.store.exists()
-                 else ResultStore())
-        store.add_result(base, scale=args.scale)
-        store.add_result(r, scale=args.scale)
-        store.save(args.store)
-        print(f"\nsaved to {args.store} ({len(store)} records)")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    benches = [b.strip().upper() for b in args.benchmarks.split(",") if b.strip()]
-    engines = [e.strip() for e in args.engines.split(",")
-               if e.strip() and e.strip() != "none"]
+    benches = [b.upper() for b in _names(args.benchmarks)]
+    engines = [e for e in _names(args.engines) if e != "none"]
     scale = SCALES[args.scale]
     # One batched, crash-safe sweep: the engine deduplicates cells, runs
     # them in parallel under --jobs, journals each completion, and
@@ -677,9 +653,6 @@ def cmd_sweep(args) -> int:
                        config=_guarded_config(args), scale=scale,
                        resume=args.resume)
     matrix = report.results
-    store = ResultStore()
-    for result in matrix.values():
-        store.add_result(result, scale=args.scale)
     rows: List = []
     speedups = {e: [] for e in engines}
     for b in benches:
@@ -699,9 +672,6 @@ def cmd_sweep(args) -> int:
                    for e in engines]))
     print(format_table(["bench"] + engines, rows,
                        title="Normalized IPC over the no-prefetch baseline"))
-    if args.store:
-        store.save(args.store)
-        print(f"\nsaved to {args.store} ({len(store)} records)")
     if report.skipped_permanent:
         print(f"\nskipped {report.skipped_permanent} cell(s) journaled as "
               f"permanently failed (journal: {report.journal_path})")
@@ -722,7 +692,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     from repro.analysis.validate import all_passed, validate_shape
 
-    benches = [b.strip().upper() for b in args.benchmarks.split(",") if b.strip()]
+    benches = [b.upper() for b in _names(args.benchmarks)]
     checks = validate_shape(benchmarks=benches, scale=SCALES[args.scale],
                             config=_guarded_config(args))
     for c in checks:
@@ -733,23 +703,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    from repro.analysis.timeline import TimelineMonitor, render_timeline
-    from repro.prefetch.factory import default_scheduler_for
-    from repro.sim.gpu import simulate
-    from repro.workloads import build
-    from repro.prefetch import make_prefetcher as _mk
+    """Render one run's sampled metric series (window = ``--interval``)
+    as sparklines; simulated directly, like :func:`cmd_trace`."""
+    from repro.analysis.timeline import burstiness, render_timeline
 
-    cfg = small_config()
-    factory = None
-    if args.engine != "none":
-        cfg = cfg.with_scheduler(default_scheduler_for(args.engine))
-        factory = _mk(args.engine)
-    monitor = TimelineMonitor(interval=args.interval)
-    result = simulate(build(args.bench, SCALES[args.scale]), cfg, factory,
-                      monitor=monitor)
+    cfg = small_config().with_obs(metrics=True, window=args.interval)
+    result = execute_cell(make_key(args.bench, args.engine, config=cfg,
+                                   scale=SCALES[args.scale]))
+    series = result.extra["timeseries"]
     print(f"{args.bench} / {args.engine}: IPC {result.ipc:.3f}, "
-          f"DRAM burstiness {monitor.burstiness():.2f}")
-    print(render_timeline(monitor, width=args.width))
+          f"DRAM burstiness {burstiness(series):.2f}")
+    print(render_timeline(series, width=args.width))
     return 0
 
 
@@ -758,17 +722,10 @@ def cmd_trace(args) -> int:
     Chrome trace-event JSON (simulated directly, bypassing the result
     cache — trace payloads are bulky and single-use)."""
     from repro.obs import validate_chrome_trace
-    from repro.prefetch.factory import default_scheduler_for
-    from repro.sim.gpu import simulate
-    from repro.workloads import build
-    from repro.prefetch import make_prefetcher as _mk
 
     cfg = small_config().with_obs(trace=True, trace_limit=args.limit)
-    factory = None
-    if args.engine != "none":
-        cfg = cfg.with_scheduler(default_scheduler_for(args.engine))
-        factory = _mk(args.engine)
-    result = simulate(build(args.bench, SCALES[args.scale]), cfg, factory)
+    result = execute_cell(make_key(args.bench, args.engine, config=cfg,
+                                   scale=SCALES[args.scale]))
     trace = result.extra["trace"]
     problems = validate_chrome_trace(trace)
     if problems:  # pragma: no cover - schema guard
@@ -795,9 +752,7 @@ def cmd_figures(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     kwargs = {}
     if args.benchmarks:
-        subset = tuple(
-            b.strip().upper() for b in args.benchmarks.split(",") if b.strip()
-        )
+        subset = tuple(b.upper() for b in _names(args.benchmarks))
         kwargs["benchmarks"] = subset
         kwargs["fig11_benchmarks"] = subset[:2]
     path = generate_experiments_md(
@@ -810,16 +765,23 @@ def cmd_figures(args) -> int:
     return 0
 
 
+def _endpoint(args) -> dict:
+    """The ``socket_path`` / ``host`` / ``port`` keywords the shared
+    endpoint flags select (a Unix socket wins over TCP)."""
+    from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
+
+    return {
+        "socket_path": str(args.socket) if args.socket else None,
+        "host": args.host or DEFAULT_HOST,
+        "port": DEFAULT_PORT if args.port is None else args.port,
+    }
+
+
 def cmd_serve(args) -> int:
     """Run the simulation service until SIGTERM/SIGINT, then drain."""
     import asyncio
 
-    from repro.serve.server import (
-        DEFAULT_HOST,
-        DEFAULT_PORT,
-        ServeConfig,
-        run_server,
-    )
+    from repro.serve.server import ServeConfig, run_server
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -831,9 +793,7 @@ def cmd_serve(args) -> int:
     cache = None if args.no_disk_cache else ResultCache(args.cache)
     engine = ExecutionEngine(jobs=args.jobs, cache=cache, events=events)
     serve_config = ServeConfig(
-        socket_path=str(args.socket) if args.socket else None,
-        host=args.host or DEFAULT_HOST,
-        port=DEFAULT_PORT if args.port is None else args.port,
+        **_endpoint(args),
         queue_limit=args.queue_limit,
         batch_window_s=args.batch_window,
         batch_max=args.batch_max,
@@ -879,12 +839,11 @@ def cmd_serve(args) -> int:
 def cmd_fleet(args) -> int:
     """Run the supervised multi-backend fleet until SIGTERM/SIGINT."""
     import asyncio
-    import dataclasses as _dc
     import tempfile
 
     from repro.guard.faults import ServeFaultPlan
     from repro.serve.fleet import RouterConfig, make_fleet, run_fleet
-    from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, ServeConfig
+    from repro.serve.server import ServeConfig
 
     if args.backends < 1:
         raise SystemExit("--backends must be >= 1")
@@ -892,22 +851,12 @@ def cmd_fleet(args) -> int:
         raise SystemExit("--jobs must be >= 1")
     runtime_dir = (str(args.runtime_dir) if args.runtime_dir is not None
                    else tempfile.mkdtemp(prefix="repro-fleet-"))
-    router_config = RouterConfig(
-        socket_path=str(args.socket) if args.socket else None,
-        host=args.host or DEFAULT_HOST,
-        port=DEFAULT_PORT if args.port is None else args.port,
-    )
-    knobs = {}
-    if args.probe_interval is not None:
-        knobs["probe_interval_s"] = args.probe_interval
-    if args.forward_timeout is not None:
-        knobs["forward_timeout_s"] = args.forward_timeout
-    if args.failure_threshold is not None:
-        knobs["failure_threshold"] = args.failure_threshold
-    if args.reset_timeout is not None:
-        knobs["reset_timeout_s"] = args.reset_timeout
-    if knobs:
-        router_config = _dc.replace(router_config, **knobs)
+    # Router flags left unset keep RouterConfig's own defaults.
+    knobs = {field: getattr(args, field)
+             for field in ("probe_interval_s", "forward_timeout_s",
+                           "failure_threshold", "reset_timeout_s")
+             if getattr(args, field) is not None}
+    router_config = RouterConfig(**_endpoint(args), **knobs)
     fault_plan = None
     if (args.chaos_kill_backend >= 0 or args.chaos_slow_rate
             or args.chaos_blackhole_rate or args.chaos_torn_rate):
@@ -970,7 +919,6 @@ def cmd_request(args) -> int:
     )
     from repro.serve.client import ServeClient
     from repro.serve.retry import RetryPolicy
-    from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
 
     if not (args.stats or args.ping) and args.bench is None:
         raise SystemExit(
@@ -978,9 +926,7 @@ def cmd_request(args) -> int:
     if args.retries < 1:
         raise SystemExit("--retries must be >= 1")
     client = ServeClient(
-        socket_path=str(args.socket) if args.socket else None,
-        host=args.host or DEFAULT_HOST,
-        port=DEFAULT_PORT if args.port is None else args.port,
+        **_endpoint(args),
         timeout=args.timeout,
         retry=(RetryPolicy(attempts=args.retries)
                if args.retries > 1 else None),
@@ -1102,9 +1048,7 @@ def _install_engine(args) -> None:
 def _report_hang(exc: BaseException) -> None:
     """Print a human-readable summary of a hang/incomplete-run error."""
     print(f"\nerror: {exc}", file=sys.stderr)
-    snapshot = getattr(exc, "snapshot", None)
-    if not snapshot and getattr(exc, "result", None) is not None:
-        snapshot = exc.result.extra.get("hang_snapshot")
+    snapshot = hang_snapshot(exc)
     if snapshot:
         print(format_snapshot(snapshot), file=sys.stderr)
 

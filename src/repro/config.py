@@ -216,8 +216,8 @@ class ObsConfig:
 
     Everything here defaults to *off*: a config with the default
     ``ObsConfig`` runs the exact hot loop the simulator has always run
-    (the <2% overhead budget of ``bench_simulator_speed.py`` is asserted
-    against the disabled state).  Because :class:`ObsConfig` is part of
+    (the <2% budget is read as ``obs.on_overhead`` on perfbench's two
+    ``sim-*`` workloads).  Because :class:`ObsConfig` is part of
     :class:`GPUConfig`, enabling a collector changes the run's cache
     fingerprint — observed and unobserved runs never share a cache cell,
     even though the simulated outcome is identical.

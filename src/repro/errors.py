@@ -113,6 +113,16 @@ class IncompleteRunError(PermanentError):
         return (self.__class__, (self.args[0], self.result))
 
 
+def hang_snapshot(exc: BaseException) -> Optional[Dict[str, Any]]:
+    """The watchdog diagnostic ``exc`` carries, if any: a hang's own
+    ``snapshot``, or the ``extra["hang_snapshot"]`` of the truncated
+    result inside an :class:`IncompleteRunError`."""
+    snapshot = getattr(exc, "snapshot", None)
+    if not snapshot and getattr(exc, "result", None) is not None:
+        snapshot = exc.result.extra.get("hang_snapshot")
+    return snapshot or None
+
+
 class RequestError(ReproError):
     """Base class of request-level failures in the serving layer.
 
@@ -214,20 +224,13 @@ class InjectedWorkerCrash(InjectedFault):
 def classify(exc: BaseException) -> FailureKind:
     """Map an exception to its :class:`FailureKind`.
 
-    Explicit taxonomy classes win; ``BrokenProcessPool`` (a worker died
-    hard) is transient; everything unknown defaults to transient so it
-    still receives a bounded retry before being recorded as failed.
+    Only :class:`PermanentError` is permanent.  Everything else —
+    :class:`TransientError`, ``BrokenProcessPool`` (a worker died
+    hard), anything unknown — is transient, so it still receives a
+    bounded retry before being recorded as failed.
     """
     if isinstance(exc, PermanentError):
         return FailureKind.PERMANENT
-    if isinstance(exc, TransientError):
-        return FailureKind.TRANSIENT
-    try:
-        from concurrent.futures.process import BrokenProcessPool
-        if isinstance(exc, BrokenProcessPool):
-            return FailureKind.TRANSIENT
-    except ImportError:  # pragma: no cover - stdlib always present
-        pass
     return FailureKind.TRANSIENT
 
 

@@ -13,8 +13,9 @@ execution layer is factored out of the analysis code:
   JSONL sink and a TTY renderer;
 * :mod:`repro.exec.runner` — :class:`ExecutionEngine`, which executes
   cells serially or on a spawn-safe process pool with per-task timeout
-  and classification-aware bounded retry (fail-fast ``run_many`` or
-  record-and-continue ``run_recorded``);
+  and classification-aware bounded retry — one batch loop,
+  ``run_recorded``, which records failures; ``run_many`` is the same
+  loop with a callback that raises on the first one;
 * :mod:`repro.exec.journal` — :class:`SweepJournal`, the crash-safe
   per-cell completion record that ``repro sweep --resume`` replays.
 

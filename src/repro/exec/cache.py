@@ -194,10 +194,13 @@ class ResultCache:
         """On-disk path of the cache entry for ``key``."""
         return self.version_dir / f"{key_fingerprint(key)}.json"
 
+    def _entry_paths(self):
+        """Paths of every entry of the current schema (none when the
+        cache directory does not exist yet)."""
+        return self.version_dir.glob("*.json")
+
     def __len__(self) -> int:
-        if not self.version_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.version_dir.glob("*.json"))
+        return sum(1 for _ in self._entry_paths())
 
     def get(self, key: RunKey) -> Optional[SimResult]:
         """Load a cached result, or ``None`` on miss/corruption."""
@@ -272,13 +275,12 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry of the current schema; returns the count."""
         removed = 0
-        if self.version_dir.is_dir():
-            for p in self.version_dir.glob("*.json"):
-                try:
-                    p.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for p in self._entry_paths():
+            try:
+                p.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     # -------------------------------------------------------- maintenance
@@ -289,9 +291,7 @@ class ResultCache:
         skipped rather than raised.
         """
         out: List[CacheEntryInfo] = []
-        if not self.version_dir.is_dir():
-            return out
-        for path in self.version_dir.glob("*.json"):
+        for path in self._entry_paths():
             try:
                 stat = path.stat()
             except OSError:

@@ -21,13 +21,14 @@ permanent failures (hangs, invariant violations, bad configs) are
 reported immediately — re-running a deterministic simulator cannot
 change the outcome.
 
-Two batch modes exist:
+There is one batch loop and two ways to report its failures:
 
-* :meth:`ExecutionEngine.run_many` — fail-fast: the first cell that
-  exhausts its budget raises :class:`CellError` (historical contract).
 * :meth:`ExecutionEngine.run_recorded` — record-and-continue: failures
   become :class:`CellFailure` records and the batch always finishes;
   this is what crash-safe sweeps build on.
+* :meth:`ExecutionEngine.run_many` — fail-fast: ``run_recorded`` with a
+  completion callback that raises :class:`CellError` for the first
+  cell that exhausts its budget, at every ``jobs``.
 
 The module-level :func:`execute_cell` is the single place that maps a
 :class:`RunKey` onto a simulation; it is importable by name so the
@@ -63,7 +64,7 @@ class CellTimeout(TransientError):
 
 
 class CellError(RuntimeError):
-    """A cell failed after exhausting its retry budget (fail-fast mode)."""
+    """A cell failed after exhausting its retry budget (``run_many``)."""
 
     def __init__(self, key: RunKey, cause: BaseException, attempts: int):
         super().__init__(
@@ -76,7 +77,7 @@ class CellError(RuntimeError):
 
 @dataclass
 class CellFailure:
-    """Terminal failure record for one cell (record-and-continue mode)."""
+    """Terminal failure record for one cell (``run_recorded``)."""
 
     key: RunKey
     error: BaseException
@@ -141,7 +142,8 @@ def call_with_timeout(fn: Callable[[], SimResult],
 
 def _worker(key: RunKey, timeout_s: Optional[float],
             faults: Optional[FaultPlan] = None, attempt: int = 1) -> SimResult:
-    """Pool entry point: one cell, with the per-task deadline armed."""
+    """One attempt of one cell, pooled or inline, with the per-task
+    deadline armed."""
     if faults is not None and faults.should_crash(attempt):
         faults.crash(attempt, key.describe())
     return call_with_timeout(lambda: execute_cell(key, faults), timeout_s)
@@ -233,48 +235,65 @@ class ExecutionEngine:
     def _perturbed(self) -> bool:
         return self.faults is not None and self.faults.affects_simulation
 
-    def _retry_delay(self, attempt: int) -> float:
-        return self.backoff_s * (2 ** (attempt - 1)) if self.backoff_s else 0.0
+    def _backoff(self, attempt: int) -> None:
+        """Sleep out the exponential backoff owed before the retry that
+        follows failed attempt ``attempt``."""
+        if self.backoff_s:
+            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
 
     # -------------------------------------------------------- execution
     def run(self, key: RunKey, use_cache: bool = True) -> SimResult:
-        """Execute one cell inline (cache layers apply unless disabled)."""
+        """Execute one cell inline (cache layers apply unless disabled).
+
+        A failure raises the cell's own exception, unwrapped."""
         if use_cache:
             hit = self._lookup(key)
             if hit is not None:
                 return hit
         self._emit("queued", key)
-        return self._run_inline(key, use_cache)
+        result, failure = self._run_inline(key, use_cache)
+        if failure is not None:
+            raise failure.error
+        return result
 
-    def _run_inline(self, key: RunKey, use_cache: bool) -> SimResult:
+    def _settle(self, key: RunKey, attempt: int, started: float,
+                use_cache: bool, fetch: Callable[[], SimResult]):
+        """Finish one attempt of ``key``, inline or pooled.
+
+        ``fetch()`` returns the attempt's result or raises its error.
+        Emits ``finished`` / ``retry`` / ``failed`` and stores a
+        success.  Returns ``None`` when the attempt is to be retried,
+        else the ``(result, failure)`` pair the cell resolved to.
+        """
+        try:
+            result = fetch()
+        except Exception as exc:
+            wall = time.perf_counter() - started
+            kind = classify(exc)
+            if kind is FailureKind.TRANSIENT and attempt <= self.retries:
+                self._emit("retry", key, attempt=attempt, wall_s=wall,
+                           error=repr(exc))
+                return None
+            self._emit("failed", key, attempt=attempt, wall_s=wall,
+                       error=repr(exc))
+            return None, CellFailure(key, exc, kind, attempt)
+        if use_cache:
+            self._store(key, result)
+        self._emit("finished", key, attempt=attempt,
+                   wall_s=time.perf_counter() - started)
+        return result, None
+
+    def _run_inline(self, key: RunKey, use_cache: bool):
         attempt = 0
         while True:
             attempt += 1
             self._emit("started", key, attempt=attempt)
-            t0 = time.perf_counter()
-            try:
-                result = call_with_timeout(
-                    lambda: _worker(key, None, self.faults, attempt),
-                    self.timeout_s,
-                )
-            except Exception as exc:
-                wall = time.perf_counter() - t0
-                if (attempt <= self.retries
-                        and classify(exc) is FailureKind.TRANSIENT):
-                    self._emit("retry", key, attempt=attempt, wall_s=wall,
-                               error=repr(exc))
-                    delay = self._retry_delay(attempt)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                self._emit("failed", key, attempt=attempt, wall_s=wall,
-                           error=repr(exc))
-                raise
-            if use_cache:
-                self._store(key, result)
-            self._emit("finished", key, attempt=attempt,
-                       wall_s=time.perf_counter() - t0)
-            return result
+            outcome = self._settle(
+                key, attempt, time.perf_counter(), use_cache,
+                lambda: _worker(key, self.timeout_s, self.faults, attempt))
+            if outcome is not None:
+                return outcome
+            self._backoff(attempt)
 
     def run_many(self, keys: Sequence[RunKey],
                  use_cache: bool = True) -> Dict[RunKey, SimResult]:
@@ -284,10 +303,12 @@ class ExecutionEngine:
         :class:`CellError` (after cancelling outstanding work) if any
         cell still fails once its retry budget is spent.
         """
-        results, failures = self._run_batch(keys, use_cache,
-                                            record=False, on_complete=None)
-        assert not failures  # fail-fast mode raises instead
-        return results
+        def fail_fast(key, result, failure):
+            if failure is not None:
+                raise CellError(key, failure.error,
+                                failure.attempts) from failure.error
+
+        return self.run_recorded(keys, use_cache, on_complete=fail_fast)[0]
 
     def run_recorded(
         self,
@@ -303,57 +324,37 @@ class ExecutionEngine:
         dicts.  ``on_complete(key, result, failure)`` fires as each cell
         resolves (including cache hits), which is what sweep journaling
         hooks into; exactly one of ``result``/``failure`` is non-None.
+        An exception it raises ends the batch: outstanding pool work is
+        cancelled and the exception propagates.
         """
-        return self._run_batch(keys, use_cache, record=True,
-                               on_complete=on_complete)
-
-    def _run_batch(self, keys, use_cache, record, on_complete):
-        ordered: List[RunKey] = []
-        seen = set()
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                ordered.append(key)
         results: Dict[RunKey, SimResult] = {}
         failures: Dict[RunKey, CellFailure] = {}
         pending: List[RunKey] = []
 
-        def resolve(key, result=None, failure=None):
-            if result is not None:
+        def resolve(key, result, failure):
+            if failure is None:
                 results[key] = result
             else:
                 failures[key] = failure
             if on_complete is not None:
                 on_complete(key, result, failure)
 
-        for key in ordered:
+        for key in dict.fromkeys(keys):
             hit = self._lookup(key) if use_cache else None
             if hit is not None:
-                resolve(key, result=hit)
+                resolve(key, hit, None)
             else:
                 self._emit("queued", key)
                 pending.append(key)
-        if not pending:
-            return results, failures
-        if self.jobs == 1 or len(pending) == 1:
+        if self.jobs == 1 or len(pending) <= 1:
             for key in pending:
-                try:
-                    result = self._run_inline(key, use_cache)
-                except Exception as exc:
-                    if not record:
-                        raise
-                    kind = classify(exc)
-                    tried = (1 if kind is FailureKind.PERMANENT
-                             else self.retries + 1)
-                    resolve(key, failure=CellFailure(key, exc, kind, tried))
-                else:
-                    resolve(key, result=result)
+                resolve(key, *self._run_inline(key, use_cache))
         else:
-            self._run_parallel(pending, use_cache, record, resolve)
+            self._run_parallel(pending, use_cache, resolve)
         return results, failures
 
     def _run_parallel(self, keys: List[RunKey], use_cache: bool,
-                      record: bool, resolve) -> None:
+                      resolve) -> None:
         ctx = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(keys))
         attempts: Dict[RunKey, int] = {k: 0 for k in keys}
@@ -377,31 +378,15 @@ class ExecutionEngine:
                 broken = False
                 for fut in done:
                     key = future_key.pop(fut)
-                    wall = time.perf_counter() - started_at[key]
-                    try:
-                        result = fut.result()
-                    except Exception as exc:
-                        broken = broken or isinstance(exc, BrokenProcessPool)
-                        retryable = (classify(exc) is FailureKind.TRANSIENT
-                                     and attempts[key] <= self.retries)
-                        if retryable:
-                            self._emit("retry", key, attempt=attempts[key],
-                                       wall_s=wall, error=repr(exc))
-                            resubmit.append(key)
-                            continue
-                        self._emit("failed", key, attempt=attempts[key],
-                                   wall_s=wall, error=repr(exc))
-                        if not record:
-                            raise CellError(key, exc,
-                                            attempts[key]) from exc
-                        resolve(key, failure=CellFailure(
-                            key, exc, classify(exc), attempts[key]))
+                    broken = broken or isinstance(fut.exception(),
+                                                  BrokenProcessPool)
+                    outcome = self._settle(key, attempts[key],
+                                           started_at[key], use_cache,
+                                           fut.result)
+                    if outcome is None:
+                        resubmit.append(key)
                     else:
-                        if use_cache:
-                            self._store(key, result)
-                        self._emit("finished", key, attempt=attempts[key],
-                                   wall_s=wall)
-                        resolve(key, result=result)
+                        resolve(key, *outcome)
                 if broken:
                     # A worker died hard: the executor is unusable and
                     # every in-flight future is doomed.  Rebuild the pool
@@ -412,15 +397,12 @@ class ExecutionEngine:
                     pool = ProcessPoolExecutor(max_workers=workers,
                                                mp_context=ctx)
                 if resubmit:
-                    delay = self._retry_delay(
-                        max(attempts[k] for k in resubmit))
-                    if delay:
-                        time.sleep(delay)
+                    self._backoff(max(attempts[k] for k in resubmit))
                     for key in resubmit:
                         submit(key)
         finally:
             # Join the workers: when a batch returns, no worker process
             # is left behind (the serve layer's graceful-drain contract
-            # asserts this).  At this point every future has resolved,
-            # so the workers are idle and exit immediately.
+            # asserts this).  At this point every future has resolved
+            # or been cancelled, so the workers are idle and exit.
             pool.shutdown(wait=True, cancel_futures=True)

@@ -32,6 +32,24 @@ from typing import Optional
 from repro.errors import InjectedWorkerCrash
 
 
+def seeded_stream(seed: int, label: str) -> random.Random:
+    """Independent deterministic RNG for one consumer of a fault plan.
+
+    Stable across processes and platforms: seeded from SHA-256 of
+    ``seed:label`` (never from Python's per-process salted hash).
+    """
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _check_rates(plan, names) -> None:
+    """Reject a plan whose named probability fields leave [0, 1]."""
+    for name in names:
+        rate = getattr(plan, name)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1] (got {rate})")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Seeded description of the faults to inject into a run."""
@@ -54,11 +72,8 @@ class FaultPlan:
     corrupt_cache_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("drop_response_rate", "delay_response_rate",
-                     "corrupt_cache_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1] (got {rate})")
+        _check_rates(self, ("drop_response_rate", "delay_response_rate",
+                            "corrupt_cache_rate"))
         if self.crash_attempts < 0 or self.max_drops < 0:
             raise ValueError("crash_attempts and max_drops must be >= 0")
         if self.delay_cycles < 1:
@@ -66,13 +81,8 @@ class FaultPlan:
 
     # ------------------------------------------------------------ streams
     def stream(self, label: str) -> random.Random:
-        """Independent deterministic RNG for one consumer.
-
-        Stable across processes and platforms: seeded from SHA-256 of
-        ``seed:label`` (never from Python's per-process salted hash).
-        """
-        digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        """This plan's :func:`seeded_stream` for consumer ``label``."""
+        return seeded_stream(self.seed, label)
 
     # ------------------------------------------------------------ queries
     @property
@@ -142,21 +152,16 @@ class ServeFaultPlan:
     torn_response_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("slow_request_rate", "blackhole_rate",
-                     "torn_response_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1] (got {rate})")
+        _check_rates(self, ("slow_request_rate", "blackhole_rate",
+                            "torn_response_rate"))
         if self.kill_after_requests < 0:
             raise ValueError("kill_after_requests must be >= 0")
         if self.slow_request_s < 0:
             raise ValueError("slow_request_s must be >= 0")
 
     def stream(self, label: str) -> random.Random:
-        """Independent deterministic RNG for one consumer (see
-        :meth:`FaultPlan.stream`)."""
-        digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        """This plan's :func:`seeded_stream` for consumer ``label``."""
+        return seeded_stream(self.seed, label)
 
     @property
     def any_faults(self) -> bool:

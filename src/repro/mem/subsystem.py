@@ -310,7 +310,7 @@ class MemorySubsystem:
         """Bring per-cycle DRAM counters up to date through ``now - 1``.
 
         Called before any observer that may read utilization counters
-        (monitor samples, window flushes, hang snapshots, run end)."""
+        (window flushes, hang snapshots, run end)."""
         for ch in self.channels:
             gap = now - ch._accounted_to
             if gap > 0:

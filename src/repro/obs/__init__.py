@@ -7,7 +7,7 @@ Three independently-switchable collectors, configured through
 * **metrics** (:mod:`repro.obs.collector`) — windowed time series of
   IPC, stall breakdown, queue occupancies and prefetch events, exported
   under ``SimResult.extra["timeseries"]`` and by
-  ``repro run --metrics-out``;
+  ``repro run --metrics-out``, rendered by ``repro timeline``;
 * **trace** (:mod:`repro.obs.trace`) — Chrome trace-event / Perfetto
   timelines of warp, stall, leading-warp and prefetch-lifetime spans
   (``repro trace``), under ``SimResult.extra["trace"]``;
@@ -19,8 +19,8 @@ whichever collectors are enabled.  The zero-overhead contract: when
 ``ObsConfig.enabled`` is false, :func:`build` returns ``None``, the GPU
 and SMs store ``obs = None``, and every hook site is guarded by a plain
 attribute test — the disabled simulator executes no observability code
-beyond those tests (<2% wall time, enforced by
-``benchmarks/bench_simulator_speed.py``).
+beyond those tests (<2% wall time; ``perfbench`` reports the enabled
+cost as ``obs.on_overhead`` on its ``sim-*`` workloads).
 
 Typical use::
 

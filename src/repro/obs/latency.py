@@ -6,8 +6,8 @@ equivalent — how long a request waited in the admission queue, how long
 its batch took to dispatch, how long the client-visible round trip was.
 :class:`LatencyRecorder` keeps a bounded reservoir of samples per stage
 and summarizes them as count / mean / p50 / p90 / p99 / max, which is
-what the ``stats`` introspection request and
-``benchmarks/bench_serve_throughput.py`` report.
+what the ``stats`` introspection request reports (``perfbench`` reads
+its ``serve.queue_wait.*`` / ``serve.*_stage.*`` metrics from there).
 
 Samples are stored in per-stage ring buffers (``capacity`` most recent
 samples), so a long-lived server's stats reflect recent behaviour and

@@ -71,50 +71,66 @@ class AsyncServeClient:
         self._pending: Dict[str, asyncio.Future] = {}
         self._reader_task: Optional[asyncio.Task] = None
         self._write_lock: Optional[asyncio.Lock] = None
+        self._conn_lock: Optional[asyncio.Lock] = None
 
     # --------------------------------------------------------- connection
+    def _connection(self) -> asyncio.Lock:
+        """The lock connect() and close() take turns under (made on
+        first use: before 3.10 a Lock binds to the loop it is built on)."""
+        if self._conn_lock is None:
+            self._conn_lock = asyncio.Lock()
+        return self._conn_lock
+
     async def connect(self) -> "AsyncServeClient":
         """Open the connection and start the response demultiplexer.
 
         Establishment is bounded by ``connect_timeout`` so a dead
         endpoint raises instead of hanging the caller forever.
+        Concurrent callers (requests pipelined onto a cold client) wait
+        for the one connect in flight instead of each opening their own.
         """
-        if self._writer is not None:
+        async with self._connection():
+            if self._writer is not None:
+                return self
+            if self.socket_path:
+                opening = asyncio.open_unix_connection(
+                    self.socket_path, limit=STREAM_LIMIT)
+            else:
+                opening = asyncio.open_connection(
+                    self.host, self.port, limit=STREAM_LIMIT)
+            if self.connect_timeout is not None:
+                self._reader, self._writer = await asyncio.wait_for(
+                    opening, self.connect_timeout)
+            else:
+                self._reader, self._writer = await opening
+            self._write_lock = asyncio.Lock()
+            self._reader_task = asyncio.get_running_loop().create_task(
+                self._read_responses())
             return self
-        if self.socket_path:
-            opening = asyncio.open_unix_connection(
-                self.socket_path, limit=STREAM_LIMIT)
-        else:
-            opening = asyncio.open_connection(
-                self.host, self.port, limit=STREAM_LIMIT)
-        if self.connect_timeout is not None:
-            self._reader, self._writer = await asyncio.wait_for(
-                opening, self.connect_timeout)
-        else:
-            self._reader, self._writer = await opening
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_responses())
-        return self
 
     async def close(self) -> None:
-        """Close the connection and fail any still-pending requests."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-            self._writer = None
-            self._reader = None
-        self._fail_pending(ConnectionError("client closed"))
+        """Close the connection and fail any still-pending requests.
+
+        Waits out a connect in flight, so the connection it opens is
+        closed here rather than left behind on a closed client.
+        """
+        async with self._connection():
+            if self._reader_task is not None:
+                self._reader_task.cancel()
+                try:
+                    await self._reader_task
+                except (asyncio.CancelledError, Exception):
+                    pass
+                self._reader_task = None
+            if self._writer is not None:
+                self._writer.close()
+                try:
+                    await self._writer.wait_closed()
+                except (ConnectionError, BrokenPipeError):
+                    pass
+                self._writer = None
+                self._reader = None
+            self._fail_pending(ConnectionError("client closed"))
 
     async def __aenter__(self) -> "AsyncServeClient":
         return await self.connect()

@@ -4,8 +4,8 @@
 :class:`repro.sim.gpu.GPU` and :func:`flush_memory` the only post-run
 drain.  The scaffold owns everything that is not the machine itself —
 the done probe, the ``limit`` cutoff, the clock, the boundary hooks
-(monitor sample, obs window flush, per-cycle deep checks, watchdog) and
-the optional phase timing (``obs.profile``) — and is parameterised by
+(obs window flush, per-cycle deep checks, watchdog) and the optional
+phase timing (``obs.profile``) — and is parameterised by
 ``GPUConfig.engine``:
 
 * ``"cycle"`` — the reference step: ``sm.cycle(now)`` for every SM,
@@ -90,9 +90,9 @@ DRAIN_CAP = 100_000
 
 
 def _next_hook(t: int, limit: int, intervals) -> int:
-    """First cycle after ``t`` at which any periodic hook (monitor
-    sample, obs window flush, deep check, watchdog check) fires, capped
-    at ``limit``.  Spans and clock jumps never cross this boundary."""
+    """First cycle after ``t`` at which any periodic hook (obs window
+    flush, deep check, watchdog check) fires, capped at ``limit``.
+    Spans and clock jumps never cross this boundary."""
     nh = limit
     for interval in intervals:
         b = t - t % interval + interval
@@ -476,25 +476,23 @@ def _timed(prof, phase: str, fn, *args) -> None:
             fn(*args)
 
 
-def run_loop(gpu, limit: int, monitor=None) -> None:
+def run_loop(gpu, limit: int) -> None:
     """Advance ``gpu`` until every CTA retired or ``gpu.now == limit``.
 
     The single main loop (module docstring): ``gpu.config.engine``
-    selects the step, everything else is shared.  ``monitor.sample(gpu,
-    now)`` fires every ``monitor.interval`` cycles; the obs window
-    flush, the per-cycle deep checks (an interval-1 hook) and the
-    watchdog fire at their own multiples, all with bit-identical
-    component state under either step."""
+    selects the step, everything else is shared.  The obs window flush,
+    the per-cycle deep checks (an interval-1 hook) and the watchdog
+    fire at their own multiples, all with bit-identical component state
+    under either step."""
     sub = gpu.subsystem
     sms = gpu.sms
     obs = gpu.obs
     wd = gpu.watchdog
     event = gpu.config.engine == "event"
-    interval = getattr(monitor, "interval", 0)
     obs_interval = obs.window_interval if obs is not None else 0
     deep = 1 if gpu.config.deep_checks else 0
     wd_interval = wd.check_interval if wd is not None else 0
-    intervals = [i for i in (interval, obs_interval, deep, wd_interval) if i]
+    intervals = [i for i in (obs_interval, deep, wd_interval) if i]
     prof = obs.profiler if obs is not None else None
     perf = time.perf_counter
     start = now = gpu.now
@@ -558,8 +556,6 @@ def run_loop(gpu, limit: int, monitor=None) -> None:
             gpu.now = now
             if event:
                 _settle(gpu, now)
-            if interval and now % interval == 0:
-                monitor.sample(gpu, now)
             if obs_interval and now % obs_interval == 0:
                 _timed(prof, "obs_flush", obs.flush, gpu, now)
             if deep:

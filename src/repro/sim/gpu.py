@@ -177,17 +177,10 @@ class GPU:
         """True once every SM has retired all of its CTAs."""
         return all(sm.done for sm in self.sms)
 
-    def run(self, max_cycles: Optional[int] = None,
-            monitor=None) -> SimResult:
-        """Run to completion (or ``max_cycles``).
-
-        ``monitor`` is an optional sampling observer (e.g.
-        :class:`repro.analysis.timeline.TimelineMonitor`): its
-        ``sample(gpu, now)`` is invoked every ``monitor.interval``
-        cycles.
-        """
+    def run(self, max_cycles: Optional[int] = None) -> SimResult:
+        """Run to completion (or ``max_cycles``)."""
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
-        run_loop(self, limit, monitor)
+        run_loop(self, limit)
         completed = self.done
         cycles = self.now
         if completed:
@@ -245,7 +238,6 @@ def simulate(
     config: GPUConfig,
     prefetcher_factory=None,
     max_cycles: Optional[int] = None,
-    monitor=None,
     faults=None,
 ) -> SimResult:
     """Run ``kernel`` on a fresh GPU and return its :class:`SimResult`.
@@ -256,4 +248,4 @@ def simulate(
     never persisted to the shared result cache).
     """
     gpu = GPU(kernel, config, prefetcher_factory, faults=faults)
-    return gpu.run(max_cycles=max_cycles, monitor=monitor)
+    return gpu.run(max_cycles=max_cycles)

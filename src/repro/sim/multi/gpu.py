@@ -128,7 +128,6 @@ def simulate_corun(
     config: GPUConfig,
     prefetcher_factory=None,
     max_cycles: Optional[int] = None,
-    monitor=None,
     faults=None,
 ) -> SimResult:
     """Run ``kernels`` concurrently on one GPU under
@@ -137,4 +136,4 @@ def simulate_corun(
     ``result.extra["kernels"]``)."""
     app = MultiKernelApp(kernels)
     gpu = MultiGPU(app, config, prefetcher_factory, faults=faults)
-    return gpu.run(max_cycles=max_cycles, monitor=monitor)
+    return gpu.run(max_cycles=max_cycles)

@@ -1,69 +1,12 @@
-"""Tests for the result store (repro.analysis.store) and CLI (repro.cli)."""
+"""Tests for the sweep-path CLI (repro.cli): parser, run, sweep,
+timeline, trace and figures."""
 
 import json
 
 import pytest
 
-from repro.analysis.driver import run_benchmark
-from repro.analysis.store import ResultStore, RunRecord
 from repro.cli import build_parser, main
-from repro.config import test_config as tiny_config
-from repro.workloads import Scale
-
-
-@pytest.fixture(scope="module")
-def result():
-    return run_benchmark("SCN", "none", config=tiny_config(), scale=Scale.TINY)
-
-
-class TestResultStore:
-    def test_add_and_get(self, result):
-        store = ResultStore()
-        store.add_result(result, scale="tiny")
-        rec = store.get("SCN", "none")
-        assert rec is not None
-        assert rec.metrics["ipc"] == pytest.approx(result.ipc)
-
-    def test_key_replacement(self, result):
-        store = ResultStore()
-        store.add_result(result, scale="tiny")
-        store.add_result(result, scale="tiny")
-        assert len(store) == 1
-
-    def test_no_replace_raises(self, result):
-        store = ResultStore()
-        rec = RunRecord.from_result(result, scale="tiny")
-        store.add(rec)
-        with pytest.raises(KeyError):
-            store.add(rec, replace=False)
-
-    def test_select_filters(self, result):
-        store = ResultStore()
-        store.add_result(result, scale="tiny")
-        assert store.select(kernel="SCN")
-        assert not store.select(kernel="MM")
-
-    def test_save_load_roundtrip(self, result, tmp_path):
-        store = ResultStore()
-        store.add_result(result, scale="tiny")
-        p = tmp_path / "results.json"
-        store.save(p)
-        loaded = ResultStore.load(p)
-        assert len(loaded) == 1
-        assert loaded.get("SCN", "none").metrics == \
-            store.get("SCN", "none").metrics
-
-    def test_schema_guard(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"schema": 99, "records": []}))
-        with pytest.raises(ValueError):
-            ResultStore.load(p)
-
-    def test_merge(self, result, tmp_path):
-        a, b = ResultStore(), ResultStore()
-        a.add_result(result, scale="tiny")
-        b.merge(a)
-        assert len(b) == 1
+from repro.obs import validate_chrome_trace
 
 
 class TestCLI:
@@ -86,17 +29,16 @@ class TestCLI:
         assert "Coulombic Potential" in out
         assert "caps" in out
 
-    def test_run_with_store(self, tmp_path, capsys, monkeypatch):
-        # tiny scale keeps the CLI test fast; patch the default config
+    def test_run_with_store(self, tmp_path, capsys):
+        """``--store`` is gone: the exec cache (``--cache``) and
+        ``repro request --json`` are the machine-readable forms."""
         store_path = tmp_path / "r.json"
-        rc = main(["run", "SCN", "--engine", "nlp", "--scale", "tiny",
-                   "--store", str(store_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        loaded = ResultStore.load(store_path)
-        assert loaded.get("SCN", "nlp") is not None
-        assert loaded.get("SCN", "none") is not None
+        with pytest.raises(SystemExit) as err:
+            main(["run", "SCN", "--engine", "nlp", "--scale", "tiny",
+                  "--store", str(store_path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
+        assert not store_path.exists()
 
     def test_sweep(self, capsys):
         rc = main(["sweep", "--benchmarks", "SCN", "--engines", "nlp",
@@ -114,6 +56,21 @@ class TestCLI:
         assert "burstiness" in out
         assert "dram q" in out
 
+    def test_timeline_names_cells_like_every_command(self, capsys):
+        """Co-run names and aliases resolve through ``make_key``."""
+        assert main(["timeline", "mrq+sgemm", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("MRQ+MM / none: IPC ")
+        assert len(out.splitlines()) == 7
+        with pytest.raises(SystemExit) as err:
+            main(["timeline", "NOPE"])
+        assert err.value.code == 2
+
+    def test_trace_resolves_aliases(self, tmp_path, capsys):
+        out_path = tmp_path / "t.json"
+        assert main(["trace", "sgemm", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out.startswith("MM / caps: ")
+        assert validate_chrome_trace(json.loads(out_path.read_text())) == []
 
     def test_figures_command_subset(self, tmp_path, capsys):
         rc = main(["figures", "--out", str(tmp_path), "--scale", "tiny",

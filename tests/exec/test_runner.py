@@ -134,3 +134,79 @@ class TestParallel:
         assert events.simulations() == len(MATRIX)
         assert events.count("cache_hit") == len(MATRIX)
         assert len(ResultCache(tmp_path)) == len(MATRIX)
+
+
+class TestOneBatchLoop:
+    """``run_many`` is ``run_recorded`` plus a callback that raises, and
+    the inline and pooled drivers route every attempt through one
+    outcome routine: what a batch reports does not depend on ``jobs``."""
+
+    @staticmethod
+    def kinds_per_cell(events):
+        out = {}
+        for event in events.events:
+            out.setdefault(event.cell, []).append((event.kind, event.attempt))
+        return out
+
+    @pytest.mark.parametrize("retries", (0, 2))
+    def test_recorded_batch_is_identical_inline_and_pooled(self, retries):
+        runs = {}
+        for jobs in (1, 2):
+            events = EventLog()
+            engine = ExecutionEngine(jobs=jobs, retries=retries,
+                                     events=events)
+            results, failures = engine.run_recorded(MATRIX + [BAD_KEY])
+            runs[jobs] = (
+                {key: result_bytes(r) for key, r in results.items()},
+                {key: (f.kind, f.attempts, repr(f.error))
+                 for key, f in failures.items()},
+                self.kinds_per_cell(events),
+            )
+        assert runs[1] == runs[2]
+        results, failures, kinds = runs[1]
+        assert sorted(results, key=RunKey.describe) == \
+            sorted(MATRIX, key=RunKey.describe)
+        assert list(failures) == [BAD_KEY]
+        assert failures[BAD_KEY][1] == retries + 1
+        # queued, started, [retry, started]*, finished | failed
+        assert kinds[BAD_KEY.describe()] == (
+            [("queued", 1)]
+            + [(kind, n) for n in range(1, retries + 1)
+               for kind in ("started", "retry")]
+            + [("started", retries + 1), ("failed", retries + 1)])
+        assert kinds[MATRIX[0].describe()] == [
+            ("queued", 1), ("started", 1), ("finished", 1)]
+
+    def test_bad_cell_raises_the_same_cell_error_at_every_jobs(self):
+        raised = {}
+        for jobs in (1, 2):
+            engine = ExecutionEngine(jobs=jobs, retries=1)
+            with pytest.raises(CellError) as err:
+                engine.run_many([BAD_KEY, make_key("SCN", "none")])
+            assert isinstance(err.value.cause, KeyError)
+            assert err.value.__cause__ is err.value.cause
+            raised[jobs] = (err.value.key, err.value.attempts,
+                            str(err.value))
+        assert raised[1] == raised[2]
+        assert raised[1][:2] == (BAD_KEY, 2)
+
+    def test_run_still_raises_the_raw_exception(self):
+        engine = ExecutionEngine(retries=1)
+        with pytest.raises(KeyError, match="__BOOM__"):
+            engine.run(BAD_KEY)
+        kinds = [e.kind for e in engine.events.events]
+        assert kinds == ["queued", "started", "retry", "started", "failed"]
+
+    def test_callback_exception_ends_the_batch(self):
+        """Whatever ``on_complete`` raises leaves the loop as-is (the
+        pooled driver cancels what is still queued on the way out)."""
+        class Stop(Exception):
+            pass
+
+        def stop(key, result, failure):
+            raise Stop(key.describe())
+
+        for jobs in (1, 2):
+            with pytest.raises(Stop):
+                ExecutionEngine(jobs=jobs).run_recorded(MATRIX,
+                                                        on_complete=stop)

@@ -1,8 +1,7 @@
-"""Docstring-coverage gate (local equivalent of interrogate in CI).
+"""Docstring-coverage gate over the public API surfaces.
 
-CI runs ``interrogate --fail-under 90`` over the same targets; this test
-keeps the gate enforced in environments without the package, using the
-stdlib checker in ``tools/check_docstrings.py``.
+The one place the gate runs (locally and in CI's tier-1 step), using
+the stdlib checker in ``tools/check_docstrings.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import check_docstrings  # noqa: E402
 
-#: The public surfaces the gate covers (mirrors the CI interrogate call).
+#: The public surfaces the gate covers.
 GATE_TARGETS = [
     "src/repro/obs",
     "src/repro/exec",

@@ -6,9 +6,13 @@ crashed server's leftover Unix-socket file never blocks the next bind.
 """
 
 import asyncio
+import gc
 import os
 import socket
 
+import pytest
+
+from repro.serve import protocol
 from repro.serve.client import (
     DEFAULT_CONNECT_TIMEOUT_S,
     AsyncServeClient,
@@ -127,3 +131,72 @@ class TestStaleSocket:
             finally:
                 await server.drain()
         asyncio.run(scenario())
+
+
+# A ResourceWarning raised in a finaliser is unraisable; pytest turns
+# it into a PytestUnraisableExceptionWarning, which must fail too.
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+class TestConcurrentConnect:
+    """connect() is re-entrant: requests pipelined onto a cold client
+    (what the router's ``BackendLink.forward`` does) share one
+    connection, and close() never strands one half-opened."""
+
+    @staticmethod
+    async def listen(path, accepted):
+        """A ping-answering listener that records every connection."""
+        async def handle(reader, writer):
+            accepted.append(writer)
+            try:
+                while True:
+                    line = await reader.readline()
+                    if not line:
+                        break
+                    request = protocol.decode_line(line)
+                    writer.write(protocol.encode(protocol.ok_response(
+                        request["id"], {"pong": True})))
+                    await writer.drain()
+            finally:
+                writer.close()
+        return await asyncio.start_unix_server(handle, path)
+
+    def test_concurrent_first_requests_share_one_connection(self, tmp_path):
+        async def scenario():
+            accepted = []
+            path = str(tmp_path / "s.sock")
+            server = await self.listen(path, accepted)
+            client = AsyncServeClient(socket_path=path)
+            try:
+                answers = await asyncio.wait_for(asyncio.gather(*[
+                    client.request_raw({"v": protocol.PROTOCOL_VERSION,
+                                        "id": f"r{i}", "op": "ping"})
+                    for i in range(8)]), 30)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+            assert len(accepted) == 1
+            assert [a["id"] for a in answers] == [f"r{i}" for i in range(8)]
+            assert all(a["ok"] for a in answers)
+        asyncio.run(scenario())
+        gc.collect()
+
+    def test_close_during_connect_leaves_no_open_writer(self, tmp_path):
+        async def scenario():
+            accepted = []
+            path = str(tmp_path / "s.sock")
+            server = await self.listen(path, accepted)
+            client = AsyncServeClient(socket_path=path)
+            connecting = asyncio.get_running_loop().create_task(
+                client.connect())
+            await asyncio.sleep(0)  # the connect is now in flight
+            try:
+                await asyncio.wait_for(client.close(), 30)
+                await asyncio.wait_for(connecting, 30)
+                assert client._writer is None
+                assert client._reader_task is None
+            finally:
+                server.close()
+                await server.wait_closed()
+        asyncio.run(scenario())
+        gc.collect()

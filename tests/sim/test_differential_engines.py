@@ -140,16 +140,6 @@ class TestHangAndGuards:
                          fingerprint(gpu_evt, res_evt), "faults/delay")
 
 
-class _RecordingMonitor:
-    interval = 7
-
-    def __init__(self):
-        self.cycles = []
-
-    def sample(self, gpu, now):
-        self.cycles.append(now)
-
-
 def _spy(obj, name, log):
     """Log the ``now`` of every ``obj.name(gpu, now)`` call."""
     inner = getattr(obj, name)
@@ -164,23 +154,48 @@ class TestSharedScaffold:
     """Hooks, deep checks and profiling belong to the one run loop, not
     to an engine: both steps see them at the same cycles."""
 
-    @pytest.mark.parametrize("engine", ("cycle", "event"))
-    def test_hooks_fire_at_exact_multiples(self, engine):
+    #: (obs window, deep checks).  Without deep checks the event step
+    #: runs real spans that the 7- and 64-cycle boundaries must cap;
+    #: with them every cycle is a boundary.
+    HOOK_MIXES = ((7, False), (64, False), (64, True))
+
+    @staticmethod
+    def _hooked_run(engine, window, deep):
+        """One watched, sampled run; returns the result, the cycles at
+        which each hook kind fired and the watchdog's interval."""
         cfg = dataclasses.replace(
-            tiny_config(hang_cycles=800).with_obs(metrics=True, window=64),
+            tiny_config(hang_cycles=800, deep_checks=deep)
+            .with_obs(metrics=True, window=window),
             engine=engine)
         gpu = GPU(build("MRQ", Scale.TINY), cfg, _factory("caps"))
-        monitor = _RecordingMonitor()
-        flushes, checks = [], []
+        flushes, checks, audits = [], [], []
         _spy(gpu.obs, "flush", flushes)
         _spy(gpu.watchdog, "check", checks)
-        res = gpu.run(monitor=monitor)
+        _spy(gpu.invariants, "check_cycle", audits)
+        res = gpu.run()
         assert res.completed
-        end = res.cycles + 1
-        assert monitor.cycles == list(range(7, end, 7))
-        assert flushes == list(range(64, end, 64))
-        every = gpu.watchdog.check_interval
-        assert checks == list(range(every, end, every))
+        return res, flushes, checks, audits, gpu.watchdog.check_interval
+
+    @pytest.mark.parametrize("engine", ("cycle", "event"))
+    def test_hooks_fire_at_exact_multiples(self, engine):
+        for window, deep in self.HOOK_MIXES:
+            res, flushes, checks, audits, every = self._hooked_run(
+                engine, window, deep)
+            end = res.cycles + 1
+            assert flushes == list(range(window, end, window))
+            assert checks == list(range(every, end, every))
+            assert audits == (list(range(1, end)) if deep else [])
+            # One sample per boundary, plus the final partial window.
+            sampled = series(res.extra["timeseries"], "cycle")
+            assert sampled[:len(flushes)] == flushes
+            assert sampled[len(flushes):] in ([], [res.cycles])
+
+    @pytest.mark.parametrize("window,deep", HOOK_MIXES)
+    def test_samples_identical_under_both_engines(self, window, deep):
+        ref = self._hooked_run("cycle", window, deep)[0]
+        evt = self._hooked_run("event", window, deep)[0]
+        assert evt.extra["timeseries"] == ref.extra["timeseries"]
+        assert result_bytes(evt) == result_bytes(ref)
 
     def test_profile_times_the_configured_engine(self):
         cfg = tiny_config()
