@@ -21,56 +21,35 @@ See :mod:`repro.analysis` for the experiment driver that regenerates the
 paper's tables and figures.
 """
 
-from repro.config import (
-    CacheConfig,
-    CTAResources,
-    DRAMConfig,
-    GPUConfig,
-    InterconnectConfig,
-    ObsConfig,
-    PrefetcherConfig,
-    SchedulerKind,
-    fermi_config,
-    occupancy,
-    small_config,
-    test_config,
-)
-from repro.sim import (
-    ApplicationResult,
-    GPU,
-    KernelInfo,
-    SimResult,
-    simulate,
-    simulate_application,
-    trace_kernel,
-)
-from repro.prefetch import PREFETCHERS, make_prefetcher
-from repro.prefetch.factory import default_scheduler_for
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CacheConfig",
-    "CTAResources",
-    "DRAMConfig",
-    "GPUConfig",
-    "InterconnectConfig",
-    "ObsConfig",
-    "PrefetcherConfig",
-    "SchedulerKind",
-    "fermi_config",
-    "occupancy",
-    "small_config",
-    "test_config",
-    "GPU",
-    "KernelInfo",
-    "SimResult",
-    "simulate",
-    "ApplicationResult",
-    "simulate_application",
-    "trace_kernel",
-    "PREFETCHERS",
-    "make_prefetcher",
-    "default_scheduler_for",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.config": (
+        "CacheConfig",
+        "CTAResources",
+        "DRAMConfig",
+        "GPUConfig",
+        "InterconnectConfig",
+        "ObsConfig",
+        "PrefetcherConfig",
+        "SchedulerKind",
+        "fermi_config",
+        "occupancy",
+        "small_config",
+        "test_config",
+    ),
+    "repro.sim.application": ("ApplicationResult", "simulate_application"),
+    "repro.sim.gpu": ("GPU", "simulate"),
+    "repro.sim.kernel": ("KernelInfo",),
+    "repro.result": ("SimResult",),
+    "repro.sim.trace": ("trace_kernel",),
+    "repro.prefetch.factory": (
+        "PREFETCHERS",
+        "make_prefetcher",
+        "default_scheduler_for",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

@@ -50,14 +50,8 @@ import pathlib
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.driver import (
-    make_key,
-    run_benchmark,
-    run_sweep,
-    set_engine,
-)
-from repro.analysis.metrics import geomean
-from repro.analysis.report import format_percent, format_table
+# Leaves only: a command imports what it runs inside its handler, so
+# `repro request` never loads the simulator (docs/architecture.md).
 from repro.config import (
     ALLOC_POLICIES,
     SchedulerKind,
@@ -65,29 +59,17 @@ from repro.config import (
     small_config,
 )
 from repro.errors import (
+    BadRequestError,
+    CellError,
     ConfigError,
     IncompleteRunError,
+    RequestError,
     SimulationHangError,
     hang_snapshot,
 )
-from repro.exec import (
-    DEFAULT_CACHE_DIR,
-    CellError,
-    EventLog,
-    ExecutionEngine,
-    JSONLSink,
-    ResultCache,
-    TTYProgress,
-    execute_cell,
-)
-from repro.guard.watchdog import format_snapshot
-from repro.prefetch import PREFETCHERS
-from repro.workloads import (
-    ALL_BENCHMARKS,
-    WORKLOADS,
-    Scale,
-    normalize_benchmark,
-)
+from repro.exec import DEFAULT_CACHE_DIR
+from repro.prefetch.factory import PREFETCHERS
+from repro.workloads.base import Scale
 
 #: Process exit codes for scripted callers (CI, Makefiles).
 EXIT_OK = 0
@@ -182,15 +164,28 @@ def _names(text: str) -> List[str]:
 def _cell(name: str) -> str:
     """Canonical cell name for a CLI argument: one benchmark or an
     ``A+B`` co-run, aliases accepted (what :func:`make_key` stores)."""
+    from repro.workloads import normalize_benchmark
+
     try:
         return normalize_benchmark(name)
     except KeyError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
-def _scheduler(name: Optional[str]) -> Optional[SchedulerKind]:
-    if name is None:
-        return None
+def _engine_name(name: str) -> str:
+    if name not in ENGINE_CHOICES:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {name!r}; choose from {ENGINE_CHOICES}")
+    return name
+
+
+def _list_of(item):
+    """argparse type: a comma-separated list, every entry through
+    ``item`` (so one bad name is a usage error, not a stack trace)."""
+    return lambda text: [item(name) for name in _names(text)]
+
+
+def _scheduler(name: str) -> SchedulerKind:
     try:
         return SchedulerKind(name)
     except ValueError:
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("bench", type=_cell, nargs="?", default=None,
                      help="benchmark abbreviation (omit when using "
                           "--co-run)")
-    run.add_argument("--co-run", type=str, default=None, metavar="A,B",
+    run.add_argument("--co-run", type=_list_of(_cell), metavar="A,B",
                      help="co-schedule two or more kernels on one GPU "
                           "(comma-separated benchmarks, e.g. MRQ,SGEMM); "
                           "prints per-kernel metrics plus ANTT/STP "
@@ -266,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a benchmark x engine matrix",
                            parents=[ex])
-    sweep.add_argument("--benchmarks", type=str, default=",".join(ALL_BENCHMARKS),
-                       help="comma-separated benchmark list")
-    sweep.add_argument("--engines", type=str,
+    sweep.add_argument("--benchmarks", type=_list_of(_cell), default=None,
+                       help="comma-separated benchmark list (default: all 16)")
+    sweep.add_argument("--engines", type=_list_of(_engine_name),
                        default=",".join(PREFETCHERS),
                        help="comma-separated engine list")
     sweep.add_argument("--scale", choices=sorted(SCALES), default="small")
@@ -282,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                           parents=[ex])
     figs.add_argument("--out", type=pathlib.Path, default=pathlib.Path("results"))
     figs.add_argument("--scale", choices=sorted(SCALES), default="small")
-    figs.add_argument("--benchmarks", type=str, default=None,
+    figs.add_argument("--benchmarks", type=_list_of(_cell), default=None,
                       help="comma-separated subset (default: all 16)")
     figs.add_argument("--full-scale", action="store_true",
                       help="append the Figure 10 full-scale matrix "
@@ -293,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grade the paper's headline claims (regression gate)",
         parents=[ex],
     )
-    val.add_argument("--benchmarks", type=str,
+    val.add_argument("--benchmarks", type=_list_of(_cell),
                      default="CNV,BPR,MM,HSP,KM,BFS")
     val.add_argument("--scale", choices=sorted(SCALES), default="small")
 
@@ -523,6 +518,9 @@ def _guarded_config(args):
 
 
 def cmd_list(_args) -> int:
+    from repro.analysis import format_table
+    from repro.workloads import WORKLOADS
+
     rows = [
         (s.abbr, s.full_name, s.suite,
          "irregular" if s.irregular else "regular")
@@ -542,17 +540,14 @@ def _run_corun(args, cfg) -> int:
     config preset), prints the per-kernel sub-records and the ANTT/STP
     interference metrics — see docs/metrics-glossary.md.
     """
+    from repro.analysis import format_percent, format_table, run_benchmark
     from repro.sim.multi import antt_stp
 
-    parts = _names(args.co_run)
-    if len(parts) < 2:
+    if len(args.co_run) < 2:
         raise SystemExit(
             "repro run --co-run: name at least two comma-separated "
-            f"benchmarks (got {args.co_run!r})")
-    try:
-        pair = normalize_benchmark("+".join(parts))
-    except KeyError as exc:
-        raise SystemExit(f"repro run --co-run: {exc.args[0]}") from None
+            f"benchmarks (got {','.join(args.co_run)!r})")
+    pair = "+".join(args.co_run)
     if args.alloc_policy is not None:
         cfg = cfg.with_multi(alloc_policy=args.alloc_policy)
     scale = SCALES[args.scale]
@@ -600,6 +595,9 @@ def cmd_run(args) -> int:
     if args.bench is None:
         raise SystemExit(
             "repro run: name a benchmark or pass --co-run A,B")
+    from repro.analysis import format_percent, format_table, run_benchmark
+    from repro.obs import format_profile, write_metrics
+
     want_metrics = (args.metrics_out is not None
                     or args.metrics_window is not None)
     if want_metrics or args.profile:
@@ -627,15 +625,11 @@ def cmd_run(args) -> int:
         title=f"{args.bench} @ {args.scale}",
     ))
     if args.metrics_out is not None:
-        from repro.obs import write_metrics
-
         ts = r.extra["timeseries"]
         fmt = write_metrics(ts, args.metrics_out)
         print(f"\nwrote {len(ts['samples'])} windows of "
               f"{ts['window']}-cycle metrics ({fmt}) to {args.metrics_out}")
     if args.profile:
-        from repro.obs import format_profile
-
         print(f"\nphase profile ({args.engine} run):")
         for line in format_profile(r.extra["profile"]):
             print(line)
@@ -643,8 +637,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    benches = [b.upper() for b in _names(args.benchmarks)]
-    engines = [e for e in _names(args.engines) if e != "none"]
+    from repro.analysis import format_table, geomean, run_sweep
+    from repro.workloads import ALL_BENCHMARKS
+
+    benches = args.benchmarks or list(ALL_BENCHMARKS)
+    engines = [e for e in args.engines if e != "none"]
     scale = SCALES[args.scale]
     # One batched, crash-safe sweep: the engine deduplicates cells, runs
     # them in parallel under --jobs, journals each completion, and
@@ -690,10 +687,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from repro.analysis.validate import all_passed, validate_shape
+    from repro.analysis import all_passed, validate_shape
 
-    benches = [b.upper() for b in _names(args.benchmarks)]
-    checks = validate_shape(benchmarks=benches, scale=SCALES[args.scale],
+    checks = validate_shape(benchmarks=args.benchmarks,
+                            scale=SCALES[args.scale],
                             config=_guarded_config(args))
     for c in checks:
         print(c)
@@ -702,14 +699,22 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+def _observed(args, **obs):
+    """Simulate ``args.bench`` directly with the ``obs`` collectors on
+    (past the result cache: their payloads are bulky and single-use)."""
+    from repro.exec import execute_cell, make_key
+
+    return execute_cell(make_key(
+        args.bench, args.engine, scale=SCALES[args.scale],
+        config=small_config().with_obs(**obs)))
+
+
 def cmd_timeline(args) -> int:
     """Render one run's sampled metric series (window = ``--interval``)
     as sparklines; simulated directly, like :func:`cmd_trace`."""
-    from repro.analysis.timeline import burstiness, render_timeline
+    from repro.analysis import burstiness, render_timeline
 
-    cfg = small_config().with_obs(metrics=True, window=args.interval)
-    result = execute_cell(make_key(args.bench, args.engine, config=cfg,
-                                   scale=SCALES[args.scale]))
+    result = _observed(args, metrics=True, window=args.interval)
     series = result.extra["timeseries"]
     print(f"{args.bench} / {args.engine}: IPC {result.ipc:.3f}, "
           f"DRAM burstiness {burstiness(series):.2f}")
@@ -719,13 +724,10 @@ def cmd_timeline(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one benchmark with the trace recorder on and export the
-    Chrome trace-event JSON (simulated directly, bypassing the result
-    cache — trace payloads are bulky and single-use)."""
+    Chrome trace-event JSON."""
     from repro.obs import validate_chrome_trace
 
-    cfg = small_config().with_obs(trace=True, trace_limit=args.limit)
-    result = execute_cell(make_key(args.bench, args.engine, config=cfg,
-                                   scale=SCALES[args.scale]))
+    result = _observed(args, trace=True, trace_limit=args.limit)
     trace = result.extra["trace"]
     problems = validate_chrome_trace(trace)
     if problems:  # pragma: no cover - schema guard
@@ -752,7 +754,7 @@ def cmd_figures(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     kwargs = {}
     if args.benchmarks:
-        subset = tuple(b.upper() for b in _names(args.benchmarks))
+        subset = tuple(args.benchmarks)
         kwargs["benchmarks"] = subset
         kwargs["fig11_benchmarks"] = subset[:2]
     path = generate_experiments_md(
@@ -768,7 +770,7 @@ def cmd_figures(args) -> int:
 def _endpoint(args) -> dict:
     """The ``socket_path`` / ``host`` / ``port`` keywords the shared
     endpoint flags select (a Unix socket wins over TCP)."""
-    from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
+    from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT
 
     return {
         "socket_path": str(args.socket) if args.socket else None,
@@ -783,15 +785,9 @@ def cmd_serve(args) -> int:
 
     from repro.serve.server import ServeConfig, run_server
 
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    events = EventLog()
-    sink = None
-    if args.events_log is not None:
-        sink = JSONLSink(args.events_log)
-        events.subscribe(sink)
-    cache = None if args.no_disk_cache else ResultCache(args.cache)
-    engine = ExecutionEngine(jobs=args.jobs, cache=cache, events=events)
+    engine, sink = _engine(args.jobs,
+                           None if args.no_disk_cache else args.cache,
+                           args.events_log)
     serve_config = ServeConfig(
         **_endpoint(args),
         queue_limit=args.queue_limit,
@@ -913,10 +909,6 @@ def cmd_fleet(args) -> int:
 
 def cmd_request(args) -> int:
     """Issue one request (simulate / stats / ping) to a running server."""
-    from repro.errors import (
-        BadRequestError,
-        RequestError,
-    )
     from repro.serve.client import ServeClient
     from repro.serve.retry import RetryPolicy
 
@@ -963,11 +955,13 @@ def cmd_request(args) -> int:
         print(f"cannot reach server: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     if args.json:
-        from repro.exec import serialize_result
+        from repro.result import serialize_result
 
         print(json.dumps({"result": serialize_result(result), "meta": meta},
                          indent=2, sort_keys=True))
         return EXIT_OK
+    from repro.analysis import format_percent, format_table
+
     print(format_table(
         ["metric", "value"],
         [
@@ -987,6 +981,9 @@ def cmd_request(args) -> int:
 
 def cmd_cache(args) -> int:
     """Inspect (``stats``) or garbage-collect (``gc``) the disk cache."""
+    from repro.analysis import format_table
+    from repro.exec import ResultCache
+
     cache = ResultCache(args.cache)
     if args.action == "stats":
         stats = cache.disk_stats()
@@ -1018,6 +1015,21 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
+def _engine(jobs: int, cache_dir, events_log):
+    """The execution engine the ``--jobs`` / ``--cache`` /
+    ``--events-log`` flags describe, and its JSONL sink (or ``None``)."""
+    from repro.exec import EventLog, ExecutionEngine, JSONLSink, ResultCache
+
+    if jobs < 1:
+        raise SystemExit("--jobs must be >= 1")
+    events = EventLog()
+    sink = JSONLSink(events_log) if events_log is not None else None
+    if sink is not None:
+        events.subscribe(sink)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return ExecutionEngine(jobs=jobs, cache=cache, events=events), sink
+
+
 def _install_engine(args) -> None:
     """Configure the process-wide execution engine from CLI flags.
 
@@ -1034,15 +1046,13 @@ def _install_engine(args) -> None:
         cache_dir = pathlib.Path(DEFAULT_CACHE_DIR)
     if jobs == 1 and cache_dir is None and events_log is None:
         return
-    if jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    events = EventLog()
-    if events_log is not None:
-        events.subscribe(JSONLSink(events_log))
+    from repro.analysis import set_engine
+    from repro.exec import TTYProgress
+
+    engine, _ = _engine(jobs, cache_dir, events_log)
     if sys.stderr.isatty():
-        events.subscribe(TTYProgress())
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    set_engine(ExecutionEngine(jobs=jobs, cache=cache, events=events))
+        engine.events.subscribe(TTYProgress())
+    set_engine(engine)
 
 
 def _report_hang(exc: BaseException) -> None:
@@ -1050,6 +1060,8 @@ def _report_hang(exc: BaseException) -> None:
     print(f"\nerror: {exc}", file=sys.stderr)
     snapshot = hang_snapshot(exc)
     if snapshot:
+        from repro.guard.watchdog import format_snapshot
+
         print(format_snapshot(snapshot), file=sys.stderr)
 
 
@@ -1060,19 +1072,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # The serving/maintenance commands manage their own engine
             # (or none); the shared flags mean different things there.
             _install_engine(args)
-        return {
-            "list": cmd_list,
-            "run": cmd_run,
-            "sweep": cmd_sweep,
-            "figures": cmd_figures,
-            "validate": cmd_validate,
-            "timeline": cmd_timeline,
-            "trace": cmd_trace,
-            "serve": cmd_serve,
-            "request": cmd_request,
-            "fleet": cmd_fleet,
-            "cache": cmd_cache,
-        }[args.command](args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,32 +11,21 @@
 * :mod:`repro.core.hwcost` — Table I/II storage/area/energy model.
 """
 
-from repro.core.percta import PerCTAEntry, PerCTATable
-from repro.core.dist import DistEntry, DistTable
-from repro.core.caps import CtaAwarePrefetcher
-from repro.core.hwcost import (
-    CAPS_ACCESS_ENERGY_PJ,
-    CAPS_AREA_MM2,
-    CAPS_STATIC_POWER_UW,
-    HardwareCost,
-    caps_hardware_cost,
-    dist_entry_bytes,
-    percta_entry_bytes,
-)
-from repro.sim.sched import PrefetchAwareTwoLevel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PerCTAEntry",
-    "PerCTATable",
-    "DistEntry",
-    "DistTable",
-    "CtaAwarePrefetcher",
-    "PrefetchAwareTwoLevel",
-    "HardwareCost",
-    "caps_hardware_cost",
-    "dist_entry_bytes",
-    "percta_entry_bytes",
-    "CAPS_ACCESS_ENERGY_PJ",
-    "CAPS_AREA_MM2",
-    "CAPS_STATIC_POWER_UW",
-]
+_EXPORTS = {
+    "repro.core.percta": ("PerCTAEntry", "PerCTATable"),
+    "repro.core.dist": ("DistEntry", "DistTable"),
+    "repro.core.caps": ("CtaAwarePrefetcher",),
+    "repro.core.hwcost": (
+        "CAPS_ACCESS_ENERGY_PJ",
+        "CAPS_AREA_MM2",
+        "CAPS_STATIC_POWER_UW",
+        "HardwareCost",
+        "caps_hardware_cost",
+        "dist_entry_bytes",
+        "percta_entry_bytes",
+    ),
+    "repro.sim.sched": ("PrefetchAwareTwoLevel",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -9,6 +9,13 @@ Figure 15 reports — depends on event counts and cycle counts, both of
 which the simulator produces.
 """
 
-from repro.energy.model import EnergyBreakdown, EnergyModel, normalized_energy
+from repro._lazy import lazy_exports
 
-__all__ = ["EnergyBreakdown", "EnergyModel", "normalized_energy"]
+_EXPORTS = {
+    "repro.energy.model": (
+        "EnergyBreakdown",
+        "EnergyModel",
+        "normalized_energy",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -101,7 +101,7 @@ class IncompleteRunError(PermanentError):
     """The simulation hit the cycle limit before completing.
 
     ``result`` (when present) is the truncated
-    :class:`repro.sim.gpu.SimResult`, whose ``extra["hang_snapshot"]``
+    :class:`repro.result.SimResult`, whose ``extra["hang_snapshot"]``
     holds the end-of-run diagnostic snapshot.
     """
 
@@ -121,6 +121,20 @@ def hang_snapshot(exc: BaseException) -> Optional[Dict[str, Any]]:
     if not snapshot and getattr(exc, "result", None) is not None:
         snapshot = exc.result.extra.get("hang_snapshot")
     return snapshot or None
+
+
+class CellError(RuntimeError):
+    """A cell failed after exhausting its retry budget
+    (:meth:`repro.exec.runner.ExecutionEngine.run_many`); ``key`` is the
+    cell's :class:`~repro.exec.cache.RunKey`, ``cause`` the last error."""
+
+    def __init__(self, key: Any, cause: BaseException, attempts: int):
+        super().__init__(
+            f"{key.describe()} failed after {attempts} attempt(s): {cause!r}"
+        )
+        self.key = key
+        self.cause = cause
+        self.attempts = attempts
 
 
 class RequestError(ReproError):

@@ -6,7 +6,7 @@ execution layer is factored out of the analysis code:
 
 * :mod:`repro.exec.cache` — :class:`RunKey` (one cell of the matrix),
   stable content hashing of :class:`repro.config.GPUConfig`, lossless
-  JSON serialization of :class:`repro.sim.gpu.SimResult`, and the
+  JSON serialization of :class:`repro.result.SimResult`, and the
   on-disk :class:`ResultCache` under ``.repro-cache/``;
 * :mod:`repro.exec.events` — the progress/telemetry event stream
   (queued / started / cache_hit / finished / retry / failed) with a
@@ -22,59 +22,41 @@ execution layer is factored out of the analysis code:
 See ``docs/execution.md`` and ``docs/robustness.md`` for the design.
 """
 
-from repro.errors import IncompleteRunError
-from repro.exec.cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    CacheEntryInfo,
-    GCReport,
-    ResultCache,
-    RunKey,
-    config_fingerprint,
-    deserialize_result,
-    key_fingerprint,
-    result_bytes,
-    serialize_result,
-)
-from repro.exec.events import (
-    EventLog,
-    ExecEvent,
-    JSONLSink,
-    TTYProgress,
-    read_events,
-)
-from repro.exec.journal import SweepJournal, sweep_id
-from repro.exec.runner import (
-    CellError,
-    CellFailure,
-    CellTimeout,
-    ExecutionEngine,
-    execute_cell,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "ResultCache",
-    "RunKey",
-    "config_fingerprint",
-    "deserialize_result",
-    "key_fingerprint",
-    "serialize_result",
-    "CacheEntryInfo",
-    "GCReport",
-    "result_bytes",
-    "EventLog",
-    "ExecEvent",
-    "JSONLSink",
-    "TTYProgress",
-    "read_events",
-    "CellError",
-    "CellFailure",
-    "CellTimeout",
-    "ExecutionEngine",
-    "IncompleteRunError",
-    "SweepJournal",
-    "sweep_id",
-    "execute_cell",
-]
+#: Where ``--cache`` and :class:`ResultCache` persist unless told
+#: otherwise.  Defined here, not in a submodule, so an argument parser
+#: can name the default without importing the cache.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
+_EXPORTS = {
+    "repro.errors": ("CellError", "IncompleteRunError"),
+    "repro.exec.cache": (
+        "CACHE_SCHEMA_VERSION",
+        "CacheEntryInfo",
+        "GCReport",
+        "ResultCache",
+        "RunKey",
+        "config_fingerprint",
+        "key_fingerprint",
+        "make_key",
+        "result_bytes",
+    ),
+    "repro.result": ("deserialize_result", "serialize_result"),
+    "repro.exec.events": (
+        "EventLog",
+        "ExecEvent",
+        "JSONLSink",
+        "TTYProgress",
+        "read_events",
+    ),
+    "repro.exec.journal": ("SweepJournal", "sweep_id"),
+    "repro.exec.runner": (
+        "CellFailure",
+        "CellTimeout",
+        "ExecutionEngine",
+        "execute_cell",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("DEFAULT_CACHE_DIR")

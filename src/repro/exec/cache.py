@@ -39,11 +39,10 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional
 
 from repro.config import GPUConfig, SchedulerKind, small_config
+from repro.exec import DEFAULT_CACHE_DIR
 from repro.prefetch.factory import default_scheduler_for
-from repro.prefetch.stats import PrefetchStats
-from repro.sim.gpu import SimResult
-from repro.sim.sm import SMStats
-from repro.workloads import Scale, normalize_benchmark
+from repro.result import SimResult, deserialize_result, serialize_result
+from repro.workloads.base import Scale
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +57,6 @@ log = logging.getLogger(__name__)
 #: per-kernel sub-records — single-kernel v3 entries must never be
 #: served for a co-run request (or vice versa).
 CACHE_SCHEMA_VERSION = 4
-
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,8 @@ def make_key(
     (``config.multi``) and is folded into the cache fingerprint with
     every other config field.
     """
+    from repro.workloads.suite import normalize_benchmark
+
     cfg = config if config is not None else small_config()
     kind = scheduler if scheduler is not None else default_scheduler_for(prefetcher)
     return RunKey(normalize_benchmark(benchmark), prefetcher, scale,
@@ -138,27 +137,6 @@ def key_fingerprint(key: RunKey) -> str:
         "config": config_fingerprint(key.config),
     })
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-# --------------------------------------------------------- serialization
-def serialize_result(result: SimResult) -> Dict[str, Any]:
-    """Lossless JSON form of a :class:`SimResult` (stats included)."""
-    out = {
-        f.name: getattr(result, f.name)
-        for f in dataclasses.fields(SimResult)
-    }
-    out["sm_stats"] = dataclasses.asdict(result.sm_stats)
-    out["prefetch_stats"] = dataclasses.asdict(result.prefetch_stats)
-    out["extra"] = dict(result.extra)
-    return out
-
-
-def deserialize_result(payload: Dict[str, Any]) -> SimResult:
-    """Inverse of :func:`serialize_result`."""
-    data = dict(payload)
-    data["sm_stats"] = SMStats(**data["sm_stats"])
-    data["prefetch_stats"] = PrefetchStats(**data["prefetch_stats"])
-    return SimResult(**data)
 
 
 def result_bytes(result: SimResult) -> bytes:

@@ -37,15 +37,13 @@ The module-level :func:`execute_cell` is the single place that maps a
 
 from __future__ import annotations
 
-import multiprocessing
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
+    CellError,
     FailureKind,
     IncompleteRunError,
     TransientError,
@@ -55,24 +53,13 @@ from repro.exec.cache import ResultCache, RunKey, config_fingerprint
 from repro.exec.events import EventLog
 from repro.guard.faults import FaultPlan
 from repro.prefetch.factory import make_prefetcher
-from repro.sim.gpu import SimResult, simulate
-from repro.workloads import build
+from repro.result import SimResult
+from repro.sim.gpu import simulate
+from repro.workloads.suite import build
 
 
 class CellTimeout(TransientError):
     """A cell exceeded the engine's per-task timeout."""
-
-
-class CellError(RuntimeError):
-    """A cell failed after exhausting its retry budget (``run_many``)."""
-
-    def __init__(self, key: RunKey, cause: BaseException, attempts: int):
-        super().__init__(
-            f"{key.describe()} failed after {attempts} attempt(s): {cause!r}"
-        )
-        self.key = key
-        self.cause = cause
-        self.attempts = attempts
 
 
 @dataclass
@@ -355,6 +342,12 @@ class ExecutionEngine:
 
     def _run_parallel(self, keys: List[RunKey], use_cache: bool,
                       resolve) -> None:
+        # Imported where a pool is built: serial runs (and every process
+        # that only imports this module) skip multiprocessing's set-up.
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         ctx = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(keys))
         attempts: Dict[RunKey, int] = {k: 0 for k in keys}

@@ -26,63 +26,39 @@ tooling to prove its own recovery paths work:
 See ``docs/robustness.md`` for the full design.
 """
 
-from repro.errors import (
-    BadRequestError,
-    ConfigError,
-    DeadlineExceededError,
-    FailureKind,
-    InjectedFault,
-    InjectedWorkerCrash,
-    InvariantViolation,
-    OverloadedError,
-    RequestError,
-    RequestFailedError,
-    ShuttingDownError,
-    SimulationHangError,
-    classify,
-    is_transient,
-)
-from repro.guard.bundle import DIAGNOSTICS_DIRNAME, write_diagnostic_bundle
-from repro.guard.faults import (
-    SERVE_KILL_EXIT,
-    FaultPlan,
-    MemoryFaultInjector,
-    ServeFaultInjector,
-    ServeFaultPlan,
-)
-from repro.guard.invariants import InvariantChecker
-from repro.guard.watchdog import (
-    DEFAULT_HANG_CYCLES,
-    Watchdog,
-    build_snapshot,
-    format_snapshot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BadRequestError",
-    "ConfigError",
-    "DeadlineExceededError",
-    "OverloadedError",
-    "RequestError",
-    "RequestFailedError",
-    "ShuttingDownError",
-    "FailureKind",
-    "InjectedFault",
-    "InjectedWorkerCrash",
-    "InvariantViolation",
-    "SimulationHangError",
-    "classify",
-    "is_transient",
-    "DIAGNOSTICS_DIRNAME",
-    "write_diagnostic_bundle",
-    "FaultPlan",
-    "MemoryFaultInjector",
-    "SERVE_KILL_EXIT",
-    "ServeFaultInjector",
-    "ServeFaultPlan",
-    "InvariantChecker",
-    "DEFAULT_HANG_CYCLES",
-    "Watchdog",
-    "build_snapshot",
-    "format_snapshot",
-]
+_EXPORTS = {
+    "repro.errors": (
+        "BadRequestError",
+        "ConfigError",
+        "DeadlineExceededError",
+        "FailureKind",
+        "InjectedFault",
+        "InjectedWorkerCrash",
+        "InvariantViolation",
+        "OverloadedError",
+        "RequestError",
+        "RequestFailedError",
+        "ShuttingDownError",
+        "SimulationHangError",
+        "classify",
+        "is_transient",
+    ),
+    "repro.guard.bundle": ("DIAGNOSTICS_DIRNAME", "write_diagnostic_bundle"),
+    "repro.guard.faults": (
+        "SERVE_KILL_EXIT",
+        "FaultPlan",
+        "MemoryFaultInjector",
+        "ServeFaultInjector",
+        "ServeFaultPlan",
+    ),
+    "repro.guard.invariants": ("InvariantChecker",),
+    "repro.guard.watchdog": (
+        "DEFAULT_HANG_CYCLES",
+        "Watchdog",
+        "build_snapshot",
+        "format_snapshot",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -7,21 +7,19 @@ that bursty miss streams produce the super-linear queueing delays the
 paper identifies as the cost of unhidden latency.
 """
 
-from repro.mem.request import Access, MemoryRequest
-from repro.mem.cache import Cache, CacheLine, EvictedLine, Mshr, MshrFullError
-from repro.mem.icnt import Pipe
-from repro.mem.dram import DramChannel
-from repro.mem.subsystem import MemorySubsystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "MemoryRequest",
-    "Cache",
-    "CacheLine",
-    "EvictedLine",
-    "Mshr",
-    "MshrFullError",
-    "Pipe",
-    "DramChannel",
-    "MemorySubsystem",
-]
+_EXPORTS = {
+    "repro.mem.request": ("Access", "MemoryRequest"),
+    "repro.mem.cache": (
+        "Cache",
+        "CacheLine",
+        "EvictedLine",
+        "Mshr",
+        "MshrFullError",
+    ),
+    "repro.mem.icnt": ("Pipe",),
+    "repro.mem.dram": ("DramChannel",),
+    "repro.mem.subsystem": ("MemorySubsystem",),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -7,27 +7,17 @@
 (this paper; implemented in :mod:`repro.core`).
 """
 
-from repro.prefetch.base import Prefetcher, PrefetchCandidate, NoPrefetcher
-from repro.prefetch.stats import PrefetchStats
-from repro.prefetch.intra import IntraWarpStride
-from repro.prefetch.inter import InterWarpStride
-from repro.prefetch.mta import ManyThreadAware
-from repro.prefetch.nlp import NextLine
-from repro.prefetch.lap import LocalityAware
-from repro.prefetch.orch import Orchestrated
-from repro.prefetch.factory import PREFETCHERS, make_prefetcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Prefetcher",
-    "PrefetchCandidate",
-    "NoPrefetcher",
-    "PrefetchStats",
-    "IntraWarpStride",
-    "InterWarpStride",
-    "ManyThreadAware",
-    "NextLine",
-    "LocalityAware",
-    "Orchestrated",
-    "PREFETCHERS",
-    "make_prefetcher",
-]
+_EXPORTS = {
+    "repro.prefetch.base": ("Prefetcher", "PrefetchCandidate", "NoPrefetcher"),
+    "repro.prefetch.stats": ("PrefetchStats",),
+    "repro.prefetch.intra": ("IntraWarpStride",),
+    "repro.prefetch.inter": ("InterWarpStride",),
+    "repro.prefetch.mta": ("ManyThreadAware",),
+    "repro.prefetch.nlp": ("NextLine",),
+    "repro.prefetch.lap": ("LocalityAware",),
+    "repro.prefetch.orch": ("Orchestrated",),
+    "repro.prefetch.factory": ("PREFETCHERS", "make_prefetcher"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

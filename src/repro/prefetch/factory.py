@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.config import GPUConfig, SchedulerKind
-from repro.prefetch.base import NoPrefetcher, Prefetcher
-from repro.prefetch.inter import InterWarpStride
-from repro.prefetch.intra import IntraWarpStride
-from repro.prefetch.lap import LocalityAware
-from repro.prefetch.mta import ManyThreadAware
-from repro.prefetch.nlp import NextLine
-from repro.prefetch.orch import Orchestrated
+from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.prefetch.base import Prefetcher
 
 
 def _registry() -> Dict[str, type]:
-    # CAPS lives in repro.core; import lazily to avoid a package cycle.
+    # Imported on use: the names below (PREFETCHERS, the scheduler
+    # pairing) are what parsers and cache keys need, without the engines.
     from repro.core.caps import CtaAwarePrefetcher
+    from repro.prefetch.base import NoPrefetcher
+    from repro.prefetch.inter import InterWarpStride
+    from repro.prefetch.intra import IntraWarpStride
+    from repro.prefetch.lap import LocalityAware
+    from repro.prefetch.mta import ManyThreadAware
+    from repro.prefetch.nlp import NextLine
+    from repro.prefetch.orch import Orchestrated
 
     return {
         "none": NoPrefetcher,
@@ -38,7 +43,7 @@ def make_prefetcher(name: str) -> Callable[[GPUConfig, int], Prefetcher]:
     """Factory of per-SM prefetcher instances for :func:`repro.sim.simulate`."""
     reg = _registry()
     if name not in reg:
-        raise ValueError(
+        raise ConfigError(
             f"unknown prefetcher {name!r}; choose from {sorted(reg)}"
         )
     cls = reg[name]

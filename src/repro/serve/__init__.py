@@ -41,86 +41,49 @@ Pure stdlib (asyncio) — no new runtime dependencies.  See
 failure semantics.
 """
 
-from repro.serve.client import (
-    DEFAULT_CONNECT_TIMEOUT_S,
-    AsyncServeClient,
-    ServeClient,
-)
-from repro.serve.fleet import (
-    BackendSpec,
-    BackendSupervisor,
-    CircuitBreaker,
-    CircuitState,
-    FleetRouter,
-    HashRing,
-    RouterConfig,
-    make_fleet,
-    run_fleet,
-)
-from repro.serve.memcache import ServeMemCache
-from repro.serve.predict import PatternMiner, Predictor
-from repro.serve.protocol import (
-    ERROR_CODES,
-    OPS,
-    PRIORITIES,
-    PROTOCOL_VERSION,
-    SOURCES,
-    STATS_SCHEMA_VERSION,
-    Request,
-    apply_overrides,
-    parse_request,
-    request_to_key,
-    validate_router_stats,
-    validate_stats,
-)
-from repro.serve.retry import RetryPolicy, RetryStats, retryable
-from repro.serve.scheduler import RequestScheduler, SpeculationAborted
-from repro.serve.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    LineEndpoint,
-    ServeConfig,
-    SimulationServer,
-    run_server,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncServeClient",
-    "ServeClient",
-    "DEFAULT_CONNECT_TIMEOUT_S",
-    "BackendSpec",
-    "BackendSupervisor",
-    "CircuitBreaker",
-    "CircuitState",
-    "FleetRouter",
-    "HashRing",
-    "RouterConfig",
-    "make_fleet",
-    "run_fleet",
-    "RetryPolicy",
-    "RetryStats",
-    "retryable",
-    "validate_router_stats",
-    "ServeMemCache",
-    "PatternMiner",
-    "Predictor",
-    "ERROR_CODES",
-    "OPS",
-    "PRIORITIES",
-    "PROTOCOL_VERSION",
-    "SOURCES",
-    "STATS_SCHEMA_VERSION",
-    "Request",
-    "apply_overrides",
-    "parse_request",
-    "request_to_key",
-    "validate_stats",
-    "RequestScheduler",
-    "SpeculationAborted",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "LineEndpoint",
-    "ServeConfig",
-    "SimulationServer",
-    "run_server",
-]
+_EXPORTS = {
+    "repro.serve.client": (
+        "DEFAULT_CONNECT_TIMEOUT_S",
+        "AsyncServeClient",
+        "ServeClient",
+    ),
+    "repro.serve.fleet.supervisor": ("BackendSpec", "BackendSupervisor"),
+    "repro.serve.fleet.health": ("CircuitBreaker", "CircuitState"),
+    "repro.serve.fleet.router": (
+        "FleetRouter",
+        "RouterConfig",
+        "make_fleet",
+        "run_fleet",
+    ),
+    "repro.serve.fleet.hashring": ("HashRing",),
+    "repro.serve.memcache": ("ServeMemCache",),
+    "repro.serve.predict.miner": ("PatternMiner",),
+    "repro.serve.predict.speculator": ("Predictor",),
+    "repro.serve.protocol": (
+        "ERROR_CODES",
+        "OPS",
+        "PRIORITIES",
+        "PROTOCOL_VERSION",
+        "DEFAULT_HOST",
+        "DEFAULT_PORT",
+        "SOURCES",
+        "STATS_SCHEMA_VERSION",
+        "Request",
+        "apply_overrides",
+        "parse_request",
+        "request_to_key",
+        "validate_router_stats",
+        "validate_stats",
+    ),
+    "repro.serve.retry": ("RetryPolicy", "RetryStats", "retryable"),
+    "repro.serve.scheduler": ("RequestScheduler", "SpeculationAborted"),
+    "repro.serve.server": (
+        "LineEndpoint",
+        "ServeConfig",
+        "SimulationServer",
+        "run_server",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

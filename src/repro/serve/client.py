@@ -9,8 +9,8 @@ benchmark.  :class:`ServeClient` is the blocking facade the
 a private event loop, one request at a time.
 
 ``simulate`` payloads are deserialized back into
-:class:`~repro.sim.gpu.SimResult` objects via
-:func:`repro.exec.cache.deserialize_result`, so a served result is
+:class:`~repro.result.SimResult` objects via
+:func:`repro.result.deserialize_result`, so a served result is
 byte-identical (under :func:`~repro.exec.cache.result_bytes`) to the
 same cell executed in-process; wire error codes come back as the typed
 exceptions of :mod:`repro.errors`.
@@ -32,11 +32,10 @@ import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RequestError
-from repro.exec.cache import deserialize_result
+from repro.result import SimResult, deserialize_result
 from repro.serve import protocol
+from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
 from repro.serve.retry import RetryPolicy, RetryStats
-from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
-from repro.sim.gpu import SimResult
 
 #: Bound on connection establishment (seconds).  Distinct from the
 #: per-call ``timeout``: ``timeout=None`` legitimately means "wait

@@ -21,41 +21,28 @@ Chaos-tested against :class:`repro.guard.faults.ServeFaultPlan` (kill
 mid-flight, slow, blackhole, torn responses); see ``docs/fleet.md``.
 """
 
-from repro.serve.fleet.hashring import DEFAULT_VNODES, HashRing
-from repro.serve.fleet.health import (
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_RESET_TIMEOUT_S,
-    CircuitBreaker,
-    CircuitState,
-)
-from repro.serve.fleet.router import (
-    DEFAULT_FORWARD_TIMEOUT_S,
-    BackendLink,
-    FleetRouter,
-    RouterConfig,
-    make_fleet,
-    run_fleet,
-)
-from repro.serve.fleet.supervisor import (
-    DEFAULT_RESTART_BUDGET,
-    BackendSpec,
-    BackendSupervisor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_VNODES",
-    "HashRing",
-    "DEFAULT_FAILURE_THRESHOLD",
-    "DEFAULT_RESET_TIMEOUT_S",
-    "CircuitBreaker",
-    "CircuitState",
-    "DEFAULT_FORWARD_TIMEOUT_S",
-    "BackendLink",
-    "FleetRouter",
-    "RouterConfig",
-    "make_fleet",
-    "run_fleet",
-    "DEFAULT_RESTART_BUDGET",
-    "BackendSpec",
-    "BackendSupervisor",
-]
+_EXPORTS = {
+    "repro.serve.fleet.hashring": ("DEFAULT_VNODES", "HashRing"),
+    "repro.serve.fleet.health": (
+        "DEFAULT_FAILURE_THRESHOLD",
+        "DEFAULT_RESET_TIMEOUT_S",
+        "CircuitBreaker",
+        "CircuitState",
+    ),
+    "repro.serve.fleet.router": (
+        "DEFAULT_FORWARD_TIMEOUT_S",
+        "BackendLink",
+        "FleetRouter",
+        "RouterConfig",
+        "make_fleet",
+        "run_fleet",
+    ),
+    "repro.serve.fleet.supervisor": (
+        "DEFAULT_RESTART_BUDGET",
+        "BackendSpec",
+        "BackendSupervisor",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

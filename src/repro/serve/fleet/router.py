@@ -59,8 +59,9 @@ from repro.serve.fleet.health import (
     CircuitState,
 )
 from repro.serve.fleet.supervisor import BackendSpec, BackendSupervisor
+from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT
 from repro.serve.retry import RetryStats
-from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, LineEndpoint
+from repro.serve.server import LineEndpoint
 
 #: Default bound on one forwarded request (seconds): long enough for a
 #: real simulation, short enough that a blackholed backend is detected

@@ -2,7 +2,7 @@
 
 The serving stack caches at three levels:
 
-1. this **memcache** — deserialized :class:`~repro.sim.gpu.SimResult`
+1. this **memcache** — deserialized :class:`~repro.result.SimResult`
    objects keyed by cell fingerprint, answered without touching the
    executor thread at all (sub-microsecond hit path);
 2. the engine's **in-process memo** (exact-object reuse inside one

@@ -25,38 +25,26 @@ Safety properties (enforced by ``tests/serve/test_speculation_e2e.py``):
   so adversarial streams cost nothing.
 """
 
-from repro.serve.predict.miner import (
-    DEFAULT_DEPTH,
-    DEFAULT_MAX_GROUPS,
-    DEFAULT_MIN_RUN,
-    DEFAULT_MISPREDICT_LIMIT,
-    CellSpec,
-    PatternMiner,
-    Prediction,
-    flatten_overrides,
-    unflatten_overrides,
-)
-from repro.serve.predict.speculator import (
-    DEFAULT_MAX_OUTSTANDING,
-    DEFAULT_TTL_OBSERVATIONS,
-    Predictor,
-    build_predictor,
-    prediction_to_request,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellSpec",
-    "PatternMiner",
-    "Prediction",
-    "Predictor",
-    "build_predictor",
-    "prediction_to_request",
-    "flatten_overrides",
-    "unflatten_overrides",
-    "DEFAULT_MIN_RUN",
-    "DEFAULT_DEPTH",
-    "DEFAULT_MAX_GROUPS",
-    "DEFAULT_MISPREDICT_LIMIT",
-    "DEFAULT_MAX_OUTSTANDING",
-    "DEFAULT_TTL_OBSERVATIONS",
-]
+_EXPORTS = {
+    "repro.serve.predict.miner": (
+        "DEFAULT_DEPTH",
+        "DEFAULT_MAX_GROUPS",
+        "DEFAULT_MIN_RUN",
+        "DEFAULT_MISPREDICT_LIMIT",
+        "CellSpec",
+        "PatternMiner",
+        "Prediction",
+        "flatten_overrides",
+        "unflatten_overrides",
+    ),
+    "repro.serve.predict.speculator": (
+        "DEFAULT_MAX_OUTSTANDING",
+        "DEFAULT_TTL_OBSERVATIONS",
+        "Predictor",
+        "build_predictor",
+        "prediction_to_request",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -28,7 +28,7 @@ back-off hint, see :class:`~repro.errors.DegradedError`) and
 the watchdog snapshot travels here verbatim).
 
 A ``simulate`` result is the lossless
-:func:`repro.exec.cache.serialize_result` payload, so a served result
+:func:`repro.result.serialize_result` payload, so a served result
 deserializes byte-identical to the same cell run through the serial
 CLI — the round-trip-fidelity acceptance check of the serve layer.
 """
@@ -39,7 +39,7 @@ import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.config import (
     GPUConfig,
@@ -59,13 +59,26 @@ from repro.errors import (
     ShuttingDownError,
     classify,
 )
-from repro.exec.cache import RunKey, make_key
-from repro.prefetch import PREFETCHERS
-from repro.workloads import ALL_BENCHMARKS, Scale, normalize_benchmark
+from repro.prefetch.factory import PREFETCHERS
+from repro.workloads.base import Scale
+
+if TYPE_CHECKING:
+    from repro.exec.cache import RunKey
 
 #: Bump on incompatible request/response schema changes; the server
 #: rejects mismatched requests with ``bad_request`` instead of guessing.
 PROTOCOL_VERSION = 1
+
+#: Per-connection stream limit, both ends: responses embed serialized
+#: results (potentially with observability payloads), so the default
+#: 64 KiB readline limit is far too small.
+STREAM_LIMIT = 16 * 1024 * 1024
+
+#: Default TCP bind/connect address.
+DEFAULT_HOST = "127.0.0.1"
+
+#: Default TCP port (unused when a Unix socket path is given).
+DEFAULT_PORT = 8642
 
 #: Valid ``op`` values of a request.
 OPS = ("simulate", "stats", "ping")
@@ -228,6 +241,8 @@ def parse_request(payload: Dict[str, Any]) -> Request:
         raise BadRequestError(f"unknown op {op!r}; choose from {OPS}")
     if op != "simulate":
         return Request(id=req_id, op=op)
+    # Server side only: a client builds payloads without the suite.
+    from repro.workloads.suite import ALL_BENCHMARKS, normalize_benchmark
 
     # A benchmark may be one abbreviation or a "+"-joined co-run pair
     # ("MRQ+SGEMM"); each part is validated and canonicalized (aliases
@@ -351,6 +366,8 @@ def request_to_key(request: Request) -> RunKey:
     """Resolve a validated ``simulate`` request into its canonical cell
     through :func:`repro.exec.cache.make_key`, so a request and the
     serial CLI name (and therefore cache-share) the exact same cell."""
+    from repro.exec.cache import make_key
+
     config = apply_overrides(PRESETS[request.preset](), request.overrides)
     return make_key(request.benchmark, request.engine, config=config,
                     scale=request.scale, scheduler=request.scheduler)

@@ -60,6 +60,7 @@ from repro.serve.predict.miner import (
     DEFAULT_MISPREDICT_LIMIT,
 )
 from repro.serve.predict.speculator import build_predictor
+from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
 from repro.serve.scheduler import (
     DEFAULT_BATCH_MAX,
     DEFAULT_BATCH_WINDOW_S,
@@ -67,17 +68,6 @@ from repro.serve.scheduler import (
     DEFAULT_SPEC_LIMIT,
     RequestScheduler,
 )
-
-#: Per-connection stream limit: responses embed serialized results
-#: (potentially with observability payloads), so the default 64 KiB
-#: readline limit is far too small.
-STREAM_LIMIT = 16 * 1024 * 1024
-
-#: Default TCP bind address.
-DEFAULT_HOST = "127.0.0.1"
-
-#: Default TCP port (unused when a Unix socket path is given).
-DEFAULT_PORT = 8642
 
 
 def remove_stale_socket(path: str) -> None:

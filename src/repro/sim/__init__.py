@@ -8,42 +8,30 @@ coalescing (:mod:`repro.sim.coalesce`), the SM issue pipeline
 (:mod:`repro.sim.sm`) and the top-level GPU (:mod:`repro.sim.gpu`).
 """
 
-from repro.sim.isa import (
-    AddressContext,
-    ComputeOp,
-    Instr,
-    InstrKind,
-    LoadOp,
-    LoadSite,
-    LoopOp,
-    StoreOp,
-    WarpProgram,
-)
-from repro.sim.kernel import KernelInfo
-from repro.sim.cta import CTADistributor
-from repro.sim.gpu import GPU, SimResult, simulate
-from repro.sim.application import ApplicationResult, simulate_application
-from repro.sim.trace import LoadRecord, LoadTracer, TraceResult, trace_kernel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressContext",
-    "ComputeOp",
-    "Instr",
-    "InstrKind",
-    "LoadOp",
-    "LoadSite",
-    "LoopOp",
-    "StoreOp",
-    "WarpProgram",
-    "KernelInfo",
-    "CTADistributor",
-    "GPU",
-    "SimResult",
-    "simulate",
-    "ApplicationResult",
-    "simulate_application",
-    "LoadRecord",
-    "LoadTracer",
-    "TraceResult",
-    "trace_kernel",
-]
+_EXPORTS = {
+    "repro.sim.isa": (
+        "AddressContext",
+        "ComputeOp",
+        "Instr",
+        "InstrKind",
+        "LoadOp",
+        "LoadSite",
+        "LoopOp",
+        "StoreOp",
+        "WarpProgram",
+    ),
+    "repro.sim.kernel": ("KernelInfo",),
+    "repro.sim.cta": ("CTADistributor",),
+    "repro.sim.gpu": ("GPU", "simulate"),
+    "repro.result": ("SimResult",),
+    "repro.sim.application": ("ApplicationResult", "simulate_application"),
+    "repro.sim.trace": (
+        "LoadRecord",
+        "LoadTracer",
+        "TraceResult",
+        "trace_kernel",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -8,8 +8,7 @@ paper's figures report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import GPUConfig
 from repro.guard.invariants import InvariantChecker
@@ -20,81 +19,9 @@ from repro.prefetch.base import NoPrefetcher
 from repro.prefetch.stats import PrefetchStats
 from repro.sim.cta import CTADistributor
 from repro.sim.fastcore import flush_memory, run_loop
+from repro.result import SimResult, SMStats
 from repro.sim.kernel import KernelInfo
-from repro.sim.sm import SM, SMStats
-
-
-@dataclass
-class SimResult:
-    """Aggregated outcome of one simulation run."""
-
-    kernel: str
-    prefetcher: str
-    scheduler: str
-    cycles: int
-    instructions: int
-    sm_stats: SMStats
-    prefetch_stats: PrefetchStats
-    l1_accesses: int
-    l1_hits: int
-    l1_misses: int
-    l2_hit_rate: float
-    dram_reads: int
-    dram_writes: int
-    dram_row_hit_rate: float
-    core_requests: int
-    core_demand_requests: int
-    core_prefetch_requests: int
-    core_store_requests: int
-    completed: bool
-    ctas_total: int
-    #: Free-form extras; incomplete runs carry their diagnostic
-    #: ``hang_snapshot`` here (see :mod:`repro.guard.watchdog`).
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ipc(self) -> float:
-        """Instructions per cycle over the whole run."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def l1_hit_rate(self) -> float:
-        """Fraction of L1D accesses that hit (demand only)."""
-        return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
-
-    def coverage(self) -> float:
-        """Prefetch coverage: useful prefetches / demand fetches."""
-        return self.prefetch_stats.coverage(self.sm_stats.demand_mem_fetches)
-
-    def accuracy(self) -> float:
-        """Prefetch accuracy: useful prefetches / issued prefetches."""
-        return self.prefetch_stats.accuracy()
-
-    def stall_fraction(self) -> float:
-        """Fraction of SM cycles stalled with every warp waiting on memory."""
-        active = self.sm_stats.active_cycles
-        return self.sm_stats.stall_mem_all / active if active else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten the headline metrics into a JSON-able dict."""
-        return {
-            "kernel": self.kernel,
-            "prefetcher": self.prefetcher,
-            "scheduler": self.scheduler,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "ipc": self.ipc,
-            "l1_hit_rate": self.l1_hit_rate,
-            "l2_hit_rate": self.l2_hit_rate,
-            "dram_reads": self.dram_reads,
-            "dram_writes": self.dram_writes,
-            "core_requests": self.core_requests,
-            "coverage": self.coverage(),
-            "accuracy": self.accuracy(),
-            "stall_fraction": self.stall_fraction(),
-            "completed": self.completed,
-            **{f"pf_{k}": v for k, v in self.prefetch_stats.as_dict().items()},
-        }
+from repro.sim.sm import SM
 
 
 class GPU:

@@ -9,32 +9,27 @@ an online runtime predictor) — and every SM/memory counter is sliced
 per kernel so interference can be measured exactly.
 """
 
-from .app import PC_STRIDE, MultiKernelApp, virtualize_kernel
-from .distributor import CorunAssignment, MultiKernelDistributor
-from .gpu import MultiGPU, simulate_corun
-from .metrics import antt_stp
-from .policies import (
-    AllocPolicy,
-    LeftoverPolicy,
-    PreemptPolicy,
-    RuntimePredictor,
-    SpatialPolicy,
-    make_policy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PC_STRIDE",
-    "MultiKernelApp",
-    "virtualize_kernel",
-    "CorunAssignment",
-    "MultiKernelDistributor",
-    "MultiGPU",
-    "simulate_corun",
-    "antt_stp",
-    "AllocPolicy",
-    "SpatialPolicy",
-    "LeftoverPolicy",
-    "PreemptPolicy",
-    "RuntimePredictor",
-    "make_policy",
-]
+_EXPORTS = {
+    "repro.sim.multi.app": (
+        "PC_STRIDE",
+        "MultiKernelApp",
+        "virtualize_kernel",
+    ),
+    "repro.sim.multi.distributor": (
+        "CorunAssignment",
+        "MultiKernelDistributor",
+    ),
+    "repro.sim.multi.gpu": ("MultiGPU", "simulate_corun"),
+    "repro.sim.multi.metrics": ("antt_stp",),
+    "repro.sim.multi.policies": (
+        "AllocPolicy",
+        "LeftoverPolicy",
+        "PreemptPolicy",
+        "RuntimePredictor",
+        "SpatialPolicy",
+        "make_policy",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

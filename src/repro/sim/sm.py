@@ -30,6 +30,7 @@ from repro.mem.request import Access, MemoryRequest
 from repro.mem.subsystem import MemorySubsystem
 from repro.prefetch.base import Prefetcher, PrefetchCandidate
 from repro.prefetch.stats import PrefetchStats
+from repro.result import SMStats
 from repro.sim.coalesce import coalesce
 from repro.sim.isa import AddressContext, Instr, InstrKind
 from repro.sim.kernel import KernelInfo
@@ -61,27 +62,6 @@ class CTAState:
     kernel: Optional[KernelInfo] = None
     kernel_id: int = 0
     launch_cycle: int = 0
-
-
-@dataclass
-class SMStats:
-    instructions: int = 0
-    loads_issued: int = 0
-    stores_issued: int = 0
-    demand_l1_accesses: int = 0
-    demand_mem_fetches: int = 0
-    replay_cycles: int = 0
-    replay_store_cycles: int = 0
-    stall_mem_all: int = 0
-    stall_mem_partial: int = 0
-    stall_other: int = 0
-    issue_cycles: int = 0
-    active_cycles: int = 0
-    ctas_executed: int = 0
-
-    def merge(self, other: "SMStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 @dataclass

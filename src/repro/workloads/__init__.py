@@ -12,39 +12,26 @@ DESIGN.md §2 for why the substitution preserves the prefetcher-visible
 behaviour.
 """
 
-from repro.workloads.base import BenchmarkSpec, Scale
-from repro.workloads.corun import (
-    CORUN_PAIRS,
-    DEFAULT_PAIR,
-    CorunPair,
-    corun_name,
-)
-from repro.workloads.suite import (
-    ALIASES,
-    ALL_BENCHMARKS,
-    IRREGULAR,
-    REGULAR,
-    WORKLOADS,
-    build,
-    canonical_name,
-    get_spec,
-    normalize_benchmark,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkSpec",
-    "Scale",
-    "ALIASES",
-    "ALL_BENCHMARKS",
-    "CORUN_PAIRS",
-    "CorunPair",
-    "DEFAULT_PAIR",
-    "corun_name",
-    "IRREGULAR",
-    "REGULAR",
-    "WORKLOADS",
-    "build",
-    "canonical_name",
-    "get_spec",
-    "normalize_benchmark",
-]
+_EXPORTS = {
+    "repro.workloads.base": ("BenchmarkSpec", "Scale"),
+    "repro.workloads.corun": (
+        "CORUN_PAIRS",
+        "DEFAULT_PAIR",
+        "CorunPair",
+        "corun_name",
+    ),
+    "repro.workloads.suite": (
+        "ALIASES",
+        "ALL_BENCHMARKS",
+        "IRREGULAR",
+        "REGULAR",
+        "WORKLOADS",
+        "build",
+        "canonical_name",
+        "get_spec",
+        "normalize_benchmark",
+    ),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
-from repro.sim.kernel import KernelInfo
+if TYPE_CHECKING:  # annotation only: Scale stays importable without repro.sim
+    from repro.sim.kernel import KernelInfo
 
 
 class Scale(enum.Enum):

@@ -93,4 +93,56 @@ class TestCLI:
     def test_validate_parser(self):
         args = build_parser().parse_args(["validate", "--benchmarks", "MM"])
         assert args.command == "validate"
-        assert args.benchmarks == "MM"
+        assert args.benchmarks == ["MM"]
+
+
+class TestCommaLists:
+    """A bad name in a comma list is a usage error (exit 2, one line
+    naming the choices), never a traceback or a half-started sweep."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "--benchmarks", "NOPE", "--scale", "tiny"],
+        ["sweep", "--benchmarks", "MM,NOPE"],
+        ["validate", "--benchmarks", "NOPE"],
+        ["sweep", "--benchmarks", "MM", "--engines", "nlp,bogus"],
+        ["run", "--co-run", "MM,NOPE"],
+    ])
+    def test_unknown_name_is_a_usage_error(self, argv, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "unknown" in message and "choose from" in message
+        assert "Traceback" not in message
+        assert list(tmp_path.iterdir()) == []  # no cache, journal or bundle
+
+    def test_lists_accept_aliases_and_corun_names(self):
+        p = build_parser()
+        assert p.parse_args(["figures", "--benchmarks", "sgemm,cp"]
+                            ).benchmarks == ["MM", "CP"]
+        assert p.parse_args(["sweep", "--benchmarks", "mrq+sgemm"]
+                            ).benchmarks == ["MRQ+MM"]
+        assert p.parse_args(["run", "--co-run", "mrq, sgemm"]
+                            ).co_run == ["MRQ", "MM"]
+        sweep = p.parse_args(["sweep"])
+        assert sweep.benchmarks is None  # "all 16", resolved by the handler
+        assert sweep.engines == ["intra", "inter", "mta", "nlp", "lap",
+                                 "orch", "caps"]
+        assert len(p.parse_args(["validate"]).benchmarks) == 6
+
+    def test_unknown_engine_through_the_api_fails_once_as_permanent(
+            self, tmp_path):
+        from repro.analysis import run_sweep
+        from repro.config import test_config
+        from repro.errors import ConfigError, FailureKind
+        from repro.workloads import Scale
+
+        report = run_sweep(["MM"], ("none", "bogus"), config=test_config(),
+                           scale=Scale.TINY, cache_root=tmp_path)
+        assert list(report.results) == [("MM", "none")]
+        (failure,) = report.failures.values()
+        assert isinstance(failure.error, ConfigError)
+        assert failure.kind is FailureKind.PERMANENT
+        assert failure.attempts == 1
