@@ -10,6 +10,7 @@ _EXPORTS = {
         "clear_cache",
         "get_engine",
         "run_benchmark",
+        "run_cells",
         "run_matrix",
         "run_sweep",
         "set_engine",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig, SchedulerKind
 from repro.errors import FailureKind, PermanentError, hang_snapshot
@@ -33,7 +33,9 @@ __all__ = [
     "get_engine",
     "set_engine",
     "make_key",
+    "matrix_cells",
     "run_benchmark",
+    "run_cells",
     "run_matrix",
     "run_sweep",
     "speedups_over_baseline",
@@ -84,7 +86,9 @@ def run_benchmark(
     return _ENGINE.run(key, use_cache=use_cache)
 
 
-def _matrix_keys(benchmarks, prefetchers, config, scale, scheduler):
+def matrix_cells(benchmarks, prefetchers, *, config=None,
+                 scale: Scale = Scale.SMALL, scheduler=None,
+                 ) -> Dict[Tuple[str, str], RunKey]:
     """``(benchmark, prefetcher) -> RunKey`` for every cell of a matrix."""
     return {
         (b, p): make_key(b, p, config=config, scale=scale,
@@ -92,6 +96,19 @@ def _matrix_keys(benchmarks, prefetchers, config, scale, scheduler):
         for b in benchmarks
         for p in prefetchers
     }
+
+
+def run_cells(cells: Mapping[Hashable, RunKey]) -> Dict[Hashable, SimResult]:
+    """Run labelled cells as one engine batch: label → ``RunKey`` in,
+    label → ``SimResult`` out.
+
+    Everything the analysis layer simulates comes through here, all at
+    once, so with ``jobs > 1`` the cells execute in parallel, labels
+    that name the same cell collapse to one simulation, and cached
+    cells are never re-run.
+    """
+    results = _ENGINE.run_many(list(cells.values()))
+    return {label: results[key] for label, key in cells.items()}
 
 
 def run_matrix(
@@ -102,15 +119,9 @@ def run_matrix(
     scale: Scale = Scale.SMALL,
     scheduler: Optional[SchedulerKind] = None,
 ) -> Dict[Tuple[str, str], SimResult]:
-    """Run the full (benchmark × prefetcher) matrix.
-
-    The whole matrix is handed to the engine in one batch, so with
-    ``jobs > 1`` cells execute in parallel, duplicates collapse to one
-    simulation, and cached cells are never re-run.
-    """
-    keys = _matrix_keys(benchmarks, prefetchers, config, scale, scheduler)
-    results = _ENGINE.run_many(list(keys.values()))
-    return {bp: results[key] for bp, key in keys.items()}
+    """Run the full (benchmark × prefetcher) matrix as one batch."""
+    return run_cells(matrix_cells(benchmarks, prefetchers, config=config,
+                                  scale=scale, scheduler=scheduler))
 
 
 @dataclass
@@ -157,7 +168,8 @@ def run_sweep(
     completed cells are served from the persistent cache and journaled
     permanent failures are reported without re-execution.
     """
-    keys = _matrix_keys(benchmarks, prefetchers, config, scale, scheduler)
+    keys = matrix_cells(benchmarks, prefetchers, config=config, scale=scale,
+                        scheduler=scheduler)
     fps = {key: key_fingerprint(key) for key in keys.values()}
     engine = _ENGINE
     if cache_root is not None:

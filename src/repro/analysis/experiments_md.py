@@ -1,7 +1,8 @@
 """EXPERIMENTS.md generator: paper-reported vs. measured, per experiment.
 
-Runs every figure/table experiment (through the memoizing driver) and
-writes a markdown report.  The paper's reported values are encoded in
+Plans the cells of every figure it renders, runs them as one engine
+batch (one pool at ``--jobs N``; every later figure lookup is a memo
+hit) and writes a markdown report.  The paper's reported values are encoded in
 :data:`PAPER` below; our runs use the scaled-down machine and workloads
 (see DESIGN.md §2), so the comparison targets *shape* — who wins, by
 roughly what factor, where the crossovers are — not absolute numbers.
@@ -13,11 +14,11 @@ import pathlib
 from typing import List
 
 from repro.analysis import figures as F
+from repro.analysis.driver import get_engine
 from repro.analysis.report import format_percent
-from repro.config import small_config
+from repro.config import fermi_config, small_config
 from repro.core.hwcost import caps_hardware_cost
-from repro.config import fermi_config
-from repro.workloads import ALL_BENCHMARKS, Scale
+from repro.workloads import ALL_BENCHMARKS, CORUN_PAIRS, Scale
 
 #: Paper-reported reference values (Section VI).
 PAPER = {
@@ -65,6 +66,26 @@ def generate_experiments_md(
     """
     cfg = config if config is not None else small_config()
     sections: List[str] = []
+
+    # The plan: each figure with the arguments it is rendered with below;
+    # the union of their cells is simulated here, as one batch.
+    suite = dict(scale=scale, config=config, benchmarks=benchmarks)
+    sweep = dict(suite, benchmarks=fig11_benchmarks)
+    corun = dict(scale=scale, config=config, pairs=tuple(
+        p for p in CORUN_PAIRS
+        if all(k in benchmarks for k in p.name.split("+"))))
+    plan = [(F.fig10_normalized_ipc, suite), (F.fig11_cta_sweep, sweep),
+            (F.fig12_coverage_accuracy, suite),
+            (F.fig13_bandwidth_overhead, suite),
+            (F.fig14a_early_prefetch_ratio, suite),
+            (F.fig14b_prefetch_distance, suite), (F.fig15_energy, suite),
+            (F.fig_corun_interference, corun)]
+    if include_full_scale:
+        full = dict(scale=Scale.FULL, benchmarks=benchmarks,
+                    config=fermi_config(max_cycles=3_000_000))
+        plan.append((F.fig10_normalized_ipc, full))
+    get_engine().run_many([key for fig, kwargs in plan
+                           for key in fig.cells(**kwargs).values()])
 
     sections.append(
         "# EXPERIMENTS — paper vs. measured\n\n"
@@ -129,8 +150,7 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 10
-    f10 = F.fig10_normalized_ipc(scale=scale, config=config,
-                                 benchmarks=benchmarks)
+    f10 = F.fig10_normalized_ipc(**suite)
     engines = list(F.ENGINES)
     order = [b for b in benchmarks] + [
         k for k in ("Mean(reg)", "Mean(irreg)", "Mean(all)") if k in f10
@@ -153,8 +173,7 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 11
-    f11 = F.fig11_cta_sweep(scale=scale, config=config,
-                            benchmarks=fig11_benchmarks)
+    f11 = F.fig11_cta_sweep(**sweep)
     engs = ["none"] + engines
     rows = [[lim] + [_f(f11[lim][e]) for e in engs] for lim in sorted(f11)]
     sections.append(
@@ -168,8 +187,7 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 12
-    f12 = F.fig12_coverage_accuracy(scale=scale, config=config,
-                                    benchmarks=benchmarks)
+    f12 = F.fig12_coverage_accuracy(**suite)
     rows = [
         [b] + [f"{format_percent(f12[b][e][0])}/{format_percent(f12[b][e][1])}"
                for e in engines]
@@ -190,8 +208,7 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 13
-    f13 = F.fig13_bandwidth_overhead(scale=scale, config=config,
-                                     benchmarks=benchmarks)
+    f13 = F.fig13_bandwidth_overhead(**suite)
     rows = [
         [b] + [f"{_f(f13[b][e][0], 2)}/{_f(f13[b][e][1], 2)}" for e in engines]
         for b in list(benchmarks) + ["Mean"]
@@ -207,10 +224,8 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 14
-    f14a = F.fig14a_early_prefetch_ratio(scale=scale, config=config,
-                                         benchmarks=benchmarks)
-    f14b = F.fig14b_prefetch_distance(scale=scale, config=config,
-                                      benchmarks=benchmarks)
+    f14a = F.fig14a_early_prefetch_ratio(**suite)
+    f14b = F.fig14b_prefetch_distance(**suite)
     sections.append(
         "## Figure 14 — timeliness\n\n"
         f"Paper 14a: CAPS evicts {format_percent(PAPER['fig14a_caps'], 2)} "
@@ -237,8 +252,7 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 15
-    f15 = F.fig15_energy(scale=scale, config=config,
-                         benchmarks=benchmarks)
+    f15 = F.fig15_energy(**suite)
     rows = [[b, _f(f15[b])] for b in list(benchmarks) + ["Mean"]]
     sections.append(
         "## Figure 15 — energy\n\n"
@@ -249,15 +263,9 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------- co-run interference
-    from repro.workloads import CORUN_PAIRS
-
-    corun_pairs = tuple(
-        p for p in CORUN_PAIRS
-        if all(k in benchmarks for k in p.name.split("+"))
-    )
+    corun_pairs = corun["pairs"]
     if corun_pairs:
-        fco = F.fig_corun_interference(scale=scale, config=config,
-                                       pairs=corun_pairs)
+        fco = F.fig_corun_interference(**corun)
         policies = list(next(iter(fco.values())))
         rows = []
         for pair in corun_pairs:
@@ -293,9 +301,7 @@ def generate_experiments_md(
 
     # -------------------------------------------- full-scale Figure 10
     if include_full_scale:
-        full_cfg = fermi_config(max_cycles=3_000_000)
-        f10f = F.fig10_normalized_ipc(scale=Scale.FULL, config=full_cfg,
-                                      benchmarks=benchmarks)
+        f10f = F.fig10_normalized_ipc(**full)
         order_f = [b for b in benchmarks] + [
             k for k in ("Mean(reg)", "Mean(irreg)", "Mean(all)") if k in f10f
         ]

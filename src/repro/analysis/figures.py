@@ -1,22 +1,36 @@
 """Experiment functions: one per paper table/figure.
 
-Each ``figN_data`` function runs the required simulations (through the
-memoizing driver, so figures sharing runs — 10/12/13/15 — simulate once)
-and returns plain dicts/lists ready for tabulation; the ``benchmarks/``
-harness prints them next to the paper's reported values.
+Each function returns plain dicts/lists ready for tabulation; the
+``benchmarks/`` harness prints them next to the paper's reported values.
+Every figure that simulates has the shape *cells → one batch → view*
+(:func:`_figure`): it names its runs as ``RunKey`` cells, the engine
+executes them as one batch (in parallel with ``--jobs N``; figures
+sharing runs — 10/12/13/15 — simulate once), and the figure computes
+from the returned results.  ``fig.cells(...)`` stops after the first
+step, which is how ``generate_experiments_md`` plans every figure it
+renders as a single batch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.config import ALLOC_POLICIES, GPUConfig, SchedulerKind, small_config
-from repro.analysis.driver import run_benchmark, run_matrix, speedups_over_baseline
+from repro.analysis.driver import (
+    RunKey,
+    make_key,
+    matrix_cells,
+    run_cells,
+    speedups_over_baseline,
+)
 from repro.analysis.metrics import geomean, mean
 from repro.energy.model import normalized_energy
 from repro.prefetch import PREFETCHERS
+from repro.result import SimResult
 from repro.workloads import (
     ALL_BENCHMARKS,
     CORUN_PAIRS,
@@ -29,6 +43,33 @@ from repro.workloads import (
 
 #: Figure 10/12/13 evaluation order.
 ENGINES = PREFETCHERS
+
+T = TypeVar("T")
+#: Body of a simulating figure: yields its cells (label → ``RunKey``)
+#: once, is sent their results (label → ``SimResult``), returns its data.
+Steps = Generator[Dict[Any, RunKey], Dict[Any, SimResult], T]
+
+
+def _figure(steps: Callable[..., Steps[T]]) -> Callable[..., T]:
+    """Make the generator ``steps`` a figure function: its cells run as
+    one engine batch and its ``return`` value is the figure's data.
+
+    ``figure.cells(...)`` takes the same arguments and returns the cells
+    alone, without simulating — each figure's cells are written down
+    once, in its body, for both uses.
+    """
+    @functools.wraps(steps)
+    def figure(*args, **kwargs):
+        body = steps(*args, **kwargs)
+        results = run_cells(next(body))
+        try:
+            body.send(results)
+        except StopIteration as done:
+            return done.value
+        raise RuntimeError(f"{steps.__name__} yielded a second batch")
+
+    figure.cells = lambda *args, **kwargs: next(steps(*args, **kwargs))
+    return figure
 
 
 # ---------------------------------------------------------------- Figure 1
@@ -147,17 +188,18 @@ def fig4_loop_iterations() -> List[Fig4Row]:
 
 # --------------------------------------------------------------- Figure 10
 
+@_figure
 def fig10_normalized_ipc(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
     engines: Sequence[str] = ENGINES,
-) -> Dict[str, Dict[str, float]]:
+) -> Steps[Dict[str, Dict[str, float]]]:
     """Figure 10: IPC of every engine normalized to the no-prefetch
     two-level baseline, plus Mean(reg)/Mean(irreg)/Mean(all) rows."""
-    matrix = run_matrix(benchmarks, ("none",) + tuple(engines),
-                        config=config, scale=scale)
+    matrix = yield matrix_cells(benchmarks, ("none",) + tuple(engines),
+                                config=config, scale=scale)
     sp = speedups_over_baseline(matrix, benchmarks, tuple(engines))
     out: Dict[str, Dict[str, float]] = {
         b: {e: sp[(b, e)] for e in engines} for b in benchmarks
@@ -175,6 +217,7 @@ def fig10_normalized_ipc(
 
 # --------------------------------------------------------------- Figure 11
 
+@_figure
 def fig11_cta_sweep(
     cta_limits: Sequence[int] = (1, 2, 4, 8),
     *,
@@ -182,28 +225,25 @@ def fig11_cta_sweep(
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
     engines: Sequence[str] = ENGINES,
-) -> Dict[int, Dict[str, float]]:
+) -> Steps[Dict[int, Dict[str, float]]]:
     """Figure 11: mean IPC by concurrent-CTA limit, all normalized to
     the no-prefetch baseline at the maximum CTA count."""
     cfg = config if config is not None else small_config()
-    ref_limit = max(cta_limits)
-    ref = {
-        b: run_benchmark(b, "none", config=cfg.with_cta_limit(ref_limit),
-                         scale=scale).ipc
-        for b in benchmarks
+    engines = ("none",) + tuple(engines)
+    r = yield {
+        (limit, e, b): make_key(b, e, config=cfg.with_cta_limit(limit),
+                                scale=scale)
+        for limit in cta_limits for e in engines for b in benchmarks
     }
-    out: Dict[int, Dict[str, float]] = {}
-    for limit in cta_limits:
-        lcfg = cfg.with_cta_limit(limit)
-        row: Dict[str, float] = {}
-        for engine in ("none",) + tuple(engines):
-            ratios = []
-            for b in benchmarks:
-                r = run_benchmark(b, engine, config=lcfg, scale=scale)
-                ratios.append(r.ipc / ref[b])
-            row[engine] = geomean(ratios)
-        out[limit] = row
-    return out
+    ref_limit = max(cta_limits)
+    return {
+        limit: {
+            e: geomean([r[limit, e, b].ipc / r[ref_limit, "none", b].ipc
+                        for b in benchmarks])
+            for e in engines
+        }
+        for limit in cta_limits
+    }
 
 
 # --------------------------------------------------------------- Figure 12
@@ -220,47 +260,40 @@ def _mean_pairs(out, benchmarks, engines) -> Dict[str, Tuple[float, float]]:
     }
 
 
+@_figure
 def fig12_coverage_accuracy(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
     engines: Sequence[str] = ENGINES,
-) -> Dict[str, Dict[str, Tuple[float, float]]]:
+) -> Steps[Dict[str, Dict[str, Tuple[float, float]]]]:
     """Figure 12: per-engine (coverage, accuracy), plus a Mean row."""
-    out: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for b in benchmarks:
-        row = {}
-        for e in engines:
-            r = run_benchmark(b, e, config=config, scale=scale)
-            row[e] = (r.coverage(), r.accuracy())
-        out[b] = row
+    r = yield matrix_cells(benchmarks, engines, config=config, scale=scale)
+    out = {b: {e: (r[b, e].coverage(), r[b, e].accuracy()) for e in engines}
+           for b in benchmarks}
     out["Mean"] = _mean_pairs(out, benchmarks, engines)
     return out
 
 
 # --------------------------------------------------------------- Figure 13
 
+@_figure
 def fig13_bandwidth_overhead(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
     engines: Sequence[str] = ENGINES,
-) -> Dict[str, Dict[str, Tuple[float, float]]]:
+) -> Steps[Dict[str, Dict[str, Tuple[float, float]]]]:
     """Figure 13: (core-request traffic, DRAM read traffic), each
     normalized to the no-prefetch baseline; plus a Mean row."""
-    out: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for b in benchmarks:
-        base = run_benchmark(b, "none", config=config, scale=scale)
-        row = {}
-        for e in engines:
-            r = run_benchmark(b, e, config=config, scale=scale)
-            row[e] = (
-                r.core_requests / max(1, base.core_requests),
-                r.dram_reads / max(1, base.dram_reads),
-            )
-        out[b] = row
+    r = yield matrix_cells(benchmarks, ("none",) + tuple(engines),
+                           config=config, scale=scale)
+    out = {b: {e: (r[b, e].core_requests / max(1, r[b, "none"].core_requests),
+                   r[b, e].dram_reads / max(1, r[b, "none"].dram_reads))
+               for e in engines}
+           for b in benchmarks}
     out["Mean"] = _mean_pairs(out, benchmarks, engines)
     return out
 
@@ -274,12 +307,13 @@ def fig13_bandwidth_overhead(
 # Hooks fire at the exact PrefetchStats call sites, so the values agree
 # with the legacy counters to the last integer (tests/obs golden test).
 
+@_figure
 def fig14a_early_prefetch_ratio(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
-) -> Dict[str, float]:
+) -> Steps[Dict[str, float]]:
     """Figure 14a: mean early-prefetch (evicted-before-use) ratio for
     INTRA / INTER / MTA / CAPS / CAPS without eager wake-up, derived
     from the :mod:`repro.obs` time-series totals."""
@@ -288,32 +322,32 @@ def fig14a_early_prefetch_ratio(
     nowake = dataclasses.replace(
         cfg, prefetch=dataclasses.replace(cfg.prefetch, eager_wakeup=False)
     )
+    variants = {"intra": ("intra", cfg), "inter": ("inter", cfg),
+                "mta": ("mta", cfg), "caps": ("caps", cfg),
+                "caps_no_wakeup": ("caps", nowake)}
+    r = yield {
+        (label, b): make_key(b, engine, config=c, scale=scale)
+        for label, (engine, c) in variants.items() for b in benchmarks
+    }
     out: Dict[str, float] = {}
-    for label, engine, c in (
-        ("intra", "intra", cfg),
-        ("inter", "inter", cfg),
-        ("mta", "mta", cfg),
-        ("caps", "caps", cfg),
-        ("caps_no_wakeup", "caps", nowake),
-    ):
-        issued = evicted = 0
-        for b in benchmarks:
-            r = run_benchmark(b, engine, config=c, scale=scale)
-            totals = r.extra["timeseries"]["totals"]
-            issued += totals["pf_issued"]
-            evicted += totals["pf_early_evicted"]
+    for label in variants:
+        totals = [r[label, b].extra["timeseries"]["totals"]
+                  for b in benchmarks]
+        issued = sum(t["pf_issued"] for t in totals)
         # Aggregate over all prefetches (issued-weighted), matching the
         # paper's single MEAN bar.
-        out[label] = evicted / issued if issued else 0.0
+        out[label] = (sum(t["pf_early_evicted"] for t in totals) / issued
+                      if issued else 0.0)
     return out
 
 
+@_figure
 def fig14b_prefetch_distance(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
-) -> Dict[str, float]:
+) -> Steps[Dict[str, float]]:
     """Figure 14b: mean prefetch->demand distance of timely CAPS
     prefetches under LRR, the plain two-level scheduler (TLV), and the
     prefetch-aware two-level scheduler (PA-TLV), derived from the
@@ -322,25 +356,24 @@ def fig14b_prefetch_distance(
 
     cfg = config if config is not None else small_config()
     cfg = cfg.with_obs(metrics=True)
+    kinds = {"LRR": SchedulerKind.LRR, "TLV": SchedulerKind.TWO_LEVEL,
+             "PA-TLV": SchedulerKind.PAS}
+    r = yield {
+        (label, b): make_key(b, "caps", config=cfg, scale=scale,
+                             scheduler=kind)
+        for label, kind in kinds.items() for b in benchmarks
+    }
     out: Dict[str, float] = {}
-    for label, kind in (
-        ("LRR", SchedulerKind.LRR),
-        ("TLV", SchedulerKind.TWO_LEVEL),
-        ("PA-TLV", SchedulerKind.PAS),
-    ):
-        dists = []
-        for b in benchmarks:
-            r = run_benchmark(b, "caps", config=cfg, scale=scale,
-                              scheduler=kind)
-            ts = r.extra["timeseries"]
-            if consumed_prefetches(ts):
-                dists.append(mean_prefetch_lead(ts))
-        out[label] = mean(dists)
+    for label in kinds:
+        series = [r[label, b].extra["timeseries"] for b in benchmarks]
+        out[label] = mean([mean_prefetch_lead(ts) for ts in series
+                           if consumed_prefetches(ts)])
     return out
 
 
 # ------------------------------------------------- Co-run interference
 
+@_figure
 def fig_corun_interference(
     *,
     scale: Scale = Scale.SMALL,
@@ -348,40 +381,45 @@ def fig_corun_interference(
     pairs: Sequence[CorunPair] = CORUN_PAIRS,
     policies: Sequence[str] = ALLOC_POLICIES,
     engine: str = "none",
-) -> Dict[str, Dict[str, Dict]]:
+) -> Steps[Dict[str, Dict[str, Dict]]]:
     """Co-run interference study: per-kernel slowdown, ANTT and STP for
     every curated pair under every CTA allocation policy.
 
     Not a paper figure — it extends the reproduction to concurrent
     kernels (docs/architecture.md).  For each pair the two kernels also
-    run solo (same engine/config, memoized across policies); ANTT is the
-    mean per-kernel slowdown ``T_co / T_solo`` and STP the aggregate
-    throughput ``Σ T_solo / T_co`` — see docs/metrics-glossary.md.
+    run solo (same engine/config, one cell shared by every policy and
+    pair); ANTT is the mean per-kernel slowdown ``T_co / T_solo`` and
+    STP the aggregate throughput ``Σ T_solo / T_co`` — see
+    docs/metrics-glossary.md.
     """
     from repro.sim.multi import antt_stp
 
     cfg = config if config is not None else small_config()
+    cells = {
+        (pair.name, policy): make_key(
+            pair.name, engine, config=cfg.with_multi(alloc_policy=policy),
+            scale=scale)
+        for pair in pairs for policy in policies
+    }
+    for pair in pairs:
+        for b in pair.name.split("+"):
+            cells[b] = make_key(b, engine, config=cfg, scale=scale)
+    r = yield cells
     out: Dict[str, Dict[str, Dict]] = {}
     for pair in pairs:
-        solo = {
-            b: run_benchmark(b, engine, config=cfg, scale=scale).cycles
-            for b in pair.name.split("+")
-        }
         per_policy: Dict[str, Dict] = {}
         for policy in policies:
-            r = run_benchmark(pair.name, engine,
-                              config=cfg.with_multi(alloc_policy=policy),
-                              scale=scale)
-            kernels = r.extra["kernels"]
-            t = antt_stp([k["finish_cycle"] for k in kernels],
-                         [solo[k["name"]] for k in kernels])
+            co = r[pair.name, policy]
+            kernels = co.extra["kernels"]
+            solo = [r[k["name"]].cycles for k in kernels]
+            t = antt_stp([k["finish_cycle"] for k in kernels], solo)
             per_policy[policy] = {
-                "total_cycles": r.cycles,
+                "total_cycles": co.cycles,
                 "antt": t["antt"],
                 "stp": t["stp"],
                 "slowdowns": {
-                    k["name"]: k["finish_cycle"] / solo[k["name"]]
-                    for k in kernels
+                    k["name"]: k["finish_cycle"] / s
+                    for k, s in zip(kernels, solo)
                 },
                 "kernels": kernels,
             }
@@ -391,19 +429,19 @@ def fig_corun_interference(
 
 # --------------------------------------------------------------- Figure 15
 
+@_figure
 def fig15_energy(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
-) -> Dict[str, float]:
+) -> Steps[Dict[str, float]]:
     """Figure 15: CAPS energy normalized to the baseline, per benchmark
     plus the mean."""
     cfg = config if config is not None else small_config()
-    out: Dict[str, float] = {}
-    for b in benchmarks:
-        base = run_benchmark(b, "none", config=cfg, scale=scale)
-        caps = run_benchmark(b, "caps", config=cfg, scale=scale)
-        out[b] = normalized_energy(caps, base, cfg.num_sms)
+    r = yield matrix_cells(benchmarks, ("none", "caps"), config=cfg,
+                           scale=scale)
+    out = {b: normalized_energy(r[b, "caps"], r[b, "none"], cfg.num_sms)
+           for b in benchmarks}
     out["Mean"] = mean(list(out.values()))
     return out

@@ -223,7 +223,6 @@ class ResultCache:
     def put(self, key: RunKey, result: SimResult) -> pathlib.Path:
         """Atomically persist ``result``; returns the entry path."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": {
@@ -235,13 +234,20 @@ class ResultCache:
             },
             "result": serialize_result(result),
         }
+        text = json.dumps(payload, indent=1)
         tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         try:
-            tmp.write_text(json.dumps(payload, indent=1))
+            try:
+                tmp.write_text(text)
+            except FileNotFoundError:
+                # The first put of a fresh cache, or the directory was
+                # removed underneath us: make it and write again.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text)
             os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         if (self._fault_rng is not None
                 and self._fault_plan.should_corrupt_cache(self._fault_rng)):
             # Truncate mid-payload: a syntactically broken entry that the

@@ -13,9 +13,12 @@ Every state transition of a matrix cell emits one :class:`ExecEvent`:
     the cell was served from the in-process memo or the persistent
     cache (``detail`` says which);
 ``finished``
-    the simulation completed (``wall_s`` holds the cell wall time);
+    the simulation completed (``wall_s`` holds the cell's run time,
+    measured where it ran: a pooled cell's wait in the queue is not in
+    it, so the sum over a batch is at most ``jobs`` × the batch's wall);
 ``retry``
-    the attempt failed and the cell was resubmitted;
+    the attempt failed and the cell was resubmitted (``wall_s``: how
+    long the attempt ran, 0 when its worker died before reporting);
 ``failed``
     the cell failed after its retry budget was exhausted.
 

@@ -128,12 +128,26 @@ def call_with_timeout(fn: Callable[[], SimResult],
 
 
 def _worker(key: RunKey, timeout_s: Optional[float],
-            faults: Optional[FaultPlan] = None, attempt: int = 1) -> SimResult:
+            faults: Optional[FaultPlan] = None,
+            attempt: int = 1) -> Tuple[SimResult, float]:
     """One attempt of one cell, pooled or inline, with the per-task
-    deadline armed."""
-    if faults is not None and faults.should_crash(attempt):
-        faults.crash(attempt, key.describe())
-    return call_with_timeout(lambda: execute_cell(key, faults), timeout_s)
+    deadline armed.
+
+    Returns the result with the attempt's run time, measured here —
+    where the cell runs — so the time a pooled cell waits in the queue
+    is never reported as cell time; a failing attempt carries the same
+    measurement out as ``wall_s`` on its exception.
+    """
+    began = time.perf_counter()
+    try:
+        if faults is not None and faults.should_crash(attempt):
+            faults.crash(attempt, key.describe())
+        result = call_with_timeout(lambda: execute_cell(key, faults),
+                                   timeout_s)
+    except Exception as exc:
+        exc.wall_s = time.perf_counter() - began
+        raise
+    return result, time.perf_counter() - began
 
 
 class ExecutionEngine:
@@ -243,19 +257,20 @@ class ExecutionEngine:
             raise failure.error
         return result
 
-    def _settle(self, key: RunKey, attempt: int, started: float,
-                use_cache: bool, fetch: Callable[[], SimResult]):
+    def _settle(self, key: RunKey, attempt: int, use_cache: bool,
+                fetch: Callable[[], Tuple[SimResult, float]]):
         """Finish one attempt of ``key``, inline or pooled.
 
-        ``fetch()`` returns the attempt's result or raises its error.
+        ``fetch()`` returns what :func:`_worker` returned or raises its
+        error (a worker that died hard measured nothing: ``wall_s`` 0).
         Emits ``finished`` / ``retry`` / ``failed`` and stores a
         success.  Returns ``None`` when the attempt is to be retried,
         else the ``(result, failure)`` pair the cell resolved to.
         """
         try:
-            result = fetch()
+            result, wall = fetch()
         except Exception as exc:
-            wall = time.perf_counter() - started
+            wall = getattr(exc, "wall_s", 0.0)
             kind = classify(exc)
             if kind is FailureKind.TRANSIENT and attempt <= self.retries:
                 self._emit("retry", key, attempt=attempt, wall_s=wall,
@@ -266,8 +281,7 @@ class ExecutionEngine:
             return None, CellFailure(key, exc, kind, attempt)
         if use_cache:
             self._store(key, result)
-        self._emit("finished", key, attempt=attempt,
-                   wall_s=time.perf_counter() - started)
+        self._emit("finished", key, attempt=attempt, wall_s=wall)
         return result, None
 
     def _run_inline(self, key: RunKey, use_cache: bool):
@@ -276,7 +290,7 @@ class ExecutionEngine:
             attempt += 1
             self._emit("started", key, attempt=attempt)
             outcome = self._settle(
-                key, attempt, time.perf_counter(), use_cache,
+                key, attempt, use_cache,
                 lambda: _worker(key, self.timeout_s, self.faults, attempt))
             if outcome is not None:
                 return outcome
@@ -351,14 +365,12 @@ class ExecutionEngine:
         ctx = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(keys))
         attempts: Dict[RunKey, int] = {k: 0 for k in keys}
-        started_at: Dict[RunKey, float] = {}
         future_key: Dict[object, RunKey] = {}
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
         def submit(key: RunKey) -> None:
             attempts[key] += 1
             self._emit("started", key, attempt=attempts[key])
-            started_at[key] = time.perf_counter()
             future_key[pool.submit(_worker, key, self.timeout_s,
                                    self.faults, attempts[key])] = key
 
@@ -373,8 +385,7 @@ class ExecutionEngine:
                     key = future_key.pop(fut)
                     broken = broken or isinstance(fut.exception(),
                                                   BrokenProcessPool)
-                    outcome = self._settle(key, attempts[key],
-                                           started_at[key], use_cache,
+                    outcome = self._settle(key, attempts[key], use_cache,
                                            fut.result)
                     if outcome is None:
                         resubmit.append(key)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis import driver
 from repro.analysis.experiments_md import PAPER, generate_experiments_md
 from repro.config import test_config as tiny_config
+from repro.exec import ExecutionEngine
 from repro.workloads import Scale
 
 
@@ -46,3 +48,54 @@ class TestGenerator:
         assert PAPER["fig10_mean_all"] == 1.08
         assert PAPER["fig14b"]["PA-TLV"] == 172.7
         assert PAPER["table2_total_bytes"] == 708
+
+
+@pytest.fixture
+def fresh_engine():
+    """Install an engine with an empty memo and its own event log."""
+    def install(jobs=1):
+        return driver.set_engine(ExecutionEngine(jobs=jobs))
+
+    previous = driver.get_engine()
+    yield install
+    driver.set_engine(previous)
+
+
+class TestOneBatch:
+    """The generator plans every figure's cells and runs them as one
+    batch: the plan is exactly what the figures then read."""
+
+    def test_plan_is_exactly_the_demand(self, tmp_path, fresh_engine):
+        engine = fresh_engine()
+        generate_experiments_md(
+            tmp_path / "EXPERIMENTS.md", scale=Scale.TINY,
+            benchmarks=("SCN", "BFS"), fig11_benchmarks=("SCN",),
+            config=tiny_config(max_cycles=600_000),
+        )
+        events = engine.events.events
+        kinds = [e.kind for e in events]
+        # One run of `queued`: nothing is queued once simulation began.
+        assert "queued" not in kinds[kinds.index("started"):]
+        # One batch: after it, every figure lookup is a memo hit.
+        last = len(kinds) - 1 - kinds[::-1].index("finished")
+        after = events[last + 1:]
+        assert after and {e.kind for e in after} == {"cache_hit"}
+        # Nothing was simulated that no figure reads.
+        simulated = {(e.cell, e.config_hash) for e in events
+                     if e.kind == "started"}
+        assert simulated == {(e.cell, e.config_hash) for e in after}
+
+    def test_same_bytes_at_jobs_1_and_2(self, tmp_path, fresh_engine):
+        reports = []
+        for jobs in (1, 2):
+            engine = fresh_engine(jobs)
+            path = generate_experiments_md(
+                tmp_path / f"jobs-{jobs}.md", scale=Scale.TINY,
+                benchmarks=("BFS", "CP"), fig11_benchmarks=("CP",),
+                config=tiny_config(max_cycles=600_000),
+            )
+            reports.append(path.read_bytes())
+            assert any(cell.startswith("BFS+CP/")
+                       for cell in engine.events.cells("started"))
+        assert reports[0] == reports[1]
+

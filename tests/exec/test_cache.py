@@ -1,6 +1,8 @@
 """Tests for the persistent result cache (repro.exec.cache)."""
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -80,6 +82,28 @@ class TestResultCache:
         leftovers = [p for p in cache.version_dir.iterdir()
                      if p.suffix != ".json"]
         assert leftovers == []
+
+    def test_put_after_directory_removed_underneath(self, tmp_path, key,
+                                                    result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(key, result)
+        shutil.rmtree(cache.root)
+        cache.put(key, result)
+        assert cache.get(key) == result
+
+    def test_failing_write_leaves_no_temp_file(self, tmp_path, key, result,
+                                               monkeypatch):
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+
+        def refuse(src, dst):
+            raise OSError("injected: replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="injected"):
+            cache.put(key, result)
+        assert [p.name for p in cache.version_dir.iterdir()] == \
+            [cache.path_for(key).name]
 
     def test_config_hash_mismatch_invalidates(self, tmp_path, key, result):
         cache = ResultCache(tmp_path)

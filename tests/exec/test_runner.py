@@ -6,6 +6,7 @@ process boundaries.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -122,6 +123,23 @@ class TestParallel:
         assert events.count("retry") == 1
         assert events.count("failed") == 1
         assert "__BOOM__" in events.cells("failed")[0]
+
+    def test_finished_wall_is_run_time_not_queue_wait(self):
+        # Eight cells that simulate the same thing under distinct cache
+        # identities (the no-prefetch baseline never reads the window).
+        base = make_key("SCN", "none")
+        cells = [replace(base, config=replace(base.config, prefetch=replace(
+            base.config.prefetch, prefetch_window=100 + i)))
+            for i in range(8)]
+        engine = ExecutionEngine(jobs=2)
+        began = time.perf_counter()
+        engine.run_many(cells)
+        batch_wall = time.perf_counter() - began
+        finished = [e for e in engine.events.events if e.kind == "finished"]
+        assert len(finished) == 8 and all(e.wall_s > 0 for e in finished)
+        # Accounting identity, not a threshold: two workers cannot have
+        # been running cells for longer than twice the batch took.
+        assert engine.events.total_wall() <= engine.jobs * batch_wall
 
     def test_parallel_populates_memo_and_disk(self, tmp_path):
         events = EventLog()

@@ -36,6 +36,14 @@ def test_docstring_coverage_gate():
     )
 
 
+def test_no_figure_simulates_outside_a_batch():
+    """Source-level fence beside the docstring gate: ``figures.py``
+    names cells and reads results (docs/execution.md); the
+    one-cell-at-a-time ``run_benchmark`` is not used there."""
+    source = (REPO / "src/repro/analysis/figures.py").read_text()
+    assert source.count("run_benchmark") == 0
+
+
 def test_checker_counts_correctly(tmp_path):
     good = tmp_path / "good.py"
     good.write_text('"""mod."""\n\ndef f():\n    """doc."""\n')
