@@ -6,7 +6,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
-    install_requires=["numpy>=1.21"],
     python_requires=">=3.9",
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

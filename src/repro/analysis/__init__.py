@@ -11,13 +11,15 @@ _EXPORTS = {
         "get_engine",
         "run_benchmark",
         "run_cells",
-        "run_matrix",
         "run_sweep",
         "set_engine",
         "speedups_over_baseline",
     ),
     "repro.analysis.report": ("format_table", "format_percent"),
     "repro.analysis.timeline": ("burstiness", "render_timeline", "sparkline"),
-    "repro.analysis.validate": ("Check", "all_passed", "validate_shape"),
+    "repro.analysis.validate": (
+        "CLAIMS", "experiment_plan", "grade", "reproduced", "run_plan",
+        "scoreboard",
+    ),
 }
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -4,9 +4,8 @@ Every figure of the evaluation section is a view over the same runs
 (IPC for Fig. 10, coverage/accuracy for Fig. 12, traffic for Fig. 13,
 energy for Fig. 15).  Execution is delegated to the process-wide
 :class:`repro.exec.ExecutionEngine`, which memoizes results per
-:class:`repro.exec.RunKey` in-process (so the benchmark harness
-regenerating all figures performs each simulation exactly once) and can
-additionally parallelize across worker processes and persist results to
+:class:`repro.exec.RunKey` in-process (so regenerating all figures
+performs each simulation exactly once) and can additionally parallelize across worker processes and persist results to
 an on-disk cache — see ``docs/execution.md``.
 """
 
@@ -36,7 +35,6 @@ __all__ = [
     "matrix_cells",
     "run_benchmark",
     "run_cells",
-    "run_matrix",
     "run_sweep",
     "speedups_over_baseline",
 ]
@@ -52,9 +50,8 @@ def get_engine() -> ExecutionEngine:
 def set_engine(engine: ExecutionEngine) -> ExecutionEngine:
     """Install ``engine`` as the process-wide execution engine.
 
-    The CLI (``--jobs``/``--cache``) and the benchmark harness
-    (``REPRO_BENCH_JOBS``/``REPRO_BENCH_CACHE``) use this to configure
-    parallelism and persistence; library callers rarely need to.
+    The CLI (``--jobs``/``--cache``) uses this to configure parallelism
+    and persistence; library callers rarely need to.
     """
     global _ENGINE
     _ENGINE = engine
@@ -111,19 +108,6 @@ def run_cells(cells: Mapping[Hashable, RunKey]) -> Dict[Hashable, SimResult]:
     return {label: results[key] for label, key in cells.items()}
 
 
-def run_matrix(
-    benchmarks: Sequence[str],
-    prefetchers: Sequence[str],
-    *,
-    config: Optional[GPUConfig] = None,
-    scale: Scale = Scale.SMALL,
-    scheduler: Optional[SchedulerKind] = None,
-) -> Dict[Tuple[str, str], SimResult]:
-    """Run the full (benchmark × prefetcher) matrix as one batch."""
-    return run_cells(matrix_cells(benchmarks, prefetchers, config=config,
-                                  scale=scale, scheduler=scheduler))
-
-
 @dataclass
 class SweepReport:
     """Outcome of a resilient :func:`run_sweep` over a matrix.
@@ -159,7 +143,7 @@ def run_sweep(
 ) -> SweepReport:
     """Run a matrix crash-safely: journal, classify, never abort.
 
-    Unlike :func:`run_matrix` (fail-fast, raises on the first exhausted
+    Unlike :func:`run_cells` (fail-fast, raises on the first exhausted
     cell), a sweep records every failure — after bounded retry for
     transient ones — writes a diagnostic bundle per failed cell under
     ``<cache-root>/diagnostics/``, and journals per-cell completion to

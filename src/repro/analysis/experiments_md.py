@@ -1,41 +1,25 @@
 """EXPERIMENTS.md generator: paper-reported vs. measured, per experiment.
 
-Plans the cells of every figure it renders, runs them as one engine
-batch (one pool at ``--jobs N``; every later figure lookup is a memo
-hit) and writes a markdown report.  The paper's reported values are encoded in
-:data:`PAPER` below; our runs use the scaled-down machine and workloads
-(see DESIGN.md §2), so the comparison targets *shape* — who wins, by
-roughly what factor, where the crossovers are — not absolute numbers.
+Runs :func:`repro.analysis.validate.experiment_plan` as one engine batch
+(one pool at ``--jobs N``; every figure lookup afterwards is a memo hit)
+and writes a markdown report: per experiment the measured table, then
+the rows of :data:`repro.analysis.validate.CLAIMS` that read it — the
+paper's value, ours, the band and ``pass`` / ``FAIL`` / ``n/a``.  Every
+verdict in the report is such a row; no paper number or judgement is
+written anywhere else.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import List
+from typing import Any, Dict, List, Optional
 
 from repro.analysis import figures as F
-from repro.analysis.driver import get_engine
 from repro.analysis.report import format_percent
+from repro.analysis.validate import Plan, experiment_plan, grade, run_plan
 from repro.config import fermi_config, small_config
 from repro.core.hwcost import caps_hardware_cost
-from repro.workloads import ALL_BENCHMARKS, CORUN_PAIRS, Scale
-
-#: Paper-reported reference values (Section VI).
-PAPER = {
-    "fig10_mean_reg": 1.09,
-    "fig10_mean_irreg": 1.06,
-    "fig10_mean_all": 1.08,
-    "fig10_max": ("CNV", 1.27),
-    "fig12_caps_coverage": 0.18,
-    "fig12_caps_accuracy": 0.97,
-    "fig13_caps_core_requests": 1.03,
-    "fig13_caps_dram_reads": 1.01,
-    "fig14a_caps": 0.0091,
-    "fig14a_caps_no_wakeup": 0.0116,
-    "fig14b": {"LRR": 64.3, "TLV": 145.0, "PA-TLV": 172.7},
-    "fig15_mean": 0.98,
-    "table2_total_bytes": 708,
-}
+from repro.workloads import CORUN_PAIRS
 
 
 def _md_table(headers: List[str], rows: List[List[str]]) -> str:
@@ -46,46 +30,47 @@ def _md_table(headers: List[str], rows: List[List[str]]) -> str:
     return "\n".join(out)
 
 
-def _f(x: float, d: int = 3) -> str:
-    return f"{x:.{d}f}"
+def _f(x: Optional[float], d: int = 3) -> str:
+    return "n/a" if x is None else f"{x:.{d}f}"
 
 
-def generate_experiments_md(
-    path,
-    *,
-    scale: Scale = Scale.SMALL,
-    benchmarks=ALL_BENCHMARKS,
-    fig11_benchmarks=("LPS", "BPR", "CNV", "MM", "STE", "KM"),
-    config=None,
-    include_full_scale: bool = False,
-) -> pathlib.Path:
-    """Run every experiment and write the markdown report to ``path``.
+def _pct(x: Optional[float], d: int = 1) -> str:
+    return "n/a" if x is None else format_percent(x, d)
 
-    ``benchmarks``/``config`` exist for fast smoke tests; the default is
-    the full Table IV suite on the sweep machine.
-    """
-    cfg = config if config is not None else small_config()
+
+def _graded(name: str, data: Any) -> str:
+    """The claims that read experiment ``name``, graded on its data."""
+    return "\n\n" + _md_table(
+        ["claim", "paper", "measured", "band", "status"],
+        [list(row.cells()) for row in grade(name, data)]) + "\n"
+
+
+def _ipc_matrix(f10: Dict, benchmarks, engines) -> str:
+    order = list(benchmarks) + [
+        k for k in ("Mean(reg)", "Mean(irreg)", "Mean(all)") if k in f10]
+    return _md_table(["bench"] + engines,
+                     [[b] + [_f(f10[b][e]) for e in engines] for b in order])
+
+
+#: Heading and introduction of each ``figures.STUDIES`` group's section.
+_STUDY_SECTIONS = {
+    "ablations": "## Ablations — CAPS design choices (ours)\n\n"
+                 "One design choice of DESIGN.md varied at a time.",
+    "sensitivity": "## Section I sensitivity — L1, warps, DRAM (ours)\n\n"
+                   "The paper argues that GPU generations add warps faster "
+                   "than L1 capacity, so misses get burstier and CTA-aware "
+                   "prefetching matters more; these sweeps probe those axes.",
+}
+
+
+def render(plan: Plan, data: Dict[str, Any]) -> str:
+    """The markdown report for ``data = run_plan(plan)``."""
+    args = {name: kwargs for name, _, kwargs in plan}
+    suite = args["fig10"]
+    scale, benchmarks = suite["scale"], list(suite["benchmarks"])
+    cfg = suite["config"] if suite["config"] is not None else small_config()
+    engines = list(F.ENGINES)
     sections: List[str] = []
-
-    # The plan: each figure with the arguments it is rendered with below;
-    # the union of their cells is simulated here, as one batch.
-    suite = dict(scale=scale, config=config, benchmarks=benchmarks)
-    sweep = dict(suite, benchmarks=fig11_benchmarks)
-    corun = dict(scale=scale, config=config, pairs=tuple(
-        p for p in CORUN_PAIRS
-        if all(k in benchmarks for k in p.name.split("+"))))
-    plan = [(F.fig10_normalized_ipc, suite), (F.fig11_cta_sweep, sweep),
-            (F.fig12_coverage_accuracy, suite),
-            (F.fig13_bandwidth_overhead, suite),
-            (F.fig14a_early_prefetch_ratio, suite),
-            (F.fig14b_prefetch_distance, suite), (F.fig15_energy, suite),
-            (F.fig_corun_interference, corun)]
-    if include_full_scale:
-        full = dict(scale=Scale.FULL, benchmarks=benchmarks,
-                    config=fermi_config(max_cycles=3_000_000))
-        plan.append((F.fig10_normalized_ipc, full))
-    get_engine().run_many([key for fig, kwargs in plan
-                           for key in fig.cells(**kwargs).values()])
 
     sections.append(
         "# EXPERIMENTS — paper vs. measured\n\n"
@@ -96,30 +81,30 @@ def generate_experiments_md(
         f"`{scale.value}` workload scale; the paper simulated a 15-SM\n"
         "Fermi on GPGPU-Sim with up to 10^9 instructions per app.  The\n"
         "comparison targets the paper's *shape*: orderings, signs and\n"
-        "rough magnitudes.  Regenerate with\n"
-        "`pytest benchmarks/ --benchmark-only` or `python -m repro figures`.\n"
+        "rough magnitudes.  Under each table are the claims graded on it\n"
+        "(`src/repro/analysis/validate.py`): the paper's value, ours, the\n"
+        "band ours must land in, and `pass` / `FAIL` / `n/a` (nothing to\n"
+        "measure on this benchmark set).  Regenerate with `python -m repro\n"
+        "figures`; `python -m repro validate` prints the same rows as one\n"
+        "table and exits 1 on any `FAIL`.\n"
     )
 
     # ------------------------------------------------------------ Figure 1
-    pts = F.fig1_interwarp_accuracy(scale=scale, config=config)
-    rows = [[p.distance, format_percent(p.accuracy),
-             round(p.mean_gap_cycles)] for p in pts]
+    rows = [[p.distance, _pct(p.accuracy), round(p.mean_gap_cycles)]
+            for p in data["fig1"]]
     sections.append(
         "## Figure 1 — inter-warp stride prefetch on MM\n\n"
-        "Paper: accuracy high at distance 1, steep collapse past "
-        "distance 7 (MM has 8 warps/CTA); cycle gap grows to ~400 at "
-        "distance 10.\n\n"
+        "Accuracy of a simple inter-warp stride predictor and the cycle "
+        "gap between the two loads, by warp distance — the paper's "
+        "accuracy/timeliness trade-off.\n\n"
         + _md_table(["distance", "accuracy", "gap (cycles)"], rows)
-        + "\n\nMeasured shape: accuracy decays and collapses across the "
-        "CTA boundary while the gap grows linearly — the paper's "
-        "accuracy/timeliness trade-off.\n"
+        + _graded("fig1", data["fig1"])
     )
 
     # ------------------------------------------------------------ Figure 4
-    f4 = F.fig4_loop_iterations()
     rows = [[r.benchmark, f"{r.looped_loads}/{r.total_loads}",
              _f(r.model_mean_iterations, 1), _f(r.paper_mean_iterations, 1)]
-            for r in f4]
+            for r in data["fig4"]]
     sections.append(
         "## Figure 4 — load-instruction loop statistics\n\n"
         "Looped/total static loads are the paper's published counts; "
@@ -127,7 +112,7 @@ def generate_experiments_md(
         + _md_table(
             ["bench", "looped/total (paper)", "model mean iters",
              "paper mean iters (approx)"], rows)
-        + "\n"
+        + _graded("fig4", data["fig4"])
     )
 
     # ----------------------------------------------------------- Tables I/II
@@ -142,109 +127,76 @@ def generate_experiments_md(
                 ["DIST table", f"{cost.dist_total_bytes} B", "36 B"],
                 ["PerCTA tables (8 CTAs)", f"{cost.percta_total_bytes} B",
                  "672 B"],
-                ["total per SM", f"{cost.total_bytes} B",
-                 f"{PAPER['table2_total_bytes']} B"],
+                ["total per SM", f"{cost.total_bytes} B", "708 B"],
             ],
         )
-        + "\n\nExact match (the layout is arithmetic, not simulation).\n"
+        + "\n\nThe layout is arithmetic, not simulation; "
+        "`tests/core/test_hwcost.py` holds each number.\n"
     )
 
     # ----------------------------------------------------------- Figure 10
-    f10 = F.fig10_normalized_ipc(**suite)
-    engines = list(F.ENGINES)
-    order = [b for b in benchmarks] + [
-        k for k in ("Mean(reg)", "Mean(irreg)", "Mean(all)") if k in f10
-    ]
-    rows = [[b] + [_f(f10[b][e]) for e in engines] for b in order]
-    best = max(benchmarks, key=lambda b: f10[b]["caps"])
     sections.append(
         "## Figure 10 — normalized IPC\n\n"
-        f"Paper: CAPS means reg {PAPER['fig10_mean_reg']} / irreg "
-        f"{PAPER['fig10_mean_irreg']} / all {PAPER['fig10_mean_all']}, "
-        f"max {PAPER['fig10_max'][1]} on {PAPER['fig10_max'][0]}; INTER "
-        "negative; MTA no better than INTRA; NLP flat; LAP/ORCH ~+1%.\n\n"
-        + _md_table(["bench"] + engines, rows)
-        + "\n\nMeasured: CAPS means reg "
-        f"{_f(f10['Mean(reg)']['caps']) if 'Mean(reg)' in f10 else 'n/a'} / "
-        f"irreg {_f(f10['Mean(irreg)']['caps']) if 'Mean(irreg)' in f10 else 'n/a'} / all "
-        f"{_f(f10['Mean(all)']['caps'])}; best case {best} "
-        f"{_f(f10[best]['caps'])}; CAPS beats every other engine and "
-        "INTER is net negative — the paper's ordering.\n"
+        + _ipc_matrix(data["fig10"], benchmarks, engines)
+        + _graded("fig10", data["fig10"])
     )
 
     # ----------------------------------------------------------- Figure 11
-    f11 = F.fig11_cta_sweep(**sweep)
+    f11 = data["fig11"]
     engs = ["none"] + engines
     rows = [[lim] + [_f(f11[lim][e]) for e in engs] for lim in sorted(f11)]
     sections.append(
         "## Figure 11 — performance by concurrent CTAs per SM\n\n"
-        "Paper: all prefetchers at 1 CTA fall far below the 8-CTA "
-        "baseline; CAPS gives nothing at 1 CTA (it prefetches across "
-        "CTAs) and pulls ahead as the CTA count grows.\n\n"
-        f"(benchmark subset: {', '.join(fig11_benchmarks)})\n\n"
+        "Mean IPC by CTA limit, normalized to the no-prefetch baseline at "
+        "the maximum CTA count.\n\n"
+        f"(benchmark subset: {', '.join(args['fig11']['benchmarks'])})\n\n"
         + _md_table(["CTAs"] + engs, rows)
-        + "\n"
+        + _graded("fig11", f11)
     )
 
     # ----------------------------------------------------------- Figure 12
-    f12 = F.fig12_coverage_accuracy(**suite)
-    rows = [
-        [b] + [f"{format_percent(f12[b][e][0])}/{format_percent(f12[b][e][1])}"
-               for e in engines]
-        for b in list(benchmarks) + ["Mean"]
-    ]
-    cov, acc = f12["Mean"]["caps"]
+    f12 = data["fig12"]
+    rows = [[b] + [f"{_pct(f12[b][e][0])}/{_pct(f12[b][e][1])}"
+                   for e in engines]
+            for b in benchmarks + ["Mean"]]
+    rows.append(["issued"] + [f12["Issued"][e] for e in engines])
     sections.append(
         "## Figure 12 — coverage / accuracy\n\n"
-        f"Paper: CAPS mean coverage {format_percent(PAPER['fig12_caps_coverage'])} "
-        f"at {format_percent(PAPER['fig12_caps_accuracy'])} accuracy; "
-        "low coverage on the indirect apps and HSP (throttled).\n\n"
         + _md_table(["bench"] + [f"{e} (cov/acc)" for e in engines], rows)
-        + f"\n\nMeasured CAPS mean: {format_percent(cov)} coverage at "
-        f"{format_percent(acc)} accuracy.  Our regular-app coverage is "
-        "higher than the paper's because the models carry fewer "
-        "untargeted loads per kernel; the irregular-app and HSP rows "
-        "match the paper's suppression behaviour.\n"
+        + _graded("fig12", f12)
+        + "\nMean coverage is not graded: the paper reports 18% for CAPS, "
+        "and the kernel models carry fewer untargeted loads per kernel "
+        "than the applications did (ROADMAP item 1).\n"
     )
 
     # ----------------------------------------------------------- Figure 13
-    f13 = F.fig13_bandwidth_overhead(**suite)
-    rows = [
-        [b] + [f"{_f(f13[b][e][0], 2)}/{_f(f13[b][e][1], 2)}" for e in engines]
-        for b in list(benchmarks) + ["Mean"]
-    ]
-    req, dram = f13["Mean"]["caps"]
+    f13 = data["fig13"]
+    rows = [[b] + [f"{_f(f13[b][e][0], 2)}/{_f(f13[b][e][1], 2)}"
+                   for e in engines]
+            for b in benchmarks + ["Mean"]]
     sections.append(
         "## Figure 13 — bandwidth overhead (requests / DRAM reads)\n\n"
-        f"Paper: CAPS {PAPER['fig13_caps_core_requests']} requests, "
-        f"{PAPER['fig13_caps_dram_reads']} DRAM reads; INTER/MTA 2x+.\n\n"
+        "Core-request traffic and DRAM read traffic, each normalized to "
+        "the no-prefetch baseline.\n\n"
         + _md_table(["bench"] + [f"{e} (req/dram)" for e in engines], rows)
-        + f"\n\nMeasured CAPS mean: {_f(req, 2)} requests, {_f(dram, 2)} "
-        "DRAM reads — small overhead, below every low-accuracy engine.\n"
+        + _graded("fig13", f13)
     )
 
     # ----------------------------------------------------------- Figure 14
-    f14a = F.fig14a_early_prefetch_ratio(**suite)
-    f14b = F.fig14b_prefetch_distance(**suite)
     sections.append(
         "## Figure 14 — timeliness\n\n"
-        f"Paper 14a: CAPS evicts {format_percent(PAPER['fig14a_caps'], 2)} "
-        "of prefetched data before use, "
-        f"{format_percent(PAPER['fig14a_caps_no_wakeup'], 2)} without "
-        "eager wake-up; stride engines are worse.\n\n"
+        "14a: prefetched data evicted before use.\n\n"
         + _md_table(
             ["engine", "early ratio (measured)"],
-            [[k, format_percent(v, 2)] for k, v in f14a.items()],
-        )
-        + "\n\nPaper 14b: prefetch->demand distance 64.3 (LRR) / 145.0 "
-        "(two-level) / 172.7 (PAS) cycles.\n\n"
+            [[k, _pct(v, 2)] for k, v in data["fig14a"].items()])
+        + _graded("fig14a", data["fig14a"])
+        + "\n14b: prefetch->demand distance of timely CAPS prefetches.\n\n"
         + _md_table(
-            ["scheduler", "paper (cycles)", "measured (cycles)"],
-            [[k, PAPER["fig14b"][k], _f(v, 1)] for k, v in f14b.items()],
-        )
-        + "\n\nMeasured ordering matches: LRR < two-level < PAS.  Both "
-        "metrics are derived from the `repro.obs` windowed time series "
-        "(`extra[\"timeseries\"]` totals; see "
+            ["scheduler", "measured (cycles)"],
+            [[k, _f(v, 1)] for k, v in data["fig14b"].items()])
+        + _graded("fig14b", data["fig14b"])
+        + "\nBoth metrics are derived from the `repro.obs` windowed time "
+        "series (`extra[\"timeseries\"]` totals; see "
         "[docs/observability.md](docs/observability.md) and "
         "[docs/metrics-glossary.md](docs/metrics-glossary.md)) — the "
         "same series `repro run --metrics-out` exports, so the figure "
@@ -252,20 +204,20 @@ def generate_experiments_md(
     )
 
     # ----------------------------------------------------------- Figure 15
-    f15 = F.fig15_energy(**suite)
-    rows = [[b, _f(f15[b])] for b in list(benchmarks) + ["Mean"]]
+    f15 = data["fig15"]
     sections.append(
         "## Figure 15 — energy\n\n"
-        f"Paper: CAPS mean normalized energy {PAPER['fig15_mean']} "
-        "(a 2% saving: shorter runtime beats the table overhead).\n\n"
-        + _md_table(["bench", "normalized energy"], rows)
-        + f"\n\nMeasured mean: {_f(f15['Mean'])}.\n"
+        "CAPS energy normalized to the baseline: a shorter runtime "
+        "against the table overhead.\n\n"
+        + _md_table(["bench", "normalized energy"],
+                    [[b, _f(f15[b])] for b in benchmarks + ["Mean"]])
+        + _graded("fig15", f15)
     )
 
     # ----------------------------------------- co-run interference
-    corun_pairs = corun["pairs"]
-    if corun_pairs:
-        fco = F.fig_corun_interference(**corun)
+    if "corun" in data:
+        fco = data["corun"]
+        corun_pairs = [p for p in CORUN_PAIRS if p.name in fco]
         policies = list(next(iter(fco.values())))
         rows = []
         for pair in corun_pairs:
@@ -293,32 +245,61 @@ def generate_experiments_md(
             "kernel with a compute-bound one:\n\n"
             + "\n".join(f"- **{p.name}** — {p.why}" for p in corun_pairs)
             + "\n\n"
-            + _md_table(["pair", "kernel"] + policies, rows)
-            + "\n\nPreemptive SRTF allocation drains the shorter kernel "
-            "early, so it wins ANTT over the static spatial partition "
-            "(pinned by tests/sim/test_multi_kernel.py).\n"
+            + _md_table(["pair", "kernel"] + policies, rows) + "\n"
+        )
+
+    # ------------------------------ ablations / Section I studies (ours)
+    for group, intro in _STUDY_SECTIONS.items():
+        if group not in data:
+            continue
+        benches = list(F.STUDIES[group][0])
+        sections.append(
+            intro + "  CAPS speed-up over the two-level no-prefetch "
+            "baseline on the same machine, and that baseline's IPC.\n\n"
+            + "\n\n".join(
+                _md_table(
+                    [study, "baseline IPC"] + benches + ["geomean"],
+                    [[label, _f(v["base_ipc"])]
+                     + [_f(v["speedup"][b]) for b in benches]
+                     + [_f(v["geomean"])] for label, v in variants.items()])
+                for study, variants in data[group].items())
+            + _graded(group, data[group])
+        )
+    if "sec1_nn" in data:
+        nn = data["sec1_nn"]
+        sections.append(
+            "## Section I — nearest neighbor stalls\n\n"
+            "The paper's motivating measurement: an occupancy-starved,\n"
+            "load-clustered kernel (two CTAs per SM) spends most of its\n"
+            "cycles with *every* resident warp blocked on memory.\n\n"
+            + _md_table(["metric", "measured"], [
+                ["all warps waiting on memory", _pct(nn["stall_all"])],
+                ["some warps waiting on memory", _pct(nn["stall_partial"])],
+                ["issuing", _pct(nn["issuing"])],
+                ["IPC", _f(nn["ipc"])]])
+            + _graded("sec1_nn", nn)
         )
 
     # -------------------------------------------- full-scale Figure 10
-    if include_full_scale:
-        f10f = F.fig10_normalized_ipc(**full)
-        order_f = [b for b in benchmarks] + [
-            k for k in ("Mean(reg)", "Mean(irreg)", "Mean(all)") if k in f10f
-        ]
-        rows = [[b] + [_f(f10f[b][e]) for e in engines] for b in order_f]
+    if "fig10_full" in data:
         sections.append(
             "## Figure 10 at full scale — the Table III machine\n\n"
             "The same matrix on the paper's 15-SM / 6-channel Fermi with "
-            "the FULL workload scale (240 CTAs per kernel).  This is the "
-            "closest configuration to the paper's own machine; runtimes "
-            "are ~25 minutes, so the default report uses the sweep "
-            "preset above.  Regenerate with "
-            "`REPRO_BENCH_FULL=1 pytest benchmarks/bench_fig10_full_scale.py "
-            "--benchmark-only`.\n\n"
-            + _md_table(["bench"] + engines, rows)
-            + "\n"
+            "the FULL workload scale (240 CTAs per kernel) — the closest "
+            "configuration to the paper's own machine.  It is 128 cells, "
+            "about 5 CPU-minutes: regenerate with "
+            "`python -m repro figures --full-scale --jobs N`.\n\n"
+            + _ipc_matrix(data["fig10_full"], benchmarks, engines)
+            + _graded("fig10_full", data["fig10_full"])
         )
 
+    return "\n\n".join(sections)
+
+
+def generate_experiments_md(path, **plan_args) -> pathlib.Path:
+    """Run :func:`~repro.analysis.validate.experiment_plan` (given
+    ``plan_args``) and write the markdown report to ``path``."""
+    plan = experiment_plan(**plan_args)
     out = pathlib.Path(path)
-    out.write_text("\n\n".join(sections))
+    out.write_text(render(plan, run_plan(plan)))
     return out

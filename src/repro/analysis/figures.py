@@ -1,14 +1,16 @@
 """Experiment functions: one per paper table/figure.
 
-Each function returns plain dicts/lists ready for tabulation; the
-``benchmarks/`` harness prints them next to the paper's reported values.
-Every figure that simulates has the shape *cells → one batch → view*
-(:func:`_figure`): it names its runs as ``RunKey`` cells, the engine
-executes them as one batch (in parallel with ``--jobs N``; figures
-sharing runs — 10/12/13/15 — simulate once), and the figure computes
-from the returned results.  ``fig.cells(...)`` stops after the first
-step, which is how ``generate_experiments_md`` plans every figure it
-renders as a single batch.
+Each function returns plain dicts/lists ready for tabulation;
+``analysis/experiments_md.py`` renders them and ``analysis/validate.py``
+grades the paper's claims on them.  Every figure that simulates has the
+shape *cells → one batch → view* (:func:`_figure`): it names its runs as
+``RunKey`` cells, the engine executes them as one batch (in parallel
+with ``--jobs N``; figures sharing runs — 10/12/13/15 — simulate once),
+and the figure computes from the returned results.  ``fig.cells(...)``
+stops after the first step, which is how ``validate.run_plan`` simulates
+every figure of a report or a scoreboard as a single batch.  Where a
+Figure 14 ratio has no denominator (no prefetch issued, none consumed)
+it is ``None``, not zero; Figure 12 carries the issued counts instead.
 """
 
 from __future__ import annotations
@@ -143,6 +145,33 @@ def fig1_interwarp_accuracy(
     return points
 
 
+def sec1_nn_stalls(
+    *,
+    scale: Scale = Scale.SMALL,
+    config: Optional[GPUConfig] = None,
+) -> Dict[str, float]:
+    """Section I motivation: where nearest neighbor's cycles go (the
+    paper: stalled with every warp waiting on L1 for most of them).
+
+    The kernel (:func:`repro.workloads.extra.build_nn`) is outside the
+    Table IV suite, so like Figure 1 it is simulated here rather than
+    named as a cell.
+    """
+    from repro.sim.gpu import simulate
+    from repro.workloads.extra import build_nn
+
+    r = simulate(build_nn(scale),
+                 config if config is not None else small_config())
+    s = r.sm_stats
+    return {
+        "stall_all": r.stall_fraction(),
+        "stall_partial": s.stall_mem_partial / s.active_cycles,
+        "issuing": s.issue_cycles / s.active_cycles,
+        "ipc": r.ipc,
+        "completed": float(r.completed),
+    }
+
+
 # ---------------------------------------------------------------- Figure 4
 
 @dataclass
@@ -268,11 +297,15 @@ def fig12_coverage_accuracy(
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
     engines: Sequence[str] = ENGINES,
 ) -> Steps[Dict[str, Dict[str, Tuple[float, float]]]]:
-    """Figure 12: per-engine (coverage, accuracy), plus a Mean row."""
+    """Figure 12: per-engine (coverage, accuracy), plus a Mean row and
+    an ``Issued`` row — prefetches issued over all benchmarks, so a
+    reader can tell an accuracy of zero from nothing to measure."""
     r = yield matrix_cells(benchmarks, engines, config=config, scale=scale)
     out = {b: {e: (r[b, e].coverage(), r[b, e].accuracy()) for e in engines}
            for b in benchmarks}
     out["Mean"] = _mean_pairs(out, benchmarks, engines)
+    out["Issued"] = {e: sum(r[b, e].prefetch_stats.issued for b in benchmarks)
+                     for e in engines}
     return out
 
 
@@ -313,10 +346,11 @@ def fig14a_early_prefetch_ratio(
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
-) -> Steps[Dict[str, float]]:
+) -> Steps[Dict[str, Optional[float]]]:
     """Figure 14a: mean early-prefetch (evicted-before-use) ratio for
     INTRA / INTER / MTA / CAPS / CAPS without eager wake-up, derived
-    from the :mod:`repro.obs` time-series totals."""
+    from the :mod:`repro.obs` time-series totals (``None`` for an
+    engine that issued nothing)."""
     cfg = config if config is not None else small_config()
     cfg = cfg.with_obs(metrics=True)
     nowake = dataclasses.replace(
@@ -329,7 +363,7 @@ def fig14a_early_prefetch_ratio(
         (label, b): make_key(b, engine, config=c, scale=scale)
         for label, (engine, c) in variants.items() for b in benchmarks
     }
-    out: Dict[str, float] = {}
+    out: Dict[str, Optional[float]] = {}
     for label in variants:
         totals = [r[label, b].extra["timeseries"]["totals"]
                   for b in benchmarks]
@@ -337,7 +371,7 @@ def fig14a_early_prefetch_ratio(
         # Aggregate over all prefetches (issued-weighted), matching the
         # paper's single MEAN bar.
         out[label] = (sum(t["pf_early_evicted"] for t in totals) / issued
-                      if issued else 0.0)
+                      if issued else None)
     return out
 
 
@@ -347,11 +381,12 @@ def fig14b_prefetch_distance(
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
-) -> Steps[Dict[str, float]]:
+) -> Steps[Dict[str, Optional[float]]]:
     """Figure 14b: mean prefetch->demand distance of timely CAPS
     prefetches under LRR, the plain two-level scheduler (TLV), and the
     prefetch-aware two-level scheduler (PA-TLV), derived from the
-    :mod:`repro.obs` time-series totals."""
+    :mod:`repro.obs` time-series totals (``None`` where no benchmark
+    consumed a prefetch)."""
     from repro.obs import consumed_prefetches, mean_prefetch_lead
 
     cfg = config if config is not None else small_config()
@@ -363,11 +398,12 @@ def fig14b_prefetch_distance(
                              scheduler=kind)
         for label, kind in kinds.items() for b in benchmarks
     }
-    out: Dict[str, float] = {}
+    out: Dict[str, Optional[float]] = {}
     for label in kinds:
         series = [r[label, b].extra["timeseries"] for b in benchmarks]
-        out[label] = mean([mean_prefetch_lead(ts) for ts in series
-                           if consumed_prefetches(ts)])
+        leads = [mean_prefetch_lead(ts) for ts in series
+                 if consumed_prefetches(ts)]
+        out[label] = mean(leads) if leads else None
     return out
 
 
@@ -424,6 +460,84 @@ def fig_corun_interference(
                 "kernels": kernels,
             }
         out[pair.name] = per_policy
+    return out
+
+
+# ------------------------------------- Ablations and sensitivity (ours)
+
+#: Study groups beyond the paper's figures: the benchmarks each runs on
+#: and its studies.  ``ablations`` sweeps the CAPS design choices
+#: DESIGN.md calls out; ``sensitivity`` the axes of the paper's Section I
+#: argument (L1 lines per warp shrink, so misses get burstier).
+STUDIES = {
+    "ablations": (("CNV", "BPR", "MM", "HSP", "KM"),
+                  ("threshold", "tables", "window", "scheduler")),
+    "sensitivity": (("BPR", "CNV", "LPS"), ("l1", "warps", "dram")),
+}
+
+
+def _variants(cfg: GPUConfig) -> Dict[str, Dict[Any, Tuple[GPUConfig, Any]]]:
+    """study → label → (machine, CAPS's scheduler or ``None`` for PAS):
+    every study is ``cfg`` with one thing varied."""
+    def prefetch(**kw):
+        return dataclasses.replace(
+            cfg, prefetch=dataclasses.replace(cfg.prefetch, **kw)), None
+
+    def machine(**kw):
+        return dataclasses.replace(cfg, **kw), None
+
+    return {
+        "threshold": {n: prefetch(mispredict_threshold=n)
+                      for n in (2, 4, 16, 64)},
+        "tables": {n: prefetch(percta_entries=n, dist_entries=n)
+                   for n in (1, 2, 4, 8)},
+        "window": {n: prefetch(prefetch_window=n) for n in (2, 8, 16, 48)},
+        "scheduler": {label: (cfg, kind) for label, kind in (
+            ("LRR", SchedulerKind.LRR), ("PAS-LRR", SchedulerKind.PAS_LRR),
+            ("GTO", SchedulerKind.GTO), ("PAS-GTO", SchedulerKind.PAS_GTO),
+            ("two-level", SchedulerKind.TWO_LEVEL),
+            ("PAS", SchedulerKind.PAS))},
+        "l1": {f"{kb}KB": machine(l1d=dataclasses.replace(
+                   cfg.l1d, size_bytes=kb * 1024)) for kb in (8, 16, 32, 64)},
+        "warps": {n: machine(max_warps_per_sm=n) for n in (24, 48, 64)},
+        "dram": {n: machine(dram=dataclasses.replace(cfg.dram, channels=n),
+                            l2_partitions=4) for n in (1, 2, 4)},
+    }
+
+
+@_figure
+def fig_caps_variants(
+    group: str,
+    *,
+    scale: Scale = Scale.SMALL,
+    config: Optional[GPUConfig] = None,
+) -> Steps[Dict[str, Dict[Any, Dict[str, Any]]]]:
+    """One :data:`STUDIES` group: per study and labelled variant, CAPS's
+    speed-up over the two-level no-prefetch baseline on the same machine
+    (per benchmark and geomean) and that baseline's geomean IPC."""
+    cfg = config if config is not None else small_config()
+    benchmarks, studies = STUDIES[group]
+    variants = _variants(cfg)
+    r = yield {
+        (study, label, engine, b): make_key(
+            b, engine, config=machine, scale=scale,
+            scheduler=kind if engine == "caps" else None)
+        for study in studies
+        for label, (machine, kind) in variants[study].items()
+        for engine in ("none", "caps") for b in benchmarks
+    }
+    out: Dict[str, Dict[Any, Dict[str, Any]]] = {}
+    for study in studies:
+        out[study] = {}
+        for label in variants[study]:
+            base = {b: r[study, label, "none", b].ipc for b in benchmarks}
+            speedup = {b: r[study, label, "caps", b].ipc / base[b]
+                       for b in benchmarks}
+            out[study][label] = {
+                "speedup": speedup,
+                "geomean": geomean(list(speedup.values())),
+                "base_ipc": geomean(list(base.values())),
+            }
     return out
 
 

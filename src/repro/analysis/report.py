@@ -1,9 +1,5 @@
-"""Plain-text table rendering for the experiment regenerators.
-
-The benchmark harness prints each paper table/figure as an aligned
-ASCII table so ``pytest benchmarks/ --benchmark-only`` output can be
-compared side-by-side with the paper.
-"""
+"""Plain-text table rendering: the aligned ASCII tables ``repro list``,
+``run``, ``sweep`` and ``validate`` print."""
 
 from __future__ import annotations
 

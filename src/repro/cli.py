@@ -13,8 +13,11 @@ Commands
     Run a (benchmark × engine) matrix and print the Figure 10-style
     normalized-IPC table (``--cache`` persists every run).
 ``figures``
-    Regenerate the paper's figures/tables into text files (the same
-    content the pytest benchmark harness produces).
+    Run every experiment as one batch and write EXPERIMENTS.md: each
+    table with the paper's claims graded on it.
+``validate``
+    The same experiments as one scoreboard (paper / measured / band /
+    status per claim); exits 1 if any row fails.
 ``trace BENCH``
     Export a Chrome trace-event / Perfetto timeline of one run
     (warp spans, stall intervals, prefetch lifetimes — see
@@ -273,24 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
                             "skip journaled-complete cells (implies "
                             f"--cache {DEFAULT_CACHE_DIR})")
 
-    figs = sub.add_parser("figures", help="regenerate paper figures",
-                          parents=[ex])
-    figs.add_argument("--out", type=pathlib.Path, default=pathlib.Path("results"))
-    figs.add_argument("--scale", choices=sorted(SCALES), default="small")
-    figs.add_argument("--benchmarks", type=_list_of(_cell), default=None,
-                      help="comma-separated subset (default: all 16)")
-    figs.add_argument("--full-scale", action="store_true",
-                      help="append the Figure 10 full-scale matrix "
-                           "(adds ~25 minutes)")
+    # What `figures` renders and `validate` grades: one experiment plan.
+    plan = argparse.ArgumentParser(add_help=False)
+    plan.add_argument("--scale", choices=sorted(SCALES), default="small")
+    plan.add_argument("--benchmarks", type=_list_of(_cell), default=None,
+                      help="comma-separated subset; Figure 11 then runs on "
+                           "its first two names (default: all 16 - 550 "
+                           "cells, about 4 CPU-minutes at --scale small)")
+    plan.add_argument("--full-scale", action="store_true",
+                      help="also run the Figure 10 matrix on the Table III "
+                           "machine at FULL scale (128 cells, about 5 "
+                           "CPU-minutes)")
 
-    val = sub.add_parser(
+    figs = sub.add_parser("figures", help="regenerate paper figures",
+                          parents=[ex, plan])
+    figs.add_argument("--out", type=pathlib.Path, default=pathlib.Path("results"))
+
+    sub.add_parser(
         "validate",
-        help="grade the paper's headline claims (regression gate)",
-        parents=[ex],
+        help="grade every claim of the paper (the regression gate)",
+        parents=[ex, plan],
     )
-    val.add_argument("--benchmarks", type=_list_of(_cell),
-                     default="CNV,BPR,MM,HSP,KM,BFS")
-    val.add_argument("--scale", choices=sorted(SCALES), default="small")
 
     tl = sub.add_parser(
         "timeline",
@@ -686,15 +692,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    from repro.analysis import all_passed, validate_shape
+def _plan_args(args) -> dict:
+    """``experiment_plan`` arguments from the flags `figures` and
+    `validate` share."""
+    return dict(scale=SCALES[args.scale], benchmarks=args.benchmarks or None,
+                config=_guarded_config(args),
+                include_full_scale=args.full_scale)
 
-    checks = validate_shape(benchmarks=args.benchmarks,
-                            scale=SCALES[args.scale],
-                            config=_guarded_config(args))
-    for c in checks:
-        print(c)
-    ok = all_passed(checks)
+
+def cmd_validate(args) -> int:
+    from repro.analysis import format_table
+    from repro.analysis.validate import (experiment_plan, reproduced,
+                                         run_plan, scoreboard)
+
+    rows = scoreboard(run_plan(experiment_plan(**_plan_args(args))))
+    print(format_table(
+        ["figure", "claim", "paper", "measured", "band", "status"],
+        [(row.claim.figure,) + row.cells() for row in rows]))
+    ok = reproduced(rows)
     print("\nshape:", "REPRODUCED" if ok else "BROKEN")
     return 0 if ok else 1
 
@@ -752,17 +767,8 @@ def cmd_figures(args) -> int:
     from repro.analysis.experiments_md import generate_experiments_md
 
     args.out.mkdir(parents=True, exist_ok=True)
-    kwargs = {}
-    if args.benchmarks:
-        subset = tuple(args.benchmarks)
-        kwargs["benchmarks"] = subset
-        kwargs["fig11_benchmarks"] = subset[:2]
-    path = generate_experiments_md(
-        args.out / "EXPERIMENTS.md",
-        scale=SCALES[args.scale],
-        include_full_scale=args.full_scale,
-        **kwargs,
-    )
+    path = generate_experiments_md(args.out / "EXPERIMENTS.md",
+                                   **_plan_args(args))
     print(f"wrote {path}")
     return 0
 
@@ -1080,7 +1086,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _report_hang(exc)
         return EXIT_HANG
     except CellError as exc:
-        # Fail-fast batch paths (run_matrix under validate/figures) wrap
+        # Fail-fast batch paths (run_plan under validate/figures) wrap
         # the worker's exception; unwrap so hangs still get a snapshot.
         cause = exc.cause
         if isinstance(cause, (SimulationHangError, IncompleteRunError)):

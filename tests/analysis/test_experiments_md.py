@@ -3,23 +3,28 @@
 import pytest
 
 from repro.analysis import driver
-from repro.analysis.experiments_md import PAPER, generate_experiments_md
+from repro.analysis.experiments_md import generate_experiments_md, render
+from repro.analysis.validate import (CLAIMS, experiment_plan, run_plan,
+                                     scoreboard)
 from repro.config import test_config as tiny_config
 from repro.exec import ExecutionEngine
 from repro.workloads import Scale
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    path = tmp_path_factory.mktemp("exp") / "EXPERIMENTS.md"
-    generate_experiments_md(
-        path,
+def run():
+    plan = experiment_plan(
         scale=Scale.TINY,
         benchmarks=("SCN", "BFS"),
         fig11_benchmarks=("SCN",),
         config=tiny_config(max_cycles=600_000),
     )
-    return path.read_text()
+    return plan, run_plan(plan)
+
+
+@pytest.fixture(scope="module")
+def report(run):
+    return render(*run)
 
 
 class TestGenerator:
@@ -45,9 +50,36 @@ class TestGenerator:
                 assert line.rstrip().endswith("|")
 
     def test_paper_constants_sane(self):
-        assert PAPER["fig10_mean_all"] == 1.08
-        assert PAPER["fig14b"]["PA-TLV"] == 172.7
-        assert PAPER["table2_total_bytes"] == 708
+        paper = {c.name: c.paper for c in CLAIMS}
+        assert paper["caps_mean_all"] == 1.08
+        assert paper["pas_distance"] == 172.7
+        assert paper["caps_early_ratio"] == 0.0091
+
+    def test_report_cannot_contradict_its_table(self, run):
+        """Every verdict in the report is a graded row, and a row's
+        status is ``lo <= measured <= hi`` — here with the INTER mean
+        and the Figure 14b distances that `figures --benchmarks
+        CP,SCN,JC1,LPS --scale tiny` measures, under which the report
+        used to print "the paper's ordering" all the same."""
+        plan, data = run
+        data = dict(data, fig14b={"LRR": 63.7, "TLV": 45.7, "PA-TLV": 43.2})
+        data["fig10"] = dict(data["fig10"], **{
+            "Mean(all)": dict(data["fig10"]["Mean(all)"], inter=1.027)})
+        rows = scoreboard(data)
+        lines = render(plan, data).splitlines()
+        for row in rows:
+            assert "| " + " | ".join(row.cells()) + " |" in lines
+            c = row.claim
+            assert row.status == (
+                "n/a" if row.measured is None
+                else "pass" if c.lo <= row.measured <= c.hi else "FAIL")
+        status = {row.claim.name: row.status for row in rows}
+        assert {"pass", "FAIL", "n/a"} == set(status.values())
+        for name, sentence in (
+                ("inter_mean_negative", "INTER is net negative"),
+                ("lrr_shorter_than_two_level", "ordering matches")):
+            assert status[name] == "FAIL"
+            assert not any(sentence in line for line in lines)
 
 
 @pytest.fixture

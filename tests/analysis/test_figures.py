@@ -1,13 +1,15 @@
 """Tests for the per-figure experiment functions (repro.analysis.figures).
 
-These run tiny configurations — the full-size regenerators live in
-``benchmarks/``; here we only check that each function produces
-structurally sound data.
+These run tiny configurations — ``repro figures`` / ``repro validate``
+run the full-size ones and ``analysis/validate.py`` grades them; here we
+only check that each function produces structurally sound data.
 """
 
 import pytest
 
 from repro.analysis.figures import (
+    STUDIES,
+    fig_caps_variants,
     fig1_interwarp_accuracy,
     fig4_loop_iterations,
     fig10_normalized_ipc,
@@ -17,6 +19,7 @@ from repro.analysis.figures import (
     fig14a_early_prefetch_ratio,
     fig14b_prefetch_distance,
     fig15_energy,
+    sec1_nn_stalls,
 )
 from repro.config import test_config as tiny_config
 from repro.workloads import Scale
@@ -45,6 +48,12 @@ class TestFig1:
             distances=(1, 4), scale=Scale.TINY, config=cfg
         )
         assert pts[0].mean_gap_cycles < pts[1].mean_gap_cycles
+
+    def test_nearest_neighbor_stall_breakdown(self, cfg):
+        nn = sec1_nn_stalls(scale=Scale.TINY, config=cfg)
+        assert nn["completed"] == 1.0
+        assert 0 < nn["stall_all"] < 1
+        assert nn["stall_all"] + nn["stall_partial"] + nn["issuing"] <= 1.0
 
 
 class TestFig4:
@@ -107,16 +116,29 @@ class TestFig14_15:
         )
         assert set(data) == {"intra", "inter", "mta", "caps",
                              "caps_no_wakeup"}
-        assert all(0 <= v <= 1 for v in data.values())
+        # None: that engine issued no prefetch on these two benchmarks.
+        assert all(v is None or 0 <= v <= 1 for v in data.values())
 
     def test_distance_keys(self, cfg):
         data = fig14b_prefetch_distance(
             scale=Scale.TINY, config=cfg, benchmarks=("SCN",)
         )
         assert set(data) == {"LRR", "TLV", "PA-TLV"}
-        assert all(v >= 0 for v in data.values())
+        assert all(v is None or v >= 0 for v in data.values())
 
     def test_energy_near_unity(self, cfg):
         data = fig15_energy(scale=Scale.TINY, config=cfg, benchmarks=BENCHES)
         assert set(data) == set(BENCHES) | {"Mean"}
         assert all(0.5 < v < 1.5 for v in data.values())
+
+
+class TestStudies:
+    def test_every_variant_has_speedups_and_a_baseline(self, cfg):
+        benchmarks, studies = STUDIES["sensitivity"]
+        data = fig_caps_variants("sensitivity", scale=Scale.TINY, config=cfg)
+        assert tuple(data) == studies
+        assert list(data["dram"]) == [1, 2, 4]
+        for variants in data.values():
+            for v in variants.values():
+                assert tuple(v["speedup"]) == benchmarks
+                assert v["geomean"] > 0 and v["base_ipc"] > 0

@@ -8,7 +8,8 @@ from repro.analysis.report import format_percent, format_table
 from repro.analysis.driver import (
     clear_cache,
     run_benchmark,
-    run_matrix,
+    matrix_cells,
+    run_cells,
     speedups_over_baseline,
 )
 from repro.config import SchedulerKind
@@ -96,7 +97,8 @@ class TestDriver:
 
     def test_matrix_and_speedups(self):
         cfg = tiny_config()
-        m = run_matrix(["SCN"], ("none", "nlp"), config=cfg, scale=Scale.TINY)
+        m = run_cells(matrix_cells(["SCN"], ("none", "nlp"), config=cfg,
+                                   scale=Scale.TINY))
         sp = speedups_over_baseline(m, ["SCN"], ("nlp",))
         assert ("SCN", "nlp") in sp
         assert sp[("SCN", "nlp")] == pytest.approx(

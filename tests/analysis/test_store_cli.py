@@ -78,7 +78,7 @@ class TestCLI:
         assert rc == 0
         md = (tmp_path / "EXPERIMENTS.md").read_text()
         assert "Figure 10" in md and "SCN" in md
-
+        assert "| FAIL |" in md     # rows fail at tiny scale; still exit 0
 
     def test_run_with_scheduler_override(self, capsys):
         rc = main(["run", "SCN", "--engine", "caps", "--scale", "tiny",
@@ -94,6 +94,16 @@ class TestCLI:
         args = build_parser().parse_args(["validate", "--benchmarks", "MM"])
         assert args.command == "validate"
         assert args.benchmarks == ["MM"]
+        assert not args.full_scale
+
+    def test_validate_command_prints_the_scoreboard(self, capsys):
+        rc = main(["validate", "--scale", "tiny", "--benchmarks", "CP"])
+        out = capsys.readouterr().out.splitlines()
+        assert (rc, out[-1]) == (1, "shape: BROKEN")
+        # CAPS issues no prefetch on CP at this scale: nothing to
+        # measure, which is not an accuracy of 0.000.
+        accuracy, = [line for line in out if " caps_accuracy " in line]
+        assert accuracy.split()[-4:] == ["n/a", ">", "0.85", "n/a"]
 
 
 class TestCommaLists:
@@ -130,7 +140,8 @@ class TestCommaLists:
         assert sweep.benchmarks is None  # "all 16", resolved by the handler
         assert sweep.engines == ["intra", "inter", "mta", "nlp", "lap",
                                  "orch", "caps"]
-        assert len(p.parse_args(["validate"]).benchmarks) == 6
+        validate = p.parse_args(["validate", "--full-scale"])
+        assert validate.benchmarks is None and validate.full_scale
 
     def test_unknown_engine_through_the_api_fails_once_as_permanent(
             self, tmp_path):

@@ -2,7 +2,8 @@
 6 DRAM channels) runs FULL-scale workloads end-to-end.
 
 One benchmark keeps this fast (~5 s); the complete full-scale matrix is
-the ``bench_fig10_full_scale.py`` regenerator.
+``repro validate --full-scale`` (the ``fig10_full`` rows of
+``repro.analysis.validate.CLAIMS``).
 """
 
 import pytest

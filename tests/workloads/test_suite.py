@@ -26,6 +26,7 @@ class TestRegistry:
             "CP", "LPS", "BPR", "HSP", "MRQ", "STE", "CNV", "HST",
             "JC1", "FFT", "SCN", "MM", "PVR", "CCL", "BFS", "KM",
         }
+        assert set(IRREGULAR) == {"PVR", "CCL", "BFS", "KM"}
 
     def test_get_spec_case_insensitive(self):
         assert get_spec("mm").abbr == "MM"
