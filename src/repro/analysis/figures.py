@@ -195,13 +195,7 @@ def fig4_loop_iterations() -> List[Fig4Row]:
     rows = []
     for abbr, spec in WORKLOADS.items():
         kernel = spec.build(Scale.TINY)
-        sites = kernel.program.load_sites()
-        cursor = kernel.program.cursor()
-        while not cursor.done:
-            cursor.next_instr()
-        execs = sorted(
-            (cursor.site_iteration(s) for s in sites), reverse=True
-        )[:4]
+        execs = sorted(kernel.program.site_executions(), reverse=True)[:4]
         model_mean = mean(execs) if execs else 0.0
         rows.append(
             Fig4Row(

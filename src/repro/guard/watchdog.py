@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import SimulationHangError
+from repro.sim.isa import KINDS
 from repro.sim.warp import WarpState
 
 #: Default cycles of zero progress before a hang is declared
@@ -103,10 +104,8 @@ def _warp_view(warp, now: int) -> Dict[str, Any]:
         "instructions_issued": warp.instructions_issued,
         "leading": warp.leading,
     }
-    try:
-        view["next_instr"] = warp.cursor.peek().kind.value
-    except Exception:
-        view["next_instr"] = "?"
+    cursor = warp.cursor
+    view["next_instr"] = "?" if cursor.done else KINDS[cursor.kind].value
     return view
 
 

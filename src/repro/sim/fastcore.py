@@ -70,17 +70,20 @@ with a count of one.  How the event step stays exact
 * **Issue automaton.**  For the two-level schedulers (``two_level``,
   ``pas``) runs of back-to-back ALU issues are replayed in local arrays
   mirroring the ready-queue rotation, with a closed-form jump over
-  steady-state full rotations; cursors are advanced in bulk via
-  :meth:`repro.sim.isa.WarpCursor.consume_alu`.  The span stops before
-  the first cycle that would pick a load/store/EXIT, which then runs
-  through the reference ``SM.cycle`` path.
+  steady-state full rotations.  A span only *reads* each ready warp's
+  cursor slots (``kind`` / ``run`` / ``lat`` — the same three
+  ``TwoLevel.pick`` and ``SM._issue`` read) and advances a cursor only
+  through :meth:`repro.sim.isa.WarpCursor.consume_alu`, in bulk, which
+  itself moves past loop ends onto the next instruction.  The span
+  stops before the first cycle that would pick a load/store/EXIT, which
+  then runs through the reference ``SM.cycle`` path.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.sim.isa import InstrKind
+from repro.sim.isa import ALU, LOAD
 from repro.sim.sched import TwoLevel
 
 #: Sentinel "never" cycle shared by every next-event hook.
@@ -132,13 +135,17 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     ``now`` unchanged when nothing could be batched (the caller then
     runs the reference ``SM.cycle``).
 
+    Contract: the caller reached this through
+    ``sched.next_issue_cycle()`` in the same dispatch, which refilled
+    the ready queue, and nothing has touched the scheduler since — the
+    span does not refill again.
+
     ``stall_cap`` is the response bound: *stall* cycles beyond it could
     be misclassified by a response that changes the warp counts, so a
     stall needed at ``t >= stall_cap`` ends the span.  Issue cycles are
     response-independent under the hard-span preconditions (see
     ``_dispatch``) and may run to ``end`` past the cap."""
     sched = sm.scheduler
-    sched._refill()
     ready = sched.ready
     n = len(ready)
     if n == 0:
@@ -148,9 +155,6 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     # arrays.  Most calls bail here — either the pick is a load/store
     # (per-cycle path) or nothing is pickable (pure stall span).
     ptr0 = sched._ptr % n
-    ALU = InstrKind.ALU
-    LOAD = InstrKind.LOAD
-    STORE = InstrKind.STORE
     first = -1
     for i in range(n):
         j = ptr0 + i
@@ -159,14 +163,8 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
         w = ready[j]
         if w.ready_at > now:
             continue
-        if lsu_busy:
-            c = w.cursor
-            ins = c._peeked
-            if ins is None:
-                ins = c.peek()
-            k = ins.kind
-            if k is LOAD or k is STORE:
-                continue  # wants the busy LSU: rotation skips it
+        if lsu_busy and w.cursor.kind >= LOAD:
+            continue  # wants the busy LSU: rotation skips it
         first = j
         break
     if first < 0:
@@ -177,27 +175,17 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
             rw = w.ready_at
             if rw <= now or rw >= nxt:
                 continue
-            if lsu_busy:
-                c = w.cursor
-                ins = c._peeked
-                if ins is None:
-                    ins = c.peek()
-                k = ins.kind
-                if k is LOAD or k is STORE:
-                    continue
+            if lsu_busy and w.cursor.kind >= LOAD:
+                continue
             nxt = rw
         sm._charge_stall(nxt - now)
         return nxt
-    c = ready[first].cursor
-    ins = c._peeked
-    if ins is None:
-        ins = c.peek()
-    if ins.kind is not ALU:
+    if ready[first].cursor.kind != ALU:
         return now  # load/store/EXIT pick: reference SM.cycle runs it
     ra = [0] * n
-    alu = [0] * n
+    alu = [0] * n   # ALU run left on the slot's cursor, less `cnt`
     lat = [0] * n
-    kind = [0] * n  # 1 = ALU-next, 0 = load/store-next, 2 = EXIT-next
+    kind = [0] * n  # the slot cursor's kind (isa.ALU / EXIT / LOAD / STORE)
     cnt = [0] * n   # cursor consumes pending since the last flush
     tot = [0] * n   # total issues this span (stats writeback)
     for j in range(n):
@@ -208,16 +196,9 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
             return now
         ra[j] = w.ready_at
         c = w.cursor
-        ins = c._peeked
-        if ins is None:
-            ins = c.peek()
-        k = ins.kind
-        if k is InstrKind.ALU:
-            kind[j] = 1
-            alu[j] = 1 + c._compute_left
-            lat[j] = ins.latency
-        elif k is InstrKind.EXIT:
-            kind[j] = 2
+        kind[j] = c.kind
+        alu[j] = c.run
+        lat[j] = c.lat
 
     t = now
     issued = 0
@@ -232,7 +213,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                 j -= n
             if ra[j] > t:
                 continue
-            if kind[j] == 0 and lsu_busy:
+            if lsu_busy and kind[j] >= LOAD:
                 continue  # wants the busy LSU: rotation skips it
             pick = j
             break
@@ -245,7 +226,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                 break
             nxt = NEVER
             for j in range(n):
-                if lsu_busy and kind[j] == 0:
+                if lsu_busy and kind[j] >= LOAD:
                     continue
                 rj = ra[j]
                 if rj > t and rj < nxt:
@@ -257,7 +238,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
             stalls += nxt - t
             t = nxt
             continue
-        if kind[pick] != 1:
+        if kind[pick] != ALU:
             break  # load/store/EXIT pick: stop before this cycle
         alu[pick] -= 1
         cnt[pick] += 1
@@ -269,18 +250,14 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
         if ptr >= n:
             ptr = 0
         if alu[pick] == 0:
+            # Run over: the cursor moves itself on (loop ends included)
+            # and the slot re-reads what it is parked on now.
             c = ready[pick].cursor
             c.consume_alu(cnt[pick])
             cnt[pick] = 0
-            ins = c.peek()
-            k = ins.kind
-            if k is InstrKind.ALU:
-                alu[pick] = 1 + c._compute_left
-                lat[pick] = ins.latency
-            elif k is InstrKind.EXIT:
-                kind[pick] = 2
-            else:
-                kind[pick] = 0
+            kind[pick] = c.kind
+            alu[pick] = c.run
+            lat[pick] = c.lat
         elif ptr == p0:
             # Steady state: ptr wrapped with ALU work left.  If every
             # slot is ALU-next, already ripe in rotation order, and its
@@ -293,7 +270,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                     s = p0 + i
                     if s >= n:
                         s -= n
-                    if kind[s] != 1 or lat[s] > n or ra[s] > t + i:
+                    if kind[s] != ALU or lat[s] > n or ra[s] > t + i:
                         rot = 0
                         break
                     if alu[s] < rot:
@@ -314,15 +291,9 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                         c = ready[s].cursor
                         c.consume_alu(cnt[s])
                         cnt[s] = 0
-                        ins = c.peek()
-                        k = ins.kind
-                        if k is InstrKind.ALU:
-                            alu[s] = 1 + c._compute_left
-                            lat[s] = ins.latency
-                        elif k is InstrKind.EXIT:
-                            kind[s] = 2
-                        else:
-                            kind[s] = 0
+                        kind[s] = c.kind
+                        alu[s] = c.run
+                        lat[s] = c.lat
 
     if stalls:
         sm._charge_stall(stalls)

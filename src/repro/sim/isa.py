@@ -1,10 +1,12 @@
 """Warp instruction-stream model.
 
 A kernel supplies each warp with a :class:`WarpProgram` — a small tree of
-ops (straight-line compute, loads, stores, and counted loops).  The SM
-walks the program through a :class:`WarpCursor`, which yields one
-:class:`Instr` per issue slot, mirroring how GPGPU-Sim replays a warp's
-dynamic instruction stream.
+ops (straight-line compute, loads, stores, and counted loops), compiled
+once per kernel into the flat :class:`CompiledProgram` every warp
+shares.  The SM steps it through a :class:`WarpCursor` — an index, the
+ALU run left and a few loop counters — one instruction per issue slot,
+mirroring how GPGPU-Sim replays a warp's dynamic instruction stream;
+:class:`Instr` is the public view of one such instruction.
 
 Loads reference a :class:`LoadSite` (one static load instruction,
 identified by PC).  The site owns an *address pattern* — a callable that
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class InstrKind(enum.Enum):
@@ -151,85 +154,137 @@ class Instr:
     use_distance: int = 0
 
 
+#: ``WarpCursor.kind`` / ``CompiledProgram.kind`` values.  Small ints so
+#: the issue stage compares instead of calling; ``kind >= LOAD`` is
+#: "wants the LSU".  ``KINDS[kind]`` is the public :class:`InstrKind`.
+ALU, EXIT, LOAD, STORE = 0, 1, 2, 3
+KINDS = (InstrKind.ALU, InstrKind.EXIT, InstrKind.LOAD, InstrKind.STORE)
+_LOOP_END = -1  # back-edge entry; a cursor never parks on one
+
+
+class CompiledProgram:
+    """A :class:`WarpProgram` flattened into parallel lists, one entry
+    per ``ComputeOp`` run, load, store and loop end, closed by one EXIT.
+
+    Loops stay back-edges (nothing is unrolled): a loop's end entry
+    holds the index of its body's first entry (``target``), its
+    ``trips`` and its nesting ``depth``.  ``run`` is the instructions an
+    entry issues each time it is reached (the ALU run length, 1 for a
+    load / store, 0 otherwise) and ``execs`` how often one warp reaches
+    it (product of the enclosing trips).  ``site_idx`` numbers the
+    distinct site PCs, so a cursor counts per-site executions in a list.
+    """
+
+    __slots__ = ("kind", "run", "lat", "pc", "site", "use_distance",
+                 "target", "trips", "depth", "execs", "site_idx",
+                 "site_index", "max_depth")
+
+    def __init__(self, rows: List[tuple]):
+        (self.kind, self.run, self.lat, self.pc, self.site,
+         self.use_distance, self.target, self.trips, self.depth,
+         self.execs) = (list(col) for col in zip(*rows))
+        self.max_depth = max((d + 1 for k, d in zip(self.kind, self.depth)
+                              if k == _LOOP_END), default=0)
+        # Site PCs are final only after the whole walk (a shared site
+        # takes the PC of its last auto-assigned slot), so resolve them
+        # here rather than per row.
+        self.site_index: Dict[int, int] = {}
+        self.site_idx = [0] * len(rows)
+        for ip, site in enumerate(self.site):
+            if site is not None:
+                self.pc[ip] = site.pc
+                self.site_idx[ip] = self.site_index.setdefault(
+                    site.pc, len(self.site_index))
+
+
 @dataclass
 class WarpProgram:
-    """A warp's static program plus derived metadata."""
+    """A warp's static program, compiled once per kernel.
+
+    Construction assigns every op a stable PC (4 bytes per instruction
+    slot) and flattens the tree into a :class:`CompiledProgram` in the
+    same walk; every cursor of the program shares that object.
+    """
 
     ops: List[Op]
     name: str = ""
 
     def __post_init__(self) -> None:
-        self._assign_pcs()
+        self._pc_base = 0
+        self._compile()
 
-    def _assign_pcs(self) -> None:
-        """Give every op a stable PC (4 bytes per instruction slot)."""
-        pc = [0]
-        self._op_pcs = {}
+    def _compile(self) -> None:
+        """The one walk over the op tree: PCs and the flat form."""
+        rows: List[tuple] = []  # CompiledProgram's columns, in order
 
-        def walk(ops: Sequence[Op]) -> None:
+        def walk(ops: Sequence[Op], pc: int, depth: int, execs: int) -> int:
             for op in ops:
-                self._op_pcs[id(op)] = pc[0]
                 if isinstance(op, ComputeOp):
-                    pc[0] += 4 * op.count
+                    rows.append((ALU, op.count, op.latency, pc, None, 0,
+                                 0, 0, 0, execs))
+                    pc += 4 * op.count
+                elif isinstance(op, LoopOp):
+                    start = len(rows)
+                    pc = walk(op.body, pc + 4, depth + 1, execs * op.trips)
+                    rows.append((_LOOP_END, 0, 0, pc, None, 0,
+                                 start, op.trips, depth, 0))
+                    pc += 4
                 elif isinstance(op, (LoadOp, StoreOp)):
                     if op.site.pc == 0:
-                        op.site.pc = pc[0]
-                    pc[0] += 4
-                elif isinstance(op, LoopOp):
-                    pc[0] += 4
-                    walk(op.body)
-                    pc[0] += 4
+                        op.site.pc = pc
+                    load = isinstance(op, LoadOp)
+                    rows.append((LOAD if load else STORE, 1, 1, pc, op.site,
+                                 op.use_distance if load else 0,
+                                 0, 0, 0, execs))
+                    pc += 4
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown op {op!r}")
+            return pc
 
-        walk(self.ops)
-        self._end_pc = pc[0]
+        end_pc = walk(self.ops, self._pc_base, 0, 1)
+        rows.append((EXIT, 0, 1, end_pc, None, 0, 0, 0, 0, 1))
+        self._code = CompiledProgram(rows)
+
+    def rebase(self, pc_offset: int) -> None:
+        """Shift every PC, the sites' included, by ``pc_offset`` and
+        recompile; cursors taken before keep the old form
+        (:func:`repro.sim.multi.virtualize_kernel`)."""
+        for site in self.sites():
+            site.pc += pc_offset
+        self._pc_base += pc_offset
+        self._compile()
+
+    def sites(self) -> List[LoadSite]:
+        """Every distinct load / store site object, in program order."""
+        return list({id(s): s for s in self._code.site if s is not None}
+                    .values())
 
     def load_sites(self) -> List[LoadSite]:
         """All static load sites, in program order."""
-        sites: List[LoadSite] = []
-
-        def walk(ops: Sequence[Op]) -> None:
-            for op in ops:
-                if isinstance(op, LoadOp):
-                    sites.append(op.site)
-                elif isinstance(op, LoopOp):
-                    walk(op.body)
-
-        walk(self.ops)
-        return sites
+        code = self._code
+        return [s for k, s in zip(code.kind, code.site) if k == LOAD]
 
     def static_instruction_count(self) -> int:
         """Static instruction slots (compute runs expanded)."""
-        total = [0]
-
-        def walk(ops: Sequence[Op]) -> None:
-            for op in ops:
-                if isinstance(op, ComputeOp):
-                    total[0] += op.count
-                elif isinstance(op, (LoadOp, StoreOp)):
-                    total[0] += 1
-                elif isinstance(op, LoopOp):
-                    total[0] += 2
-                    walk(op.body)
-
-        walk(self.ops)
-        return total[0]
+        code = self._code
+        return sum(code.run) + 2 * code.kind.count(_LOOP_END)
 
     def dynamic_instruction_count(self) -> int:
         """Dynamic instructions one warp executes (loops unrolled)."""
-        def walk(ops: Sequence[Op]) -> int:
-            n = 0
-            for op in ops:
-                if isinstance(op, ComputeOp):
-                    n += op.count
-                elif isinstance(op, (LoadOp, StoreOp)):
-                    n += 1
-                elif isinstance(op, LoopOp):
-                    n += op.trips * walk(op.body)
-            return n
+        code = self._code
+        return sum(map(mul, code.run, code.execs))
 
-        return walk(self.ops)
+    def site_executions(self) -> List[int]:
+        """Per :meth:`load_sites` entry, how often one warp executes that
+        site PC (loads and stores sharing it counted together) — closed
+        form, no cursor stepped."""
+        code = self._code
+        total = [0] * len(code.site_index)
+        for site, i, n in zip(code.site, code.site_idx, code.execs):
+            if site is not None:
+                total[i] += n
+        return [total[i] for k, i in zip(code.kind, code.site_idx)
+                if k == LOAD]
 
     def cursor(self) -> "WarpCursor":
         return WarpCursor(self)
@@ -239,41 +294,68 @@ _EXIT = Instr(kind=InstrKind.EXIT, pc=-1)
 
 
 class WarpCursor:
-    """Walks a :class:`WarpProgram`, yielding one :class:`Instr` per issue.
+    """One warp's position in its program's :class:`CompiledProgram`.
 
-    The cursor tracks per-site dynamic execution counts so address
-    patterns can see the loop iteration index, exactly the information an
-    intra-warp stride prefetcher trains on.
+    Always parked on a real instruction (never a loop end), whose
+    ``kind`` (``ALU`` / ``EXIT`` / ``LOAD`` / ``STORE``), remaining ALU
+    ``run`` and ``lat`` sit in slots the issue stage reads directly.
+    ``loops`` counts completed trips per nesting depth and ``iters``
+    dynamic executions per site, which is what address patterns and
+    intra-warp stride prefetchers see as the iteration index.
+    :meth:`peek` / :meth:`next_instr` are the :class:`Instr` view of the
+    same state; the simulator's hot paths use :meth:`consume_alu` and
+    :meth:`take_mem`.
     """
 
-    __slots__ = ("program", "_stack", "_compute_left", "_site_iters", "_done",
-                 "issued", "_peeked")
+    __slots__ = ("code", "ip", "kind", "run", "lat", "loops", "iters", "done")
 
     def __init__(self, program: WarpProgram):
-        self.program = program
-        # stack frames: [ops, index, remaining_trips]
-        self._stack: List[list] = [[program.ops, 0, 1]]
-        self._compute_left = 0
-        self._site_iters: dict = {}
-        self._done = False
-        self.issued = 0
-        self._peeked: Optional[Instr] = None
+        code = self.code = program._code
+        self.loops = [0] * code.max_depth
+        self.iters = [0] * len(code.site_index)
+        self.done = False
+        self._park(0)
 
-    @property
-    def done(self) -> bool:
-        return self._done
+    def _park(self, ip: int) -> None:
+        """Park on the first instruction at or after entry ``ip``,
+        following (or falling out of) any loop ends on the way."""
+        code = self.code
+        kinds = code.kind
+        while kinds[ip] < 0:
+            loops = self.loops
+            d = code.depth[ip]
+            n = loops[d] + 1
+            if n < code.trips[ip]:
+                loops[d] = n
+                ip = code.target[ip]
+            else:
+                loops[d] = 0
+                ip += 1
+        self.ip = ip
+        self.kind = kinds[ip]
+        self.run = code.run[ip]
+        self.lat = code.lat[ip]
 
     def site_iteration(self, site: LoadSite) -> int:
         """Dynamic executions of ``site`` so far by this warp."""
-        return self._site_iters.get(site.pc, 0)
+        i = self.code.site_index.get(site.pc)
+        return 0 if i is None else self.iters[i]
 
     def peek(self) -> Instr:
         """Look at the next dynamic instruction without consuming it."""
-        if self._done:
+        if self.done:
             raise RuntimeError("cursor already exhausted")
-        if self._peeked is None:
-            self._peeked = self._produce()
-        return self._peeked
+        code = self.code
+        ip = self.ip
+        kind = self.kind
+        if kind == ALU:
+            return Instr(kind=InstrKind.ALU, latency=self.lat,
+                         pc=code.pc[ip] + 4 * (code.run[ip] - self.run))
+        if kind == EXIT:
+            return _EXIT
+        return Instr(kind=KINDS[kind], pc=code.pc[ip], site=code.site[ip],
+                     iteration=self.iters[code.site_idx[ip]],
+                     use_distance=code.use_distance[ip])
 
     def next_instr(self) -> Instr:
         """Consume and return the next dynamic instruction.
@@ -281,99 +363,36 @@ class WarpCursor:
         Returns an EXIT instruction exactly once when the program ends;
         calling again afterwards raises ``RuntimeError``.
         """
-        if self._done:
-            raise RuntimeError("cursor already exhausted")
-        if self._peeked is not None:
-            instr = self._peeked
-            self._peeked = None
+        instr = self.peek()
+        if self.kind == ALU:
+            self.consume_alu(1)
+        elif self.kind == EXIT:
+            self.done = True
         else:
-            instr = self._produce()
-        if instr.kind is InstrKind.EXIT:
-            self._done = True
-        else:
-            self.issued += 1
+            self.take_mem()
         return instr
 
     def consume_alu(self, count: int) -> None:
-        """Batch-consume ``count`` pending ALU instructions.
+        """Consume ``count`` instructions of the ALU run the cursor is
+        parked on (the caller guarantees ``count <= run``); when the run
+        ends, move on to the next instruction, loop ends included."""
+        run = self.run - count
+        if run:
+            self.run = run
+        else:
+            self._park(self.ip + 1)
 
-        Equivalent to ``count`` consecutive :meth:`next_instr` calls, on
-        the caller's guarantee (checked by the event engine,
-        :mod:`repro.sim.fastcore`) that the memoized peek plus the
-        current :class:`ComputeOp` run hold at least that many ALU
-        instructions.  Touches exactly the state :meth:`_produce` would:
-        the peek slot, ``issued``, ``_compute_left`` and — when the run
-        ends — the owning frame's index.
-        """
-        if self._peeked is not None:
-            self._peeked = None
-            self.issued += 1
-            count -= 1
-        if count:
-            self._compute_left -= count
-            self.issued += count
-            if self._compute_left == 0:
-                self._stack[-1][1] += 1
-
-    def _produce(self) -> Instr:
-        while True:
-            frame = self._stack[-1]
-            ops, idx, _trips = frame
-            if idx >= len(ops):
-                if len(self._stack) == 1:
-                    return _EXIT
-                frame[2] -= 1
-                if frame[2] > 0:
-                    frame[1] = 0
-                    continue
-                self._stack.pop()
-                self._stack[-1][1] += 1
-                continue
-            op = ops[idx]
-            if isinstance(op, ComputeOp):
-                if self._compute_left == 0:
-                    self._compute_left = op.count
-                # ALU Instr objects are immutable and identical for every
-                # warp: build them once per op and share (hot path).
-                cache = getattr(op, "_instr_cache", None)
-                if cache is None:
-                    base_pc = self.program._op_pcs[id(op)]
-                    cache = [
-                        Instr(kind=InstrKind.ALU, pc=base_pc + 4 * i,
-                              latency=op.latency)
-                        for i in range(op.count)
-                    ]
-                    op._instr_cache = cache
-                instr = cache[op.count - self._compute_left]
-                self._compute_left -= 1
-                if self._compute_left == 0:
-                    frame[1] += 1
-                return instr
-            if isinstance(op, LoadOp):
-                it = self._site_iters.get(op.site.pc, 0)
-                self._site_iters[op.site.pc] = it + 1
-                frame[1] += 1
-                return Instr(
-                    kind=InstrKind.LOAD,
-                    pc=op.site.pc,
-                    site=op.site,
-                    iteration=it,
-                    use_distance=op.use_distance,
-                )
-            if isinstance(op, StoreOp):
-                it = self._site_iters.get(op.site.pc, 0)
-                self._site_iters[op.site.pc] = it + 1
-                frame[1] += 1
-                return Instr(
-                    kind=InstrKind.STORE,
-                    pc=op.site.pc,
-                    site=op.site,
-                    iteration=it,
-                )
-            if isinstance(op, LoopOp):
-                self._stack.append([op.body, 0, op.trips])
-                continue
-            raise TypeError(f"unknown op {op!r}")  # pragma: no cover
+    def take_mem(self) -> Tuple[LoadSite, int, int]:
+        """Consume the load / store the cursor is parked on; returns its
+        ``(site, iteration, use_distance)``."""
+        code = self.code
+        ip = self.ip
+        iters = self.iters
+        i = code.site_idx[ip]
+        iteration = iters[i]
+        iters[i] = iteration + 1
+        self._park(ip + 1)
+        return code.site[ip], iteration, code.use_distance[ip]
 
 
 def strided_pattern(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.sim.isa import AddressFn, ComputeOp, LoadOp, LoopOp, Op, StoreOp
+from repro.sim.isa import AddressFn
 from repro.sim.kernel import KernelInfo
 from repro.sim.sm import KERNEL_ADDR_SHIFT
 
@@ -49,27 +49,11 @@ def virtualize_kernel(kernel: KernelInfo, kernel_id: int) -> KernelInfo:
     pc_off = kernel_id * PC_STRIDE
     addr_off = kernel_id << KERNEL_ADDR_SHIFT
     prog = kernel.program
-    seen: set = set()
-
-    def walk(ops: Sequence[Op]) -> None:
-        for op in ops:
-            if isinstance(op, (LoadOp, StoreOp)):
-                site = op.site
-                if id(site) not in seen:
-                    seen.add(id(site))
-                    site.pc += pc_off
-                    site.pattern = _offset_pattern(site.pattern, addr_off)
-            elif isinstance(op, LoopOp):
-                walk(op.body)
-            elif isinstance(op, ComputeOp):
-                # Cached ALU Instr objects bake in absolute pcs; drop
-                # any cache built before the rebase (defensive — fresh
-                # builds have none).
-                op.__dict__.pop("_instr_cache", None)
-
-    walk(prog.ops)
-    prog._op_pcs = {k: v + pc_off for k, v in prog._op_pcs.items()}
-    prog._end_pc += pc_off
+    for site in prog.sites():
+        site.pattern = _offset_pattern(site.pattern, addr_off)
+    # The compiled form bakes in absolute pcs, so this recompiles:
+    # cursors must be taken after this point.
+    prog.rebase(pc_off)
     return kernel
 
 

@@ -17,13 +17,12 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.config import GPUConfig, SchedulerKind
-from repro.sim.isa import InstrKind
+from repro.sim.isa import LOAD
 from repro.sim.warp import Warp, WarpState
 
 
 def _wants_lsu(warp: Warp) -> bool:
-    kind = warp.cursor.peek().kind
-    return kind is InstrKind.LOAD or kind is InstrKind.STORE
+    return warp.cursor.kind >= LOAD
 
 
 class Scheduler:
@@ -146,11 +145,8 @@ class TwoLevel(Scheduler):
         self.ready: List[Warp] = []
         self.eligible: Deque[Warp] = deque()
         self._ptr = 0
-
-    @property
-    def ready_size(self) -> int:
-        """Capacity of the inner ready queue (Table III: 8 entries)."""
-        return self.config.ready_queue_size
+        #: Capacity of the inner ready queue (Table III: 8 entries).
+        self.ready_size = config.ready_queue_size
 
     def add_warp(self, warp: Warp) -> None:
         """Launch: place the warp in the ready queue or eligible pool."""
@@ -186,6 +182,9 @@ class TwoLevel(Scheduler):
         self.eligible.append(warp)
 
     def _refill(self) -> None:
+        """Top the ready queue up from the eligible pool.  The issue
+        path tests the loop condition itself first: the queue is mostly
+        full, and that saves the call."""
         while self.eligible and len(self.ready) < self.ready_size:
             self.ready.append(self.eligible.popleft())
 
@@ -200,7 +199,8 @@ class TwoLevel(Scheduler):
         ready queue only through :meth:`_refill` (called at pick time)
         or an eager wake-up — both already covered by the event engine's
         refill-then-scan and response-bound rules."""
-        self._refill()
+        if len(self.ready) < self.ready_size and self.eligible:
+            self._refill()
         nxt = 1 << 62
         for w in self.ready:
             if w.ready_at < nxt:
@@ -209,25 +209,22 @@ class TwoLevel(Scheduler):
 
     def pick(self, now: int, lsu_free: bool) -> Optional[Warp]:
         """Refill the ready queue from the pool, then round-robin it."""
-        self._refill()
+        if len(self.ready) < self.ready_size and self.eligible:
+            self._refill()
         ready = self.ready
         n = len(ready)
         if n == 0:
             return None
         ptr = self._ptr % n
         READY = WarpState.READY
-        LOAD = InstrKind.LOAD
-        STORE = InstrKind.STORE
         for i in range(n):
             j = ptr + i
             if j >= n:
                 j -= n
             warp = ready[j]
             if warp.state is READY and warp.ready_at <= now:
-                if not lsu_free:
-                    k = warp.cursor.peek().kind
-                    if k is LOAD or k is STORE:
-                        continue
+                if not lsu_free and warp.cursor.kind >= LOAD:
+                    continue
                 j += 1
                 self._ptr = j if j < n else 0
                 return warp

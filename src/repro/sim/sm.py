@@ -32,7 +32,7 @@ from repro.prefetch.base import Prefetcher, PrefetchCandidate
 from repro.prefetch.stats import PrefetchStats
 from repro.result import SMStats
 from repro.sim.coalesce import coalesce
-from repro.sim.isa import AddressContext, Instr, InstrKind
+from repro.sim.isa import ALU, EXIT, LOAD, AddressContext, LoadSite
 from repro.sim.kernel import KernelInfo
 from repro.sim.sched import make_scheduler
 from repro.sim.warp import Warp, WarpState
@@ -481,8 +481,10 @@ class SM:
             return False
         if self._multi:
             self._issued_kid = warp.kernel_id
-        instr = warp.cursor.next_instr()
-        if instr.kind is InstrKind.EXIT:
+        cursor = warp.cursor
+        kind = cursor.kind
+        if kind == EXIT:
+            cursor.next_instr()
             if warp.pending_pieces:
                 # Deferred loads still in flight: a warp cannot retire
                 # with outstanding memory requests.  Block; the last
@@ -498,18 +500,20 @@ class SM:
         self.stats.instructions += 1
         if self._multi:
             self.kstats[warp.kernel_id].instructions += 1
-        if instr.kind is InstrKind.ALU:
-            warp.ready_at = now + instr.latency
-            self._charge_defer(warp, now)
+        if kind == ALU:
+            warp.ready_at = now + cursor.lat
+            cursor.consume_alu(1)
+            if warp.defer_budget:
+                self._charge_defer(warp, now)
             return "alu"
-        if instr.kind is InstrKind.LOAD:
-            self._issue_load(warp, instr, now)
-            return "mem"
-        if instr.kind is InstrKind.STORE:
-            self._issue_store(warp, instr, now)
-            self._charge_defer(warp, now)
-            return "mem"
-        raise AssertionError(f"unexpected instr {instr!r}")  # pragma: no cover
+        site, iteration, use_distance = cursor.take_mem()
+        if kind == LOAD:
+            self._issue_load(warp, site, iteration, use_distance, now)
+        else:
+            self._issue_store(warp, site, iteration, now)
+            if warp.defer_budget:
+                self._charge_defer(warp, now)
+        return "mem"
 
     def _ctx(self, warp: Warp, iteration: int) -> AddressContext:
         kernel = self.cta_slots[warp.cta_slot].kernel
@@ -521,9 +525,9 @@ class SM:
             num_ctas=kernel.num_ctas,
         )
 
-    def _issue_load(self, warp: Warp, instr: Instr, now: int) -> None:
-        site = instr.site
-        addrs = site.addresses(self._ctx(warp, instr.iteration))
+    def _issue_load(self, warp: Warp, site: LoadSite, iteration: int,
+                    use_distance: int, now: int) -> None:
+        addrs = site.addresses(self._ctx(warp, iteration))
         line_addrs = coalesce(addrs, self.l1.line_bytes)
         self.stats.loads_issued += 1
         self.stats.demand_l1_accesses += len(line_addrs)
@@ -532,7 +536,7 @@ class SM:
             ks.loads_issued += 1
             ks.demand_l1_accesses += len(line_addrs)
         cands = self.prefetcher.on_load_issue(
-            warp, site, addrs, line_addrs, instr.iteration, now
+            warp, site, addrs, line_addrs, iteration, now
         )
         if cands:
             self.enqueue_prefetches(cands)
@@ -550,10 +554,10 @@ class SM:
                 warp.leading = False
                 if self.obs is not None:
                     self.obs.lead_disarm(warp, now)
-        if instr.use_distance > 0 and warp.pending_pieces == 0:
+        if use_distance > 0 and warp.pending_pieces == 0:
             # Independent instructions follow: the warp keeps issuing
             # (compiler-scheduled ILP below the load).
-            warp.defer_on_memory(len(line_addrs), instr.use_distance)
+            warp.defer_on_memory(len(line_addrs), use_distance)
         else:
             # A further memory op while pieces are outstanding ends any
             # deferral window: block on everything in flight.
@@ -562,19 +566,19 @@ class SM:
             if not already_blocked:
                 self._warp_blocked(warp, now)
         remaining = list(line_addrs)
-        self._process_demand_lines(warp, instr.site.pc, remaining, instr.iteration, now)
+        self._process_demand_lines(warp, site.pc, remaining, iteration, now)
         if remaining:
             self.replay = _Replay(
                 warp=warp,
                 pc=site.pc,
                 remaining=remaining,
                 is_store=False,
-                iteration=instr.iteration,
+                iteration=iteration,
             )
 
-    def _issue_store(self, warp: Warp, instr: Instr, now: int) -> None:
-        site = instr.site
-        addrs = site.addresses(self._ctx(warp, instr.iteration))
+    def _issue_store(self, warp: Warp, site: LoadSite, iteration: int,
+                     now: int) -> None:
+        addrs = site.addresses(self._ctx(warp, iteration))
         line_addrs = coalesce(addrs, self.l1.line_bytes)
         self.stats.stores_issued += 1
         if self._multi:
@@ -588,7 +592,7 @@ class SM:
                 pc=site.pc,
                 remaining=remaining,
                 is_store=True,
-                iteration=instr.iteration,
+                iteration=iteration,
             )
 
     def _run_replay(self, now: int) -> bool:

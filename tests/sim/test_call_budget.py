@@ -1,0 +1,41 @@
+"""The issue path's cost as a checked property (no wall clock).
+
+Python calls made inside ``repro/`` per simulated warp-instruction,
+counted under ``cProfile``: exact for a commit, so host noise cannot
+move it (``perfbench`` reports the same count over its SMALL cells as
+``sim.py_calls_per_instr``).  The bounds sit 5 % above what the
+compiled ``WarpProgram`` (``sim/isa.py``) reads; the tree-walking
+cursor it replaced needed 8.25 and 13.20.
+"""
+
+import cProfile
+
+import pytest
+
+from repro.config import test_config as tiny_config
+from repro.exec import RunKey, execute_cell
+from repro.workloads import Scale
+
+#: (benchmark, prefetcher) -> most calls per instruction allowed.
+BUDGET = {
+    ("MM", "caps"): 6.91,    # reads 6.58
+    ("STE", "none"): 10.93,  # reads 10.41
+}
+
+
+def calls_per_instr(benchmark: str, prefetcher: str) -> float:
+    key = RunKey(benchmark, prefetcher, Scale.TINY, tiny_config())
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = execute_cell(key)
+    finally:
+        profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats()
+                if "/repro/" in getattr(entry.code, "co_filename", ""))
+    return calls / result.instructions
+
+
+@pytest.mark.parametrize("cell", sorted(BUDGET), ids="/".join)
+def test_calls_per_instruction_within_budget(cell):
+    assert calls_per_instr(*cell) <= BUDGET[cell]

@@ -127,13 +127,6 @@ class TestCursor:
         with pytest.raises(RuntimeError):
             c.next_instr()
 
-    def test_issued_counts_non_exit(self):
-        prog = WarpProgram(ops=[ComputeOp(3)])
-        c = prog.cursor()
-        while not c.done:
-            c.next_instr()
-        assert c.issued == 3
-
     def test_loop_iteration_index_increments(self):
         s = make_site()
         prog = WarpProgram(ops=[LoopOp(4, [LoadOp(s)])])

@@ -77,8 +77,8 @@ class TestVirtualization:
         app = MultiKernelApp(_kernels("MRQ", "MM"))
         k0, k1 = app.kernels
         assert k0.kernel_id == 0 and k1.kernel_id == 1
-        assert all(pc < PC_STRIDE for pc in k0.program._op_pcs.values())
-        assert all(pc >= PC_STRIDE for pc in k1.program._op_pcs.values())
+        assert all(pc < PC_STRIDE for pc in k0.program._code.pc)
+        assert all(pc >= PC_STRIDE for pc in k1.program._code.pc)
         # Load sites carry the rebased pcs too.
         assert all(s.pc >= PC_STRIDE for s in k1.program.load_sites())
         assert all(s.pc < PC_STRIDE for s in k0.program.load_sites())
