@@ -84,7 +84,7 @@ class Mshr:
         """Allocate a new entry for ``req``'s line (must not be pending)."""
         if req.line_addr in self._entries:
             raise ValueError(f"line {req.line_addr:#x} already pending")
-        if self.full:
+        if len(self._entries) >= self.capacity:
             raise MshrFullError(f"MSHR full ({self.capacity} entries)")
         self._entries[req.line_addr] = _MshrEntry(req.line_addr, [req])
         self.allocated += 1

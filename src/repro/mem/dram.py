@@ -25,6 +25,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config import DRAMConfig
 from repro.mem.request import Access, MemoryRequest
 
+_STORE = Access.STORE
+
 
 class DramChannel:
     """One memory channel: bounded queue, FR-FCFS, banked timing."""
@@ -76,12 +78,12 @@ class DramChannel:
     def push(self, req: MemoryRequest) -> None:
         if req.dram_bank < 0:
             req.dram_bank, req.dram_row = self._bank_row(req.line_addr)
-        if req.is_store:
-            if not self.can_accept_write():
+        if req.access is _STORE:
+            if len(self.write_queue) >= self.config.queue_entries:
                 raise OverflowError("DRAM write queue full")
             self.write_queue.append(req)
             return
-        if self.full:
+        if len(self.queue) >= self.config.queue_entries:
             raise OverflowError("DRAM queue full")
         self.queue.append(req)
 
@@ -131,7 +133,7 @@ class DramChannel:
         self.queue_occupancy_sum += len(self.queue)
         while self._completions and self._completions[0][0] <= now:
             _, _, req = heapq.heappop(self._completions)
-            if not req.is_store:
+            if req.access is not _STORE:
                 complete(req)
         if not self.queue and not self.write_queue:
             if self._completions:
@@ -175,7 +177,7 @@ class DramChannel:
         self._bank_free[bank] = done
         self._bus_free = done
         self.service_wait_sum += done - now
-        if req.is_store:
+        if req.access is _STORE:
             self.writes += 1
         else:
             self.reads += 1

@@ -48,11 +48,12 @@ class Pipe:
         return not self.full
 
     def push(self, req: MemoryRequest, now: int) -> None:
-        if self.full:
+        if len(self._q) >= self.capacity:
             raise OverflowError("pipe full")
         self._q.append((now + self.latency, req))
         self.total_entered += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._q))
+        if len(self._q) > self.peak_occupancy:
+            self.peak_occupancy = len(self._q)
 
     def drain(
         self,

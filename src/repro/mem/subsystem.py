@@ -25,6 +25,8 @@ from repro.mem.dram import DramChannel
 from repro.mem.icnt import Pipe
 from repro.mem.request import Access, MemoryRequest
 
+_STORE = Access.STORE
+
 
 class _L2Partition:
     """One L2 slice: input queue, tag store, MSHRs, DRAM port."""
@@ -38,16 +40,31 @@ class _L2Partition:
         self.channel = channel
         self.hit_latency = config.l2.hit_latency
         self.stall_cycles = 0
+        # Event engine only: first uncharged cycle of an MSHR-full wedge
+        # (-1 = none); see MemorySubsystem._l2_cycle.
+        self.wedged_from = -1
 
     @property
     def full(self) -> bool:
         return len(self.in_queue) >= self.in_capacity
 
     def accept(self, req: MemoryRequest) -> bool:
-        if self.full:
+        if len(self.in_queue) >= self.in_capacity:
             return False
         self.in_queue.append(req)
         return True
+
+    def settle_wedge(self, upto: int) -> None:
+        """Charge wedged cycles ``[wedged_from, upto)`` and move the mark
+        to ``upto``: on each the reference ``_l2_cycle`` re-probed the
+        head tag, missed and stalled."""
+        k = upto - self.wedged_from
+        self.wedged_from = upto
+        if k > 0:
+            self.stall_cycles += k
+            self.cache._tick += k
+            self.cache.accesses += k
+            self.cache.misses += k
 
 
 class MemorySubsystem:
@@ -112,10 +129,11 @@ class MemorySubsystem:
     def submit(self, req: MemoryRequest, now: int) -> bool:
         """Called by an SM's LSU for each L1 miss / store.  Returns False
         when the network is saturated (SM must retry)."""
-        if not self.request_pipe.can_accept():
+        pipe = self.request_pipe
+        if len(pipe._q) >= pipe.capacity:
             return False
-        self.request_pipe.push(req, now)
-        ripe = now + self.request_pipe.latency
+        pipe.push(req, now)
+        ripe = now + pipe.latency
         if ripe < self._next_event:
             self._next_event = ripe
         self.core_requests += 1
@@ -201,6 +219,10 @@ class MemorySubsystem:
 
     def _dram_complete(self, req: MemoryRequest, now: int) -> None:
         part = self.partition_of(req.line_addr)
+        if part.wedged_from >= 0:
+            # The release below lifts it; settle before the fill's tick.
+            part.settle_wedge(now)
+            part.wedged_from = -1
         part.cache.fill(req.line_addr, cycle=now)
         # The returning line traverses the same L2 pipeline a hit does
         # (fill + forward), so misses pay the L2 latency on top of DRAM.
@@ -210,38 +232,45 @@ class MemorySubsystem:
                 self._l2_wait, (now + part.hit_latency, self._seq, merged)
             )
 
-    def _l2_cycle(self, part: _L2Partition, now: int) -> None:
+    def _l2_cycle(self, part: _L2Partition, now: int) -> bool:
+        """Serve the head of ``part``'s input queue.  True when ``part``
+        is frozen until a fill on it (head read missed, not pending, MSHR
+        full): only ``_dram_complete`` fills, always releasing an entry."""
         if not part.in_queue:
-            return
+            return False
         req = part.in_queue[0]
-        if req.is_store:
+        ch = part.channel
+        if req.access is _STORE:
             # Write-through, no-allocate: needs a write-buffer slot.
-            if not part.channel.can_accept_write():
+            if len(ch.write_queue) >= ch.config.queue_entries:
                 part.stall_cycles += 1
-                return
+                return False
             part.in_queue.popleft()
-            part.channel.push(req)
-            return
+            ch.push(req)
+            return False
         line = part.cache.lookup(req.line_addr)
         if line is not None:
             part.in_queue.popleft()
             req.l2_hit = True
             self._seq += 1
             heapq.heappush(self._l2_wait, (now + part.hit_latency, self._seq, req))
-            return
-        if part.mshr.pending(req.line_addr):
-            if part.mshr.can_merge(req.line_addr):
+            return False
+        mshr = part.mshr
+        if mshr.pending(req.line_addr):
+            if mshr.can_merge(req.line_addr):
                 part.in_queue.popleft()
-                part.mshr.merge(req)
+                mshr.merge(req)
             else:
                 part.stall_cycles += 1
-            return
-        if part.mshr.full or not part.channel.can_accept():
+            return False
+        frozen = len(mshr._entries) >= mshr.capacity
+        if frozen or len(ch.queue) >= ch.config.queue_entries:
             part.stall_cycles += 1
-            return
+            return frozen
         part.in_queue.popleft()
-        part.mshr.allocate(req)
-        part.channel.push(req)
+        mshr.allocate(req)
+        ch.push(req)
+        return False
 
     # ------------------------------------------------------------ event engine
     def cycle_event(self, now: int) -> None:
@@ -250,10 +279,11 @@ class MemorySubsystem:
 
         Equivalent to calling :meth:`cycle` for every cycle in
         ``(last real cycle, now]``: the skipped cycles and skipped
-        components provably perform no state change beyond the DRAM
-        utilization counters, which accrue lazily per channel
-        (``DramChannel._accounted_to`` + :meth:`account_idle_span`) —
-        an idle channel's reference ``cycle`` only bumps those."""
+        components provably perform no state change beyond counters
+        that accrue lazily — an idle DRAM channel's utilization
+        (``DramChannel._accounted_to`` + :meth:`account_idle_span`) and
+        a wedged L2 partition's stall and head re-probe
+        (``_L2Partition.wedged_from`` + ``settle_wedge``)."""
         self._complete_now = now
         nxt = 1 << 62
         for ch in self.channels:
@@ -269,9 +299,10 @@ class MemorySubsystem:
             self._drain_l2_wait(now)
         busy = False
         for part in self.partitions:
-            if part.in_queue:
-                self._l2_cycle(part, now)
-                if part.in_queue:
+            if part.in_queue and part.wedged_from < 0:
+                if self._l2_cycle(part, now):
+                    part.wedged_from = now + 1
+                elif part.in_queue:
                     busy = True
         q = self.request_pipe._q
         if q and q[0][0] <= now:
@@ -280,15 +311,23 @@ class MemorySubsystem:
         if q and q[0][0] <= now:
             self.response_pipe.drain(now, self._deliver_response)
         # Next event: the earliest cycle > now at which cycle() would
-        # change any state other than batch-accruable idle counters —
-        # the minimum over partition input queues (occupancy observed
-        # above), DRAM channels, the L2 wait heap and both pipes' head
-        # ready times.  submit() pulls it earlier mid-span.
-        if busy or self.request_pipe._q and self.request_pipe._q[0][0] <= now:
+        # change any state other than lazily accrued counters — the
+        # minimum over non-wedged partition input queues (occupancy
+        # observed above), DRAM channels, the L2 wait heap and both
+        # pipes' head ready times.  A wedged partition, and a ripe
+        # request-pipe head it refuses, wait for a fill that the
+        # channel's term bounds.  submit() pulls it earlier mid-span.
+        rq = self.request_pipe._q
+        if not busy and rq and rq[0][0] <= now:
+            part = self.partition_of(rq[0][1].line_addr)
+            if part.wedged_from < 0 or len(part.in_queue) < part.in_capacity:
+                busy = True
+            rq = None
+        if busy:
             self._next_event = now + 1
             return
         for part in self.partitions:
-            if part.in_queue:
+            if part.in_queue and part.wedged_from < 0:
                 self._next_event = now + 1
                 return
         for ch in self.channels:
@@ -298,24 +337,25 @@ class MemorySubsystem:
         w = self._l2_wait
         if w and w[0][0] < nxt:
             nxt = w[0][0]
-        q = self.request_pipe._q
-        if q and q[0][0] < nxt:
-            nxt = q[0][0]
+        if rq and rq[0][0] < nxt:
+            nxt = rq[0][0]
         q = self.response_pipe._q
         if q and q[0][0] < nxt:
             nxt = q[0][0]
         self._next_event = nxt if nxt > now else now + 1
 
     def sync_accounting(self, now: int) -> None:
-        """Bring per-cycle DRAM counters up to date through ``now - 1``.
-
-        Called before any observer that may read utilization counters
-        (window flushes, hang snapshots, run end)."""
+        """Bring lazy counters (idle DRAM channels, wedged L2 partitions)
+        up to date through ``now - 1``; called before any observer reads
+        them (window flushes, deep checks, hang snapshots, run end)."""
         for ch in self.channels:
             gap = now - ch._accounted_to
             if gap > 0:
                 ch.account_idle_span(gap)
                 ch._accounted_to = now
+        for part in self.partitions:
+            if part.wedged_from >= 0:
+                part.settle_wedge(now)
 
     def earliest_delivery_cycle(self, now: int) -> int:
         """Conservative lower bound on the next ``on_response`` delivery

@@ -61,6 +61,13 @@ with a count of one.  How the event step stays exact
   of the response bound; responses do not reset its ``_skip_until``.
   Lazy stall spans are never hard: a response settles them immediately.
 
+* **Backpressure wedges.**  A component blocked by memory backpressure
+  sleeps until the one event that can free it: an MSHR-full L2
+  partition until a fill on it (``_L2Partition.wedged_from``, settled
+  lazily), an SM whose queues sit behind a full request pipe until
+  ``cycle_event`` drains it — its span ends at ``sub._next_event + 1``
+  and is never hard, and a replay facing a full queue is wedged.
+
 * **Hook boundaries.**  Spans and clock jumps never cross the next
   hook boundary, so samples, window flushes, deep checks and hang
   checks fire at exactly the reference cycles with exactly the
@@ -105,12 +112,14 @@ def _next_hook(t: int, limit: int, intervals) -> int:
 
 
 def _replay_wedged(sm, rp) -> bool:
-    """True when the load replay head provably cannot make progress —
-    and, since the blocking condition can only be lifted by a memory
-    response, will not progress on any cycle before the response bound.
+    """True when the replay head provably cannot make progress before a
+    memory response or the request pipe draining (which the caller found
+    full whenever a queue is non-empty) — the events that end its spans.
 
-    Mirrors the replay-failure branches of ``SM._process_demand_lines``
-    (the caller has already checked the miss queue is empty)."""
+    Mirrors the replay-failure branches of ``SM._process_store_lines``
+    and ``SM._process_demand_lines``."""
+    if rp.is_store:
+        return len(sm.store_queue) >= sm.store_queue_depth
     head = rp.remaining[0]
     if sm.l1.probe(head) is not None:
         return False
@@ -120,7 +129,8 @@ def _replay_wedged(sm, rp) -> bool:
         return len(meta.waiters) >= mshr.merge_limit
     if mshr.pending(head):
         return not mshr.can_merge(head)
-    return mshr.full or sm.miss_queue_depth == 0
+    return (len(mshr._entries) >= mshr.capacity
+            or len(sm.miss_queue) >= sm.miss_queue_depth)
 
 
 def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
@@ -335,32 +345,34 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
     sm._span_hard = False
     if sm._span_from >= 0:
         sm._settle_span(now)
-    if sm.unfinished_warps == 0:
-        if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
+    # Queued misses, stores and prefetches drain only into the request
+    # pipe; while it is full every submit fails (pulling no _next_event
+    # earlier), so the queues are inert until cycle_event drains it.
+    wake = NEVER
+    if sm.miss_queue or sm.store_queue or sm.prefetch_miss_queue:
+        rq = sub.request_pipe
+        if len(rq._q) < rq.capacity:
             sm.cycle(now)
-        else:
-            sm._skip_until = NEVER
+            return
+        wake = sub._next_event + 1
+    if sm.unfinished_warps == 0:
+        sm._skip_until = wake
         return
     hh = sm._hit_heap
-    if (
-        sm.miss_queue
-        or sm.store_queue
-        or sm.prefetch_miss_queue
-        or (hh and hh[0][0] <= now)
-        or (
-            sm.prefetch_queue
-            and sm.unused_prefetched_resident < sm._prefetch_resident_limit
-        )
+    if (hh and hh[0][0] <= now) or (
+        sm.prefetch_queue
+        and sm.unused_prefetched_resident < sm._prefetch_resident_limit
     ):
         sm.cycle(now)
         return
     rp = sm.replay
-    if rp is not None and (rp.is_store or not _replay_wedged(sm, rp)):
+    if rp is not None and not _replay_wedged(sm, rp):
         sm.cycle(now)
         return
-    # End bound for *lazy* spans: hooks and the SM's own future work
-    # (ripe hits, serviceable prefetches) — but not the response bound.
-    lazy_end = hook_at
+    # End bound for *lazy* spans: hooks, the pipe drain and the SM's own
+    # future work (ripe hits, serviceable prefetches) — but not the
+    # response bound.
+    lazy_end = hook_at if hook_at < wake else wake
     if hh and hh[0][0] < lazy_end:
         lazy_end = hh[0][0]
     p = sm.prefetcher.next_event_cycle(now)
@@ -403,6 +415,7 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
     # keep all spans under the response bound.
     hard = (
         rp is None
+        and wake == NEVER
         and not sm._multi
         and sm._hard_span_ok
         and not sm.prefetch_queue

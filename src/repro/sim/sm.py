@@ -381,10 +381,14 @@ class SM:
             self._charge_kernels(k, {})
 
     def _charge_wedged_replay(self, k: int) -> None:
-        """Charge ``k`` skipped cycles of a wedged load replay: on each
-        the per-cycle path would have retried the head line, missed L1
-        and failed its reservation again."""
+        """Charge ``k`` skipped cycles of a wedged replay: on each the
+        per-cycle path would have retried the head line — a load missing
+        L1 and failing its reservation again, a store finding the store
+        queue full without touching L1."""
         self.stats.replay_cycles += k
+        if self.replay.is_store:
+            self.stats.replay_store_cycles += k
+            return
         l1 = self.l1
         l1._tick += k
         l1.accesses += k

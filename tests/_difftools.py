@@ -87,7 +87,7 @@ def fingerprint(gpu: GPU, result) -> Dict[str, Any]:
                        sub.response_pipe.peak_occupancy)
     for part in sub.partitions:
         c = part.cache
-        fp[f"l2.{part.pid}"] = (c.accesses, c.hits, c.misses,
+        fp[f"l2.{part.pid}"] = (c.accesses, c.hits, c.misses, c._tick,
                                 part.stall_cycles, part.mshr.allocated,
                                 part.mshr.released)
     for ch in sub.channels:

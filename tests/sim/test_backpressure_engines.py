@@ -1,0 +1,115 @@
+"""Differential tests on a congested machine, where the event step's
+backpressure wedges fire.
+
+The event step lets an L2 partition whose MSHR is full sleep until the
+next fill on it, and an SM whose miss / store / prefetch queues sit
+behind a full request pipe sleep until the subsystem's next event; the
+skipped cycles' stall counters and re-probes are charged lazily
+(``repro.mem.subsystem``, ``repro.sim.fastcore``).  The tiny test
+machine reaches those states only now and then.  Here the L2 has two
+MSHR entries, the interconnect two-entry queues and there is one DRAM
+channel, so every case reaches both — and asserts that it did, so the
+suite cannot pass vacuously.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.config import test_config as tiny_config
+from repro.guard.faults import FaultPlan
+from repro.prefetch.factory import make_prefetcher
+from repro.workloads import Scale, build
+
+from tests._difftools import (
+    assert_identical,
+    corun_fingerprint,
+    fingerprint,
+    run_corun_engine,
+    run_engine,
+)
+
+CELLS = (("HST", None), ("HST", "caps"), ("BFS", "caps"))
+CELL_IDS = ["HST/none", "HST/caps", "BFS/caps"]
+#: Cut points for truncated runs: most of them land inside a wedge.
+CUTS = (300, 700, 1500, 3000, 6000)
+
+
+def congested(**overrides):
+    base = tiny_config(**overrides)
+    return dataclasses.replace(
+        base,
+        l2=dataclasses.replace(base.l2, mshr_entries=2),
+        icnt=dataclasses.replace(base.icnt, queue_depth=2),
+        dram=dataclasses.replace(base.dram, channels=1),
+    )
+
+
+def _factory(name):
+    return make_prefetcher(name) if name else None
+
+
+def _assert_backpressure(gpu) -> None:
+    """Both wedges had something to do: an L2 partition stalled and the
+    request pipe filled to capacity."""
+    sub = gpu.subsystem
+    assert any(part.stall_cycles for part in sub.partitions)
+    assert sub.request_pipe.peak_occupancy == sub.request_pipe.capacity
+
+
+def _differential(bench, pf, cfg, max_cycles=None, faults=None):
+    """Run both engines; assert identical fingerprints and return the
+    event run's ``(gpu, result)``."""
+    runs = [run_engine(lambda: build(bench, Scale.TINY), cfg, engine,
+                       _factory(pf), max_cycles, faults)
+            for engine in ("cycle", "event")]
+    (gpu_ref, res_ref), (gpu_evt, res_evt) = runs
+    assert_identical(fingerprint(gpu_ref, res_ref),
+                     fingerprint(gpu_evt, res_evt),
+                     f"{bench}/{pf or 'none'}/congested@{max_cycles}")
+    return gpu_evt, res_evt
+
+
+@pytest.mark.parametrize("bench,pf", CELLS, ids=CELL_IDS)
+class TestCongested:
+    def test_identical(self, bench, pf):
+        gpu, res = _differential(bench, pf, congested())
+        assert res.completed
+        _assert_backpressure(gpu)
+
+    def test_delay_faults_identical(self, bench, pf):
+        plan = FaultPlan(seed=7, delay_response_rate=0.3, delay_cycles=40)
+        gpu, res = _differential(bench, pf, congested(), faults=plan)
+        assert res.completed
+        _assert_backpressure(gpu)
+
+    def test_deep_checks_identical(self, bench, pf):
+        gpu, res = _differential(bench, pf, congested(deep_checks=True))
+        assert res.completed
+        assert gpu.invariants.cycle_checks == res.cycles
+        _assert_backpressure(gpu)
+
+    def test_truncated_identical(self, bench, pf):
+        """Cuts that land inside a wedge settle it exactly."""
+        open_at_cut = 0
+        for cut in CUTS:
+            gpu, res = _differential(bench, pf, congested(), max_cycles=cut)
+            assert not res.completed
+            open_at_cut += any(part.wedged_from >= 0
+                               for part in gpu.subsystem.partitions)
+        assert open_at_cut
+
+
+def test_corun_identical():
+    cfg = congested().with_multi(alloc_policy="preempt")
+    runs = [run_corun_engine(
+                lambda: [build(b, Scale.TINY) for b in ("HST", "BFS")],
+                cfg, engine, make_prefetcher("caps"))
+            for engine in ("cycle", "event")]
+    (gpu_ref, res_ref), (gpu_evt, res_evt) = runs
+    assert_identical(corun_fingerprint(gpu_ref, res_ref),
+                     corun_fingerprint(gpu_evt, res_evt), "HST+BFS/congested")
+    assert res_evt.completed
+    _assert_backpressure(gpu_evt)

@@ -3,9 +3,12 @@
 Python calls made inside ``repro/`` per simulated warp-instruction,
 counted under ``cProfile``: exact for a commit, so host noise cannot
 move it (``perfbench`` reports the same count over its SMALL cells as
-``sim.py_calls_per_instr``).  The bounds sit 5 % above what the
-compiled ``WarpProgram`` (``sim/isa.py``) reads; the tree-walking
-cursor it replaced needed 8.25 and 13.20.
+``sim.py_calls_per_instr``).  The MM and STE rows sit 5 % above what
+the compiled ``WarpProgram`` (``sim/isa.py``) read; the tree-walking
+cursor it replaced needed 8.25 and 13.20.  The memory-bound row sits
+5 % above what the event step's backpressure wedges read (MSHR-full L2
+partitions and SMs behind a full request pipe sleep instead of
+re-polling every cycle); re-polling needed 36.88.
 """
 
 import cProfile
@@ -18,8 +21,9 @@ from repro.workloads import Scale
 
 #: (benchmark, prefetcher) -> most calls per instruction allowed.
 BUDGET = {
-    ("MM", "caps"): 6.91,    # reads 6.58
-    ("STE", "none"): 10.93,  # reads 10.41
+    ("HST", "caps"): 18.45,  # reads 17.57
+    ("MM", "caps"): 6.91,    # reads 5.88 (6.58 when set)
+    ("STE", "none"): 10.93,  # reads 9.38 (10.41 when set)
 }
 
 

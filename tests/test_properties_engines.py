@@ -9,6 +9,8 @@ bit-identical fingerprints under both engines (see
 :mod:`tests._difftools`).
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SchedulerKind
@@ -84,11 +86,21 @@ def kernels(draw):
 
 @st.composite
 def configs(draw):
-    """A random fault-free configuration around the tiny baseline."""
-    return tiny_config(
+    """A random fault-free configuration around the tiny baseline.
+
+    Small L2 MSHR files and interconnect queues let generated kernels
+    reach the event step's backpressure wedges (MSHR-full partitions,
+    SMs behind a full request pipe)."""
+    base = tiny_config(
         scheduler=draw(st.sampled_from(list(SchedulerKind))),
         ready_queue_size=draw(st.integers(2, 6)),
         max_cycles=400_000,
+    )
+    return dataclasses.replace(
+        base,
+        l2=dataclasses.replace(base.l2, mshr_entries=draw(st.integers(1, 8))),
+        icnt=dataclasses.replace(base.icnt,
+                                 queue_depth=draw(st.integers(1, 8))),
     )
 
 
