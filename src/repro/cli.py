@@ -1,47 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-
-``list``
-    Show the workload suite and available prefetch engines.
-``run BENCH``
-    Simulate one benchmark under one engine; print the headline metrics
-    (optionally export windowed metric series with ``--metrics-out``,
-    or print a host-side phase profile with ``--profile``).
-``sweep``
-    Run a (benchmark × engine) matrix and print the Figure 10-style
-    normalized-IPC table (``--cache`` persists every run).
-``figures``
-    Run every experiment as one batch and write EXPERIMENTS.md: each
-    table with the paper's claims graded on it.
-``validate``
-    The same experiments as one scoreboard (paper / measured / band /
-    status per claim); exits 1 if any row fails.
-``trace BENCH``
-    Export a Chrome trace-event / Perfetto timeline of one run
-    (warp spans, stall intervals, prefetch lifetimes — see
-    docs/observability.md).
-``serve``
-    Run the long-lived simulation service: accepts ``simulate`` /
-    ``stats`` / ``ping`` requests over a Unix or TCP socket, answers
-    from the tiered cache or batches into the execution engine, sheds
-    load explicitly when full and drains gracefully on SIGTERM (see
-    docs/serving.md).
-``request [BENCH]``
-    Issue one request to a running server (``--stats`` / ``--ping``
-    for introspection and liveness); transient failures are retried
-    with backoff (``--retries``, default 3 attempts) before the
-    command gives up with exit code 5.
-``fleet``
-    Run the fault-tolerant serve fleet: N supervised backend
-    processes behind a consistent-hashing router with per-backend
-    circuit breakers and a read-only degraded disk fallback (see
-    docs/fleet.md).  ``--chaos-*`` flags arm the seeded fault
-    injection used by the chaos suite.
-``cache {stats,gc}``
-    Maintain the on-disk result cache: usage summary, and garbage
-    collection by age (``--older-than``) and/or size (``--max-bytes``).
+:func:`build_parser` declares every command — its one-line summary
+(``repro --help``) and its flags (``repro <command> --help``) — and
+``cmd_<command>`` runs it; docs/ describes each in depth.  The ``serve``
+and ``fleet`` knobs are not written here: :func:`_add_flags` generates
+them from the fields of :class:`~repro.config.ServeConfig` and
+:class:`~repro.config.RouterConfig`, their one declaration.
 """
 
 from __future__ import annotations
@@ -57,7 +21,10 @@ from typing import List, Optional, Sequence
 # `repro request` never loads the simulator (docs/architecture.md).
 from repro.config import (
     ALLOC_POLICIES,
+    Endpoint,
+    RouterConfig,
     SchedulerKind,
+    ServeConfig,
     fermi_config,
     small_config,
 )
@@ -119,6 +86,13 @@ def _suffixed(text: str, suffixes: dict, what: str, examples: str) -> float:
 def _size(text: str) -> int:
     """Parse a byte size: plain int or K/M/G-suffixed (``500M``)."""
     return int(_suffixed(text, _SIZE_SUFFIXES, "size", "1048576, 500M, 2G"))
+
+
+def _size_text(size: int) -> str:
+    """``size`` in the largest unit :func:`_size` reads back exactly."""
+    unit = max((u for u, f in _SIZE_SUFFIXES.items() if size % f == 0),
+               key=_SIZE_SUFFIXES.get, default="")
+    return f"{size // _SIZE_SUFFIXES.get(unit, 1)}{unit.upper()}"
 
 
 def _duration(text: str) -> float:
@@ -196,6 +170,34 @@ def _scheduler(name: str) -> SchedulerKind:
             f"unknown scheduler {name!r}; choose from "
             f"{[k.value for k in SchedulerKind]}"
         ) from None
+
+
+def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """Add the flag of every field config dataclass ``cls`` declares
+    itself (not inherited) with ``help`` metadata: the field is the
+    flag's one declaration — dest, type, default and ``--help`` text."""
+    own = vars(cls)["__annotations__"]
+    for spec in dataclasses.fields(cls):
+        if spec.name not in own or "help" not in spec.metadata:
+            continue
+        kwargs = dict(spec.metadata, dest=spec.name)
+        flag = kwargs.pop("flag", "--" + spec.name.replace("_", "-"))
+        if isinstance(spec.default, bool):
+            kwargs["action"] = "store_false" if spec.default else "store_true"
+        elif kwargs.get("metavar") == "SIZE":
+            kwargs.update(type=_size, default=_size_text(spec.default))
+        else:
+            kwargs.setdefault("type", type(spec.default))
+            kwargs["default"] = spec.default
+        parser.add_argument(flag, **kwargs)
+
+
+def config_from_args(cls, args: argparse.Namespace):
+    """The ``cls`` instance the parsed flags describe: every flag field
+    (see :func:`_add_flags`) from ``args``, the rest at their defaults."""
+    return cls(**{spec.name: getattr(args, spec.name)
+                  for spec in dataclasses.fields(cls)
+                  if "help" in spec.metadata})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,15 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared endpoint flags for the serving pair.
     ep = argparse.ArgumentParser(add_help=False)
-    ep.add_argument("--socket", type=pathlib.Path, default=None,
-                    metavar="PATH",
-                    help="Unix domain socket path (preferred over TCP "
-                         "when given)")
-    ep.add_argument("--host", type=str, default=None,
-                    help="TCP bind/connect address (default: 127.0.0.1)")
-    ep.add_argument("--port", type=int, default=None,
-                    help="TCP port (default: 8642; 0 binds an ephemeral "
-                         "port on serve)")
+    _add_flags(ep, Endpoint)
 
     # What one backend runs on: `serve` is one, `fleet` spawns several.
     be = argparse.ArgumentParser(add_help=False)
@@ -359,39 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="FILE",
                      help="append engine telemetry events to this JSONL "
                           "file (flushed per event; survives SIGKILL)")
-    srv.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                     help="admitted-but-unresolved cell bound; past it "
-                          "requests are shed with 'overloaded' "
-                          "(default: 64)")
-    srv.add_argument("--batch-window", type=float, default=0.02,
-                     metavar="SECONDS",
-                     help="how long the engine must be free of real work "
-                          "before queued speculation may take it; real "
-                          "requests dispatch at once (default: 0.02)")
-    srv.add_argument("--batch-max", type=int, default=32, metavar="N",
-                     help="max cells per dispatched batch (default: 32)")
-    srv.add_argument("--default-deadline", type=float, default=None,
-                     metavar="SECONDS",
-                     help="deadline applied to requests that carry none "
-                          "(default: wait indefinitely)")
-    srv.add_argument("--memcache-entries", type=int, default=256, metavar="N",
-                     help="in-memory result-cache entry cap (default: 256)")
-    srv.add_argument("--memcache-bytes", type=_size, default=64 * 1024 * 1024,
-                     metavar="SIZE",
-                     help="in-memory result-cache byte cap "
-                          "(default: 64M; accepts K/M/G suffixes)")
-    srv.add_argument("--no-predict", action="store_true",
-                     help="disable sweep prediction and speculative "
-                          "execution of the forecast next cells")
-    srv.add_argument("--predict-min-run", type=int, default=3, metavar="N",
-                     help="consecutive same-stride steps before the "
-                          "predictor speculates (default: 3)")
-    srv.add_argument("--predict-depth", type=int, default=2, metavar="N",
-                     help="future sweep cells speculated per confirmed "
-                          "step (default: 2)")
-    srv.add_argument("--speculate-max", type=int, default=4, metavar="N",
-                     help="outstanding speculative cells bound; beyond it "
-                          "predictions are dropped (default: 4)")
+    _add_flags(srv, ServeConfig)
 
     rq = sub.add_parser(
         "request",
@@ -452,21 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--restart-budget", type=int, default=None, metavar="N",
                     help="restarts per backend before the supervisor "
                          "gives up on it (default: 3)")
-    fl.add_argument("--probe-interval", type=float, default=None,
-                    dest="probe_interval_s", metavar="SECONDS",
-                    help="active health-probe cadence (default: 0.25)")
-    fl.add_argument("--forward-timeout", type=float, default=None,
-                    dest="forward_timeout_s", metavar="SECONDS",
-                    help="bound on one forwarded request "
-                         "(default: 60; detects blackholed backends)")
-    fl.add_argument("--failure-threshold", type=int, default=None,
-                    metavar="N",
-                    help="consecutive failures that open a backend's "
-                         "circuit breaker (default: 3)")
-    fl.add_argument("--reset-timeout", type=float, default=None,
-                    dest="reset_timeout_s", metavar="SECONDS",
-                    help="how long an open breaker waits before "
-                         "half-open trial requests (default: 1.0)")
+    _add_flags(fl, RouterConfig)
     chaos = fl.add_argument_group(
         "chaos", "seeded serve-tier fault injection (tests/CI only)")
     chaos.add_argument("--chaos-seed", type=int, default=0,
@@ -773,61 +721,60 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _endpoint(args) -> dict:
-    """The ``socket_path`` / ``host`` / ``port`` keywords the shared
-    endpoint flags select (a Unix socket wins over TCP)."""
-    from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT
+def _serve_until_drained(command: str, endpoint: str, serve, announce):
+    """Run ``serve(ready)`` — a server coroutine that sets ``ready`` once
+    it listens — until it drains, and return what it returns (``None``
+    on ^C); ``announce()`` is printed once ``ready`` is set.
 
-    return {
-        "socket_path": str(args.socket) if args.socket else None,
-        "host": args.host or DEFAULT_HOST,
-        "port": DEFAULT_PORT if args.port is None else args.port,
-    }
+    A server that dies before then (a rejected knob, a failed bind)
+    raises here instead of leaving the command waiting on ``ready``
+    forever; a failed bind exits with one line, not a traceback.
+    """
+    import asyncio
+
+    async def run():
+        ready = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        task = loop.create_task(serve(ready))
+        listening = loop.create_task(ready.wait())
+        await asyncio.wait({task, listening},
+                           return_when=asyncio.FIRST_COMPLETED)
+        listening.cancel()
+        if ready.is_set():
+            print(announce(), file=sys.stderr, flush=True)
+        return await task
+
+    try:
+        return asyncio.run(run())
+    except KeyboardInterrupt:  # pragma: no cover - ^C without handler
+        return None
+    except (OSError, OverflowError) as exc:  # OverflowError: port > 65535
+        raise SystemExit(
+            f"repro {command}: cannot listen on {endpoint}: {exc}") from None
 
 
 def cmd_serve(args) -> int:
     """Run the simulation service until SIGTERM/SIGINT, then drain."""
-    import asyncio
-
-    from repro.serve.server import ServeConfig, run_server
+    from repro.serve.server import run_server
 
     engine, sink = _engine(args.jobs,
                            None if args.no_disk_cache else args.cache,
                            args.events_log)
-    serve_config = ServeConfig(
-        **_endpoint(args),
-        queue_limit=args.queue_limit,
-        batch_window_s=args.batch_window,
-        batch_max=args.batch_max,
-        default_deadline_s=args.default_deadline,
-        memcache_entries=args.memcache_entries,
-        memcache_bytes=args.memcache_bytes,
-        predict=not args.no_predict,
-        predict_min_run=args.predict_min_run,
-        predict_depth=args.predict_depth,
-        spec_limit=args.speculate_max,
-    )
-
-    async def _serve():
-        ready = asyncio.Event()
-        task = asyncio.get_running_loop().create_task(
-            run_server(engine, serve_config, ready=ready))
-        await ready.wait()
-        print(f"repro serve: listening on "
-              f"{serve_config.socket_path or serve_config.host}"
-              f"{'' if serve_config.socket_path else ':%d' % serve_config.port}"
-              f" (jobs={engine.jobs}, queue-limit="
-              f"{serve_config.queue_limit}); SIGTERM drains",
-              file=sys.stderr, flush=True)
-        return await task
-
+    config = config_from_args(ServeConfig, args)
     try:
-        server = asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - ^C without handler
-        return EXIT_OK
+        server = _serve_until_drained(
+            "serve", config.endpoint,
+            lambda ready: run_server(engine, config, ready=ready),
+            lambda: (f"repro serve: listening on "
+                     f"{config.socket_path or config.host}"
+                     f"{'' if config.socket_path else ':%d' % config.port}"
+                     f" (jobs={engine.jobs}, queue-limit="
+                     f"{config.queue_limit}); SIGTERM drains"))
     finally:
         if sink is not None:
             sink.close()
+    if server is None:
+        return EXIT_OK
     stats = server.stats()
     print(f"repro serve: drained cleanly — "
           f"{stats['server']['requests']} request(s), "
@@ -840,12 +787,10 @@ def cmd_serve(args) -> int:
 
 def cmd_fleet(args) -> int:
     """Run the supervised multi-backend fleet until SIGTERM/SIGINT."""
-    import asyncio
     import tempfile
 
     from repro.guard.faults import ServeFaultPlan
-    from repro.serve.fleet import RouterConfig, make_fleet, run_fleet
-    from repro.serve.server import ServeConfig
+    from repro.serve.fleet import make_fleet, run_fleet
 
     if args.backends < 1:
         raise SystemExit("--backends must be >= 1")
@@ -853,12 +798,6 @@ def cmd_fleet(args) -> int:
         raise SystemExit("--jobs must be >= 1")
     runtime_dir = (str(args.runtime_dir) if args.runtime_dir is not None
                    else tempfile.mkdtemp(prefix="repro-fleet-"))
-    # Router flags left unset keep RouterConfig's own defaults.
-    knobs = {field: getattr(args, field)
-             for field in ("probe_interval_s", "forward_timeout_s",
-                           "failure_threshold", "reset_timeout_s")
-             if getattr(args, field) is not None}
-    router_config = RouterConfig(**_endpoint(args), **knobs)
     fault_plan = None
     if (args.chaos_kill_backend >= 0 or args.chaos_slow_rate
             or args.chaos_blackhole_rate or args.chaos_torn_rate):
@@ -874,32 +813,19 @@ def cmd_fleet(args) -> int:
         print(f"repro fleet: CHAOS armed ({fault_plan})", file=sys.stderr)
     supervisor, router = make_fleet(
         args.backends, runtime_dir,
-        router_config=router_config,
+        router_config=config_from_args(RouterConfig, args),
         jobs=args.jobs,
         cache_dir=None if args.no_disk_cache else str(args.cache),
-        serve_template=ServeConfig(),
         fault_plan=fault_plan,
         restart_budget=args.restart_budget,
     )
-
-    async def _run():
-        ready = asyncio.Event()
-
-        async def _announce():
-            await ready.wait()
-            print(f"repro fleet: {args.backends} backend(s) behind "
-                  f"{router.endpoint} (runtime: {runtime_dir}); "
-                  "SIGTERM drains", file=sys.stderr, flush=True)
-
-        task = asyncio.get_running_loop().create_task(_announce())
-        try:
-            return await run_fleet(supervisor, router, ready=ready)
-        finally:
-            task.cancel()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - ^C without handler
+    endpoint = router.config.endpoint
+    if _serve_until_drained(
+            "fleet", endpoint,
+            lambda ready: run_fleet(supervisor, router, ready=ready),
+            lambda: (f"repro fleet: {args.backends} backend(s) behind "
+                     f"{endpoint} (runtime: {runtime_dir}); "
+                     "SIGTERM drains")) is None:
         return EXIT_OK
     stats = router.stats()
     restarts = sum(entry["restarts"]
@@ -924,7 +850,7 @@ def cmd_request(args) -> int:
     if args.retries < 1:
         raise SystemExit("--retries must be >= 1")
     client = ServeClient(
-        **_endpoint(args),
+        **dataclasses.asdict(config_from_args(Endpoint, args)),
         timeout=args.timeout,
         retry=(RetryPolicy(attempts=args.retries)
                if args.retries > 1 else None),

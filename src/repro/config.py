@@ -10,14 +10,22 @@ Because the reproduction runs on a pure-Python cycle model, scaled-down
 presets (:func:`small_config`, :func:`test_config`) are provided for tests
 and experiment sweeps; every structural knob of Table III is preserved,
 only the core count and workload scale shrink.
+
+The serve tier's knobs live here too (:class:`ServeConfig`,
+:class:`RouterConfig`), as the one declaration the ``repro serve`` /
+``repro fleet`` flags are generated from.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.guard.faults import ServeFaultPlan
 
 
 class SchedulerKind(enum.Enum):
@@ -547,3 +555,152 @@ def test_config(**overrides) -> GPUConfig:
         max_cycles=200_000,
     )
     return replace(base, **overrides) if overrides else base
+
+
+# ------------------------------------------------------------- serve tier
+#: Serve-tier defaults.  The knobs below read them, and so do the serve
+#: components' own constructors, so a component built without a config
+#: agrees with one built from the default config; each is described
+#: once, at the field that reads it.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8642
+DEFAULT_QUEUE_LIMIT = 64
+DEFAULT_BATCH_WINDOW_S = 0.02
+DEFAULT_BATCH_MAX = 32
+DEFAULT_SPEC_LIMIT = 4
+DEFAULT_MAX_ENTRIES = 256
+DEFAULT_MAX_BYTES = 64 * 1024 * 1024  # of canonical result JSON
+DEFAULT_MIN_RUN = 3
+DEFAULT_DEPTH = 2
+DEFAULT_MISPREDICT_LIMIT = 8
+#: Enough virtual nodes per backend to keep partition-size variance low
+#: across a handful of backends while the hash ring stays tiny.
+DEFAULT_VNODES = 64
+DEFAULT_PROBE_INTERVAL_S = 0.25
+#: Long enough for a real simulation, short enough that a blackholed
+#: backend is detected and the request fails over instead of hanging.
+DEFAULT_FORWARD_TIMEOUT_S = 60.0
+DEFAULT_FAILURE_THRESHOLD = 3
+DEFAULT_RESET_TIMEOUT_S = 1.0
+
+
+def _flag(default, help, **spelling):
+    """A field that is also a ``repro serve`` / ``repro fleet`` flag
+    (``repro.cli`` generates it): ``help`` is its ``--help`` text, where
+    ``%(default)s`` expands to the default; ``spelling`` holds what the
+    field does not say itself — the ``flag`` when it is not
+    ``--field-name``, the ``metavar``, the ``type`` of a ``None``
+    default."""
+    return field(default=default, metadata=dict(help=help, **spelling))
+
+
+@dataclass
+class Endpoint:
+    """Where a serve-tier listener binds (or a client connects); a Unix
+    ``socket_path`` wins over TCP ``host``/``port`` when both are set."""
+
+    socket_path: Optional[str] = _flag(
+        None, "Unix domain socket path (preferred over TCP when given)",
+        flag="--socket", metavar="PATH", type=str)
+    host: str = _flag(DEFAULT_HOST,
+                      "TCP bind/connect address (default: %(default)s)")
+    port: int = _flag(DEFAULT_PORT,
+                      "TCP port (default: %(default)s; 0 binds an "
+                      "ephemeral port on serve)")
+
+    @property
+    def endpoint(self) -> str:
+        """Human-readable listener address (``unix:…`` / ``tcp:…``)."""
+        if self.socket_path:
+            return f"unix:{self.socket_path}"
+        return f"tcp:{self.host}:{self.port}"
+
+
+@dataclass
+class ServeConfig(Endpoint):
+    """Capacity-planning knobs of one server instance (docs/serving.md)."""
+
+    queue_limit: int = _flag(
+        DEFAULT_QUEUE_LIMIT,
+        "admitted-but-unresolved cell bound; past it requests are shed "
+        "with 'overloaded' (default: %(default)s)", metavar="N")
+    batch_window_s: float = _flag(
+        DEFAULT_BATCH_WINDOW_S,
+        "how long the engine must be free of real work before queued "
+        "speculation may take it; real requests dispatch at once "
+        "(default: %(default)s)", flag="--batch-window", metavar="SECONDS")
+    batch_max: int = _flag(
+        DEFAULT_BATCH_MAX,
+        "max cells per dispatched batch (default: %(default)s)", metavar="N")
+    default_deadline_s: Optional[float] = _flag(
+        None, "deadline applied to requests that carry none (default: "
+        "wait indefinitely)", flag="--default-deadline", metavar="SECONDS",
+        type=float)
+    memcache_entries: int = _flag(
+        DEFAULT_MAX_ENTRIES,
+        "in-memory result-cache entry cap (default: %(default)s)",
+        metavar="N")
+    memcache_bytes: int = _flag(
+        DEFAULT_MAX_BYTES,
+        "in-memory result-cache byte cap (default: %(default)s; accepts "
+        "K/M/G suffixes)", metavar="SIZE")
+    predict: bool = _flag(
+        True, "disable sweep prediction and speculative execution of the "
+        "forecast next cells", flag="--no-predict")
+    predict_min_run: int = _flag(
+        DEFAULT_MIN_RUN,
+        "consecutive same-stride steps before the predictor speculates "
+        "(default: %(default)s)", metavar="N")
+    predict_depth: int = _flag(
+        DEFAULT_DEPTH,
+        "future sweep cells speculated per confirmed step (default: "
+        "%(default)s)", metavar="N")
+    #: Expired-unconfirmed predictions that mute a request group (the
+    #: miner's ``MISPRED_THRESH``).
+    mispredict_limit: int = DEFAULT_MISPREDICT_LIMIT
+    spec_limit: int = _flag(
+        DEFAULT_SPEC_LIMIT,
+        "outstanding speculative cells bound; beyond it predictions are "
+        "dropped (default: %(default)s)", flag="--speculate-max",
+        metavar="N")
+    #: Position of this server within a fleet (0 when standalone);
+    #: selects the fault streams of ``fault_plan`` and shows up in
+    #: stats so the router can correlate.
+    backend_index: int = 0
+    #: Optional serve-tier chaos plan (see
+    #: :class:`repro.guard.faults.ServeFaultPlan`).  ``None`` (the
+    #: production default) keeps every fault path compiled out.
+    fault_plan: Optional[ServeFaultPlan] = None
+
+
+@dataclass
+class RouterConfig(Endpoint):
+    """Listener address and failure-detection knobs of one fleet router
+    (docs/fleet.md)."""
+
+    vnodes: int = DEFAULT_VNODES
+    probe_interval_s: float = _flag(
+        DEFAULT_PROBE_INTERVAL_S,
+        "active health-probe cadence (default: %(default)s)",
+        flag="--probe-interval", metavar="SECONDS")
+    probe_timeout_s: float = 1.0
+    forward_timeout_s: Optional[float] = _flag(
+        DEFAULT_FORWARD_TIMEOUT_S,
+        "bound on one forwarded request (default: %(default)g; detects "
+        "blackholed backends)", flag="--forward-timeout", metavar="SECONDS")
+    connect_timeout_s: float = 2.0
+    failure_threshold: int = _flag(
+        DEFAULT_FAILURE_THRESHOLD,
+        "consecutive failures that open a backend's circuit breaker "
+        "(default: %(default)s)", metavar="N")
+    reset_timeout_s: float = _flag(
+        DEFAULT_RESET_TIMEOUT_S,
+        "how long an open breaker waits before half-open trial requests "
+        "(default: %(default)s)", flag="--reset-timeout", metavar="SECONDS")
+    #: Back-off hint attached to ``degraded`` errors (defaults to the
+    #: breaker reset timeout — when the fleet might readmit traffic).
+    retry_after_s: Optional[float] = None
+    #: Read-only disk-cache fallback for fully-degraded keys.
+    degraded_cache_dir: Optional[str] = None
+    #: Cadence of supervisor crash-detection polls (seconds).
+    monitor_interval_s: float = 0.1

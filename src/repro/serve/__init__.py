@@ -6,7 +6,9 @@ tiered cache or by batching them into the existing
 
 * :mod:`repro.serve.protocol` — versioned line-delimited JSON schema
   (request ids, ops, the stable error-code taxonomy, the versioned
-  ``stats`` payload schema);
+  ``stats`` payload's validators);
+* :mod:`repro.serve.stats` — the ``stats`` payload declared once, one
+  dataclass per fixed-shape block;
 * :mod:`repro.serve.memcache` — in-memory LRU result tier with
   entry/byte caps, speculative entries that shed first and eviction
   counters, layered over the persistent
@@ -44,6 +46,12 @@ failure semantics.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
+    "repro.config": (
+        "DEFAULT_HOST",
+        "DEFAULT_PORT",
+        "RouterConfig",
+        "ServeConfig",
+    ),
     "repro.serve.client": (
         "DEFAULT_CONNECT_TIMEOUT_S",
         "AsyncServeClient",
@@ -53,7 +61,6 @@ _EXPORTS = {
     "repro.serve.fleet.health": ("CircuitBreaker", "CircuitState"),
     "repro.serve.fleet.router": (
         "FleetRouter",
-        "RouterConfig",
         "make_fleet",
         "run_fleet",
     ),
@@ -66,8 +73,6 @@ _EXPORTS = {
         "OPS",
         "PRIORITIES",
         "PROTOCOL_VERSION",
-        "DEFAULT_HOST",
-        "DEFAULT_PORT",
         "SOURCES",
         "STATS_SCHEMA_VERSION",
         "Request",
@@ -81,7 +86,6 @@ _EXPORTS = {
     "repro.serve.scheduler": ("RequestScheduler", "SpeculationAborted"),
     "repro.serve.server": (
         "LineEndpoint",
-        "ServeConfig",
         "SimulationServer",
         "run_server",
     ),

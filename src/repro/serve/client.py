@@ -31,10 +31,11 @@ import itertools
 import os
 from typing import Any, Dict, Optional, Tuple
 
+from repro.config import DEFAULT_HOST, DEFAULT_PORT
 from repro.errors import RequestError
 from repro.result import SimResult, deserialize_result
 from repro.serve import protocol
-from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
+from repro.serve.protocol import STREAM_LIMIT
 from repro.serve.retry import RetryPolicy, RetryStats
 
 #: Bound on connection establishment (seconds).  Distinct from the

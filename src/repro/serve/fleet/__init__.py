@@ -24,15 +24,9 @@ mid-flight, slow, blackhole, torn responses); see ``docs/fleet.md``.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.serve.fleet.hashring": ("DEFAULT_VNODES", "HashRing"),
-    "repro.serve.fleet.health": (
-        "DEFAULT_FAILURE_THRESHOLD",
-        "DEFAULT_RESET_TIMEOUT_S",
-        "CircuitBreaker",
-        "CircuitState",
-    ),
+    "repro.serve.fleet.hashring": ("HashRing",),
+    "repro.serve.fleet.health": ("CircuitBreaker", "CircuitState"),
     "repro.serve.fleet.router": (
-        "DEFAULT_FORWARD_TIMEOUT_S",
         "BackendLink",
         "FleetRouter",
         "RouterConfig",

@@ -25,9 +25,7 @@ import bisect
 import hashlib
 from typing import Dict, List, Optional, Sequence
 
-#: Virtual nodes per backend: enough to keep partition-size variance
-#: low across a handful of backends while the ring stays tiny.
-DEFAULT_VNODES = 64
+from repro.config import DEFAULT_VNODES
 
 
 def _point(label: str) -> int:

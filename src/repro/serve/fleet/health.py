@@ -30,7 +30,12 @@ from __future__ import annotations
 
 import enum
 import time
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List
+
+from repro.config import DEFAULT_FAILURE_THRESHOLD, DEFAULT_RESET_TIMEOUT_S
+from repro.errors import ConfigError
+from repro.serve.stats import CircuitStats
 
 
 class CircuitState(enum.Enum):
@@ -39,13 +44,6 @@ class CircuitState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-#: Consecutive failures that trip a closed breaker.
-DEFAULT_FAILURE_THRESHOLD = 3
-
-#: Seconds an open breaker waits before allowing trial requests.
-DEFAULT_RESET_TIMEOUT_S = 1.0
 
 
 class CircuitBreaker:
@@ -57,13 +55,13 @@ class CircuitBreaker:
                  half_open_max: int = 1,
                  clock: Callable[[], float] = time.monotonic):
         if failure_threshold < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"failure_threshold must be >= 1 (got {failure_threshold})")
         if reset_timeout_s <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"reset_timeout_s must be > 0 (got {reset_timeout_s})")
         if half_open_max < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"half_open_max must be >= 1 (got {half_open_max})")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
@@ -161,12 +159,12 @@ class CircuitBreaker:
     # ------------------------------------------------------------- stats
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able state for the router's stats payload (the
-        ``circuit`` block of ``BACKEND_HEALTH_SCHEMA``)."""
-        return {
-            "state": self.state.value,
-            "failures": self.failures,
-            "successes": self.successes,
-            "failure_streak": self._failure_streak,
-            "opened": self.opened,
-            "transitions": list(self.transitions),
-        }
+        :class:`~repro.serve.stats.CircuitStats` block)."""
+        return asdict(CircuitStats(
+            state=self.state.value,
+            failures=self.failures,
+            successes=self.successes,
+            failure_streak=self._failure_streak,
+            opened=self.opened,
+            transitions=self.transitions,
+        ))

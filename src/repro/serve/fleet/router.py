@@ -41,60 +41,26 @@ within their budget.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.config import DEFAULT_PORT, RouterConfig, ServeConfig
 from repro.errors import DegradedError
 from repro.exec.cache import ResultCache, key_fingerprint, serialize_result
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
-from repro.serve.fleet.hashring import DEFAULT_VNODES, HashRing
-from repro.serve.fleet.health import (
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_RESET_TIMEOUT_S,
-    CircuitBreaker,
-    CircuitState,
-)
+from repro.serve.fleet.hashring import HashRing
+from repro.serve.fleet.health import CircuitBreaker, CircuitState
 from repro.serve.fleet.supervisor import BackendSpec, BackendSupervisor
-from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT
 from repro.serve.retry import RetryStats
 from repro.serve.server import LineEndpoint
-
-#: Default bound on one forwarded request (seconds): long enough for a
-#: real simulation, short enough that a blackholed backend is detected
-#: and the request fails over instead of hanging.
-DEFAULT_FORWARD_TIMEOUT_S = 60.0
-
-#: Default cadence of active backend probes (seconds).
-DEFAULT_PROBE_INTERVAL_S = 0.25
+from repro.serve.stats import (BackendHealth, FleetStats, ProbeStats,
+                               RouterCounters, RouterStats)
 
 _FORWARD_IDS = itertools.count(1)
-
-
-@dataclass
-class RouterConfig:
-    """Listener address and failure-detection knobs of one router."""
-
-    socket_path: Optional[str] = None
-    host: str = DEFAULT_HOST
-    port: int = DEFAULT_PORT
-    vnodes: int = DEFAULT_VNODES
-    probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S
-    probe_timeout_s: float = 1.0
-    forward_timeout_s: Optional[float] = DEFAULT_FORWARD_TIMEOUT_S
-    connect_timeout_s: float = 2.0
-    failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    reset_timeout_s: float = DEFAULT_RESET_TIMEOUT_S
-    #: Back-off hint attached to ``degraded`` errors (defaults to the
-    #: breaker reset timeout — when the fleet might readmit traffic).
-    retry_after_s: Optional[float] = None
-    #: Read-only disk-cache fallback for fully-degraded keys.
-    degraded_cache_dir: Optional[str] = None
-    #: Cadence of supervisor crash-detection polls (seconds).
-    monitor_interval_s: float = 0.1
 
 
 class BackendLink:
@@ -110,14 +76,7 @@ class BackendLink:
         self.breaker = CircuitBreaker(
             failure_threshold=config.failure_threshold,
             reset_timeout_s=config.reset_timeout_s)
-        self.probes_sent = 0
-        self.probes_ok = 0
-        self.probes_failed = 0
-
-    @property
-    def endpoint(self) -> str:
-        """The backend's listener address."""
-        return self.spec.endpoint
+        self.probes = ProbeStats()
 
     async def forward(self, payload: Dict[str, Any],
                       timeout_s: Optional[float]) -> Dict[str, Any]:
@@ -138,17 +97,17 @@ class BackendLink:
 
     async def probe(self) -> bool:
         """One active ping; feeds the breaker, returns liveness."""
-        self.probes_sent += 1
+        self.probes.sent += 1
         payload = {"v": protocol.PROTOCOL_VERSION,
                    "id": f"probe-{next(_FORWARD_IDS)}", "op": "ping"}
         try:
             response = await self.forward(payload,
                                           self.config.probe_timeout_s)
         except (ConnectionError, asyncio.TimeoutError, OSError) as exc:
-            self.probes_failed += 1
+            self.probes.failed += 1
             self.breaker.record_failure(f"probe: {exc!r}")
             return False
-        self.probes_ok += 1
+        self.probes.ok += 1
         if response.get("ok"):
             self.breaker.record_success()
             return True
@@ -157,24 +116,21 @@ class BackendLink:
 
     def health(self, restarts: int = 0) -> Dict[str, Any]:
         """One ``backends[]`` entry of the router stats payload."""
-        return {
-            "index": self.spec.index,
-            "endpoint": self.endpoint,
-            "healthy": self.breaker.state is CircuitState.CLOSED,
-            "circuit": self.breaker.snapshot(),
-            "probes": {
-                "sent": self.probes_sent,
-                "ok": self.probes_ok,
-                "failed": self.probes_failed,
-            },
-            "restarts": restarts,
-        }
+        return dataclasses.asdict(BackendHealth(
+            index=self.spec.index,
+            endpoint=self.spec.endpoint,
+            healthy=self.breaker.state is CircuitState.CLOSED,
+            circuit=self.breaker.snapshot(),
+            probes=self.probes,
+            restarts=restarts,
+        ))
 
 
 class FleetRouter(LineEndpoint):
     """Line-protocol front-end consistent-hashing over backend links."""
 
     role = "router"
+    counters_type = RouterCounters
 
     def __init__(self, links: List[BackendLink],
                  config: Optional[RouterConfig] = None,
@@ -182,8 +138,6 @@ class FleetRouter(LineEndpoint):
         if not links:
             raise ValueError("router needs at least one backend link")
         super().__init__(config if config is not None else RouterConfig())
-        self.counters.update(routed=0, failovers=0, degraded_disk_hits=0,
-                             degraded_errors=0)
         self.links = {link.spec.index: link for link in links}
         self.supervisor = supervisor
         self.ring = HashRing(sorted(self.links), vnodes=self.config.vnodes)
@@ -288,7 +242,7 @@ class FleetRouter(LineEndpoint):
                     forwarded, self.config.forward_timeout_s)
             except (ConnectionError, asyncio.TimeoutError, OSError) as exc:
                 link.breaker.record_failure(repr(exc))
-                self.counters["failovers"] += 1
+                self.counters.failovers += 1
                 self.retry_stats.retries += 1
                 self.retry_stats.last_error = repr(exc)
                 continue
@@ -296,7 +250,7 @@ class FleetRouter(LineEndpoint):
             # errors (overloaded, simulation_failed, ...) are the
             # client's business and forwarded verbatim.
             link.breaker.record_success()
-            self.counters["routed"] += 1
+            self.counters.routed += 1
             self.retry_stats.succeeded += 1
             response = dict(response)
             response["id"] = request.id
@@ -315,13 +269,13 @@ class FleetRouter(LineEndpoint):
             result = await asyncio.get_running_loop().run_in_executor(
                 None, self.disk_cache.get, key)
             if result is not None:
-                self.counters["degraded_disk_hits"] += 1
+                self.counters.degraded_disk_hits += 1
                 return protocol.ok_response(
                     request.id, serialize_result(result),
                     meta={"source": "disk-degraded",
                           "cell": key.describe(),
                           "fingerprint": fingerprint})
-        self.counters["degraded_errors"] += 1
+        self.counters.degraded_errors += 1
         self.retry_stats.gave_up += 1
         hint = (self.config.retry_after_s
                 if self.config.retry_after_s is not None
@@ -343,19 +297,14 @@ class FleetRouter(LineEndpoint):
             for index in self.links
         }
         out = super().stats()
-        out.update({
-            "fleet": {
-                "backends": len(self.links),
-                "healthy": healthy,
-                "vnodes": self.config.vnodes,
-            },
-            "router": dict(self.counters),
-            "retry": self.retry_stats.as_dict(),
-            "backends": [
-                self.links[index].health(restarts[index])
-                for index in sorted(self.links)
-            ],
-        })
+        out.update(dataclasses.asdict(RouterStats(
+            fleet=FleetStats(backends=len(self.links), healthy=healthy,
+                             vnodes=self.config.vnodes),
+            router=self.counters,
+            retry=self.retry_stats,
+            backends=[self.links[index].health(restarts[index])
+                      for index in sorted(self.links)],
+        )))
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.stats()
         return out
@@ -372,16 +321,12 @@ def make_fleet(backends: int, runtime_dir: str, *,
 
     Backend Unix sockets land under ``runtime_dir`` (one
     ``backend-<i>.sock`` each); ``serve_template`` (a
-    :class:`~repro.serve.server.ServeConfig`) seeds every backend's
+    :class:`~repro.config.ServeConfig`) seeds every backend's
     capacity knobs, with per-backend ``socket_path``/``backend_index``/
     ``fault_plan`` filled in here.  ``cache_dir`` doubles as each
     backend's persistent result cache and the router's read-only
     degraded fallback.
     """
-    import dataclasses
-
-    from repro.serve.server import ServeConfig
-
     if backends < 1:
         raise ValueError(f"backends must be >= 1 (got {backends})")
     os.makedirs(runtime_dir, exist_ok=True)
@@ -435,8 +380,10 @@ async def run_fleet(supervisor: BackendSupervisor, router: FleetRouter,
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
     supervisor.start()
-    await router.start()
     try:
+        # Inside the try: a router that cannot bind still drains the
+        # backends it was spawned beside instead of orphaning them.
+        await router.start()
         stopping = loop.create_task(stop.wait())
         waiting = loop.create_task(router.wait_backends_ready())
         await asyncio.wait({stopping, waiting},

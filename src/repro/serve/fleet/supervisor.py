@@ -32,9 +32,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.config import ServeConfig
 from repro.exec.cache import ResultCache
 from repro.exec.runner import ExecutionEngine
-from repro.serve.server import ServeConfig
 
 #: Default cap on restarts per backend.
 DEFAULT_RESTART_BUDGET = 3
@@ -65,9 +65,7 @@ class BackendSpec:
     @property
     def endpoint(self) -> str:
         """The backend's listener address."""
-        if self.serve.socket_path:
-            return f"unix:{self.serve.socket_path}"
-        return f"tcp:{self.serve.host}:{self.serve.port}"
+        return self.serve.endpoint
 
 
 def _backend_main(spec: BackendSpec) -> None:  # pragma: no cover - child

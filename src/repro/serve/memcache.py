@@ -30,14 +30,12 @@ entry's canonical serialized size) bound the tier; ``hits`` /
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
-#: Default entry cap of the in-memory tier.
-DEFAULT_MAX_ENTRIES = 256
-
-#: Default byte cap of the in-memory tier (64 MiB of canonical JSON).
-DEFAULT_MAX_BYTES = 64 * 1024 * 1024
+from repro.config import DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES
+from repro.errors import ConfigError
+from repro.serve.stats import MemcacheStats
 
 
 @dataclass
@@ -67,9 +65,9 @@ class ServeMemCache:
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
                  max_bytes: int = DEFAULT_MAX_BYTES):
         if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 (got {max_entries})")
+            raise ConfigError(f"max_entries must be >= 1 (got {max_entries})")
         if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1 (got {max_bytes})")
+            raise ConfigError(f"max_bytes must be >= 1 (got {max_bytes})")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         # Least recently used first.
@@ -201,19 +199,20 @@ class ServeMemCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, Any]:
-        """Snapshot for the ``stats`` introspection request."""
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "bytes": self.current_bytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_ratio": round(self.hit_ratio, 4),
-            "evictions": self.evictions,
-            "puts": self.puts,
-            "spec_puts": self.spec_puts,
-            "spec_hits": self.spec_hits,
-            "spec_evictions": self.spec_evictions,
-            "spec_entries": self.spec_entries,
-        }
+        """Snapshot for the ``stats`` introspection request (the
+        :class:`~repro.serve.stats.MemcacheStats` block)."""
+        return asdict(MemcacheStats(
+            entries=len(self._entries),
+            max_entries=self.max_entries,
+            bytes=self.current_bytes,
+            max_bytes=self.max_bytes,
+            hits=self.hits,
+            misses=self.misses,
+            hit_ratio=round(self.hit_ratio, 4),
+            evictions=self.evictions,
+            puts=self.puts,
+            spec_puts=self.spec_puts,
+            spec_hits=self.spec_hits,
+            spec_evictions=self.spec_evictions,
+            spec_entries=self.spec_entries,
+        ))

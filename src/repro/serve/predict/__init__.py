@@ -29,10 +29,7 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.serve.predict.miner": (
-        "DEFAULT_DEPTH",
         "DEFAULT_MAX_GROUPS",
-        "DEFAULT_MIN_RUN",
-        "DEFAULT_MISPREDICT_LIMIT",
         "CellSpec",
         "PatternMiner",
         "Prediction",

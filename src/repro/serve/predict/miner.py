@@ -36,17 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Default consecutive same-stride steps before predictions are emitted.
-DEFAULT_MIN_RUN = 3
-
-#: Default number of future sweep cells predicted per confirmed step.
-DEFAULT_DEPTH = 2
+from repro.config import DEFAULT_DEPTH, DEFAULT_MIN_RUN, DEFAULT_MISPREDICT_LIMIT
+from repro.errors import ConfigError
 
 #: Default bound on concurrently-tracked base signatures.
 DEFAULT_MAX_GROUPS = 32
-
-#: Default unconfirmed-prediction count that mutes a group.
-DEFAULT_MISPREDICT_LIMIT = 8
 
 
 def flatten_overrides(overrides: Dict[str, Any],
@@ -183,13 +177,13 @@ class PatternMiner:
                  max_groups: int = DEFAULT_MAX_GROUPS,
                  mispredict_limit: int = DEFAULT_MISPREDICT_LIMIT):
         if min_run < 2:
-            raise ValueError(f"min_run must be >= 2 (got {min_run})")
+            raise ConfigError(f"min_run must be >= 2 (got {min_run})")
         if depth < 1:
-            raise ValueError(f"depth must be >= 1 (got {depth})")
+            raise ConfigError(f"depth must be >= 1 (got {depth})")
         if max_groups < 1:
-            raise ValueError(f"max_groups must be >= 1 (got {max_groups})")
+            raise ConfigError(f"max_groups must be >= 1 (got {max_groups})")
         if mispredict_limit < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"mispredict_limit must be >= 1 (got {mispredict_limit})")
         self.min_run = min_run
         self.depth = depth

@@ -37,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro.config import DEFAULT_DEPTH, DEFAULT_MIN_RUN, DEFAULT_MISPREDICT_LIMIT
 from repro.errors import (
     BadRequestError,
     ConfigError,
@@ -46,14 +47,7 @@ from repro.errors import (
 )
 from repro.exec.cache import key_fingerprint
 from repro.serve import protocol
-from repro.serve.predict.miner import (
-    DEFAULT_DEPTH,
-    DEFAULT_MIN_RUN,
-    DEFAULT_MISPREDICT_LIMIT,
-    CellSpec,
-    PatternMiner,
-    Prediction,
-)
+from repro.serve.predict.miner import CellSpec, PatternMiner, Prediction
 from repro.serve.scheduler import (
     SPECULATIVE_PRIORITY,
     RequestScheduler,
@@ -103,10 +97,10 @@ class Predictor:
                  max_outstanding: int = DEFAULT_MAX_OUTSTANDING,
                  ttl_observations: int = DEFAULT_TTL_OBSERVATIONS):
         if max_outstanding < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"max_outstanding must be >= 1 (got {max_outstanding})")
         if ttl_observations < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"ttl_observations must be >= 1 (got {ttl_observations})")
         self.scheduler = scheduler
         self.enabled = enabled
@@ -240,7 +234,8 @@ class Predictor:
 
 def build_predictor(scheduler: RequestScheduler,
                     config) -> Optional["Predictor"]:
-    """Construct the predictor for one server from its ServeConfig.
+    """Construct the predictor for one server from its
+    :class:`~repro.config.ServeConfig`.
 
     Returns ``None`` when prediction is disabled — the server then
     skips the observe hook entirely (the same ``obs is None`` shape the

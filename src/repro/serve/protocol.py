@@ -74,12 +74,6 @@ PROTOCOL_VERSION = 1
 #: 64 KiB readline limit is far too small.
 STREAM_LIMIT = 16 * 1024 * 1024
 
-#: Default TCP bind/connect address.
-DEFAULT_HOST = "127.0.0.1"
-
-#: Default TCP port (unused when a Unix socket path is given).
-DEFAULT_PORT = 8642
-
 #: Valid ``op`` values of a request.
 OPS = ("simulate", "stats", "ping")
 
@@ -101,21 +95,13 @@ PRESETS = {
 #: blocks and the speculation fields of ``memcache``.  v3 adds the
 #: required ``role`` discriminator (``backend``/``router``) and with it
 #: a second payload family: the fleet router's stats (see
-#: :data:`ROUTER_STATS_SCHEMA`) with per-backend health, circuit-breaker
-#: transitions and retry counters.  v4 removes ``memcache.policy`` and
+#: :data:`repro.serve.stats.ROUTER_BLOCKS`) with per-backend health,
+#: circuit-breaker transitions and retry counters.  v4 removes ``memcache.policy`` and
 #: ``memcache.prefixes`` (the tier is LRU only) from the backend payload
 #: and, from the router's, the ``health`` timeline (a copy of
 #: ``backends[].circuit.transitions``) and the two always-zero
 #: duplicate-request counters of ``retry``.
 STATS_SCHEMA_VERSION = 4
-
-#: Values the ``role`` stats field may take: a standalone/fleet backend
-#: :class:`~repro.serve.server.SimulationServer`, or the fleet router.
-ROLES = ("backend", "router")
-
-#: Wire names of the circuit-breaker states a router stats payload may
-#: report per backend (see :mod:`repro.serve.fleet.health`).
-CIRCUIT_STATES = ("closed", "open", "half_open")
 
 #: Values the ``meta.source`` field of a simulate response may take.
 #: The ``-speculative`` variants mark answers served from
@@ -373,200 +359,38 @@ def request_to_key(request: Request) -> RunKey:
                     scale=request.scale, scheduler=request.scheduler)
 
 
-# ----------------------------------------------------------- stats schema
-#: Required fields of a *backend* stats payload: dotted path ->
-#: accepted types.  ``?`` marks the value as nullable.  Documented
-#: (with per-field semantics) in ``docs/serving.md``; the round-trip
-#: test in ``tests/serve/test_stats_schema.py`` holds a live server to
-#: it.  The router payload family is :data:`ROUTER_STATS_SCHEMA`.
-STATS_SCHEMA: Dict[str, tuple] = {
-    "stats_schema": (int,),
-    "protocol": (int,),
-    "role": (str,),
-    "endpoint": (str,),
-    "uptime_s": (int, float),
-    "draining": (bool,),
-    "engine_jobs": (int,),
-    "server": (dict,),
-    "queue_depth": (int,),
-    "queue_limit": (int,),
-    "queued_interactive": (int,),
-    "queued_sweep": (int,),
-    "queued_speculative": (int,),
-    "admitted": (int,),
-    "shed": (int,),
-    "memcache_hits": (int,),
-    "dedup_joined": (int,),
-    "dedup_ratio": (int, float),
-    "batches": (int,),
-    "dispatched_cells": (int,),
-    "completed": (int,),
-    "failed": (int,),
-    "simulations": (int,),
-    "speculation": (dict,),
-    "speculation.limit": (int,),
-    "speculation.outstanding": (int,),
-    "speculation.queued": (int,),
-    "speculation.admitted": (int,),
-    "speculation.rejected": (int,),
-    "speculation.aborted": (int,),
-    "speculation.promoted": (int,),
-    "speculation.completed": (int,),
-    "speculation.failed": (int,),
-    "speculation.warm_hits": (int,),
-    "predictor?": (dict,),
-    "memcache": (dict,),
-    "memcache.entries": (int,),
-    "memcache.hits": (int,),
-    "memcache.misses": (int,),
-    "memcache.hit_ratio": (int, float),
-    "memcache.spec_puts": (int,),
-    "memcache.spec_hits": (int,),
-    "memcache.spec_evictions": (int,),
-    "memcache.spec_entries": (int,),
-    "disk_cache?": (dict,),
-    "latency_s": (dict,),
-    "tiers": (dict,),
-    "tiers.window_s": (int, float),
-    "tiers.totals": (dict,),
-    "tiers.windows": (list,),
-}
+# ------------------------------------------------------------------ stats
+def _validate(payload: Dict[str, Any], role: str) -> list:
+    # Imported here: a client that never validates never loads it.
+    from repro.serve import stats
 
-
-#: Required fields of a *router* stats payload (the fleet front-end;
-#: ``role`` is ``"router"``).  ``backends`` is a list of per-backend
-#: health dicts, each validated against
-#: :data:`BACKEND_HEALTH_SCHEMA`; ``retry`` carries the router's
-#: failover retry counters
-#: (:meth:`repro.serve.retry.RetryStats.as_dict` shapes it).
-ROUTER_STATS_SCHEMA: Dict[str, tuple] = {
-    "stats_schema": (int,),
-    "protocol": (int,),
-    "role": (str,),
-    "endpoint": (str,),
-    "uptime_s": (int, float),
-    "draining": (bool,),
-    "fleet": (dict,),
-    "fleet.backends": (int,),
-    "fleet.healthy": (int,),
-    "fleet.vnodes": (int,),
-    "router": (dict,),
-    "router.requests": (int,),
-    "router.routed": (int,),
-    "router.failovers": (int,),
-    "router.degraded_disk_hits": (int,),
-    "router.degraded_errors": (int,),
-    "retry": (dict,),
-    "retry.attempts": (int,),
-    "retry.retries": (int,),
-    "retry.gave_up": (int,),
-    "retry.succeeded": (int,),
-    "backends": (list,),
-}
-
-#: Required fields of one entry of a router payload's ``backends`` list:
-#: identity, liveness, the circuit-breaker state machine (current state
-#: plus its recorded ``transitions`` series — the chaos suite asserts
-#: the closed→open→half_open→closed trajectory off exactly this field)
-#: and the supervisor's restart accounting.
-BACKEND_HEALTH_SCHEMA: Dict[str, tuple] = {
-    "index": (int,),
-    "endpoint": (str,),
-    "healthy": (bool,),
-    "circuit": (dict,),
-    "circuit.state": (str,),
-    "circuit.failures": (int,),
-    "circuit.successes": (int,),
-    "circuit.opened": (int,),
-    "circuit.transitions": (list,),
-    "probes": (dict,),
-    "probes.sent": (int,),
-    "probes.ok": (int,),
-    "probes.failed": (int,),
-    "restarts": (int,),
-}
-
-
-def _validate_against(payload: Dict[str, Any],
-                      schema: Dict[str, tuple],
-                      prefix: str = "") -> list:
-    """Shared dotted-path/type walker behind the stats validators."""
+    blocks = stats.BACKEND_BLOCKS if role == "backend" else stats.ROUTER_BLOCKS
     problems = []
-    for path, types in schema.items():
-        nullable = path.endswith("?")
-        clean = path[:-1] if nullable else path
-        shown = prefix + clean
-        node: Any = payload
-        missing = False
-        for part in clean.split("."):
-            if not isinstance(node, dict) or part not in node:
-                missing = True
-                break
-            node = node[part]
-        if missing:
-            problems.append(f"missing stats field {shown!r}")
-            continue
-        if node is None:
-            if not nullable:
-                problems.append(f"stats field {shown!r} must not be null")
-            continue
-        if not isinstance(node, types):
-            problems.append(
-                f"stats field {shown!r} has type "
-                f"{type(node).__name__}, expected one of "
-                f"{[t.__name__ for t in types]}")
-        # bool is an int subclass; reject it where int was meant.
-        if (isinstance(node, bool) and bool not in types
-                and int in types):
-            problems.append(f"stats field {shown!r} is a bool, "
-                            "expected a number")
-    return problems
+    version = payload.get("stats_schema")
+    if version != STATS_SCHEMA_VERSION:
+        problems.append(
+            f"stats_schema is {version!r}, expected {STATS_SCHEMA_VERSION}")
+    if payload.get("role") != role:
+        problems.append(f"role is {payload.get('role')!r}, expected {role!r}")
+    return problems + stats.problems(blocks, payload)
 
 
 def validate_stats(payload: Dict[str, Any]) -> list:
-    """Check a backend stats payload against :data:`STATS_SCHEMA`.
+    """Check a backend stats payload against the fields of
+    :data:`repro.serve.stats.BACKEND_BLOCKS`.
 
     Returns a list of human-readable problems (empty when the payload
     conforms).  Extra fields are always allowed — the schema versions
     removals and retypes, not additions.
     """
-    problems = []
-    version = payload.get("stats_schema")
-    if version != STATS_SCHEMA_VERSION:
-        problems.append(
-            f"stats_schema is {version!r}, expected {STATS_SCHEMA_VERSION}")
-    role = payload.get("role")
-    if role != "backend":
-        problems.append(f"role is {role!r}, expected 'backend'")
-    problems.extend(_validate_against(payload, STATS_SCHEMA))
-    return problems
+    return _validate(payload, "backend")
 
 
 def validate_router_stats(payload: Dict[str, Any]) -> list:
-    """Check a fleet-router stats payload against
-    :data:`ROUTER_STATS_SCHEMA` (plus every ``backends`` entry against
-    :data:`BACKEND_HEALTH_SCHEMA`)."""
-    problems = []
-    version = payload.get("stats_schema")
-    if version != STATS_SCHEMA_VERSION:
-        problems.append(
-            f"stats_schema is {version!r}, expected {STATS_SCHEMA_VERSION}")
-    role = payload.get("role")
-    if role != "router":
-        problems.append(f"role is {role!r}, expected 'router'")
-    problems.extend(_validate_against(payload, ROUTER_STATS_SCHEMA))
-    for pos, entry in enumerate(payload.get("backends") or []):
-        if not isinstance(entry, dict):
-            problems.append(f"backends[{pos}] must be an object")
-            continue
-        problems.extend(_validate_against(
-            entry, BACKEND_HEALTH_SCHEMA, prefix=f"backends[{pos}]."))
-        state = (entry.get("circuit") or {}).get("state")
-        if state is not None and state not in CIRCUIT_STATES:
-            problems.append(
-                f"backends[{pos}].circuit.state is {state!r}, expected "
-                f"one of {CIRCUIT_STATES}")
-    return problems
+    """Check a fleet-router stats payload against the fields of
+    :data:`repro.serve.stats.ROUTER_BLOCKS` (every ``backends`` entry
+    against :class:`~repro.serve.stats.BackendHealth`)."""
+    return _validate(payload, "router")
 
 
 # ------------------------------------------------------------- responses

@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Optional
 
 from repro.errors import RequestError, is_transient
 
@@ -63,17 +63,6 @@ class RetryStats:
     succeeded: int = 0
     slept_s: float = 0.0
     last_error: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-able snapshot for a stats payload."""
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "gave_up": self.gave_up,
-            "succeeded": self.succeeded,
-            "slept_s": round(self.slept_s, 4),
-            "last_error": self.last_error,
-        }
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.config import (DEFAULT_BATCH_MAX, DEFAULT_BATCH_WINDOW_S,
+                          DEFAULT_QUEUE_LIMIT, DEFAULT_SPEC_LIMIT)
 from repro.errors import (
+    ConfigError,
     IncompleteRunError,
     InvariantViolation,
     OverloadedError,
@@ -75,20 +78,8 @@ from repro.obs.cachestats import TierHitSeries
 from repro.obs.latency import LatencyRecorder
 from repro.serve.memcache import ServeMemCache
 from repro.serve.protocol import PRIORITIES
+from repro.serve.stats import DiskCacheStats, SchedulerStats, SpeculationStats
 from repro.sim.gpu import SimResult
-
-#: Default window (seconds) the engine must have been free of real work
-#: before queued speculation may take it.  Real cells never wait on it.
-DEFAULT_BATCH_WINDOW_S = 0.02
-
-#: Default cap on cells per dispatched batch.
-DEFAULT_BATCH_MAX = 32
-
-#: Default admission-queue bound (admitted-but-unresolved cells).
-DEFAULT_QUEUE_LIMIT = 64
-
-#: Default bound on outstanding speculative cells (queued + dispatched).
-DEFAULT_SPEC_LIMIT = 4
 
 #: Internal dispatch priority of speculative cells.  Never accepted on
 #: the wire (requests speak :data:`~repro.serve.protocol.PRIORITIES`);
@@ -172,21 +163,20 @@ class RequestScheduler:
         tiers: Optional[TierHitSeries] = None,
     ):
         if queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1 (got {queue_limit})")
+            raise ConfigError(f"queue_limit must be >= 1 (got {queue_limit})")
         if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1 (got {batch_max})")
+            raise ConfigError(f"batch_max must be >= 1 (got {batch_max})")
         if batch_window_s < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"batch_window_s must be >= 0 (got {batch_window_s})"
             )
         if spec_limit < 0:
-            raise ValueError(f"spec_limit must be >= 0 (got {spec_limit})")
+            raise ConfigError(f"spec_limit must be >= 0 (got {spec_limit})")
         self.engine = engine
         self.memcache = memcache
         self.queue_limit = queue_limit
         self.batch_window_s = batch_window_s
         self.batch_max = batch_max
-        self.spec_limit = spec_limit
         self.latency = latency if latency is not None else LatencyRecorder(
             stages=("queue_wait", "dispatch", "total"))
         self.tiers = tiers
@@ -203,7 +193,7 @@ class RequestScheduler:
         self._task: Optional[asyncio.Task] = None
         self._draining = False
         # Lifetime counters (the stats introspection payload).  The
-        # spec_* family is isolated from the demand-path counters:
+        # speculation block is isolated from the demand-path counters:
         # speculative traffic never moves admitted/shed/memcache_hits/
         # dedup_joined, so demand-side invariants hold with or without
         # the predictor running.
@@ -215,13 +205,7 @@ class RequestScheduler:
         self.dispatched_cells = 0
         self.completed = 0
         self.failed = 0
-        self.spec_admitted = 0
-        self.spec_rejected = 0
-        self.spec_aborted = 0
-        self.spec_promoted = 0
-        self.spec_completed = 0
-        self.spec_failed = 0
-        self.spec_warm_hits = 0
+        self.spec = SpeculationStats(limit=spec_limit)
 
     # ---------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -287,7 +271,7 @@ class RequestScheduler:
             self.memcache_hits += 1
             self._record_tier("predicted", record.speculative_hit)
             if record.speculative_hit:
-                self.spec_warm_hits += 1
+                self.spec.warm_hits += 1
                 return record.value, "memcache-speculative"
             return record.value, "memcache"
         flight = self._inflight.get(fingerprint)
@@ -297,7 +281,7 @@ class RequestScheduler:
             promoted = self._promote(fingerprint, priority)
             self._record_tier("predicted", promoted)
             if promoted:
-                self.spec_promoted += 1
+                self.spec.promoted += 1
                 return await asyncio.shield(flight), "dedup-speculative"
             return await asyncio.shield(flight), "dedup"
         self._record_tier("predicted", False)
@@ -356,14 +340,14 @@ class RequestScheduler:
             # Someone (real or speculative) is already computing it.
             return await asyncio.shield(flight), "dedup"
         if (self._pending >= self.queue_limit
-                or len(self._spec_inflight) >= self.spec_limit):
-            self.spec_rejected += 1
+                or len(self._spec_inflight) >= self.spec.limit):
+            self.spec.rejected += 1
             raise OverloadedError(
                 "no capacity for speculation (admission queue full or "
                 "spec_limit outstanding cells reached)")
         future = self._open_flight(fingerprint)
         self._pending += 1
-        self.spec_admitted += 1
+        self.spec.admitted += 1
         cell = QueuedCell(fingerprint, key, time.perf_counter())
         self._queues[SPECULATIVE_PRIORITY].append(cell)
         self._spec_queued[fingerprint] = cell
@@ -410,7 +394,7 @@ class RequestScheduler:
                 pass
             future = self._inflight.pop(fingerprint, None)
             self._pending -= 1
-            self.spec_aborted += 1
+            self.spec.aborted += 1
             if future is not None and not future.done():
                 future.set_exception(SpeculationAborted(
                     f"{cell.key.describe()}: speculation aborted under "
@@ -520,7 +504,7 @@ class RequestScheduler:
         self._spec_inflight.discard(cell.fingerprint)
         if result is not None:
             if speculative:
-                self.spec_completed += 1
+                self.spec.completed += 1
             else:
                 self.completed += 1
             self.memcache.put(cell.fingerprint, result,
@@ -530,7 +514,7 @@ class RequestScheduler:
                 future.set_result(result)
             return
         if speculative:
-            self.spec_failed += 1
+            self.spec.failed += 1
         else:
             self.failed += 1
         if failure is not None:
@@ -566,50 +550,32 @@ class RequestScheduler:
         total = self.requests_total
         return self.dedup_joined / total if total else 0.0
 
-    def speculation_stats(self) -> Dict[str, Any]:
-        """The ``speculation`` stats block: the spec_* counter family."""
-        return {
-            "limit": self.spec_limit,
-            "outstanding": len(self._spec_inflight),
-            "queued": len(self._spec_queued),
-            "admitted": self.spec_admitted,
-            "rejected": self.spec_rejected,
-            "aborted": self.spec_aborted,
-            "promoted": self.spec_promoted,
-            "completed": self.spec_completed,
-            "failed": self.spec_failed,
-            "warm_hits": self.spec_warm_hits,
-        }
-
     def stats(self) -> Dict[str, Any]:
-        """Snapshot for the ``stats`` introspection request."""
+        """Snapshot for the ``stats`` introspection request (the
+        :class:`~repro.serve.stats.SchedulerStats` block)."""
         disk = self.engine.cache
-        return {
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.queue_limit,
-            "queued_interactive": len(self._queues["interactive"]),
-            "queued_sweep": len(self._queues["sweep"]),
-            "queued_speculative": len(self._queues[SPECULATIVE_PRIORITY]),
-            "draining": self._draining,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "memcache_hits": self.memcache_hits,
-            "dedup_joined": self.dedup_joined,
-            "dedup_ratio": round(self.dedup_ratio, 4),
-            "batches": self.batches,
-            "dispatched_cells": self.dispatched_cells,
-            "completed": self.completed,
-            "failed": self.failed,
-            "simulations": self.engine.events.simulations(),
-            "speculation": self.speculation_stats(),
-            "memcache": self.memcache.stats(),
-            "disk_cache": (
-                {
-                    "hits": disk.hits,
-                    "misses": disk.misses,
-                    "invalidated": disk.invalidated,
-                }
-                if disk is not None else None
-            ),
-            "latency_s": self.latency.summary(),
-        }
+        return asdict(SchedulerStats(
+            queue_depth=self.queue_depth,
+            queue_limit=self.queue_limit,
+            queued_interactive=len(self._queues["interactive"]),
+            queued_sweep=len(self._queues["sweep"]),
+            queued_speculative=len(self._queues[SPECULATIVE_PRIORITY]),
+            admitted=self.admitted,
+            shed=self.shed,
+            memcache_hits=self.memcache_hits,
+            dedup_joined=self.dedup_joined,
+            dedup_ratio=round(self.dedup_ratio, 4),
+            batches=self.batches,
+            dispatched_cells=self.dispatched_cells,
+            completed=self.completed,
+            failed=self.failed,
+            simulations=self.engine.events.simulations(),
+            speculation=replace(self.spec,
+                                outstanding=len(self._spec_inflight),
+                                queued=len(self._spec_queued)),
+            memcache=self.memcache.stats(),
+            disk_cache=(DiskCacheStats(hits=disk.hits, misses=disk.misses,
+                                       invalidated=disk.invalidated)
+                        if disk is not None else None),
+            latency_s=self.latency.summary(),
+        ))

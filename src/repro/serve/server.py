@@ -39,35 +39,23 @@ import signal
 import socket
 import stat
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro.config import ServeConfig
 from repro.errors import DeadlineExceededError, ShuttingDownError
 from repro.exec.cache import key_fingerprint, serialize_result
 from repro.exec.runner import ExecutionEngine
-from repro.guard.faults import ServeFaultInjector, ServeFaultPlan
+from repro.guard.faults import ServeFaultInjector
 from repro.obs.cachestats import TierHitSeries
 from repro.obs.latency import LatencyRecorder
 from repro.serve import protocol
-from repro.serve.memcache import (
-    DEFAULT_MAX_BYTES,
-    DEFAULT_MAX_ENTRIES,
-    ServeMemCache,
-)
-from repro.serve.predict.miner import (
-    DEFAULT_DEPTH,
-    DEFAULT_MIN_RUN,
-    DEFAULT_MISPREDICT_LIMIT,
-)
+from repro.serve.memcache import ServeMemCache
 from repro.serve.predict.speculator import build_predictor
-from repro.serve.protocol import DEFAULT_HOST, DEFAULT_PORT, STREAM_LIMIT
-from repro.serve.scheduler import (
-    DEFAULT_BATCH_MAX,
-    DEFAULT_BATCH_WINDOW_S,
-    DEFAULT_QUEUE_LIMIT,
-    DEFAULT_SPEC_LIMIT,
-    RequestScheduler,
-)
+from repro.serve.protocol import STREAM_LIMIT
+from repro.serve.scheduler import RequestScheduler
+from repro.serve.stats import (BackendCounters, BackendStats,
+                               EndpointCounters, StatsHeader, TierStats)
 
 
 def remove_stale_socket(path: str) -> None:
@@ -103,42 +91,6 @@ def remove_stale_socket(path: str) -> None:
         probe.close()
 
 
-@dataclass
-class ServeConfig:
-    """Capacity-planning knobs of one server instance.
-
-    Exactly one of ``socket_path`` (Unix domain socket) or
-    ``host``/``port`` (TCP) selects the listener; ``socket_path`` wins
-    when both are set.  ``batch_window_s`` is how long the engine must
-    have been free of real work before queued speculation may take it;
-    real requests never wait on it (they dispatch as soon as the engine
-    is idle, and coalesce into batches only while it is busy).
-    """
-
-    socket_path: Optional[str] = None
-    host: str = DEFAULT_HOST
-    port: int = DEFAULT_PORT
-    queue_limit: int = DEFAULT_QUEUE_LIMIT
-    batch_window_s: float = DEFAULT_BATCH_WINDOW_S
-    batch_max: int = DEFAULT_BATCH_MAX
-    default_deadline_s: Optional[float] = None
-    memcache_entries: int = DEFAULT_MAX_ENTRIES
-    memcache_bytes: int = DEFAULT_MAX_BYTES
-    predict: bool = True
-    predict_min_run: int = DEFAULT_MIN_RUN
-    predict_depth: int = DEFAULT_DEPTH
-    mispredict_limit: int = DEFAULT_MISPREDICT_LIMIT
-    spec_limit: int = DEFAULT_SPEC_LIMIT
-    #: Position of this server within a fleet (0 when standalone);
-    #: selects the fault streams of ``fault_plan`` and shows up in
-    #: stats so the router can correlate.
-    backend_index: int = 0
-    #: Optional serve-tier chaos plan (see
-    #: :class:`repro.guard.faults.ServeFaultPlan`).  ``None`` (the
-    #: production default) keeps every fault path compiled out.
-    fault_plan: Optional[ServeFaultPlan] = None
-
-
 class LineEndpoint:
     """The line-protocol listener shared by a backend and the router.
 
@@ -148,20 +100,19 @@ class LineEndpoint:
     line so a connection pipelines, the per-connection write lock, the
     ``ping`` and ``stats`` ops, the decode → ``parse_request`` →
     typed-error prelude, and the graceful drain.  A subclass sets
-    ``role`` and supplies :meth:`_simulate`, :meth:`stats` and
-    :meth:`_quiesce`; ``config`` needs ``socket_path``, ``host`` and
-    ``port``.
+    ``role`` and ``counters_type`` and supplies :meth:`_simulate`,
+    :meth:`stats` and :meth:`_quiesce`; ``config`` is a
+    :class:`repro.config.Endpoint`.
     """
 
     #: The ``role`` a ``ping`` and the stats header report.
     role = ""
+    #: The live counters this role keeps (its stats block).
+    counters_type = EndpointCounters
 
     def __init__(self, config):
         self.config = config
-        self.counters: Dict[str, int] = {
-            "connections": 0, "requests": 0, "responses": 0,
-            "errors": 0, "bad_lines": 0,
-        }
+        self.counters = self.counters_type()
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._request_tasks: Set[asyncio.Task] = set()
@@ -173,13 +124,6 @@ class LineEndpoint:
     def draining(self) -> bool:
         """True once drain began; simulate requests are refused."""
         return self._draining
-
-    @property
-    def endpoint(self) -> str:
-        """Human-readable listener address (for logs and tests)."""
-        if self.config.socket_path:
-            return f"unix:{self.config.socket_path}"
-        return f"tcp:{self.config.host}:{self.config.port}"
 
     async def start(self) -> None:
         """Bind the listener and start accepting connections."""
@@ -216,8 +160,9 @@ class LineEndpoint:
                                  return_exceptions=True)
         for writer in list(self._writers):
             writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
+        if self._server is None:
+            return  # never bound: the socket file is not ours to remove
+        await self._server.wait_closed()
         if self.config.socket_path:
             try:
                 os.unlink(self.config.socket_path)
@@ -231,7 +176,7 @@ class LineEndpoint:
     # -------------------------------------------------------- connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self.counters["connections"] += 1
+        self.counters.connections += 1
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         try:
@@ -239,7 +184,7 @@ class LineEndpoint:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self.counters["bad_lines"] += 1
+                    self.counters.bad_lines += 1
                     break
                 except asyncio.CancelledError:
                     # Event-loop teardown after drain: treat like EOF so
@@ -264,7 +209,7 @@ class LineEndpoint:
 
     async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
                           write_lock: asyncio.Lock) -> None:
-        self.counters["requests"] += 1
+        self.counters.requests += 1
         response = await self._response_for(line)
         if response is None:
             return  # _simulate chose never to answer
@@ -282,9 +227,9 @@ class LineEndpoint:
                     writer.close()
         if hang_up:
             return  # what was written is not a response
-        self.counters["responses"] += 1
+        self.counters.responses += 1
         if not response.get("ok"):
-            self.counters["errors"] += 1
+            self.counters.errors += 1
 
     def _wire(self, response: Dict[str, Any]) -> Tuple[bytes, bool]:
         """Bytes to write for ``response``, and whether to hang up
@@ -321,21 +266,22 @@ class LineEndpoint:
     def stats(self) -> Dict[str, Any]:
         """Introspection snapshot answered to a ``stats`` request: the
         header every role shares, which subclasses extend."""
-        return {
-            "stats_schema": protocol.STATS_SCHEMA_VERSION,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "role": self.role,
-            "endpoint": self.endpoint,
-            "uptime_s": round(time.monotonic() - self._started_at, 3)
-            if self._started_at else 0.0,
-            "draining": self._draining,
-        }
+        return asdict(StatsHeader(
+            stats_schema=protocol.STATS_SCHEMA_VERSION,
+            protocol=protocol.PROTOCOL_VERSION,
+            role=self.role,
+            endpoint=self.config.endpoint,
+            uptime_s=(round(time.monotonic() - self._started_at, 3)
+                      if self._started_at else 0.0),
+            draining=self._draining,
+        ))
 
 
 class SimulationServer(LineEndpoint):
     """Line-protocol asyncio server over one :class:`ExecutionEngine`."""
 
     role = "backend"
+    counters_type = BackendCounters
 
     def __init__(self, engine: ExecutionEngine,
                  config: Optional[ServeConfig] = None):
@@ -348,7 +294,6 @@ class SimulationServer(LineEndpoint):
                 "server (SIGALRM needs the main thread); use request "
                 "deadlines / --default-deadline instead")
         super().__init__(config if config is not None else ServeConfig())
-        self.counters["deadline_exceeded"] = 0
         self.engine = engine
         self.latency = LatencyRecorder(
             stages=("queue_wait", "dispatch", "total"))
@@ -436,7 +381,7 @@ class SimulationServer(LineEndpoint):
                     result, source = await asyncio.wait_for(
                         submission, deadline)
                 except asyncio.TimeoutError:
-                    self.counters["deadline_exceeded"] += 1
+                    self.counters.deadline_exceeded += 1
                     raise DeadlineExceededError(
                         f"no result within the {deadline}s deadline for "
                         f"{key.describe()}; the cell keeps running and a "
@@ -462,14 +407,14 @@ class SimulationServer(LineEndpoint):
     def stats(self) -> Dict[str, Any]:
         """Introspection snapshot answered to a ``stats`` request."""
         out = super().stats()
-        out.update({
-            "backend_index": self.config.backend_index,
-            "engine_jobs": self.engine.jobs,
-            "server": dict(self.counters),
-            "predictor": (self.predictor.stats()
-                          if self.predictor is not None else None),
-            "tiers": self.tiers.snapshot(),
-        })
+        out.update(asdict(BackendStats(
+            backend_index=self.config.backend_index,
+            engine_jobs=self.engine.jobs,
+            server=self.counters,
+            predictor=(self.predictor.stats()
+                       if self.predictor is not None else None),
+            tiers=TierStats(**self.tiers.snapshot()),
+        )))
         if self.faults is not None:
             out["faults"] = self.faults.stats()
         out.update(self.scheduler.stats())

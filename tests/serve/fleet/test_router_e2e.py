@@ -18,9 +18,11 @@ import pytest
 from repro.errors import DegradedError
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
+from repro.serve.stats import ROUTER_BLOCKS
 from repro.serve.fleet.router import RouterConfig, make_fleet
 from repro.serve.server import ServeConfig
 from repro.sim.gpu import SimResult
+from tests.serve.test_stats_schema import undeclared
 
 CELLS = ("MM", "BFS", "FFT", "HST")
 
@@ -67,6 +69,8 @@ class TestRoundTrip:
                         assert "failover" not in (meta or {})
                     stats = await client.stats()
                 assert protocol.validate_router_stats(stats) == []
+                # Every key declared, but the optional supervisor block.
+                assert undeclared(ROUTER_BLOCKS, stats) == ["supervisor"]
                 assert stats["role"] == "router"
                 assert stats["router"]["routed"] == len(CELLS)
                 assert stats["router"]["failovers"] == 0

@@ -10,20 +10,13 @@ bytes on a Unix socket.  Every malformed line maps to a typed
 import asyncio
 import json
 import os
-from dataclasses import dataclass
 
 import pytest
 
+from repro.config import Endpoint
 from repro.serve import protocol
 from repro.serve import server as server_module
 from repro.serve.server import LineEndpoint
-
-
-@dataclass
-class Listen:
-    socket_path: str
-    host: str = ""
-    port: int = 0
 
 
 class HeldEndpoint(LineEndpoint):
@@ -32,7 +25,7 @@ class HeldEndpoint(LineEndpoint):
     role = "held"
 
     def __init__(self, socket_path):
-        super().__init__(Listen(socket_path))
+        super().__init__(Endpoint(socket_path))
         self.entered = asyncio.Event()
         self.release = asyncio.Event()
 
@@ -101,10 +94,10 @@ class TestMalformedLines:
                 "pong": True, "v": protocol.PROTOCOL_VERSION,
                 "role": "held", "draining": False}
             writer.close()
-            assert endpoint.counters["requests"] == 2
-            assert endpoint.counters["responses"] == 2
-            assert endpoint.counters["errors"] == 1
-            assert endpoint.counters["bad_lines"] == 0
+            assert endpoint.counters.requests == 2
+            assert endpoint.counters.responses == 2
+            assert endpoint.counters.errors == 1
+            assert endpoint.counters.bad_lines == 0
         run(tmp_path, scenario)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -119,7 +112,7 @@ class TestMalformedLines:
             assert stats["result"]["endpoint"] == f"unix:{path}"
             assert stats["result"]["draining"] is False
             writer.close()
-            assert endpoint.counters["requests"] == 1
+            assert endpoint.counters.requests == 1
         run(tmp_path, scenario)
 
     def test_oversized_line_closes_only_that_connection(
@@ -131,8 +124,8 @@ class TestMalformedLines:
             writer.write(b"x" * 8192 + b"\n")
             assert await asyncio.wait_for(reader.read(), 5) == b""
             writer.close()
-            assert endpoint.counters["bad_lines"] == 1
-            assert endpoint.counters["requests"] == 0
+            assert endpoint.counters.bad_lines == 1
+            assert endpoint.counters.requests == 0
             reader, writer = await asyncio.open_unix_connection(path)
             writer.write(message(id="again", op="ping"))
             assert (await recv(reader))["result"]["pong"] is True
@@ -155,9 +148,9 @@ class TestDrain:
             assert await asyncio.wait_for(reader.read(), 5) == b""
             writer.close()
             assert not os.path.exists(path)
-            responses = endpoint.counters["responses"]
+            responses = endpoint.counters.responses
             await endpoint.drain()          # a second drain is a no-op
-            assert endpoint.counters["responses"] == responses == 1
+            assert endpoint.counters.responses == responses == 1
             with pytest.raises(OSError):
                 await asyncio.open_unix_connection(path)
         run(tmp_path, scenario)

@@ -127,7 +127,7 @@ class TestPaths:
             await wait_for_gate(engine.entered)
             # The cell is mid-dispatch: a second request joins its flight.
             second = asyncio.ensure_future(scheduler.submit(cell("MM")))
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0)
             assert scheduler.dedup_joined == 1
             engine.blocking = False
             engine.release.set()
@@ -148,7 +148,7 @@ class TestPaths:
             first = asyncio.ensure_future(scheduler.submit(cell("MM")))
             await wait_for_gate(engine.entered)     # MM holds a dispatch
             second = asyncio.ensure_future(scheduler.submit(cell("BFS")))
-            await asyncio.sleep(0.01)               # BFS admitted, queued
+            await asyncio.sleep(0)                  # BFS admitted, queued
             assert scheduler.queue_depth == 2
             with pytest.raises(OverloadedError):
                 await scheduler.submit(cell("FFT"))
@@ -178,7 +178,7 @@ class TestPaths:
                 asyncio.ensure_future(
                     scheduler.submit(cell("HST"), "interactive")),
             ]
-            await asyncio.sleep(0.01)               # all three enqueue
+            await asyncio.sleep(0)                  # all three enqueue
             engine.blocking = False
             engine.release.set()
             await asyncio.gather(blocker, *laggards)
@@ -209,7 +209,7 @@ class TestPaths:
             promoter = asyncio.ensure_future(
                 scheduler.submit(cell("HST"), "interactive"))
             await asyncio.sleep(0)                  # joins, promotes
-            assert scheduler.spec_promoted == 1
+            assert scheduler.spec.promoted == 1
             engine.blocking = False
             engine.release.set()
             await asyncio.gather(blocker, promoter, *waiters)
@@ -235,7 +235,7 @@ class TestPaths:
                 asyncio.ensure_future(scheduler.submit(cell(b)))
                 for b in ("BFS", "FFT", "HST")
             ]
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0)
             engine.blocking = False
             engine.release.set()
             await asyncio.gather(blocker, *others)
@@ -295,7 +295,7 @@ class TestWorkConservingDispatch:
             # Only the real cell's wait is a queue_wait sample.
             assert scheduler.latency.totals["queue_wait"] == 1
             assert scheduler.latency.totals["dispatch"] == 3
-            assert scheduler.spec_completed == 2
+            assert scheduler.spec.completed == 2
             await scheduler.drain()
         asyncio.run(scenario())
 
@@ -379,7 +379,7 @@ class TestFailures:
             first = asyncio.ensure_future(scheduler.submit(cell("BFS")))
             await wait_for_gate(engine.entered)
             second = asyncio.ensure_future(scheduler.submit(cell("BFS")))
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0)
             engine.blocking = False
             engine.release.set()
             for waiter in (first, second):

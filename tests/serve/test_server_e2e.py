@@ -152,7 +152,7 @@ class TestFailureSemantics:
                     with pytest.raises(DeadlineExceededError):
                         await client.simulate(deadline_s=0.01,
                                               **simulate_kwargs("MM"))
-                    assert server.counters["deadline_exceeded"] == 1
+                    assert server.counters.deadline_exceeded == 1
                     assert gate.entered.is_set()
                     gate.open()
                     # The cell kept running; an undeadlined retry is
@@ -179,7 +179,7 @@ class TestFailureSemantics:
                         await client.simulate(**simulate_kwargs("MM"))
                     # The request that carries its own deadline started
                     # waiting first and is waiting still.
-                    assert server.counters["deadline_exceeded"] == 1
+                    assert server.counters.deadline_exceeded == 1
                     assert not patient.done()
                     gate.open()
                     _, meta = await patient
@@ -243,7 +243,7 @@ class TestFailureSemantics:
                             **simulate_kwargs("MM")))
                     assert response["error"]["code"] == "bad_request"
                     assert response["error"]["kind"] == "permanent"
-                assert server.counters["errors"] == 4
+                assert server.counters.errors == 4
                 assert server.stats()["admitted"] == 0
                 assert server.stats()["simulations"] == 0
         asyncio.run(scenario())

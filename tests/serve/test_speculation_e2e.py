@@ -271,7 +271,7 @@ class TestPromotion:
             promoter = asyncio.ensure_future(
                 scheduler.submit(key_for(100), "interactive"))
             await asyncio.sleep(0)      # joined and promoted the flight
-            assert scheduler.spec_promoted == 1
+            assert scheduler.spec.promoted == 1
             gate.open()
             result, source = await promoter
             spec_result, spec_source = await spec
