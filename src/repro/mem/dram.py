@@ -127,8 +127,10 @@ class DramChannel:
                 return idx
         return None
 
-    def cycle(self, now: int, complete: Callable[[MemoryRequest], None]) -> None:
-        """Advance one core cycle; invokes ``complete`` on finished reads."""
+    def cycle(self, now: int, complete: Callable[[MemoryRequest], None],
+              issued: Optional[Callable] = None) -> None:
+        """Advance one core cycle; invokes ``complete`` on finished reads
+        and ``issued(req, done)`` on a read sent to the banks this cycle."""
         self.cycles_observed += 1
         self.queue_occupancy_sum += len(self.queue)
         while self._completions and self._completions[0][0] <= now:
@@ -181,6 +183,8 @@ class DramChannel:
             self.writes += 1
         else:
             self.reads += 1
+            if issued is not None:
+                issued(req, done)
         self._seq += 1
         heapq.heappush(self._completions, (done, self._seq, req))
 

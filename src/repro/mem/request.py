@@ -48,6 +48,9 @@ class MemoryRequest:
     l2_hit: bool = False
     # set by the fault injector so a response is delayed at most once
     fault_delayed: bool = False
+    # earliest delivery cycle of a read, known once it is past its L2
+    # lookup (-1 before); see MemorySubsystem.due_heaps
+    due: int = -1
     # (bank, row) memoized by DramChannel.push — pure address geometry,
     # cached so FR-FCFS scans don't re-derive it every cycle
     dram_bank: int = -1

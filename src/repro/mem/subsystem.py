@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, List
+from typing import Callable, Deque, Dict, List
 
 from repro.config import GPUConfig
 from repro.mem.cache import Cache, Mshr
@@ -40,8 +40,9 @@ class _L2Partition:
         self.channel = channel
         self.hit_latency = config.l2.hit_latency
         self.stall_cycles = 0
-        # Event engine only: first uncharged cycle of an MSHR-full wedge
-        # (-1 = none); see MemorySubsystem._l2_cycle.
+        # Event engine only: first uncharged cycle of a wedge (MSHR full
+        # or head at its entry's merge limit; -1 = none); see
+        # MemorySubsystem._l2_cycle.
         self.wedged_from = -1
 
     @property
@@ -110,6 +111,12 @@ class MemorySubsystem:
         # utilization accrual lives on each DramChannel._accounted_to.
         self._next_event = 0
         self._complete_now = 0
+        # Per-SM response horizon (repro.sim.fastcore): a heap of the
+        # distinct due cycles of each SM's reads past their L2 lookup,
+        # with a count per cycle; delivery and drops retire them.
+        self.response_lag = config.l2.hit_latency + config.icnt.latency
+        self.due_heaps: List[List[int]] = [[] for _ in range(num_sms)]
+        self._due_counts: List[Dict[int, int]] = [{} for _ in range(num_sms)]
         # stats
         self.core_requests = 0          # demand + prefetch + store entering icnt
         self.core_demand_requests = 0
@@ -167,7 +174,7 @@ class MemorySubsystem:
         # closure per channel per cycle measurably slows the hot loop.)
         self._complete_now = now
         for ch in self.channels:
-            ch.cycle(now, self._dram_complete_now)
+            ch.cycle(now, self._dram_complete_now, self._dram_issued)
         # 2. L2 hit completions that have waited out the L2 latency.
         self._drain_l2_wait(now)
         # 3. L2 partitions process their input queues.
@@ -189,6 +196,7 @@ class MemorySubsystem:
             if self.faults is not None:
                 fate = self.faults.on_response(req)
                 if fate == "drop":
+                    self._retire(req)
                     continue
                 if fate == "delay":
                     self._seq += 1
@@ -203,6 +211,7 @@ class MemorySubsystem:
         return self.partition_of(req.line_addr).accept(req)
 
     def _deliver_response(self, req: MemoryRequest) -> bool:
+        self._retire(req)
         self.on_response(req)
         self.responses_delivered += 1
         pk = self.per_kernel
@@ -213,6 +222,36 @@ class MemorySubsystem:
             counts[3] += 1
         return True
 
+    def _track(self, req: MemoryRequest, due: int) -> None:
+        """``req`` can be delivered from cycle ``due`` on."""
+        req.due = due
+        counts = self._due_counts[req.sm_id]
+        n = counts.get(due, 0)
+        counts[due] = n + 1
+        if not n:
+            heapq.heappush(self.due_heaps[req.sm_id], due)
+
+    def _retire(self, req: MemoryRequest) -> None:
+        """``req`` was delivered or dropped: forget its due cycle and
+        pop the heap past every due cycle with no read left."""
+        counts = self._due_counts[req.sm_id]
+        n = counts[req.due] - 1
+        if n:
+            counts[req.due] = n
+            return
+        del counts[req.due]
+        heap = self.due_heaps[req.sm_id]
+        while heap and heap[0] not in counts:
+            heapq.heappop(heap)
+
+    def _dram_issued(self, req: MemoryRequest, done: int) -> None:
+        """The DRAM read of ``req``'s L2 MSHR entry issued: every read
+        on the entry is due once the fill crossed L2 and the return pipe."""
+        due = done + self.response_lag
+        part = self.partition_of(req.line_addr)
+        for r in part.mshr._entries[req.line_addr].requests:
+            self._track(r, due)
+
     def _dram_complete_now(self, req: MemoryRequest) -> None:
         """Completion callback bound to the cycle set in :meth:`cycle`."""
         self._dram_complete(req, self._complete_now)
@@ -220,7 +259,8 @@ class MemorySubsystem:
     def _dram_complete(self, req: MemoryRequest, now: int) -> None:
         part = self.partition_of(req.line_addr)
         if part.wedged_from >= 0:
-            # The release below lifts it; settle before the fill's tick.
+            # The fill may free it: settle before the fill's tick and
+            # let cycle_event re-probe the head.
             part.settle_wedge(now)
             part.wedged_from = -1
         part.cache.fill(req.line_addr, cycle=now)
@@ -234,8 +274,10 @@ class MemorySubsystem:
 
     def _l2_cycle(self, part: _L2Partition, now: int) -> bool:
         """Serve the head of ``part``'s input queue.  True when ``part``
-        is frozen until a fill on it (head read missed, not pending, MSHR
-        full): only ``_dram_complete`` fills, always releasing an entry."""
+        is frozen until a fill on it: the head read missed and is either
+        pending on an entry at its merge limit (that line's fill frees
+        it) or not pending with the MSHR full (any fill frees an entry).
+        Only ``_dram_complete`` fills."""
         if not part.in_queue:
             return False
         req = part.in_queue[0]
@@ -254,14 +296,19 @@ class MemorySubsystem:
             req.l2_hit = True
             self._seq += 1
             heapq.heappush(self._l2_wait, (now + part.hit_latency, self._seq, req))
+            self._track(req, now + self.response_lag)
             return False
         mshr = part.mshr
-        if mshr.pending(req.line_addr):
-            if mshr.can_merge(req.line_addr):
-                part.in_queue.popleft()
-                mshr.merge(req)
-            else:
+        entry = mshr._entries.get(req.line_addr)
+        if entry is not None:
+            if len(entry.requests) >= mshr.merge_limit:
                 part.stall_cycles += 1
+                return True
+            part.in_queue.popleft()
+            mshr.merge(req)
+            due = entry.requests[0].due
+            if due >= 0:  # the entry's DRAM read already issued
+                self._track(req, due)
             return False
         frozen = len(mshr._entries) >= mshr.capacity
         if frozen or len(ch.queue) >= ch.config.queue_entries:
@@ -292,7 +339,7 @@ class MemorySubsystem:
                 gap = now - ch._accounted_to
                 if gap > 0:
                     ch.account_idle_span(gap)
-                ch.cycle(now, self._dram_complete_now)
+                ch.cycle(now, self._dram_complete_now, self._dram_issued)
                 ch._accounted_to = now + 1
         w = self._l2_wait
         if w and w[0][0] <= now:
@@ -356,66 +403,6 @@ class MemorySubsystem:
         for part in self.partitions:
             if part.wedged_from >= 0:
                 part.settle_wedge(now)
-
-    def earliest_delivery_cycle(self, now: int) -> int:
-        """Conservative lower bound on the next ``on_response`` delivery
-        (demand fill, merged demand, or prefetch fill) to *any* SM.
-
-        The event engine may batch-execute SM cycles ``[now, bound+1)``
-        knowing no response can mutate SM state inside the span: a
-        response delivered during the subsystem phase of cycle ``c``
-        is only visible to SM phases from ``c + 1`` on.  Every term
-        understates the true delivery cycle (queueing, bandwidth limits
-        and fault-injected delays only push it later; fault drops remove
-        it entirely)."""
-        icnt = self.request_pipe.latency
-        hit = self.config.l2.hit_latency
-        # Floor for traffic not yet submitted: an SM submits at `now`,
-        # the request ripens after icnt, a partition serves it the cycle
-        # after delivery, and the L2-hit response rides the return pipe.
-        bound = now + 2 * icnt + hit + 1
-        q = self.response_pipe._q
-        if q:
-            t = q[0][0]
-            if t < now:
-                t = now
-            if t < bound:
-                bound = t
-        if self._l2_wait:
-            t = self._l2_wait[0][0]
-            if t < now:
-                t = now
-            t += icnt
-            if t < bound:
-                bound = t
-        burst = self.config.dram.row_hit_cycles
-        for ch in self.channels:
-            if ch._completions:
-                t = ch._completions[0][0]
-                if t < now:
-                    t = now
-                t += hit + icnt
-                if t < bound:
-                    bound = t
-            if ch.queue:
-                t = now + burst + hit + icnt
-                if t < bound:
-                    bound = t
-        for part in self.partitions:
-            if part.in_queue:
-                t = now + hit + icnt
-                if t < bound:
-                    bound = t
-                break
-        q = self.request_pipe._q
-        if q:
-            t = q[0][0]
-            if t < now:
-                t = now
-            t += 1 + hit + icnt
-            if t < bound:
-                bound = t
-        return bound
 
     # ------------------------------------------------------------------- stats
     @property

@@ -33,16 +33,19 @@ with a count of one.  How the event step stays exact
   ``submit``) is ripe.  All are conservative lower bounds: they
   may fire early (wasting a check) but never late (missing work).
 
-* **Response bound.**  SM state can change under an SM span only via a
-  memory response.  :meth:`MemorySubsystem.earliest_delivery_cycle`
-  lower-bounds the next delivery to *any* SM; a response delivered in
-  the subsystem phase of cycle ``c`` is visible to SM phases from
-  ``c + 1``, so every SM span is capped at ``bound + 1``.
+* **Response horizon.**  An SM's state changes under its span only via
+  a memory response *to that SM* (CTA launches land only on the SM
+  whose CTA retired).  ``MemorySubsystem.due_heaps`` holds each SM's
+  reads past their L2 lookup by due cycle (``c + hit + icnt`` for a hit
+  at ``c``, ``done + hit + icnt`` once the entry's DRAM read issued);
+  reads still upstream are due no earlier than ``now + response_lag``.
+  A delivery in cycle ``c``'s subsystem phase is visible from ``c + 1``,
+  so an SM's span is capped one cycle past the smaller.
 
 * **Eager spans.**  SM issue spans accrue their counters up front and
   set ``sm._skip_until``; external events (responses, CTA launches)
-  reset it, and because spans never outrun the response bound the
-  accrued prefix never overlaps the re-dispatched suffix.
+  reset it, and because spans never outrun their SM's response horizon
+  the accrued prefix never overlaps the re-dispatched suffix.
 
 * **Lazy stall spans.**  Pure stall spans defer their accounting: the
   span records only its start (``sm._span_from``) and settles the
@@ -56,14 +59,16 @@ with a count of one.  How the event step stays exact
 * **Hard spans.**  An issue span whose pre-executed picks provably
   cannot be altered by a memory response — no replay in flight, the
   two-level ready queue full (a response can only append to the
-  eligible pool), eager wake-up off, no queued prefetch work — is
-  marked ``_span_hard`` and allowed to run to the hook boundary instead
-  of the response bound; responses do not reset its ``_skip_until``.
+  eligible pool), no eager wake-up (off, or none of the SM's prefetches
+  in flight to fire it), no queued prefetch work — is marked
+  ``_span_hard`` and allowed to run to the hook boundary instead of the
+  response horizon; responses do not reset its ``_skip_until``.
   Lazy stall spans are never hard: a response settles them immediately.
 
 * **Backpressure wedges.**  A component blocked by memory backpressure
-  sleeps until the one event that can free it: an MSHR-full L2
-  partition until a fill on it (``_L2Partition.wedged_from``, settled
+  sleeps until the one event that can free it: an L2 partition whose
+  head read finds the MSHR full, or its line's entry at the merge
+  limit, until a fill on it (``_L2Partition.wedged_from``, settled
   lazily), an SM whose queues sit behind a full request pipe until
   ``cycle_event`` drains it — its span ends at ``sub._next_event + 1``
   and is never hard, and a replay facing a full queue is wedged.
@@ -150,10 +155,10 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     the ready queue, and nothing has touched the scheduler since — the
     span does not refill again.
 
-    ``stall_cap`` is the response bound: *stall* cycles beyond it could
-    be misclassified by a response that changes the warp counts, so a
-    stall needed at ``t >= stall_cap`` ends the span.  Issue cycles are
-    response-independent under the hard-span preconditions (see
+    ``stall_cap`` is the SM's response horizon: *stall* cycles beyond it
+    could be misclassified by a response that changes the warp counts,
+    so a stall needed at ``t >= stall_cap`` ends the span.  Issue cycles
+    are response-independent under the hard-span preconditions (see
     ``_dispatch``) and may run to ``end`` past the cap."""
     sched = sm.scheduler
     ready = sched.ready
@@ -230,7 +235,7 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
         if pick < 0:
             # Stall: jump to the earliest cycle a pickable slot ripens.
             # Stalls are classification-safe only below the response
-            # bound, so they never cross `stall_cap`.
+            # horizon, so they never cross `stall_cap`.
             lim = end if end < stall_cap else stall_cap
             if t >= lim:
                 break
@@ -334,14 +339,10 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     return t
 
 
-def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
+def _dispatch(sm, now: int, hook_at: int, sub) -> None:
     """Advance one SM from cycle ``now``: run the reference ``cycle``
     when per-cycle work is pending, otherwise open the longest provably
-    safe span and record it in ``sm._skip_until``.
-
-    ``cap_box`` is a one-slot cache of the iteration's response bound
-    (``earliest_delivery_cycle + 1``), computed lazily so iterations
-    whose SMs never need it don't pay for it."""
+    safe span and record it in ``sm._skip_until``."""
     sm._span_hard = False
     if sm._span_from >= 0:
         sm._settle_span(now)
@@ -371,7 +372,7 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
         return
     # End bound for *lazy* spans: hooks, the pipe drain and the SM's own
     # future work (ripe hits, serviceable prefetches) — but not the
-    # response bound.
+    # response horizon.
     lazy_end = hook_at if hook_at < wake else wake
     if hh and hh[0][0] < lazy_end:
         lazy_end = hh[0][0]
@@ -394,30 +395,35 @@ def _dispatch(sm, now: int, hook_at: int, sub, cap_box) -> None:
         sm._skip_until = lazy_end
         return
     # Something is pickable this cycle.  Two-level schedulers batch ALU
-    # issue runs eagerly under the response bound; flat schedulers
+    # issue runs eagerly under the response horizon; flat schedulers
     # (lrr/gto variants) run issue cycles through the reference path.
     sched = sm.scheduler
     if not isinstance(sched, TwoLevel):
         sm.cycle(now)
         return
-    cap = cap_box[0]
-    if cap == 0:
-        cap = cap_box[0] = sub.earliest_delivery_cycle(now) + 1
+    # Response horizon (module docstring): the SM's earliest due read,
+    # or now + response_lag for one still upstream of L2, plus one.
+    cap = now + sub.response_lag
+    due = sub.due_heaps[sm.sm_id]
+    if due and due[0] < cap:
+        cap = due[0] if due[0] > now else now
+    cap += 1
     # Hard (response-tolerant) span preconditions: with the ready queue
     # full, a response or launch can only append to the eligible pool
-    # (_refill is a no-op), eager wake-up is off so nothing displaces a
-    # ready warp, and no gated prefetch work can become serviceable.
-    # In-span picks are then provably response-independent and may run
-    # to the hook boundary; only stalls stay under the response bound.
+    # (_refill is a no-op), no eager wake-up can displace a ready warp
+    # (off, or no prefetch of this SM in flight to fire it), and no
+    # gated prefetch work can become serviceable.  In-span picks are
+    # then provably response-independent and may run to the hook
+    # boundary; only stalls stay under the response horizon.
     # Multi-kernel runs additionally classify each issue cycle from
     # every co-resident kernel's perspective using that kernel's live
     # waiting count — a response landing mid-span changes it — so they
-    # keep all spans under the response bound.
+    # keep all spans under the response horizon.
     hard = (
         rp is None
         and wake == NEVER
         and not sm._multi
-        and sm._hard_span_ok
+        and (sm._hard_span_ok or not sm._inflight_prefetch)
         and not sm.prefetch_queue
         and len(sched.ready) == sched.ready_size
     )
@@ -481,7 +487,6 @@ def run_loop(gpu, limit: int) -> None:
     perf = time.perf_counter
     start = now = gpu.now
     hook_at = _next_hook(now, limit, intervals)
-    cap_box = [0]
     while now < limit:
         # Cheap done probe: unfinished_warps is a plain attribute, and
         # an SM with zero unfinished warps and an empty CTA slot is done
@@ -501,7 +506,6 @@ def run_loop(gpu, limit: int) -> None:
         if event:
             min_wake = sub._next_event
             ran = False
-            cap_box[0] = 0
             for sm in sms:
                 su = sm._skip_until
                 if su > now:
@@ -509,7 +513,7 @@ def run_loop(gpu, limit: int) -> None:
                         min_wake = su
                 else:
                     ran = True
-                    _dispatch(sm, now, hook_at, sub, cap_box)
+                    _dispatch(sm, now, hook_at, sub)
             if prof is not None:
                 t1 = perf()
             # Re-read: SM dispatches may have submitted requests and

@@ -188,8 +188,8 @@ class SM:
         self._span_replay = False
         # A "hard" issue span is response-tolerant: its pre-executed
         # issues provably cannot be altered by a memory response (full
-        # ready queue, no eager wake-up), so responses must NOT reset
-        # _skip_until mid-span.
+        # ready queue, no eager wake-up: off, or no prefetch of this SM
+        # in flight), so responses must NOT reset _skip_until mid-span.
         self._span_hard = False
         self._hard_span_ok = not (
             prefetcher.wants_eager_wakeup and config.prefetch.eager_wakeup
@@ -343,9 +343,9 @@ class SM:
 
         The event engine (:mod:`repro.sim.fastcore`) opens a lazy span
         when no warp can issue before a known wake-up cycle: counters
-        are deferred rather than accrued eagerly, so the span needs no
-        response bound — an early memory response simply settles the
-        shorter prefix.  Callers: the event-engine dispatch (natural
+        are deferred rather than accrued eagerly, so the span is not
+        capped at the SM's response horizon — a memory response to this
+        SM simply settles the shorter prefix.  Callers: the event-engine dispatch (natural
         expiry), :meth:`on_mem_response` (early truncation), and the
         hook/exit points of the main loop (observer reads).  The stall
         classification and the wedged-replay charge are constant over

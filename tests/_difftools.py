@@ -43,17 +43,21 @@ def run_engine(
     prefetcher_factory=None,
     max_cycles: Optional[int] = None,
     faults=None,
+    before: Optional[Callable[[GPU], None]] = None,
 ):
     """Run ``kernel_fn()`` under ``config`` with the given engine.
 
     Returns ``(gpu, result)`` so fingerprints can reach component-level
     counters the :class:`repro.sim.gpu.SimResult` does not aggregate.
     The uid counters are reset first, so two successive calls see
-    identical initial conditions.
+    identical initial conditions.  ``before(gpu)``, when given, runs
+    between construction and the run (to attach spies).
     """
     reset_uid_counters()
     cfg = dataclasses.replace(config, engine=engine)
     gpu = GPU(kernel_fn(), cfg, prefetcher_factory, faults=faults)
+    if before is not None:
+        before(gpu)
     result = gpu.run(max_cycles=max_cycles)
     return gpu, result
 

@@ -10,6 +10,11 @@ machine reaches those states only now and then.  Here the L2 has two
 MSHR entries, the interconnect two-entry queues and there is one DRAM
 channel, so every case reaches both — and asserts that it did, so the
 suite cannot pass vacuously.
+
+A third wedge needs many SMs: a partition whose head read is pending on
+an L2 MSHR entry already at its merge limit sleeps until that line's
+fill.  Ten SMs reading one line at once reach it (one allocation, seven
+merges, two heads frozen).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import pytest
 from repro.config import test_config as tiny_config
 from repro.guard.faults import FaultPlan
 from repro.prefetch.factory import make_prefetcher
+from repro.sim.isa import ComputeOp, LoadOp, LoadSite, LoopOp, WarpProgram
+from repro.sim.kernel import KernelInfo
 from repro.workloads import Scale, build
 
 from tests._difftools import (
@@ -59,16 +66,18 @@ def _assert_backpressure(gpu) -> None:
     assert sub.request_pipe.peak_occupancy == sub.request_pipe.capacity
 
 
-def _differential(bench, pf, cfg, max_cycles=None, faults=None):
+def _differential(bench, pf, cfg, max_cycles=None, faults=None,
+                  kernel_fn=None):
     """Run both engines; assert identical fingerprints and return the
     event run's ``(gpu, result)``."""
-    runs = [run_engine(lambda: build(bench, Scale.TINY), cfg, engine,
-                       _factory(pf), max_cycles, faults)
+    kernel_fn = kernel_fn or (lambda: build(bench, Scale.TINY))
+    runs = [run_engine(kernel_fn, cfg, engine, _factory(pf), max_cycles,
+                       faults)
             for engine in ("cycle", "event")]
     (gpu_ref, res_ref), (gpu_evt, res_evt) = runs
     assert_identical(fingerprint(gpu_ref, res_ref),
                      fingerprint(gpu_evt, res_evt),
-                     f"{bench}/{pf or 'none'}/congested@{max_cycles}")
+                     f"{bench}/{pf or 'none'}@{max_cycles}")
     return gpu_evt, res_evt
 
 
@@ -113,3 +122,28 @@ def test_corun_identical():
                      corun_fingerprint(gpu_evt, res_evt), "HST+BFS/congested")
     assert res_evt.completed
     _assert_backpressure(gpu_evt)
+
+
+def _one_line_kernel():
+    """Ten one-warp CTAs; iteration ``i`` of every warp reads line ``i``."""
+    site = LoadSite(pc=0, pattern=lambda ctx: ((1 << 24) + ctx.iteration * 128,))
+    body = [LoadOp(site), ComputeOp(2)]
+    return KernelInfo("one-line", num_ctas=10, warps_per_cta=1,
+                      program=WarpProgram(ops=[LoopOp(4, body), ComputeOp(1)]))
+
+
+@pytest.mark.parametrize("cut", (None, 30, 125))
+def test_merge_limit_wedge_identical(cut):
+    """The merge-limit wedge fires (a partition froze with its MSHR not
+    full, so on a full entry) and settles exactly, also at a cut inside
+    it."""
+    cfg = tiny_config(num_sms=10)
+    gpu, res = _differential("one-line", None, cfg, max_cycles=cut,
+                             kernel_fn=_one_line_kernel)
+    l2 = gpu.subsystem.partitions
+    assert any(part.stall_cycles for part in l2)
+    assert all(part.mshr.peak_occupancy < part.mshr.capacity for part in l2)
+    if cut is None:
+        assert res.completed
+    else:
+        assert any(part.wedged_from >= 0 for part in l2)

@@ -90,8 +90,11 @@ def configs(draw):
 
     Small L2 MSHR files and interconnect queues let generated kernels
     reach the event step's backpressure wedges (MSHR-full partitions,
-    SMs behind a full request pipe)."""
+    SMs behind a full request pipe).  One, two or four SMs: each SM has
+    its own response horizon in the event step.  The two L2 partitions
+    stay a multiple of the two DRAM channels."""
     base = tiny_config(
+        num_sms=draw(st.sampled_from([1, 2, 4])),
         scheduler=draw(st.sampled_from(list(SchedulerKind))),
         ready_queue_size=draw(st.integers(2, 6)),
         max_cycles=400_000,
