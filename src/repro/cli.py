@@ -11,11 +11,12 @@ them from the fields of :class:`~repro.config.ServeConfig` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 # Leaves only: a command imports what it runs inside its handler, so
 # `repro request` never loads the simulator (docs/architecture.md).
@@ -714,7 +715,8 @@ def cmd_trace(args) -> int:
 def cmd_figures(args) -> int:
     from repro.analysis.experiments_md import generate_experiments_md
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    with _path_flag("--out", args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     path = generate_experiments_md(args.out / "EXPERIMENTS.md",
                                    **_plan_args(args))
     print(f"wrote {path}")
@@ -947,18 +949,38 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _path_flag(flag: str, path) -> Iterator[None]:
+    """Turn an ``OSError`` while preparing ``flag``'s path into a
+    one-line :class:`ConfigError`, raised before any cell runs."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path} is not usable: {exc}") from None
+
+
 def _engine(jobs: int, cache_dir, events_log):
     """The execution engine the ``--jobs`` / ``--cache`` /
-    ``--events-log`` flags describe, and its JSONL sink (or ``None``)."""
+    ``--events-log`` flags describe, and its JSONL sink (or ``None``).
+
+    Both paths are made usable here — the cache directory and the log's
+    parent are created — so a bad one is a configuration error, not a
+    traceback after the first cell has simulated."""
     from repro.exec import EventLog, ExecutionEngine, JSONLSink, ResultCache
 
     if jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    cache = sink = None
+    if cache_dir is not None:
+        with _path_flag("--cache", cache_dir):
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        cache = ResultCache(cache_dir)
     events = EventLog()
-    sink = JSONLSink(events_log) if events_log is not None else None
-    if sink is not None:
+    if events_log is not None:
+        with _path_flag("--events-log", events_log):
+            events_log.parent.mkdir(parents=True, exist_ok=True)
+            sink = JSONLSink(events_log)
         events.subscribe(sink)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     return ExecutionEngine(jobs=jobs, cache=cache, events=events), sink
 
 

@@ -12,7 +12,8 @@ execution layer is factored out of the analysis code:
   (queued / started / cache_hit / finished / retry / failed) with a
   JSONL sink and a TTY renderer;
 * :mod:`repro.exec.runner` — :class:`ExecutionEngine`, which executes
-  cells serially or on a spawn-safe process pool with per-task timeout
+  cells serially or on a process pool (forked from a single-threaded
+  main thread, spawned from any other caller) with per-task timeout
   and classification-aware bounded retry — one batch loop,
   ``run_recorded``, which records failures; ``run_many`` is the same
   loop with a callback that raises on the first one;

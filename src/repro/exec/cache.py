@@ -26,6 +26,7 @@ half-written entry behind.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -246,7 +247,10 @@ class ResultCache:
                 tmp.write_text(text)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            # Best effort: the error being raised is the write's, never
+            # a cleanup's (an unwritable root fails the unlink too).
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             raise
         if (self._fault_rng is not None
                 and self._fault_plan.should_corrupt_cache(self._fault_rng)):

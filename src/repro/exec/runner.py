@@ -7,12 +7,21 @@
   the contract the analysis layer has always had;
 * an optional **persistent cache** (:class:`repro.exec.cache.ResultCache`)
   shared across processes and invocations;
-* a **spawn-safe process pool** (``jobs > 1``) with a per-task timeout
+* a **process pool** (``jobs > 1``) with a per-task timeout
   (delivered via ``SIGALRM`` inside the worker, so a wedged simulation
   cannot wedge the pool), bounded retry on worker failure, and recovery
   from a broken pool (a worker dying hard re-creates the pool and
   resubmits the in-flight cells).  With ``jobs=1`` everything runs
   inline in the calling process — no subprocess is ever spawned.
+
+The pool's start method is picked per batch by :func:`_start_method`:
+``fork`` when the batch is launched on Linux from the main thread of a
+process that runs no other Python thread (the CLI's batch commands), so
+workers start with ``repro`` already imported; ``spawn`` otherwise
+(``repro serve`` and the fleet backends batch from an executor thread,
+where a fork could copy a lock another thread holds and the event
+loop's signal wake-up fd).  Either way tasks and results cross the
+pool by pickle.
 
 Retry is **classification-aware** (see :mod:`repro.errors`): transient
 failures (worker death, timeout, broken pool, injected chaos faults)
@@ -31,13 +40,15 @@ There is one batch loop and two ways to report its failures:
   cell that exhausts its budget, at every ``jobs``.
 
 The module-level :func:`execute_cell` is the single place that maps a
-:class:`RunKey` onto a simulation; it is importable by name so the
-``spawn`` start method can pickle tasks to fresh interpreters.
+:class:`RunKey` onto a simulation; it is importable by name so tasks
+pickle to workers of either start method.
 """
 
 from __future__ import annotations
 
 import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -148,6 +159,17 @@ def _worker(key: RunKey, timeout_s: Optional[float],
         exc.wall_s = time.perf_counter() - began
         raise
     return result, time.perf_counter() - began
+
+
+def _start_method() -> str:
+    """The start method for a pool about to be built by this thread:
+    ``fork`` on Linux from the main thread with no other Python thread
+    (none could hold a lock the child inherits), else ``spawn``."""
+    if (sys.platform.startswith("linux")
+            and threading.current_thread() is threading.main_thread()
+            and threading.active_count() == 1):
+        return "fork"
+    return "spawn"
 
 
 class ExecutionEngine:
@@ -362,7 +384,7 @@ class ExecutionEngine:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context(_start_method())
         workers = min(self.jobs, len(keys))
         attempts: Dict[RunKey, int] = {k: 0 for k in keys}
         future_key: Dict[object, RunKey] = {}
@@ -394,8 +416,11 @@ class ExecutionEngine:
                 if broken:
                     # A worker died hard: the executor is unusable and
                     # every in-flight future is doomed.  Rebuild the pool
-                    # and resubmit what had not finished.
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    # and resubmit what had not finished.  The broken
+                    # pool has already terminated its workers; joining
+                    # its manager thread first means a fork context
+                    # still forks from a process with no other thread.
+                    pool.shutdown(wait=True, cancel_futures=True)
                     resubmit.extend(future_key.values())
                     future_key.clear()
                     pool = ProcessPoolExecutor(max_workers=workers,

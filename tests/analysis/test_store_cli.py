@@ -157,3 +157,56 @@ class TestCommaLists:
         assert isinstance(failure.error, ConfigError)
         assert failure.kind is FailureKind.PERMANENT
         assert failure.attempts == 1
+
+
+class TestPathFlags:
+    """A path flag the CLI cannot use is one ``configuration error``
+    line and exit 2, raised before any cell runs — never a traceback
+    after the first cell has simulated."""
+
+    @pytest.fixture(autouse=True)
+    def keep_engine(self):
+        from repro.analysis import driver
+
+        saved = driver.get_engine()
+        yield
+        driver.set_engine(saved)
+
+    @pytest.fixture
+    def no_cell_runs(self, monkeypatch):
+        from repro.exec import runner
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("a cell ran before the path was checked")
+
+        monkeypatch.setattr(runner, "_worker", simulated)
+
+    def test_events_log_creates_its_directory(self, tmp_path, capsys):
+        from repro.exec import read_events
+
+        log = tmp_path / "nope" / "ev.jsonl"
+        assert main(["run", "CP", "--scale", "tiny",
+                     "--events-log", str(log)]) == 0
+        assert "finished" in [e.kind for e in read_events(log)]
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--cache", ["run", "CP", "--scale", "tiny", "--cache", "{file}"]),
+        ("--events-log", ["run", "CP", "--scale", "tiny",
+                          "--events-log", "{file}/ev.jsonl"]),
+        ("--events-log", ["run", "CP", "--scale", "tiny",
+                          "--events-log", "{dir}"]),
+        ("--out", ["figures", "--scale", "tiny", "--benchmarks", "CP",
+                   "--out", "{file}"]),
+    ], ids=["cache-is-a-file", "events-log-under-a-file",
+            "events-log-is-a-dir", "out-is-a-file"])
+    def test_unusable_path_is_a_configuration_error(
+            self, flag, argv, tmp_path, capsys, no_cell_runs):
+        regular = tmp_path / "file"
+        regular.write_text("not a directory")
+        argv = [arg.format(file=regular, dir=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"configuration error: {flag} ")
+        assert regular.read_text() == "not a directory"

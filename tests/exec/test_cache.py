@@ -105,6 +105,17 @@ class TestResultCache:
         assert [p.name for p in cache.version_dir.iterdir()] == \
             [cache.path_for(key).name]
 
+    def test_failing_cleanup_does_not_replace_the_write_error(
+            self, tmp_path, key, result):
+        """A root that is a regular file fails the write and the temp
+        file's unlink alike; the write's error is the one raised."""
+        root = tmp_path / "file"
+        root.write_text("not a directory")
+        with pytest.raises(NotADirectoryError) as err:
+            ResultCache(root).put(key, result)
+        assert err.value.__context__ is None
+        assert root.read_text() == "not a directory"
+
     def test_config_hash_mismatch_invalidates(self, tmp_path, key, result):
         cache = ResultCache(tmp_path)
         path = cache.put(key, result)

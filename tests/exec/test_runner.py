@@ -1,15 +1,25 @@
 """Tests for the execution engine (repro.exec.runner).
 
-The parallel tests use the real ``spawn`` pool with tiny workloads, so
-they double as an end-to-end check that tasks and results pickle across
-process boundaries.
+The parallel tests use a real process pool with tiny workloads, so they
+double as an end-to-end check that tasks and results pickle across
+process boundaries.  The pool forks when the batch starts on the main
+thread of a process with no other thread and spawns otherwise; since
+earlier tests (serve's) may leave threads alive in this process, which
+method those tests get depends on suite order.  ``TestStartMethod``
+pins both methods in a fresh interpreter, where the setting is known.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.config import test_config as tiny_config
 from repro.exec import (
     CellError,
@@ -228,3 +238,81 @@ class TestOneBatchLoop:
             with pytest.raises(Stop):
                 ExecutionEngine(jobs=jobs).run_recorded(MATRIX,
                                                         on_complete=stop)
+
+
+#: Run in a fresh interpreter by ``TestStartMethod``: a serial batch
+#: first (a fresh serial run, which also advances the module-level uid
+#: counters a fork then inherits), the same batch pooled from the main
+#: thread, and again from a ``threading.Thread`` as ``repro serve``
+#: launches it.  ``_start_method`` is wrapped to record what each pool
+#: was built with.
+PROBE = """
+import hashlib, json, multiprocessing, threading
+import repro.mem.request, repro.sim.warp
+from repro.exec import ExecutionEngine, result_bytes, runner
+from tests.exec.test_runner import MATRIX
+
+chosen = []
+select = runner._start_method
+runner._start_method = lambda: chosen.append(select()) or chosen[-1]
+
+def batch(jobs):
+    chosen.clear()
+    threads = threading.active_count()
+    results = ExecutionEngine(jobs=jobs).run_many(MATRIX)
+    return {"threads": threads, "methods": list(chosen),
+            "results": {key.describe(): hashlib.sha256(
+                result_bytes(result)).hexdigest()
+                for key, result in results.items()},
+            "live_workers": len(multiprocessing.active_children())}
+
+facts = {"serial": batch(1)}
+facts["uids_at_fork"] = [next(repro.sim.warp._warp_uid),
+                         next(repro.mem.request._uid)]
+facts["main"] = batch(2)
+worker = threading.Thread(target=lambda: facts.update(thread=batch(2)))
+worker.start()
+worker.join()
+print(json.dumps(facts))
+"""
+
+
+class TestStartMethod:
+    """Which start method a pooled batch gets, and that neither method
+    changes what the batch returns or leaves running."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE], cwd=src.parent,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_main_thread_with_no_other_thread_forks(self, probe):
+        assert probe["main"]["threads"] == 1
+        assert probe["main"]["methods"] == ["fork"]
+
+    def test_batch_from_a_thread_spawns_as_serve_does(self, probe):
+        assert probe["thread"]["threads"] == 2
+        assert probe["thread"]["methods"] == ["spawn"]
+
+    @pytest.mark.parametrize("caller", ["main", "thread"])
+    def test_pooled_results_are_byte_identical_to_serial(self, probe,
+                                                         caller):
+        assert len(probe["serial"]["results"]) == len(MATRIX)
+        assert probe[caller]["results"] == probe["serial"]["results"]
+
+    def test_forked_workers_inherit_no_result_state(self, probe):
+        """The fork parent had simulated cells inline, so its warp and
+        request uid counters were well past zero; the workers' results
+        still equal the fresh serial run's."""
+        assert min(probe["uids_at_fork"]) > 0
+        assert probe["main"]["methods"] == ["fork"]
+        assert probe["main"]["results"] == probe["serial"]["results"]
+
+    @pytest.mark.parametrize("caller", ["main", "thread"])
+    def test_no_worker_outlives_the_batch(self, probe, caller):
+        assert probe[caller]["live_workers"] == 0

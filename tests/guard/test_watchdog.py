@@ -95,7 +95,8 @@ def test_format_snapshot_summary():
 
 
 def test_hang_error_survives_pickling():
-    """The error must cross the spawn-pool boundary intact."""
+    """The error must cross the process-pool boundary intact (it is
+    pickled whether the workers were forked or spawned)."""
     cfg = tiny_config(hang_cycles=1_500)
     gpu = GPU(make_stream_kernel(), cfg)
     for sm in gpu.sms:

@@ -151,7 +151,7 @@ def test_documented_entry_points_resolve_through_the_facades():
 def test_results_have_one_home_and_still_travel(tmp_path):
     """``repro.result`` defines the result types and their wire form
     once; the old homes re-export them, and a result still crosses a
-    spawn pool and the disk cache byte-for-byte."""
+    process pool and the disk cache byte-for-byte."""
     from repro import result as home
     from repro.config import test_config
     from repro.exec import (ExecutionEngine, ResultCache, cache,
