@@ -183,9 +183,7 @@ def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
             continue
         kwargs = dict(spec.metadata, dest=spec.name)
         flag = kwargs.pop("flag", "--" + spec.name.replace("_", "-"))
-        if isinstance(spec.default, bool):
-            kwargs["action"] = "store_false" if spec.default else "store_true"
-        elif kwargs.get("metavar") == "SIZE":
+        if kwargs.get("metavar") == "SIZE":
             kwargs.update(type=_size, default=_size_text(spec.default))
         else:
             kwargs.setdefault("type", type(spec.default))
@@ -393,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the raw response payload as JSON")
     rq.add_argument("--stats", action="store_true",
                     help="fetch the server's introspection snapshot "
-                         "(versioned payload, stats_schema v4: counters "
-                         "plus speculation/predictor/tiers blocks, or "
-                         "the router's fleet/backends payload; see "
-                         "docs/serving.md and docs/fleet.md)")
+                         "(versioned payload, stats_schema v5: counters "
+                         "plus memcache/tiers blocks, or the router's "
+                         "fleet/backends payload; see docs/serving.md "
+                         "and docs/fleet.md)")
     rq.add_argument("--ping", action="store_true",
                     help="liveness probe")
 

@@ -565,14 +565,9 @@ def test_config(**overrides) -> GPUConfig:
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 DEFAULT_QUEUE_LIMIT = 64
-DEFAULT_BATCH_WINDOW_S = 0.02
 DEFAULT_BATCH_MAX = 32
-DEFAULT_SPEC_LIMIT = 4
 DEFAULT_MAX_ENTRIES = 256
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024  # of canonical result JSON
-DEFAULT_MIN_RUN = 3
-DEFAULT_DEPTH = 2
-DEFAULT_MISPREDICT_LIMIT = 8
 #: Enough virtual nodes per backend to keep partition-size variance low
 #: across a handful of backends while the hash ring stays tiny.
 DEFAULT_VNODES = 64
@@ -624,11 +619,6 @@ class ServeConfig(Endpoint):
         DEFAULT_QUEUE_LIMIT,
         "admitted-but-unresolved cell bound; past it requests are shed "
         "with 'overloaded' (default: %(default)s)", metavar="N")
-    batch_window_s: float = _flag(
-        DEFAULT_BATCH_WINDOW_S,
-        "how long the engine must be free of real work before queued "
-        "speculation may take it; real requests dispatch at once "
-        "(default: %(default)s)", flag="--batch-window", metavar="SECONDS")
     batch_max: int = _flag(
         DEFAULT_BATCH_MAX,
         "max cells per dispatched batch (default: %(default)s)", metavar="N")
@@ -644,25 +634,6 @@ class ServeConfig(Endpoint):
         DEFAULT_MAX_BYTES,
         "in-memory result-cache byte cap (default: %(default)s; accepts "
         "K/M/G suffixes)", metavar="SIZE")
-    predict: bool = _flag(
-        True, "disable sweep prediction and speculative execution of the "
-        "forecast next cells", flag="--no-predict")
-    predict_min_run: int = _flag(
-        DEFAULT_MIN_RUN,
-        "consecutive same-stride steps before the predictor speculates "
-        "(default: %(default)s)", metavar="N")
-    predict_depth: int = _flag(
-        DEFAULT_DEPTH,
-        "future sweep cells speculated per confirmed step (default: "
-        "%(default)s)", metavar="N")
-    #: Expired-unconfirmed predictions that mute a request group (the
-    #: miner's ``MISPRED_THRESH``).
-    mispredict_limit: int = DEFAULT_MISPREDICT_LIMIT
-    spec_limit: int = _flag(
-        DEFAULT_SPEC_LIMIT,
-        "outstanding speculative cells bound; beyond it predictions are "
-        "dropped (default: %(default)s)", flag="--speculate-max",
-        metavar="N")
     #: Position of this server within a fleet (0 when standalone);
     #: selects the fault streams of ``fault_plan`` and shows up in
     #: stats so the router can correlate.

@@ -25,7 +25,7 @@ cost: one pass over the machine after the run):
 **Opt-in per-cycle audits** (:meth:`InvariantChecker.check_cycle`,
 enabled by ``GPUConfig.deep_checks`` / ``--deep-checks``): scheduler
 ready-queue bounds, warp-state/counter agreement, queue-depth bounds and
-the speculative-resident-lines count — O(warps) per cycle, for hunting
+the unused-prefetched-lines count — O(warps) per cycle, for hunting
 the cycle a violation first appears.
 
 Violations raise :class:`repro.errors.InvariantViolation` carrying the
@@ -383,7 +383,7 @@ class InvariantChecker:
         if resident != sm.unused_prefetched_resident:
             _violate(
                 "prefetch_resident_count",
-                "speculative-resident-line counter disagrees with the "
+                "unused-prefetched-line counter disagrees with the "
                 "tag store",
                 {"sm": sm.sm_id, "counter": sm.unused_prefetched_resident,
                  "actual": resident, "cycle": now},

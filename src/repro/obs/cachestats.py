@@ -5,7 +5,7 @@ windowed metrics collector (:mod:`repro.obs.collector`): every demand
 lookup against a cache tier is recorded as a (tier, hit) observation,
 bucketed into fixed wall-clock windows, and exported as both lifetime
 totals and a bounded ring of recent windows.  The serve layer records
-four tiers (see ``docs/metrics-glossary.md``):
+three tiers (see ``docs/metrics-glossary.md``):
 
 ``memcache``
     the in-memory result tier — one observation per simulate request;
@@ -14,11 +14,7 @@ four tiers (see ``docs/metrics-glossary.md``):
     means the request joined an already-in-flight cell);
 ``disk``
     the engine's memo + persistent cache, observed from execution
-    events (``cache_hit`` vs ``started``) on the dispatch path;
-``predicted``
-    the speculation tier — one observation per simulate request, a hit
-    when the answer came from speculatively-warmed state (a
-    spec-warmed memcache entry or a promoted speculative flight).
+    events (``cache_hit`` vs ``started``) on the dispatch path.
 
 Windows are keyed by a monotonic clock injected at construction, so
 tests drive them deterministically; recording is thread-safe because
@@ -34,7 +30,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Tuple
 
 #: Tiers the serving stack records, in pipeline order.
-SERVE_TIERS = ("memcache", "dedup", "disk", "predicted")
+SERVE_TIERS = ("memcache", "dedup", "disk")
 
 #: Default wall-clock width of one aggregation window (seconds).
 DEFAULT_WINDOW_S = 1.0

@@ -10,18 +10,13 @@ tiered cache or by batching them into the existing
 * :mod:`repro.serve.stats` — the ``stats`` payload declared once, one
   dataclass per fixed-shape block;
 * :mod:`repro.serve.memcache` — in-memory LRU result tier with
-  entry/byte caps, speculative entries that shed first and eviction
-  counters, layered over the persistent
+  entry/byte caps and eviction counters, layered over the persistent
   :class:`~repro.exec.cache.ResultCache`;
 * :mod:`repro.serve.scheduler` — bounded admission with explicit
   ``overloaded`` shedding, work-conserving dispatch (requests batch
   into one engine dispatch only while the engine is busy),
-  single-flight dedup of identical in-flight cells,
-  interactive-over-sweep priority classes and an idle-capacity-only
-  speculative lane (abort-on-pressure, promote-on-demand);
-* :mod:`repro.serve.predict` — the request-stream pattern miner and
-  speculative dispatcher (CAP's predict-then-prefetch applied to the
-  request stream);
+  single-flight dedup of identical in-flight cells and
+  interactive-over-sweep priority classes;
 * :mod:`repro.serve.server` — the asyncio front-end: the
   :class:`~repro.serve.server.LineEndpoint` listener a backend and the
   fleet router share (Unix/TCP socket, pipelined connections, graceful
@@ -66,8 +61,6 @@ _EXPORTS = {
     ),
     "repro.serve.fleet.hashring": ("HashRing",),
     "repro.serve.memcache": ("ServeMemCache",),
-    "repro.serve.predict.miner": ("PatternMiner",),
-    "repro.serve.predict.speculator": ("Predictor",),
     "repro.serve.protocol": (
         "ERROR_CODES",
         "OPS",
@@ -83,7 +76,7 @@ _EXPORTS = {
         "validate_stats",
     ),
     "repro.serve.retry": ("RetryPolicy", "RetryStats", "retryable"),
-    "repro.serve.scheduler": ("RequestScheduler", "SpeculationAborted"),
+    "repro.serve.scheduler": ("RequestScheduler",),
     "repro.serve.server": (
         "LineEndpoint",
         "SimulationServer",

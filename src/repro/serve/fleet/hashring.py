@@ -7,9 +7,9 @@ the first point at or clockwise of its fingerprint's own position.
 
 Why consistent hashing instead of round-robin: a cell's fingerprint
 always lands on the same backend, so one backend's memcache and
-single-flight dedup see the whole history of a sweep — the predictive
-prefetcher keeps working per backend, and an N-backend fleet keeps the
-same warm-hit behaviour as one server, just partitioned.  When a
+single-flight dedup see the whole history of a sweep, and an
+N-backend fleet keeps the same warm-hit behaviour as one server, just
+partitioned.  When a
 backend dies, only its ring arcs move (to the next point clockwise);
 the other backends' partitions — and their warm caches — are
 undisturbed.

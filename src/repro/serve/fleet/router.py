@@ -6,8 +6,8 @@ fleet from one server — and forwards every ``simulate`` request to a
 backend chosen by consistent-hashing its canonical cell fingerprint
 (:func:`~repro.serve.protocol.request_to_key` →
 :func:`~repro.exec.cache.key_fingerprint`), so each backend owns a
-stable partition of the key space and keeps its memcache/dedup/
-prediction state warm for it.
+stable partition of the key space and keeps its memcache and dedup
+state warm for it.
 
 Failure handling, per request:
 

@@ -90,33 +90,22 @@ PRESETS = {
 
 #: Version of the ``stats`` introspection payload.  Bumped whenever a
 #: field is removed or changes meaning; additive fields do not bump it.
-#: v1 was the pre-speculation payload; v2 added the ``stats_schema``
-#: marker itself plus the ``speculation``, ``predictor`` and ``tiers``
-#: blocks and the speculation fields of ``memcache``.  v3 adds the
-#: required ``role`` discriminator (``backend``/``router``) and with it
-#: a second payload family: the fleet router's stats (see
-#: :data:`repro.serve.stats.ROUTER_BLOCKS`) with per-backend health,
-#: circuit-breaker transitions and retry counters.  v4 removes ``memcache.policy`` and
-#: ``memcache.prefixes`` (the tier is LRU only) from the backend payload
-#: and, from the router's, the ``health`` timeline (a copy of
-#: ``backends[].circuit.transitions``) and the two always-zero
-#: duplicate-request counters of ``retry``.
-STATS_SCHEMA_VERSION = 4
+#: v2 added the ``stats_schema`` marker and the ``tiers`` block; v3 the
+#: ``role`` discriminator (``backend``/``router``) and with it the fleet
+#: router's payload (:data:`repro.serve.stats.ROUTER_BLOCKS`).  v4
+#: removes ``memcache.policy`` / ``memcache.prefixes`` from the backend
+#: payload and the ``health`` timeline and two always-zero ``retry``
+#: counters from the router's.  v5 removes the speculative lane:
+#: ``predictor``, ``queued_speculative``, ``memcache.spec_*`` and the
+#: ``predicted`` tier.  ``speculation`` stays, constant zero, only
+#: because ``perfbench/serve_mix.py`` still reads it; the benchmark
+#: change that stops reading it removes the block too.
+STATS_SCHEMA_VERSION = 5
 
-#: Values the ``meta.source`` field of a simulate response may take.
-#: The ``-speculative`` variants mark answers served from
-#: speculatively-warmed state (a predicted memcache entry's first
-#: demand hit, or a join that promoted a speculative flight);
+#: Values the ``meta.source`` field of a simulate response may take;
 #: ``disk-degraded`` marks a read-only disk-cache answer the fleet
 #: router served while the key's backends were down.
-SOURCES = (
-    "memcache",
-    "memcache-speculative",
-    "dedup",
-    "dedup-speculative",
-    "dispatch",
-    "disk-degraded",
-)
+SOURCES = ("memcache", "dedup", "dispatch", "disk-degraded")
 
 #: Stable error codes a response may carry.
 ERROR_CODES = (

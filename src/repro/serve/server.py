@@ -51,7 +51,6 @@ from repro.obs.cachestats import TierHitSeries
 from repro.obs.latency import LatencyRecorder
 from repro.serve import protocol
 from repro.serve.memcache import ServeMemCache
-from repro.serve.predict.speculator import build_predictor
 from repro.serve.protocol import STREAM_LIMIT
 from repro.serve.scheduler import RequestScheduler
 from repro.serve.stats import (BackendCounters, BackendStats,
@@ -305,13 +304,10 @@ class SimulationServer(LineEndpoint):
         self.scheduler = RequestScheduler(
             engine, self.memcache,
             queue_limit=self.config.queue_limit,
-            batch_window_s=self.config.batch_window_s,
             batch_max=self.config.batch_max,
-            spec_limit=self.config.spec_limit,
             latency=self.latency,
             tiers=self.tiers,
         )
-        self.predictor = build_predictor(self.scheduler, self.config)
         plan = self.config.fault_plan
         self.faults: Optional[ServeFaultInjector] = (
             ServeFaultInjector(plan, self.config.backend_index)
@@ -336,12 +332,9 @@ class SimulationServer(LineEndpoint):
         await super().start()
 
     async def _quiesce(self) -> None:
-        # Stop speculating first (cancels prediction tasks), then
-        # finish everything already admitted (resolves the futures the
+        # Finish everything already admitted (resolves the futures the
         # request tasks await); the engine's pools end with their batch,
         # so no worker outlives the drain.
-        if self.predictor is not None:
-            await self.predictor.drain()
         await self.scheduler.drain()
 
     def _wire(self, response: Dict[str, Any]) -> Tuple[bytes, bool]:
@@ -368,10 +361,6 @@ class SimulationServer(LineEndpoint):
                 raise ShuttingDownError(
                     "server is draining; resubmit to the next instance")
             key = protocol.request_to_key(request)
-            if self.predictor is not None:
-                # Feed the miner before scheduling, warm hits included,
-                # so a sweep stays tracked even once fully cached.
-                self.predictor.observe(request, key_fingerprint(key))
             deadline = (request.deadline_s
                         if request.deadline_s is not None
                         else self.config.default_deadline_s)
@@ -411,8 +400,6 @@ class SimulationServer(LineEndpoint):
             backend_index=self.config.backend_index,
             engine_jobs=self.engine.jobs,
             server=self.counters,
-            predictor=(self.predictor.stats()
-                       if self.predictor is not None else None),
             tiers=TierStats(**self.tiers.snapshot()),
         )))
         if self.faults is not None:

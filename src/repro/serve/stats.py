@@ -67,9 +67,8 @@ class RouterCounters(EndpointCounters):
 
 @dataclass
 class SpeculationStats:
-    """The scheduler's speculative lane (the ``speculation`` block): its
-    counters live on the scheduler, which reads ``outstanding`` and
-    ``queued`` off the lane when it takes a snapshot."""
+    """The ``speculation`` block: all zero, kept only until the benchmark
+    stops reading it (see :data:`repro.serve.protocol.STATS_SCHEMA_VERSION`)."""
 
     limit: int = 0
     outstanding: int = 0
@@ -96,10 +95,6 @@ class MemcacheStats:
     hit_ratio: float
     evictions: int
     puts: int
-    spec_puts: int
-    spec_hits: int
-    spec_evictions: int
-    spec_entries: int
 
 
 @dataclass
@@ -130,7 +125,6 @@ class SchedulerStats:
     queue_limit: int
     queued_interactive: int
     queued_sweep: int
-    queued_speculative: int
     admitted: int
     shed: int
     memcache_hits: int
@@ -154,7 +148,6 @@ class BackendStats:
     backend_index: int
     engine_jobs: int
     server: BackendCounters
-    predictor: Optional[dict]
     tiers: TierStats
 
 

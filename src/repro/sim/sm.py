@@ -167,7 +167,7 @@ class SM:
         self.prefetch_miss_queue: Deque[MemoryRequest] = deque()
         # Pollution feedback: number of prefetched-but-unused lines
         # resident in L1.  The prefetch port defers when more than a
-        # quarter of the cache holds speculative lines, which naturally
+        # quarter of the cache holds such lines, which naturally
         # delays too-early prefetches until consumption catches up.
         self.unused_prefetched_resident = 0
         self._prefetch_resident_limit = config.l1d.num_lines // 4

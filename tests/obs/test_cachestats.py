@@ -75,12 +75,12 @@ class TestWindows:
     def test_snapshot_is_json_shaped(self):
         import json
         series, clock = make_series()
-        series.record("predicted", True)
+        series.record("memcache", True)
         clock.now = 1.5
         series.record("dedup", False)
         payload = json.loads(json.dumps(series.snapshot()))
         assert payload["window_s"] == 1.0
-        assert payload["totals"]["predicted"]["hit_ratio"] == 1.0
+        assert payload["totals"]["memcache"]["hit_ratio"] == 1.0
 
 
 class TestValidationAndSafety:

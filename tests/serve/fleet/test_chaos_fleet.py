@@ -29,7 +29,6 @@ from repro.serve.fleet.hashring import HashRing
 from repro.serve.fleet.health import CircuitState
 from repro.serve.fleet.router import RouterConfig, make_fleet
 from repro.serve.retry import RetryPolicy
-from repro.serve.server import ServeConfig
 from repro.sim.gpu import SimResult
 from repro.workloads import Scale
 
@@ -94,7 +93,6 @@ async def chaos_fleet(tmp_path, plan, backends=3, restart_budget=3,
     supervisor, router = make_fleet(
         backends, str(tmp_path / "runtime"),
         cache_dir=str(tmp_path / "cache"),
-        serve_template=ServeConfig(batch_window_s=0.02),
         router_config=RouterConfig(**router_knobs),
         fault_plan=plan,
         restart_budget=restart_budget)

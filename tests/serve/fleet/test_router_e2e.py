@@ -20,7 +20,6 @@ from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
 from repro.serve.stats import ROUTER_BLOCKS
 from repro.serve.fleet.router import RouterConfig, make_fleet
-from repro.serve.server import ServeConfig
 from repro.sim.gpu import SimResult
 from tests.serve.test_stats_schema import undeclared
 
@@ -32,11 +31,20 @@ def simulate_kwargs(benchmark):
                 preset="test")
 
 
+async def wait_dead(supervisor, index, timeout_s=20):
+    """Poll until backend ``index``'s process is gone (or time out)."""
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while asyncio.get_running_loop().time() < deadline:
+        if not supervisor.alive(index):
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"backend {index} still alive after {timeout_s}s")
+
+
 @contextlib.asynccontextmanager
 async def fleet(tmp_path, backends=2, **kwargs):
     """Spawn a fleet; always drain router then supervisor on exit."""
     kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
-    kwargs.setdefault("serve_template", ServeConfig(batch_window_s=0.02))
     kwargs.setdefault("router_config", RouterConfig(
         probe_interval_s=0.1, failure_threshold=2, reset_timeout_s=0.5))
     supervisor, router = make_fleet(
@@ -156,7 +164,7 @@ class TestFailover:
             async with fleet(tmp_path, restart_budget=0) as (
                     supervisor, router):
                 os.kill(supervisor.backends[0].process.pid, signal.SIGKILL)
-                await asyncio.sleep(0.2)   # let the kill land
+                await wait_dead(supervisor, 0)
                 async with AsyncServeClient(
                         router.config.socket_path) as client:
                     metas = {}
@@ -195,7 +203,7 @@ class TestDegraded:
 
                     os.kill(supervisor.backends[0].process.pid,
                             signal.SIGKILL)
-                    await asyncio.sleep(0.2)
+                    await wait_dead(supervisor, 0)
 
                     result, meta = await client.simulate(
                         **simulate_kwargs("MM"))

@@ -35,11 +35,9 @@ def assert_one_line(proc, exit_code, prefix):
 
 
 @pytest.mark.parametrize("knob", [
-    ("--batch-window", "-1"),
-    ("--queue-limit", "-1"),
+    ("--queue-limit", "0"),
     ("--batch-max", "0"),
     ("--memcache-entries", "-5"),
-    ("--predict-depth", "0"),
 ], ids=lambda knob: knob[0])
 def test_rejected_serve_knob_is_a_configuration_error(tmp_path, knob):
     proc = repro_cli(tmp_path, "serve", "--socket", str(tmp_path / "s.sock"),

@@ -28,8 +28,7 @@ from repro.serve.server import (
 def make_server(tmp_path):
     from repro.exec import EventLog, ExecutionEngine
 
-    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                         batch_window_s=0.01)
+    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
     return SimulationServer(ExecutionEngine(jobs=1, events=EventLog()),
                             config)
 

@@ -106,66 +106,3 @@ class TestStats:
         assert stats["puts"] == 1
         assert stats["evictions"] == 0
 
-
-class TestSpeculativeEntries:
-    def test_first_demand_hit_clears_flag_and_counts(self):
-        cache = ServeMemCache(max_entries=4)
-        cache.put("f1", 1, 1, speculative=True)
-        assert cache.spec_entries == 1
-        record = cache.lookup("f1")
-        assert record.speculative_hit is True
-        assert cache.spec_hits == 1
-        assert cache.spec_entries == 0
-        # Second hit is an ordinary hit.
-        assert cache.lookup("f1").speculative_hit is False
-        assert cache.spec_hits == 1
-
-    def test_peek_touches_no_counters_or_recency(self):
-        cache = ServeMemCache(max_entries=4)
-        cache.put("f1", 1, 1, speculative=True)
-        order = list(cache._entries)
-        assert cache.peek("f1") == 1
-        assert cache.peek("nope") is None
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.spec_hits == 0
-        assert list(cache._entries) == order
-
-    def test_unread_speculative_entries_evict_first(self):
-        """Speculation sheds first in the cache: under pressure the
-        victim pool is unread speculative entries, whatever the
-        strategy would otherwise pick."""
-        cache = ServeMemCache(max_entries=3)
-        cache.put("real_old", 1, 1)
-        cache.put("spec", 2, 1, speculative=True)
-        cache.put("real_new", 3, 1)
-        cache.put("overflow", 4, 1)
-        # LRU alone would evict real_old; the speculative entry goes.
-        assert "spec" not in cache
-        assert "real_old" in cache
-        assert cache.spec_evictions == 1
-
-    def test_demand_read_promotes_to_real_retention(self):
-        cache = ServeMemCache(max_entries=3)
-        cache.put("real_old", 1, 1)
-        cache.put("spec", 2, 1, speculative=True)
-        cache.get("spec")       # proven useful: competes like any entry
-        cache.put("x", 3, 1)
-        cache.put("y", 4, 1)
-        assert "spec" in cache  # real_old was the LRU victim instead
-        assert "real_old" not in cache
-
-    def test_refresh_never_demotes_a_real_entry(self):
-        cache = ServeMemCache(max_entries=4)
-        cache.put("f1", 1, 1)
-        cache.put("f1", 2, 1, speculative=True)
-        assert cache.spec_entries == 0
-        assert cache.spec_puts == 0
-
-    def test_spec_counters_in_stats(self):
-        cache = ServeMemCache(max_entries=4)
-        cache.put("f1", 1, 1, speculative=True)
-        cache.get("f1")
-        stats = cache.stats()
-        assert stats["spec_puts"] == 1
-        assert stats["spec_hits"] == 1
-        assert stats["spec_entries"] == 0

@@ -67,8 +67,6 @@ def ticked(cell):
 
 def shown(action):
     """A flag's default as the docs tables write it."""
-    if action.nargs == 0:          # a switch: off unless given
-        return "off"
     return "none" if action.default is None else str(action.default)
 
 
@@ -94,12 +92,12 @@ class TestFlags:
 
 def test_flags_reach_their_fields(tmp_path):
     args = build_parser().parse_args([
-        "serve", "--socket", str(tmp_path), "--no-predict",
-        "--memcache-bytes", "1M", "--batch-window", "0.5",
-        "--speculate-max", "2", "--default-deadline", "3"])
+        "serve", "--socket", str(tmp_path), "--queue-limit", "5",
+        "--batch-max", "7", "--memcache-entries", "9",
+        "--memcache-bytes", "1M", "--default-deadline", "3"])
     assert config_from_args(ServeConfig, args) == ServeConfig(
-        socket_path=str(tmp_path), predict=False, memcache_bytes=1 << 20,
-        batch_window_s=0.5, spec_limit=2, default_deadline_s=3.0)
+        socket_path=str(tmp_path), queue_limit=5, batch_max=7,
+        memcache_entries=9, memcache_bytes=1 << 20, default_deadline_s=3.0)
     args = build_parser().parse_args(
         ["fleet", "--probe-interval", "0.1", "--forward-timeout", "9",
          "--failure-threshold", "2", "--reset-timeout", "0.5"])

@@ -19,11 +19,7 @@ from repro.errors import (
 )
 from repro.exec import EventLog, RunKey, execute_cell, key_fingerprint
 from repro.serve.memcache import ServeMemCache
-from repro.serve.scheduler import (
-    SPECULATIVE_PRIORITY,
-    RequestScheduler,
-    SpeculationAborted,
-)
+from repro.serve.scheduler import RequestScheduler
 from repro.workloads import Scale
 from tests.serve._gate import Gate, wait_for_gate
 
@@ -85,7 +81,6 @@ class FakeEngine(Gate):
 
 
 def make_scheduler(engine, **kwargs):
-    kwargs.setdefault("batch_window_s", 0.0)
     return RequestScheduler(engine, ServeMemCache(max_entries=64), **kwargs)
 
 
@@ -97,8 +92,6 @@ class TestValidation:
             RequestScheduler(engine, memcache, queue_limit=0)
         with pytest.raises(ValueError):
             RequestScheduler(engine, memcache, batch_max=0)
-        with pytest.raises(ValueError):
-            RequestScheduler(engine, memcache, batch_window_s=-0.1)
 
 
 class TestPaths:
@@ -164,7 +157,7 @@ class TestPaths:
 
     def test_interactive_dispatches_before_sweep(self, canned_result):
         """Cells admitted while a batch runs coalesce into one following
-        batch, in priority order — no window needed to batch them."""
+        batch, in priority order — no timer needed to batch them."""
         async def scenario():
             engine = FakeEngine(canned_result)
             engine.blocking = True
@@ -185,41 +178,6 @@ class TestPaths:
             assert len(engine.batches) == 2
             order = [key.benchmark for key in engine.batches[1]]
             assert order == ["HST", "BFS", "FFT"]   # interactive first
-            await scheduler.drain()
-        asyncio.run(scenario())
-
-    def test_promoted_cell_moves_to_head_of_its_priority(self, canned_result):
-        """A queued speculative cell a real request asks for dispatches
-        ahead of real cells admitted after it, not behind them."""
-        async def scenario():
-            engine = FakeEngine(canned_result)
-            engine.blocking = True
-            scheduler = make_scheduler(engine, batch_max=8)
-            await scheduler.start()
-            blocker = asyncio.ensure_future(scheduler.submit(cell("MM")))
-            await wait_for_gate(engine.entered)
-            waiters = [
-                asyncio.ensure_future(
-                    scheduler.submit(cell("HST"), SPECULATIVE_PRIORITY)),
-                asyncio.ensure_future(scheduler.submit(cell("BFS"), "sweep")),
-                asyncio.ensure_future(
-                    scheduler.submit(cell("FFT"), "interactive")),
-            ]
-            await asyncio.sleep(0)                  # all three enqueue
-            promoter = asyncio.ensure_future(
-                scheduler.submit(cell("HST"), "interactive"))
-            await asyncio.sleep(0)                  # joins, promotes
-            assert scheduler.spec.promoted == 1
-            engine.blocking = False
-            engine.release.set()
-            await asyncio.gather(blocker, promoter, *waiters)
-            order = [key.benchmark for key in engine.batches[1]]
-            assert order == ["HST", "FFT", "BFS"]
-            assert len(engine.batches) == 2
-            # Its queue_wait runs from the promotion (after FFT was
-            # admitted), not from the speculative admission (before).
-            _, hst_wait, fft_wait, _ = scheduler.latency.samples("queue_wait")
-            assert hst_wait <= fft_wait
             await scheduler.drain()
         asyncio.run(scenario())
 
@@ -248,57 +206,6 @@ class TestPaths:
 
 
 class TestWorkConservingDispatch:
-    def test_real_cell_never_waits_for_the_window(self, canned_result):
-        """With a 60 s window a real cell on an idle engine dispatches at
-        once, past a speculative cell that was queued first: the window
-        holds speculation back and nothing else, and a real arrival
-        ends the speculative wait."""
-        async def scenario():
-            engine = FakeEngine(canned_result)
-            engine.blocking = True
-            scheduler = make_scheduler(engine, batch_window_s=60)
-            await scheduler.start()
-            spec = asyncio.ensure_future(
-                scheduler.submit(cell("BFS"), SPECULATIVE_PRIORITY))
-            await asyncio.sleep(0)          # queued; the dispatcher yields
-            assert engine.batches == []
-            real = asyncio.ensure_future(scheduler.submit(cell("MM")))
-            await wait_for_gate(engine.entered)
-            engine.release.set()
-            _, source = await asyncio.wait_for(real, 5)
-            assert source == "dispatch"
-            assert engine.batches == [[cell("MM")]]
-            assert scheduler.stats()["queued_speculative"] == 1
-            await scheduler.drain()         # aborts the waiting cell
-            with pytest.raises(SpeculationAborted):
-                await spec
-            assert engine.batches == [[cell("MM")]]
-        asyncio.run(scenario())
-
-    def test_speculation_runs_after_real_work_one_cell_a_batch(
-            self, canned_result):
-        async def scenario():
-            engine = FakeEngine(canned_result)
-            scheduler = make_scheduler(engine, batch_window_s=0.01)
-            waiters = [
-                asyncio.ensure_future(
-                    scheduler.submit(cell("BFS"), SPECULATIVE_PRIORITY)),
-                asyncio.ensure_future(
-                    scheduler.submit(cell("FFT"), SPECULATIVE_PRIORITY)),
-                asyncio.ensure_future(scheduler.submit(cell("MM"))),
-            ]
-            await asyncio.sleep(0)          # all three enqueue
-            await scheduler.start()
-            await asyncio.wait_for(asyncio.gather(*waiters), 5)
-            assert engine.batches == [[cell("MM")], [cell("BFS")],
-                                      [cell("FFT")]]
-            # Only the real cell's wait is a queue_wait sample.
-            assert scheduler.latency.totals["queue_wait"] == 1
-            assert scheduler.latency.totals["dispatch"] == 3
-            assert scheduler.spec.completed == 2
-            await scheduler.drain()
-        asyncio.run(scenario())
-
     def test_each_cell_resolves_as_it_finishes(self, canned_result):
         """The first cell of a two-cell batch is answered, and cached,
         while the engine is still held on the second."""
@@ -314,8 +221,7 @@ class TestWorkConservingDispatch:
             await wait_for_gate(engine.entered)     # MM reported, BFS held
             result, source = await asyncio.wait_for(first, 5)
             assert (result, source) == (canned_result, "dispatch")
-            assert scheduler.memcache.peek(
-                key_fingerprint(cell("MM"))) is canned_result
+            assert key_fingerprint(cell("MM")) in scheduler.memcache
             assert scheduler.completed == 1
             assert scheduler.queue_depth == 1
             assert not second.done()

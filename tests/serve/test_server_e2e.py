@@ -139,6 +139,39 @@ class TestCachePaths:
                        })).config.scheduler)))
         assert result_bytes(served) == result_bytes(serial)
 
+    @pytest.mark.parametrize("priority", ["interactive", "sweep"])
+    def test_stepped_sweep_from_two_clients(self, tmp_path, priority):
+        """Two clients replay one stepped ``prefetch_window`` sweep side
+        by side: each distinct cell is simulated exactly once, and every
+        answer is byte-identical to ``execute_cell`` of that cell."""
+        windows = range(8, 13)
+
+        def sweep_kwargs(window):
+            return dict(simulate_kwargs("MM"), priority=priority,
+                        overrides={"prefetch": {"prefetch_window": window}})
+
+        async def scenario():
+            async with serving(tmp_path) as server:
+                async def replay():
+                    async with AsyncServeClient(
+                            server.config.socket_path) as client:
+                        return [await client.simulate(**sweep_kwargs(w))
+                                for w in windows]
+
+                outcomes = await asyncio.gather(replay(), replay())
+                return outcomes, server.stats()
+
+        outcomes, stats = asyncio.run(scenario())
+        assert stats["simulations"] == len(windows)
+        for step, window in enumerate(windows):
+            key = protocol.request_to_key(protocol.parse_request(
+                protocol.simulate_payload("x", **sweep_kwargs(window))))
+            serial = result_bytes(execute_cell(key))
+            for replayed in outcomes:
+                result, meta = replayed[step]
+                assert meta["source"] in ("dispatch", "dedup", "memcache")
+                assert result_bytes(result) == serial, (window, meta)
+
 
 class TestFailureSemantics:
     def test_deadline_exceeded_then_retry_succeeds(self, tmp_path):
@@ -278,8 +311,7 @@ class TestLifecycle:
     def test_run_server_drains_on_sigterm(self, tmp_path):
         """The CLI path: SIGTERM triggers a drain, not a kill."""
         async def scenario():
-            config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                                 batch_window_s=0.01)
+            config = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
             ready = asyncio.Event()
             task = asyncio.ensure_future(run_server(
                 make_engine(tmp_path), config, ready=ready))
@@ -294,8 +326,7 @@ class TestLifecycle:
 
     def test_tcp_listener_with_ephemeral_port(self, tmp_path):
         async def scenario():
-            config = ServeConfig(host="127.0.0.1", port=0,
-                                 batch_window_s=0.01)
+            config = ServeConfig(host="127.0.0.1", port=0)
             server = SimulationServer(make_engine(tmp_path), config)
             await server.start()
             try:

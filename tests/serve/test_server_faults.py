@@ -28,7 +28,6 @@ def simulate_kwargs(benchmark):
 
 @contextlib.asynccontextmanager
 async def faulty_server(tmp_path, plan, **config_kwargs):
-    config_kwargs.setdefault("batch_window_s", 0.02)
     config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
                          fault_plan=plan, **config_kwargs)
     engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "cache"),

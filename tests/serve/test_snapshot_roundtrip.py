@@ -28,8 +28,7 @@ TRUNCATING_OVERRIDES = {"max_cycles": 40, "hang_cycles": 0}
 
 @contextlib.asynccontextmanager
 async def serving(tmp_path):
-    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                         batch_window_s=0.02)
+    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
     engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "cache"),
                              events=EventLog())
     server = SimulationServer(engine, config)

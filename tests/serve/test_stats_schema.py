@@ -1,7 +1,7 @@
 """The versioned ``stats`` payload contract (protocol.validate_stats).
 
 The ``repro request --stats --json`` output is a documented, versioned
-schema (``stats_schema`` v4, see ``docs/serving.md``) declared once, as
+schema (``stats_schema`` v5, see ``docs/serving.md``) declared once, as
 the dataclasses of :mod:`repro.serve.stats`.  These tests hold a live
 server's payload to those declarations — every declared field present
 and well-typed, every key it carries declared — prove the payload
@@ -66,11 +66,10 @@ def undeclared(roots, payload, prefix=""):
     return extra
 
 
-def live_stats(tmp_path, **config_kwargs):
-    """Stats payload from a served stats request after one simulate."""
-    config_kwargs.setdefault("batch_window_s", 0.01)
-    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                         **config_kwargs)
+def live_stats(tmp_path, windows=(None,)):
+    """Stats payload from a served stats request after one simulate per
+    entry of ``windows`` (a ``prefetch_window`` override, or none)."""
+    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
     engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "cache"),
                              events=EventLog())
 
@@ -79,8 +78,12 @@ def live_stats(tmp_path, **config_kwargs):
         await server.start()
         try:
             async with AsyncServeClient(config.socket_path) as client:
-                await client.simulate(benchmark="MM", engine="caps",
-                                      scale="tiny", preset="test")
+                for window in windows:
+                    overrides = ({"prefetch": {"prefetch_window": window}}
+                                 if window is not None else None)
+                    await client.simulate(benchmark="MM", engine="caps",
+                                          scale="tiny", preset="test",
+                                          overrides=overrides)
                 return await client.stats()
         finally:
             await server.drain()
@@ -96,10 +99,18 @@ class TestLivePayload:
         # ... and it carries nothing its blocks do not declare.
         assert undeclared(blocks.BACKEND_BLOCKS, stats) == []
 
-    def test_disabled_predictor_is_null_and_still_valid(self, tmp_path):
-        stats = live_stats(tmp_path, predict=False)
-        assert stats["predictor"] is None
+    def test_v5_payload_carries_no_speculative_lane(self, tmp_path):
+        """After a stepped sweep the payload has none of the fields v5
+        removed, and the one block kept for readers is all zero."""
+        stats = live_stats(tmp_path, windows=(8, 9, 10, 11))
+        assert stats["stats_schema"] == 5
         assert protocol.validate_stats(stats) == []
+        assert "predictor" not in stats
+        assert "queued_speculative" not in stats
+        assert not [k for k in stats["memcache"] if k.startswith("spec_")]
+        assert "predicted" not in stats["tiers"]["totals"]
+        assert set(stats["speculation"].values()) == {0}
+        assert stats["simulations"] == 4
 
     def test_payload_round_trips_through_json(self, tmp_path):
         """The wire form (sorted, compact) reparses to the same object
@@ -120,9 +131,9 @@ class TestValidatorCatchesTampering:
 
     def test_missing_field_reported(self, tmp_path):
         stats = self.base(tmp_path)
-        del stats["speculation"]["warm_hits"]
+        del stats["memcache"]["evictions"]
         problems = protocol.validate_stats(stats)
-        assert any("speculation.warm_hits" in p for p in problems)
+        assert any("memcache.evictions" in p for p in problems)
 
     def test_wrong_type_reported(self, tmp_path):
         stats = self.base(tmp_path)

@@ -26,7 +26,7 @@ SIMULATOR_SIDE = (
     "repro.sim", "repro.mem", "repro.core", "repro.guard", "repro.obs",
     "repro.analysis", "repro.exec.runner", "repro.workloads.suite",
     "repro.serve.server", "repro.serve.scheduler", "repro.serve.fleet",
-    "repro.serve.predict", "multiprocessing",
+    "multiprocessing",
 )
 
 PACKAGES = sorted(
