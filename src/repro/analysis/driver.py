@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig, SchedulerKind
-from repro.errors import FailureKind, PermanentError, hang_snapshot
+from repro.errors import hang_snapshot
 from repro.exec import DEFAULT_CACHE_DIR, ExecutionEngine, RunKey
-from repro.exec.cache import key_fingerprint, make_key
-from repro.exec.journal import SweepJournal, sweep_id
+from repro.exec.cache import make_key
 from repro.exec.runner import CellFailure
 from repro.guard.bundle import write_diagnostic_bundle
 from repro.sim.gpu import SimResult
@@ -118,11 +117,6 @@ class SweepReport:
 
     results: Dict[Tuple[str, str], SimResult]
     failures: Dict[Tuple[str, str], CellFailure]
-    sweep_id: str
-    journal_path: pathlib.Path
-    #: Cells not re-attempted because the journal recorded a permanent
-    #: failure for them in a previous (resumed) invocation.
-    skipped_permanent: int = 0
     #: Diagnostic bundle paths written for this invocation's failures.
     bundles: List[pathlib.Path] = field(default_factory=list)
 
@@ -138,23 +132,19 @@ def run_sweep(
     config: Optional[GPUConfig] = None,
     scale: Scale = Scale.SMALL,
     scheduler: Optional[SchedulerKind] = None,
-    resume: bool = False,
     cache_root=None,
 ) -> SweepReport:
-    """Run a matrix crash-safely: journal, classify, never abort.
+    """Run a matrix resiliently: classify, record, never abort.
 
     Unlike :func:`run_cells` (fail-fast, raises on the first exhausted
     cell), a sweep records every failure — after bounded retry for
-    transient ones — writes a diagnostic bundle per failed cell under
-    ``<cache-root>/diagnostics/``, and journals per-cell completion to
-    ``<cache-root>/sweeps/<sweep-id>.jsonl`` as it goes.  With
-    ``resume=True`` a previous journal for the same matrix is honored:
-    completed cells are served from the persistent cache and journaled
-    permanent failures are reported without re-execution.
+    transient ones — and writes a diagnostic bundle per failed cell
+    under ``<cache-root>/diagnostics/``.  The engine's persistent cache
+    stores each result as its cell finishes, so re-running a killed
+    sweep with the same cache simulates only the unfinished cells.
     """
     keys = matrix_cells(benchmarks, prefetchers, config=config, scale=scale,
                         scheduler=scheduler)
-    fps = {key: key_fingerprint(key) for key in keys.values()}
     engine = _ENGINE
     if cache_root is not None:
         root = pathlib.Path(cache_root)
@@ -162,63 +152,28 @@ def run_sweep(
         root = engine.cache.root
     else:
         root = pathlib.Path(DEFAULT_CACHE_DIR)
-    sid = sweep_id(fps.values())
-    journal = SweepJournal(root, sid)
-    prior = journal.permanent_failures() if resume else {}
-
-    failures: Dict[Tuple[str, str], CellFailure] = {}
-    skipped = 0
-    to_run: List[RunKey] = []
-    for bp, key in keys.items():
-        entry = prior.get(fps[key])
-        if entry is not None:
-            failures[bp] = CellFailure(
-                key,
-                PermanentError(entry.get("error",
-                                         "journaled permanent failure")),
-                FailureKind.PERMANENT,
-                entry.get("attempts", 1),
-            )
-            skipped += 1
-        else:
-            to_run.append(key)
-
     bundles: List[pathlib.Path] = []
 
     def on_complete(key, result, failure):
-        fp, cell = fps[key], key.describe()
-        if result is not None:
-            journal.record(fp, cell, "done")
+        if failure is None:
             return
         err = failure.error
         bundle = write_diagnostic_bundle(
-            root, cell=cell, config=key.config, error=err,
+            root, cell=key.describe(), config=key.config, error=err,
             snapshot=hang_snapshot(err), events=engine.events,
             seed=engine.faults.seed if engine.faults is not None else None,
         )
         if bundle is not None:
             bundles.append(bundle)
-        journal.record(fp, cell, "failed", kind=failure.kind,
-                       error=repr(err), attempts=failure.attempts,
-                       bundle=str(bundle) if bundle else None)
 
-    try:
-        run_results, run_failures = engine.run_recorded(
-            to_run, on_complete=on_complete)
-    finally:
-        journal.close()
-
-    results: Dict[Tuple[str, str], SimResult] = {}
-    for bp, key in keys.items():
-        if bp in failures:
-            continue
-        if key in run_results:
-            results[bp] = run_results[key]
-        else:
-            failures[bp] = run_failures[key]
-    return SweepReport(results=results, failures=failures, sweep_id=sid,
-                       journal_path=journal.path,
-                       skipped_permanent=skipped, bundles=bundles)
+    results, failures = engine.run_recorded(list(keys.values()),
+                                            on_complete=on_complete)
+    return SweepReport(
+        results={bp: results[key] for bp, key in keys.items()
+                 if key in results},
+        failures={bp: failures[key] for bp, key in keys.items()
+                  if key in failures},
+        bundles=bundles)
 
 
 def speedups_over_baseline(

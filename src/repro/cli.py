@@ -272,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated engine list")
     sweep.add_argument("--scale", choices=sorted(SCALES), default="small")
     sweep.add_argument("--config", type=_config, default="small")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume a previous sweep of the same matrix: "
-                            "skip journaled-complete cells (implies "
-                            f"--cache {DEFAULT_CACHE_DIR})")
 
     # What `figures` renders and `validate` grades: one experiment plan.
     plan = argparse.ArgumentParser(add_help=False)
@@ -596,12 +592,11 @@ def cmd_sweep(args) -> int:
     benches = args.benchmarks or list(ALL_BENCHMARKS)
     engines = [e for e in args.engines if e != "none"]
     scale = SCALES[args.scale]
-    # One batched, crash-safe sweep: the engine deduplicates cells, runs
-    # them in parallel under --jobs, journals each completion, and
-    # records failures instead of aborting the batch.
+    # One batched, resilient sweep: the engine deduplicates cells, runs
+    # them in parallel under --jobs, caches each result as it finishes,
+    # and records failures instead of aborting the batch.
     report = run_sweep(benches, ("none",) + tuple(engines),
-                       config=_guarded_config(args), scale=scale,
-                       resume=args.resume)
+                       config=_guarded_config(args), scale=scale)
     matrix = report.results
     rows: List = []
     speedups = {e: [] for e in engines}
@@ -622,9 +617,6 @@ def cmd_sweep(args) -> int:
                    for e in engines]))
     print(format_table(["bench"] + engines, rows,
                        title="Normalized IPC over the no-prefetch baseline"))
-    if report.skipped_permanent:
-        print(f"\nskipped {report.skipped_permanent} cell(s) journaled as "
-              f"permanently failed (journal: {report.journal_path})")
     if report.failures:
         print(f"\n{len(report.failures)} cell(s) FAILED:", file=sys.stderr)
         for (b, e), failure in sorted(report.failures.items()):
@@ -633,8 +625,8 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
         for bundle in report.bundles:
             print(f"  diagnostic bundle: {bundle}", file=sys.stderr)
-        print(f"  journal: {report.journal_path} "
-              f"(re-run with --resume to retry)", file=sys.stderr)
+        print("  re-run with the same --cache to keep finished cells",
+              file=sys.stderr)
         return EXIT_SWEEP_FAILED
     return EXIT_OK
 
@@ -789,28 +781,28 @@ def cmd_fleet(args) -> int:
     """Run the supervised multi-backend fleet until SIGTERM/SIGINT."""
     import tempfile
 
-    from repro.guard.faults import ServeFaultPlan
+    from repro.guard.faults import FaultPlan
     from repro.serve.fleet import make_fleet, run_fleet
 
     if args.backends < 1:
         raise SystemExit("--backends must be >= 1")
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    # Built even when no fault is armed, so a bad --chaos-* value is a
+    # configuration error rather than silently ignored.
+    fault_plan = FaultPlan(
+        seed=args.chaos_seed,
+        kill_backend=args.chaos_kill_backend,
+        kill_after_requests=args.chaos_kill_after,
+        slow_request_rate=args.chaos_slow_rate,
+        slow_request_s=args.chaos_slow_s,
+        blackhole_rate=args.chaos_blackhole_rate,
+        torn_response_rate=args.chaos_torn_rate,
+    )
+    if not fault_plan.affects_serving:
+        fault_plan = None
     runtime_dir = (str(args.runtime_dir) if args.runtime_dir is not None
                    else tempfile.mkdtemp(prefix="repro-fleet-"))
-    fault_plan = None
-    if (args.chaos_kill_backend >= 0 or args.chaos_slow_rate
-            or args.chaos_blackhole_rate or args.chaos_torn_rate):
-        fault_plan = ServeFaultPlan(
-            seed=args.chaos_seed,
-            kill_backend=args.chaos_kill_backend,
-            kill_after_requests=args.chaos_kill_after,
-            slow_request_rate=args.chaos_slow_rate,
-            slow_request_s=args.chaos_slow_s,
-            blackhole_rate=args.chaos_blackhole_rate,
-            torn_response_rate=args.chaos_torn_rate,
-        )
-        print(f"repro fleet: CHAOS armed ({fault_plan})", file=sys.stderr)
     supervisor, router = make_fleet(
         args.backends, runtime_dir,
         router_config=config_from_args(RouterConfig, args),
@@ -819,6 +811,8 @@ def cmd_fleet(args) -> int:
         fault_plan=fault_plan,
         restart_budget=args.restart_budget,
     )
+    if fault_plan is not None:
+        print(f"repro fleet: CHAOS armed ({fault_plan})", file=sys.stderr)
     endpoint = router.config.endpoint
     if _serve_until_drained(
             "fleet", endpoint,
@@ -992,10 +986,6 @@ def _install_engine(args) -> None:
     jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache", None)
     events_log = getattr(args, "events_log", None)
-    if getattr(args, "resume", False) and cache_dir is None:
-        # Resume needs the persistent cache to serve journaled-complete
-        # cells without re-simulation.
-        cache_dir = pathlib.Path(DEFAULT_CACHE_DIR)
     if jobs == 1 and cache_dir is None and events_log is None:
         return
     from repro.analysis import set_engine

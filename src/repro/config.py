@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
-    from repro.guard.faults import ServeFaultPlan
+    from repro.guard.faults import FaultPlan
 
 
 class SchedulerKind(enum.Enum):
@@ -568,9 +568,6 @@ DEFAULT_QUEUE_LIMIT = 64
 DEFAULT_BATCH_MAX = 32
 DEFAULT_MAX_ENTRIES = 256
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024  # of canonical result JSON
-#: Enough virtual nodes per backend to keep partition-size variance low
-#: across a handful of backends while the hash ring stays tiny.
-DEFAULT_VNODES = 64
 DEFAULT_PROBE_INTERVAL_S = 0.25
 #: Long enough for a real simulation, short enough that a blackholed
 #: backend is detected and the request fails over instead of hanging.
@@ -638,10 +635,10 @@ class ServeConfig(Endpoint):
     #: selects the fault streams of ``fault_plan`` and shows up in
     #: stats so the router can correlate.
     backend_index: int = 0
-    #: Optional serve-tier chaos plan (see
-    #: :class:`repro.guard.faults.ServeFaultPlan`).  ``None`` (the
+    #: Optional chaos plan whose serve-tier faults this server injects
+    #: (see :class:`repro.guard.faults.FaultPlan`).  ``None`` (the
     #: production default) keeps every fault path compiled out.
-    fault_plan: Optional[ServeFaultPlan] = None
+    fault_plan: Optional[FaultPlan] = None
 
 
 @dataclass
@@ -649,17 +646,14 @@ class RouterConfig(Endpoint):
     """Listener address and failure-detection knobs of one fleet router
     (docs/fleet.md)."""
 
-    vnodes: int = DEFAULT_VNODES
     probe_interval_s: float = _flag(
         DEFAULT_PROBE_INTERVAL_S,
         "active health-probe cadence (default: %(default)s)",
         flag="--probe-interval", metavar="SECONDS")
-    probe_timeout_s: float = 1.0
     forward_timeout_s: Optional[float] = _flag(
         DEFAULT_FORWARD_TIMEOUT_S,
         "bound on one forwarded request (default: %(default)g; detects "
         "blackholed backends)", flag="--forward-timeout", metavar="SECONDS")
-    connect_timeout_s: float = 2.0
     failure_threshold: int = _flag(
         DEFAULT_FAILURE_THRESHOLD,
         "consecutive failures that open a backend's circuit breaker "
@@ -668,10 +662,5 @@ class RouterConfig(Endpoint):
         DEFAULT_RESET_TIMEOUT_S,
         "how long an open breaker waits before half-open trial requests "
         "(default: %(default)s)", flag="--reset-timeout", metavar="SECONDS")
-    #: Back-off hint attached to ``degraded`` errors (defaults to the
-    #: breaker reset timeout — when the fleet might readmit traffic).
-    retry_after_s: Optional[float] = None
     #: Read-only disk-cache fallback for fully-degraded keys.
     degraded_cache_dir: Optional[str] = None
-    #: Cadence of supervisor crash-detection polls (seconds).
-    monitor_interval_s: float = 0.1

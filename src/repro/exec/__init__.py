@@ -16,9 +16,12 @@ execution layer is factored out of the analysis code:
   main thread, spawned from any other caller) with per-task timeout
   and classification-aware bounded retry — one batch loop,
   ``run_recorded``, which records failures; ``run_many`` is the same
-  loop with a callback that raises on the first one;
-* :mod:`repro.exec.journal` — :class:`SweepJournal`, the crash-safe
-  per-cell completion record that ``repro sweep --resume`` replays.
+  loop with a callback that raises on the first one.
+
+The result cache is also the only record of a finished cell: a result
+is stored the moment its cell succeeds, so re-running a killed
+``repro sweep --cache DIR`` simulates only the cells that had not
+finished.
 
 See ``docs/execution.md`` and ``docs/robustness.md`` for the design.
 """
@@ -51,7 +54,6 @@ _EXPORTS = {
         "TTYProgress",
         "read_events",
     ),
-    "repro.exec.journal": ("SweepJournal", "sweep_id"),
     "repro.exec.runner": (
         "CellFailure",
         "CellTimeout",

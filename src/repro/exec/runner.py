@@ -25,16 +25,15 @@ pool by pickle.
 
 Retry is **classification-aware** (see :mod:`repro.errors`): transient
 failures (worker death, timeout, broken pool, injected chaos faults)
-are retried up to the budget with optional exponential backoff;
-permanent failures (hangs, invariant violations, bad configs) are
-reported immediately — re-running a deterministic simulator cannot
-change the outcome.
+are resubmitted at once, up to the budget; permanent failures (hangs,
+invariant violations, bad configs) are reported immediately —
+re-running a deterministic simulator cannot change the outcome.
 
 There is one batch loop and two ways to report its failures:
 
 * :meth:`ExecutionEngine.run_recorded` — record-and-continue: failures
   become :class:`CellFailure` records and the batch always finishes;
-  this is what crash-safe sweeps build on.
+  this is what ``repro sweep`` builds on.
 * :meth:`ExecutionEngine.run_many` — fail-fast: ``run_recorded`` with a
   completion callback that raises :class:`CellError` for the first
   cell that exhausts its budget, at every ``jobs``.
@@ -191,12 +190,8 @@ class ExecutionEngine:
         when running serially).
     retries:
         How many times a *transiently* failing cell is resubmitted
-        before being declared failed.  Permanent failures are never
-        retried.
-    backoff_s:
-        Base of the exponential backoff slept before retry ``n``
-        (``backoff_s * 2**(n-1)`` seconds).  ``0`` (default) retries
-        immediately.
+        (immediately) before being declared failed.  Permanent failures
+        are never retried.
     faults:
         Optional :class:`repro.guard.faults.FaultPlan` threaded into
         every cell for chaos testing.  Plans that perturb simulation
@@ -211,21 +206,17 @@ class ExecutionEngine:
         events: Optional[EventLog] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        backoff_s: float = 0.0,
         faults: Optional[FaultPlan] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
         self.jobs = jobs
         self.cache = cache
         self.events = events if events is not None else EventLog()
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff_s = backoff_s
         self.faults = faults
         self._memo: Dict[RunKey, SimResult] = {}
 
@@ -257,12 +248,6 @@ class ExecutionEngine:
 
     def _perturbed(self) -> bool:
         return self.faults is not None and self.faults.affects_simulation
-
-    def _backoff(self, attempt: int) -> None:
-        """Sleep out the exponential backoff owed before the retry that
-        follows failed attempt ``attempt``."""
-        if self.backoff_s:
-            time.sleep(self.backoff_s * (2 ** (attempt - 1)))
 
     # -------------------------------------------------------- execution
     def run(self, key: RunKey, use_cache: bool = True) -> SimResult:
@@ -316,7 +301,6 @@ class ExecutionEngine:
                 lambda: _worker(key, self.timeout_s, self.faults, attempt))
             if outcome is not None:
                 return outcome
-            self._backoff(attempt)
 
     def run_many(self, keys: Sequence[RunKey],
                  use_cache: bool = True) -> Dict[RunKey, SimResult]:
@@ -345,8 +329,8 @@ class ExecutionEngine:
 
         Every distinct key ends up in exactly one of the two returned
         dicts.  ``on_complete(key, result, failure)`` fires as each cell
-        resolves (including cache hits), which is what sweep journaling
-        hooks into; exactly one of ``result``/``failure`` is non-None.
+        resolves (including cache hits), which is where a sweep writes
+        its diagnostic bundles; exactly one of ``result``/``failure`` is non-None.
         An exception it raises ends the batch: outstanding pool work is
         cancelled and the exception propagates.
         """
@@ -425,10 +409,8 @@ class ExecutionEngine:
                     future_key.clear()
                     pool = ProcessPoolExecutor(max_workers=workers,
                                                mp_context=ctx)
-                if resubmit:
-                    self._backoff(max(attempts[k] for k in resubmit))
-                    for key in resubmit:
-                        submit(key)
+                for key in resubmit:
+                    submit(key)
         finally:
             # Join the workers: when a batch returns, no worker process
             # is left behind (the serve layer's graceful-drain contract

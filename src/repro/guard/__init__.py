@@ -14,12 +14,12 @@ tooling to prove its own recovery paths work:
 * :mod:`repro.guard.invariants` — always-on end-of-run conservation
   checks (request/MSHR/prefetch/CTA balance) plus opt-in per-cycle
   structural audits (``deep_checks``);
-* :mod:`repro.guard.faults` — seeded deterministic :class:`FaultPlan`
-  consulted by the memory subsystem (dropped/delayed responses), the
-  execution runner (transient worker crashes) and the result cache
-  (corrupted entries), plus :class:`ServeFaultPlan` — the serve-tier
-  chaos twin (backend kills mid-flight, slow/blackholed requests, torn
-  response lines) consulted by :class:`repro.serve.server.SimulationServer`;
+* :mod:`repro.guard.faults` — the one seeded deterministic
+  :class:`FaultPlan`, consulted by the memory subsystem
+  (dropped/delayed responses), the execution runner (transient worker
+  crashes), the result cache (corrupted entries) and
+  :class:`repro.serve.server.SimulationServer` (backend kills
+  mid-flight, slow/blackholed requests, torn response lines);
 * :mod:`repro.guard.bundle` — on-disk diagnostic bundles (config, seed,
   snapshot, event tail) written whenever a sweep cell fails.
 
@@ -29,29 +29,12 @@ See ``docs/robustness.md`` for the full design.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.errors": (
-        "BadRequestError",
-        "ConfigError",
-        "DeadlineExceededError",
-        "FailureKind",
-        "InjectedFault",
-        "InjectedWorkerCrash",
-        "InvariantViolation",
-        "OverloadedError",
-        "RequestError",
-        "RequestFailedError",
-        "ShuttingDownError",
-        "SimulationHangError",
-        "classify",
-        "is_transient",
-    ),
     "repro.guard.bundle": ("DIAGNOSTICS_DIRNAME", "write_diagnostic_bundle"),
     "repro.guard.faults": (
         "SERVE_KILL_EXIT",
         "FaultPlan",
         "MemoryFaultInjector",
         "ServeFaultInjector",
-        "ServeFaultPlan",
     ),
     "repro.guard.invariants": ("InvariantChecker",),
     "repro.guard.watchdog": (

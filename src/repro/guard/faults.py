@@ -1,22 +1,30 @@
 """Deterministic, seeded fault injection for chaos testing.
 
 A :class:`FaultPlan` is a frozen, picklable description of the faults a
-run should experience.  Consumers derive independent deterministic
-random streams from it (seeded by SHA-256 of ``seed:label``, never by
-Python's salted ``hash``), so the same plan produces the same fault
-sequence in every process, on every platform — which is what lets the
-chaos suite assert exact recovery behaviour:
+run or a fleet should experience.  Consumers derive independent
+deterministic random streams from it (seeded by SHA-256 of
+``seed:label``, never by Python's salted ``hash``), so the same plan
+produces the same fault sequence in every process, on every platform —
+which is what lets the chaos suites assert exact recovery behaviour.
+The plan perturbs the simulator at three seams:
 
-* the **memory subsystem** consults a :class:`MemoryFaultInjector` to
-  drop or delay read responses (a dropped demand response wedges its
-  warp forever, which is precisely what the watchdog must catch);
+* the **memory subsystem** consults a :class:`MemoryFaultInjector`
+  (streams ``mem.drop`` / ``mem.delay``) to drop or delay read
+  responses (a dropped demand response wedges its warp forever, which
+  is precisely what the watchdog must catch);
 * the **execution runner** consults :meth:`FaultPlan.should_crash` to
   kill worker attempts (raising :class:`repro.errors.InjectedWorkerCrash`,
   or hard-exiting the process to break the pool), proving the
-  retry/backoff/pool-rebuild paths fire;
+  retry/pool-rebuild paths fire;
 * the **result cache** consults :meth:`FaultPlan.should_corrupt_cache`
-  to truncate freshly written entries, proving corrupted entries load
-  as misses instead of crashing a sweep.
+  (stream ``cache``) to truncate freshly written entries, proving
+  corrupted entries load as misses instead of crashing a sweep;
+
+and the serving path at one: a
+:class:`~repro.serve.server.SimulationServer` given the plan (via
+``ServeConfig.fault_plan``) consults a :class:`ServeFaultInjector`
+(streams ``serve.{slow,blackhole,torn}.<backend index>``) to kill its
+backend mid-flight, slow or blackhole requests, or tear response lines.
 
 Plans with memory faults perturb simulation timing, so the execution
 engine refuses to persist their results into the shared on-disk cache.
@@ -29,32 +37,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import InjectedWorkerCrash
+from repro.errors import ConfigError, InjectedWorkerCrash
 
-
-def seeded_stream(seed: int, label: str) -> random.Random:
-    """Independent deterministic RNG for one consumer of a fault plan.
-
-    Stable across processes and platforms: seeded from SHA-256 of
-    ``seed:label`` (never from Python's per-process salted hash).
-    """
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _check_rates(plan, names) -> None:
-    """Reject a plan whose named probability fields leave [0, 1]."""
-    for name in names:
-        rate = getattr(plan, name)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1] (got {rate})")
+_RATES = ("drop_response_rate", "delay_response_rate", "corrupt_cache_rate",
+          "slow_request_rate", "blackhole_rate", "torn_response_rate")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Seeded description of the faults to inject into a run."""
+    """Seeded description of the faults to inject into a run or a fleet."""
 
     seed: int = 0
+    # ------------------------------------------------------------ simulator
     #: Probability that a read response is silently dropped.
     drop_response_rate: float = 0.0
     #: Cap on dropped responses (0 = unlimited), so a plan can wedge
@@ -70,25 +64,59 @@ class FaultPlan:
     crash_hard: bool = False
     #: Probability that a just-written result-cache entry is truncated.
     corrupt_cache_rate: float = 0.0
+    # -------------------------------------------------------------- serving
+    #: Index of the one backend the kill fault arms on (-1 = none); it
+    #: hard-exits while serving its ``kill_after_requests``-th simulate
+    #: request: in-flight work lost, stale socket left behind.
+    kill_backend: int = -1
+    kill_after_requests: int = 0
+    #: Probability a simulate request is answered ``slow_request_s`` late.
+    slow_request_rate: float = 0.0
+    slow_request_s: float = 0.05
+    #: Probability a simulate request is accepted but never answered
+    #: (only forward timeouts or deadlines recover the caller).
+    blackhole_rate: float = 0.0
+    #: Probability a response line is torn mid-write and the connection
+    #: dropped (a crash between ``write`` and ``flush``).
+    torn_response_rate: float = 0.0
 
     def __post_init__(self):
-        _check_rates(self, ("drop_response_rate", "delay_response_rate",
-                            "corrupt_cache_rate"))
-        if self.crash_attempts < 0 or self.max_drops < 0:
-            raise ValueError("crash_attempts and max_drops must be >= 0")
+        for name in _RATES:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1] (got {rate})")
+        if min(self.crash_attempts, self.max_drops,
+               self.kill_after_requests) < 0:
+            raise ConfigError("crash_attempts, max_drops and "
+                              "kill_after_requests must be >= 0")
         if self.delay_cycles < 1:
-            raise ValueError("delay_cycles must be >= 1")
+            raise ConfigError("delay_cycles must be >= 1")
+        if self.slow_request_s < 0:
+            raise ConfigError("slow_request_s must be >= 0")
+        if self.kill_backend < -1:
+            raise ConfigError(f"kill_backend must be a backend index or -1 "
+                              f"(got {self.kill_backend})")
+        if self.kill_backend >= 0 and self.kill_after_requests == 0:
+            raise ConfigError(f"kill_backend {self.kill_backend} never "
+                              "fires: kill_after_requests must be >= 1")
 
-    # ------------------------------------------------------------ streams
     def stream(self, label: str) -> random.Random:
-        """This plan's :func:`seeded_stream` for consumer ``label``."""
-        return seeded_stream(self.seed, label)
+        """Independent deterministic RNG for consumer ``label``, seeded
+        from SHA-256 of ``seed:label``."""
+        digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
     # ------------------------------------------------------------ queries
     @property
     def affects_simulation(self) -> bool:
         """True when the plan perturbs simulation timing/results."""
         return self.drop_response_rate > 0 or self.delay_response_rate > 0
+
+    @property
+    def affects_serving(self) -> bool:
+        """True when the plan can inject at least one serve-tier fault."""
+        return (self.kill_backend >= 0 or self.slow_request_rate > 0
+                or self.blackhole_rate > 0 or self.torn_response_rate > 0)
 
     def should_crash(self, attempt: int) -> bool:
         """Whether worker ``attempt`` (1-based) should be killed."""
@@ -110,74 +138,13 @@ class FaultPlan:
                 and rng.random() < self.corrupt_cache_rate)
 
 
-@dataclass(frozen=True)
-class ServeFaultPlan:
-    """Seeded description of serve-tier faults (the fleet chaos harness).
-
-    Where :class:`FaultPlan` perturbs the *simulator* (memory responses,
-    worker crashes, cache bytes), this plan perturbs the *serving path*:
-    backend processes, connections and response framing.  A
-    :class:`~repro.serve.server.SimulationServer` given a plan (via
-    ``ServeConfig.fault_plan``) consults a :class:`ServeFaultInjector`
-    per process; all randomness derives from SHA-256 streams of
-    ``seed:label`` so a plan replays identically on every platform —
-    which is what lets the chaos suite assert exact recovery behaviour
-    (zero lost requests, byte-identical answers, breaker transitions).
-
-    Fault classes:
-
-    * **kill** — backend ``kill_backend`` hard-exits (``os._exit``)
-      while serving its ``kill_after_requests``-th simulate request:
-      mid-flight crash, in-flight work lost, stale socket left behind;
-    * **slow** — a fraction of simulate requests sleep
-      ``slow_request_s`` before answering (a degraded backend);
-    * **blackhole** — a fraction of simulate requests are accepted and
-      never answered (a wedged backend; only forward timeouts or
-      deadlines recover the caller);
-    * **torn** — a fraction of responses are cut mid-line and the
-      connection dropped (a crash between ``write`` and ``flush``).
-    """
-
-    seed: int = 0
-    #: Index of the one backend the kill fault arms on (-1 = none).
-    kill_backend: int = -1
-    #: The n-th simulate request (1-based) that backend dies serving.
-    kill_after_requests: int = 0
-    #: Probability a simulate request is answered ``slow_request_s`` late.
-    slow_request_rate: float = 0.0
-    slow_request_s: float = 0.05
-    #: Probability a simulate request is accepted but never answered.
-    blackhole_rate: float = 0.0
-    #: Probability a response line is torn mid-write (connection drops).
-    torn_response_rate: float = 0.0
-
-    def __post_init__(self):
-        _check_rates(self, ("slow_request_rate", "blackhole_rate",
-                            "torn_response_rate"))
-        if self.kill_after_requests < 0:
-            raise ValueError("kill_after_requests must be >= 0")
-        if self.slow_request_s < 0:
-            raise ValueError("slow_request_s must be >= 0")
-
-    def stream(self, label: str) -> random.Random:
-        """This plan's :func:`seeded_stream` for consumer ``label``."""
-        return seeded_stream(self.seed, label)
-
-    @property
-    def any_faults(self) -> bool:
-        """True when the plan can inject at least one fault."""
-        return (self.kill_after_requests > 0 and self.kill_backend >= 0) \
-            or self.slow_request_rate > 0 or self.blackhole_rate > 0 \
-            or self.torn_response_rate > 0
-
-
 #: Exit code a fault-plan backend kill uses (distinguishable from the
 #: worker-crash code 43 of :meth:`FaultPlan.crash`).
 SERVE_KILL_EXIT = 44
 
 
 class ServeFaultInjector:
-    """Per-server adapter applying a :class:`ServeFaultPlan`.
+    """Per-server adapter applying a plan's serve-tier faults.
 
     One injector per :class:`~repro.serve.server.SimulationServer`
     process; ``backend_index`` selects which backend of a fleet the
@@ -186,7 +153,7 @@ class ServeFaultInjector:
     sequence from the same plan.
     """
 
-    def __init__(self, plan: ServeFaultPlan, backend_index: int = 0):
+    def __init__(self, plan: FaultPlan, backend_index: int = 0):
         self.plan = plan
         self.backend_index = backend_index
         self._slow_rng = plan.stream(f"serve.slow.{backend_index}")
@@ -204,7 +171,6 @@ class ServeFaultInjector:
         self.simulate_seen += 1
         plan = self.plan
         if (plan.kill_backend == self.backend_index
-                and plan.kill_after_requests > 0
                 and self.simulate_seen == plan.kill_after_requests):
             return "kill"
         if plan.blackhole_rate > 0 and \

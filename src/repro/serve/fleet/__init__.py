@@ -17,8 +17,9 @@ SimulationServer` into a fleet that survives backend crashes:
   key's backends are down, and answers typed ``degraded`` errors with
   retry-after hints when even that fails.
 
-Chaos-tested against :class:`repro.guard.faults.ServeFaultPlan` (kill
-mid-flight, slow, blackhole, torn responses); see ``docs/fleet.md``.
+Chaos-tested against the serve-tier faults of
+:class:`repro.guard.faults.FaultPlan` (kill mid-flight, slow,
+blackhole, torn responses); see ``docs/fleet.md``.
 """
 
 from repro._lazy import lazy_exports

@@ -23,7 +23,8 @@ Failure handling, per request:
 4. when every candidate is down: serve the shared disk cache read-only
    (``meta.source = "disk-degraded"``) if the cell is resident, else
    answer a typed ``degraded`` error carrying a ``retry_after_s`` hint
-   sized to the breaker reset timeout.
+   equal to the breaker reset timeout (when the fleet might readmit
+   traffic).
 
 Request ids are rewritten hop-by-hop (router ids are unique per
 backend connection; the client's id is restored on the way back), so
@@ -48,19 +49,27 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.config import DEFAULT_PORT, RouterConfig, ServeConfig
-from repro.errors import DegradedError
+from repro.errors import ConfigError, DegradedError
 from repro.exec.cache import ResultCache, key_fingerprint, serialize_result
+from repro.guard.faults import FaultPlan
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
 from repro.serve.fleet.hashring import HashRing
 from repro.serve.fleet.health import CircuitBreaker, CircuitState
-from repro.serve.fleet.supervisor import BackendSpec, BackendSupervisor
+from repro.serve.fleet.supervisor import (DEFAULT_RESTART_BUDGET,
+                                          BackendSpec, BackendSupervisor)
 from repro.serve.retry import RetryStats
 from repro.serve.server import LineEndpoint
 from repro.serve.stats import (BackendHealth, FleetStats, ProbeStats,
                                RouterCounters, RouterStats)
 
 _FORWARD_IDS = itertools.count(1)
+
+#: Fixed router timings (seconds): a backend connect, an active health
+#: ping, and the cadence of the supervisor's crash-detection polls.
+CONNECT_TIMEOUT_S = 2.0
+PROBE_TIMEOUT_S = 1.0
+MONITOR_INTERVAL_S = 0.1
 
 
 class BackendLink:
@@ -72,7 +81,7 @@ class BackendLink:
         self.client = AsyncServeClient(
             socket_path=spec.serve.socket_path,
             host=spec.serve.host, port=spec.serve.port,
-            connect_timeout=config.connect_timeout_s)
+            connect_timeout=CONNECT_TIMEOUT_S)
         self.breaker = CircuitBreaker(
             failure_threshold=config.failure_threshold,
             reset_timeout_s=config.reset_timeout_s)
@@ -101,8 +110,7 @@ class BackendLink:
         payload = {"v": protocol.PROTOCOL_VERSION,
                    "id": f"probe-{next(_FORWARD_IDS)}", "op": "ping"}
         try:
-            response = await self.forward(payload,
-                                          self.config.probe_timeout_s)
+            response = await self.forward(payload, PROBE_TIMEOUT_S)
         except (ConnectionError, asyncio.TimeoutError, OSError) as exc:
             self.probes.failed += 1
             self.breaker.record_failure(f"probe: {exc!r}")
@@ -140,7 +148,7 @@ class FleetRouter(LineEndpoint):
         super().__init__(config if config is not None else RouterConfig())
         self.links = {link.spec.index: link for link in links}
         self.supervisor = supervisor
-        self.ring = HashRing(sorted(self.links), vnodes=self.config.vnodes)
+        self.ring = HashRing(sorted(self.links))
         self.disk_cache = (ResultCache(self.config.degraded_cache_dir)
                            if self.config.degraded_cache_dir else None)
         self.retry_stats = RetryStats()
@@ -216,7 +224,7 @@ class FleetRouter(LineEndpoint):
         """Drive the supervisor's crash detection/restart loop."""
         assert self.supervisor is not None
         while True:
-            await asyncio.sleep(self.config.monitor_interval_s)
+            await asyncio.sleep(MONITOR_INTERVAL_S)
             self.supervisor.poll()
 
     # ------------------------------------------------------------ routing
@@ -277,13 +285,10 @@ class FleetRouter(LineEndpoint):
                           "fingerprint": fingerprint})
         self.counters.degraded_errors += 1
         self.retry_stats.gave_up += 1
-        hint = (self.config.retry_after_s
-                if self.config.retry_after_s is not None
-                else self.config.reset_timeout_s)
         return protocol.error_response(request.id, DegradedError(
             f"no healthy backend for {key.describe()} and the cell is "
             "not in the disk cache; retry after the hinted back-off",
-            retry_after_s=hint))
+            retry_after_s=self.config.reset_timeout_s))
 
     # -------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
@@ -299,7 +304,7 @@ class FleetRouter(LineEndpoint):
         out = super().stats()
         out.update(dataclasses.asdict(RouterStats(
             fleet=FleetStats(backends=len(self.links), healthy=healthy,
-                             vnodes=self.config.vnodes),
+                             vnodes=self.ring.vnodes),
             router=self.counters,
             retry=self.retry_stats,
             backends=[self.links[index].health(restarts[index])
@@ -314,8 +319,8 @@ def make_fleet(backends: int, runtime_dir: str, *,
                router_config: Optional[RouterConfig] = None,
                jobs: int = 1,
                cache_dir: Optional[str] = None,
-               serve_template: Optional[Any] = None,
-               fault_plan: Optional[Any] = None,
+               serve_template: Optional[ServeConfig] = None,
+               fault_plan: Optional[FaultPlan] = None,
                restart_budget: Optional[int] = None):
     """Build a ``(supervisor, router)`` pair for an N-backend fleet.
 
@@ -325,10 +330,16 @@ def make_fleet(backends: int, runtime_dir: str, *,
     capacity knobs, with per-backend ``socket_path``/``backend_index``/
     ``fault_plan`` filled in here.  ``cache_dir`` doubles as each
     backend's persistent result cache and the router's read-only
-    degraded fallback.
+    degraded fallback.  A plan whose kill fault names no backend of
+    the fleet, or a negative ``restart_budget``, is a
+    :class:`~repro.errors.ConfigError` raised before anything spawns.
     """
     if backends < 1:
         raise ValueError(f"backends must be >= 1 (got {backends})")
+    if fault_plan is not None and fault_plan.kill_backend >= backends:
+        raise ConfigError(
+            f"kill_backend {fault_plan.kill_backend} names no backend of a "
+            f"{backends}-backend fleet")
     os.makedirs(runtime_dir, exist_ok=True)
     config = router_config if router_config is not None else RouterConfig()
     if config.socket_path is None and config.port == DEFAULT_PORT:
@@ -347,9 +358,9 @@ def make_fleet(backends: int, runtime_dir: str, *,
         )
         specs.append(BackendSpec(index=index, serve=serve, jobs=jobs,
                                  cache_dir=cache_dir))
-    supervisor = (BackendSupervisor(specs, restart_budget=restart_budget)
-                  if restart_budget is not None
-                  else BackendSupervisor(specs))
+    supervisor = BackendSupervisor(
+        specs, restart_budget=(DEFAULT_RESTART_BUDGET if restart_budget is None
+                               else restart_budget))
     links = [BackendLink(spec, config) for spec in specs]
     router = FleetRouter(links, config, supervisor=supervisor)
     return supervisor, router

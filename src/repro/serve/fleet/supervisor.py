@@ -9,11 +9,11 @@ Lifecycle guarantees:
 
 * **restart-on-crash** — :meth:`BackendSupervisor.poll` notices a dead
   process (any nonzero exit: a chaos kill, an OOM, a bug) and respawns
-  it, but only after an exponential backoff (``backoff_base_s``
-  doubling per restart, capped) and only while the per-backend
-  ``restart_budget`` lasts — a crash-looping backend eventually stays
-  down instead of burning the host, and the router's circuit breaker
-  keeps routing around it;
+  it, but only after an exponential backoff (:data:`RESTART_BACKOFF`:
+  0.2 s doubling per restart, capped at 5 s) and only while the
+  per-backend ``restart_budget`` lasts — a crash-looping backend
+  eventually stays down instead of burning the host, and the router's
+  circuit breaker keeps routing around it;
 * **graceful drain** — :meth:`BackendSupervisor.drain` SIGTERMs every
   child (the server's own signal handler finishes in-flight work and
   answers it before exiting), escalating to ``terminate``/``kill`` only
@@ -33,17 +33,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.config import ServeConfig
+from repro.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import ExecutionEngine
+from repro.serve.retry import RetryPolicy
 
 #: Default cap on restarts per backend.
 DEFAULT_RESTART_BUDGET = 3
 
-#: Default base of the restart backoff (doubles per restart).
-DEFAULT_BACKOFF_BASE_S = 0.2
-
-#: Default cap on any single restart backoff.
-DEFAULT_BACKOFF_MAX_S = 5.0
+#: Delay before restart ``n`` of a backend: ``min(5, 0.2 * 2**(n-1))``
+#: seconds, unjittered (the restarts of one fleet need no decorrelating).
+RESTART_BACKOFF = RetryPolicy(base_delay_s=0.2, max_delay_s=5.0, jitter=0.0)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class BackendSpec:
     serve: ServeConfig
     jobs: int = 1
     cache_dir: Optional[str] = None
-    retries: int = 1
-    backoff_s: float = 0.0
 
     @property
     def endpoint(self) -> str:
@@ -75,8 +73,7 @@ def _backend_main(spec: BackendSpec) -> None:  # pragma: no cover - child
     from repro.serve.server import run_server
 
     cache = ResultCache(spec.cache_dir) if spec.cache_dir else None
-    engine = ExecutionEngine(jobs=spec.jobs, cache=cache,
-                             retries=spec.retries, backoff_s=spec.backoff_s)
+    engine = ExecutionEngine(jobs=spec.jobs, cache=cache)
     asyncio.run(run_server(engine, spec.serve))
 
 
@@ -98,16 +95,13 @@ class BackendSupervisor:
     """Spawns and babysits the fleet's backend processes."""
 
     def __init__(self, specs: List[BackendSpec],
-                 restart_budget: int = DEFAULT_RESTART_BUDGET,
-                 backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-                 backoff_max_s: float = DEFAULT_BACKOFF_MAX_S):
+                 restart_budget: int = DEFAULT_RESTART_BUDGET):
         if not specs:
             raise ValueError("supervisor needs at least one backend spec")
         if restart_budget < 0:
-            raise ValueError("restart_budget must be >= 0")
+            raise ConfigError(
+                f"restart_budget must be >= 0 (got {restart_budget})")
         self.restart_budget = restart_budget
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self._ctx = multiprocessing.get_context("spawn")
         self.backends: Dict[int, BackendProcessState] = {
             spec.index: BackendProcessState(spec) for spec in specs
@@ -163,9 +157,8 @@ class BackendSupervisor:
                     self.events.append(event)
                     produced.append(event)
                     continue
-                delay = min(self.backoff_max_s,
-                            self.backoff_base_s * (2 ** state.restarts))
-                state.not_before = now + delay
+                state.not_before = now + RESTART_BACKOFF.delay_s(
+                    state.restarts + 1)
             if state.not_before > 0 and now < state.not_before:
                 continue
             state.not_before = 0.0

@@ -12,7 +12,9 @@ refused/reset, a dead socket, a timeout) are retried; permanent ones
 (``bad_request``, ``simulation_failed``) fail immediately because
 resubmission would fail identically.  A server-supplied
 ``retry_after_s`` hint (the ``degraded`` error of the fleet router)
-floors the computed delay.
+floors the computed delay.  :meth:`RetryPolicy.delay_s` is the serve
+tier's one backoff schedule: the fleet supervisor spaces backend
+restarts with it too.
 
 :class:`RetryStats` counters let the caller (client CLI, fleet router,
 benchmarks) export attempt/retry accounting into its stats payload.
@@ -71,7 +73,7 @@ class RetryPolicy:
 
     ``attempts`` is the total number of tries (so ``attempts=1`` means
     no retry at all).  Delay before retry *n* (1-based) is
-    ``min(max_delay_s, base_delay_s * multiplier**(n-1))``, shrunk by up
+    ``min(max_delay_s, base_delay_s * 2**(n-1))``, shrunk by up
     to ``jitter`` (a fraction in [0, 1]) so a thundering herd of
     identical clients decorrelates.  A ``retry_after_s`` hint attached
     to the failure (see :class:`~repro.errors.DegradedError`) raises
@@ -81,7 +83,6 @@ class RetryPolicy:
     attempts: int = DEFAULT_ATTEMPTS
     base_delay_s: float = DEFAULT_BASE_DELAY_S
     max_delay_s: float = DEFAULT_MAX_DELAY_S
-    multiplier: float = 2.0
     jitter: float = 0.5
     #: Optional seed; when set, the jitter stream is deterministic
     #: (chaos tests assert exact schedules).
@@ -92,8 +93,6 @@ class RetryPolicy:
             raise ValueError(f"attempts must be >= 1 (got {self.attempts})")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValueError("delays must be >= 0")
-        if self.multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1 (got {self.multiplier})")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1] (got {self.jitter})")
 
@@ -109,8 +108,7 @@ class RetryPolicy:
         ``delay_s`` never exceeds ``max_delay_s`` — except when the
         server's ``hint_s`` demands a longer wait.
         """
-        base = min(self.max_delay_s,
-                   self.base_delay_s * self.multiplier ** (retry - 1))
+        base = min(self.max_delay_s, self.base_delay_s * 2 ** (retry - 1))
         if self.jitter and base > 0:
             rng = rng if rng is not None else random
             base *= 1.0 - self.jitter * rng.random()

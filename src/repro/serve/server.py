@@ -311,7 +311,7 @@ class SimulationServer(LineEndpoint):
         plan = self.config.fault_plan
         self.faults: Optional[ServeFaultInjector] = (
             ServeFaultInjector(plan, self.config.backend_index)
-            if plan is not None and plan.any_faults else None)
+            if plan is not None and plan.affects_serving else None)
         # The disk tier is observed from execution events: a dispatched
         # cell either hit the engine's memo/disk cache or started a
         # simulation.  Events fire on the executor thread; the series

@@ -126,7 +126,7 @@ class TestCommaLists:
         message = capsys.readouterr().err.splitlines()[-1]
         assert "unknown" in message and "choose from" in message
         assert "Traceback" not in message
-        assert list(tmp_path.iterdir()) == []  # no cache, journal or bundle
+        assert list(tmp_path.iterdir()) == []  # no cache or bundle
 
     def test_lists_accept_aliases_and_corun_names(self):
         p = build_parser()

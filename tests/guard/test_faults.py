@@ -12,7 +12,8 @@ from repro.errors import (
     is_transient,
 )
 from repro.exec import EventLog, ExecutionEngine, ResultCache, RunKey
-from repro.guard.faults import FaultPlan, MemoryFaultInjector
+from repro.guard.faults import (FaultPlan, MemoryFaultInjector,
+                                ServeFaultInjector)
 from repro.mem.request import Access, MemoryRequest
 from repro.prefetch.factory import default_scheduler_for
 from repro.sim.gpu import simulate
@@ -35,6 +36,33 @@ def test_streams_are_deterministic_and_independent():
     assert a != [plan.stream("mem.delay").random() for _ in range(3)]
     assert a != [FaultPlan(seed=43).stream("mem.drop").random()
                  for _ in range(3)]
+
+
+def test_one_plan_pins_every_stream():
+    """The first 32 fates of every consumer of one seeded plan, pinned:
+    a given ``--chaos-seed`` must keep killing the same victim on the
+    same request, and every stream label keeps its sequence."""
+    plan = FaultPlan(seed=7, drop_response_rate=0.2, delay_response_rate=0.3,
+                     corrupt_cache_rate=0.25, kill_backend=1,
+                     kill_after_requests=5, slow_request_rate=0.3,
+                     blackhole_rate=0.2, torn_response_rate=0.3)
+    memory = MemoryFaultInjector(plan)
+    mark = {"deliver": ".", "drop": "x", "delay": "~"}
+    assert "".join(mark[memory.on_response(_req())] for _ in range(32)) \
+        == ".~~.~...~x.x.~..~~~xxx..x.x.~..x"
+    rng = plan.stream("cache")
+    assert "".join("c" if plan.should_corrupt_cache(rng) else "."
+                   for _ in range(32)) == "c....cc.c...c....c.c...c..c....."
+    mark = {"serve": ".", "slow": "s", "blackhole": "b", "kill": "K"}
+    expected = {0: ("....sss..s.b.bb.b.....ss.s..ss.b",
+                    ".....t..t.....t..t.tt...ttt..t.."),
+                1: ("..ssK.....ss..bb..bs.....bb..ss.",
+                    ".tt...t.t.....tt..tttt.......tt.")}
+    for index, (fates, tears) in expected.items():
+        serve = ServeFaultInjector(plan, index)
+        assert "".join(mark[serve.on_simulate()] for _ in range(32)) == fates
+        assert "".join("." if serve.tear(b"0123456789\n") is None else "t"
+                       for _ in range(32)) == tears
 
 
 def test_plan_validation():

@@ -3,7 +3,7 @@
 The headline robustness criteria of the fleet, asserted end-to-end
 against real backend processes:
 
-* a seeded :class:`~repro.guard.faults.ServeFaultPlan` kills one of
+* a seeded :class:`~repro.guard.faults.FaultPlan` kills one of
   three backends mid-sweep (hard ``os._exit`` while serving) — every
   request still eventually succeeds, and repeated sweeps return
   byte-identical results that also match a direct in-process run;
@@ -22,7 +22,7 @@ import multiprocessing
 from repro.config import test_config as tiny_config
 from repro.exec import RunKey, execute_cell, result_bytes
 from repro.exec.cache import key_fingerprint
-from repro.guard.faults import SERVE_KILL_EXIT, ServeFaultPlan
+from repro.guard.faults import SERVE_KILL_EXIT, FaultPlan
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient
 from repro.serve.fleet.hashring import HashRing
@@ -135,9 +135,9 @@ class TestKillMidSweep:
         the supervisor restarts the victim within budget, and the
         breaker's exported transitions walk the full recovery path."""
         victim = pick_victim()
-        plan = ServeFaultPlan(seed=7, kill_backend=victim,
-                              kill_after_requests=2)
-        assert plan.any_faults
+        plan = FaultPlan(seed=7, kill_backend=victim,
+                         kill_after_requests=2)
+        assert plan.affects_serving
 
         async def scenario():
             async with chaos_fleet(tmp_path, plan) as (supervisor, router):
@@ -197,10 +197,10 @@ class TestByzantineFaults:
         lines (connection dropped mid-write) and blackholed requests
         (accepted, never answered).  The retrying client + router
         forward-timeout + failover absorb all of it."""
-        plan = ServeFaultPlan(seed=11, slow_request_rate=0.3,
-                              slow_request_s=0.02,
-                              torn_response_rate=0.2,
-                              blackhole_rate=0.15)
+        plan = FaultPlan(seed=11, slow_request_rate=0.3,
+                         slow_request_s=0.02,
+                         torn_response_rate=0.2,
+                         blackhole_rate=0.15)
 
         async def scenario():
             async with chaos_fleet(
@@ -229,12 +229,12 @@ class TestPlanDeterminism:
         sequences — the property that makes chaos runs replayable."""
         from repro.guard.faults import ServeFaultInjector
 
-        plan_a = ServeFaultPlan(seed=42, slow_request_rate=0.5,
-                                blackhole_rate=0.2,
-                                torn_response_rate=0.3)
-        plan_b = ServeFaultPlan(seed=42, slow_request_rate=0.5,
-                                blackhole_rate=0.2,
-                                torn_response_rate=0.3)
+        plan_a = FaultPlan(seed=42, slow_request_rate=0.5,
+                           blackhole_rate=0.2,
+                           torn_response_rate=0.3)
+        plan_b = FaultPlan(seed=42, slow_request_rate=0.5,
+                           blackhole_rate=0.2,
+                           torn_response_rate=0.3)
         a = ServeFaultInjector(plan_a, backend_index=1)
         b = ServeFaultInjector(plan_b, backend_index=1)
         assert [a.on_simulate() for _ in range(64)] == \

@@ -104,7 +104,7 @@ class TestStart:
 
 class TestRestart:
     def test_crash_restarts_after_backoff(self, fake_spawn, clock):
-        supervisor = BackendSupervisor(specs(2), backoff_base_s=0.2)
+        supervisor = BackendSupervisor(specs(2))
         supervisor.start()
         supervisor.backends[0].process.die(-9)
 
@@ -126,33 +126,33 @@ class TestRestart:
         assert supervisor.restarts(0) == 1
         assert supervisor.restarts(1) == 0
 
-    def test_backoff_doubles_per_restart(self, fake_spawn, clock):
-        supervisor = BackendSupervisor(specs(1), backoff_base_s=0.2,
-                                       restart_budget=5)
-        supervisor.start()
-        for expected_delay in (0.2, 0.4, 0.8):
+    @staticmethod
+    def assert_restart_delays(supervisor, clock, delays):
+        """Crash the one backend once per entry of ``delays``; each
+        restart must wait exactly that long (10 ms either side)."""
+        for delay in delays:
             supervisor.backends[0].process.die()
             supervisor.poll()  # observe + arm backoff
-            clock.advance(expected_delay - 0.05)
+            clock.advance(delay - 0.01)
             assert supervisor.poll() == []
-            clock.advance(0.1)
+            clock.advance(0.02)
             assert [e["event"] for e in supervisor.poll()] == ["restarted"]
 
-    def test_backoff_is_capped(self, fake_spawn, clock):
-        supervisor = BackendSupervisor(specs(1), backoff_base_s=1.0,
-                                       backoff_max_s=2.0, restart_budget=10)
+    def test_backoff_doubles_per_restart(self, fake_spawn, clock):
+        supervisor = BackendSupervisor(specs(1), restart_budget=5)
         supervisor.start()
-        for _ in range(4):
-            supervisor.backends[0].process.die()
-            supervisor.poll()
-            clock.advance(2.5)  # > backoff_max_s always suffices
-            assert [e["event"] for e in supervisor.poll()] == ["restarted"]
+        self.assert_restart_delays(supervisor, clock, (0.2, 0.4, 0.8, 1.6))
+
+    def test_backoff_is_capped(self, fake_spawn, clock):
+        supervisor = BackendSupervisor(specs(1), restart_budget=8)
+        supervisor.start()
+        self.assert_restart_delays(
+            supervisor, clock, (0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0, 5.0))
 
 
 class TestBudget:
     def test_budget_exhaustion_gives_up(self, fake_spawn, clock):
-        supervisor = BackendSupervisor(specs(1), restart_budget=2,
-                                       backoff_base_s=0.1)
+        supervisor = BackendSupervisor(specs(1), restart_budget=2)
         supervisor.start()
         for _ in range(2):
             supervisor.backends[0].process.die()

@@ -46,11 +46,21 @@ def test_rejected_serve_knob_is_a_configuration_error(tmp_path, knob):
     assert not (tmp_path / "s.sock").exists()
 
 
-def test_rejected_fleet_knob_is_a_configuration_error(tmp_path):
+@pytest.mark.parametrize("knob", [
+    ("--reset-timeout", "-1"),
+    ("--restart-budget", "-1"),
+    ("--chaos-slow-rate", "2"),
+    ("--chaos-kill-backend", "5", "--chaos-kill-after", "1"),
+    ("--chaos-kill-backend", "0"),
+], ids=["--reset-timeout", "--restart-budget", "--chaos-slow-rate",
+        "kill-past-the-fleet", "kill-never-fires"])
+def test_rejected_fleet_knob_is_a_configuration_error(tmp_path, knob):
+    """Includes chaos knobs that could never fire: a kill aimed past the
+    one backend, or a kill with no request to count down to."""
     proc = repro_cli(tmp_path, "fleet", "--backends", "1",
-                     "--runtime-dir", str(tmp_path / "rt"),
-                     "--reset-timeout", "-1")
+                     "--runtime-dir", str(tmp_path / "rt"), *knob)
     assert_one_line(proc, EXIT_CONFIG, "configuration error: ")
+    assert not any((tmp_path / "rt").glob("*.sock"))
 
 
 @pytest.mark.parametrize("command, endpoint", [

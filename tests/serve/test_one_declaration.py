@@ -22,7 +22,7 @@ from tests.serve.test_stats_schema import all_blocks
 DOCS = pathlib.Path(__file__).resolve().parents[2] / "docs"
 
 #: Flags of `serve` / `fleet` that are not config fields (besides the
-#: `--chaos-*` group, which ServeFaultPlan declares).
+#: `--chaos-*` group, which FaultPlan declares).
 NON_CONFIG = {"--jobs", "--cache", "--no-disk-cache", "--events-log",
               "--backends", "--runtime-dir", "--restart-budget"}
 

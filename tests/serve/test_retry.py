@@ -42,8 +42,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             RetryPolicy(attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay_s=-1)
@@ -51,8 +49,7 @@ class TestPolicyValidation:
 
 class TestDelays:
     def test_exponential_and_capped(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.5,
-                             multiplier=2.0, jitter=0.0)
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.5, jitter=0.0)
         assert policy.delay_s(1) == pytest.approx(0.1)
         assert policy.delay_s(2) == pytest.approx(0.2)
         assert policy.delay_s(3) == pytest.approx(0.4)
@@ -63,8 +60,7 @@ class TestDelays:
         rng = policy.rng()
         for retry in (1, 2, 3):
             ceiling = min(policy.max_delay_s,
-                          policy.base_delay_s
-                          * policy.multiplier ** (retry - 1))
+                          policy.base_delay_s * 2 ** (retry - 1))
             delay = policy.delay_s(retry, rng)
             assert 0 < delay <= ceiling
 
