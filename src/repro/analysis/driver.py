@@ -20,8 +20,7 @@ from repro.errors import hang_snapshot
 from repro.exec import DEFAULT_CACHE_DIR, ExecutionEngine, RunKey
 from repro.exec.cache import make_key
 from repro.exec.runner import CellFailure
-from repro.guard.bundle import write_diagnostic_bundle
-from repro.sim.gpu import SimResult
+from repro.result import SimResult
 from repro.workloads import Scale
 
 __all__ = [
@@ -157,6 +156,8 @@ def run_sweep(
     def on_complete(key, result, failure):
         if failure is None:
             return
+        from repro.guard.bundle import write_diagnostic_bundle
+
         err = failure.error
         bundle = write_diagnostic_bundle(
             root, cell=key.describe(), config=key.config, error=err,

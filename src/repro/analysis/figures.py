@@ -8,7 +8,10 @@ shape *cells → one batch → view* (:func:`_figure`): it names its runs as
 with ``--jobs N``; figures sharing runs — 10/12/13/15 — simulate once),
 and the figure computes from the returned results.  ``fig.cells(...)``
 stops after the first step, which is how ``validate.run_plan`` simulates
-every figure of a report or a scoreboard as a single batch.  Where a
+every figure of a report or a scoreboard as a single batch.  No figure
+simulates outside that batch — Figure 1's load trace and Section I's
+nearest-neighbor run are cells too — so a warm regeneration is cache
+reads only and never imports the simulator.  Where a
 Figure 14 ratio has no denominator (no prefetch issued, none consumed)
 it is ``None``, not zero; Figure 12 carries the issued counts instead.
 """
@@ -31,7 +34,7 @@ from repro.analysis.driver import (
 )
 from repro.analysis.metrics import geomean, mean
 from repro.energy.model import normalized_energy
-from repro.prefetch import PREFETCHERS
+from repro.prefetch.factory import PREFETCHERS, TRACE
 from repro.result import SimResult
 from repro.workloads import (
     ALL_BENCHMARKS,
@@ -40,7 +43,7 @@ from repro.workloads import (
     REGULAR,
     CorunPair,
     Scale,
-    build,
+    normalize_benchmark,
 )
 
 #: Figure 10/12/13 evaluation order.
@@ -84,34 +87,33 @@ class Fig1Point:
     samples: int
 
 
+@_figure
 def fig1_interwarp_accuracy(
     distances: Sequence[int] = tuple(range(1, 11)),
     *,
     benchmark: str = "MM",
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
-) -> List[Fig1Point]:
+) -> Steps[List[Fig1Point]]:
     """Figure 1: simple inter-warp stride prediction accuracy and the
     cycle gap between load executions, by warp distance.
 
-    Mirrors the paper's experiment: trace the load stream
-    (:func:`repro.sim.trace.trace_kernel`), train a per-PC stride from
+    Mirrors the paper's experiment: trace the load stream (one
+    :data:`~repro.prefetch.factory.TRACE` cell, which keeps the first
+    direct load of each SM, PC and warp slot —
+    :func:`repro.sim.trace.first_loads`), train a per-PC stride from
     loads of adjacent warp slots, then for each warp ``s`` predict the
     address of warp ``s+d`` as ``addr(s) + d·Δ`` and compare with what
     ``s+d`` actually issued.  MM has 8 warps per CTA, so accuracy
-    collapses once ``d`` crosses the CTA boundary.
+    collapses once ``d`` crosses the CTA boundary.  The trace runs on
+    ``config`` as given, scheduler included.
     """
-    from repro.sim.trace import trace_kernel
-
     cfg = config if config is not None else small_config()
-    trace = trace_kernel(build(benchmark, scale), cfg)
-    # first execution per (sm, pc, warp slot)
+    r = yield {"trace": RunKey(normalize_benchmark(benchmark), TRACE,
+                               scale, cfg)}
     per_sm: Dict[int, Dict[int, Dict[int, Tuple[int, int]]]] = {}
-    for r in trace.records:
-        if r.iteration != 0 or r.indirect:
-            continue
-        slots = per_sm.setdefault(r.sm_id, {}).setdefault(r.pc, {})
-        slots.setdefault(r.warp_slot, (r.address, r.cycle))
+    for sm, pc, slot, address, cycle in r["trace"].extra["first_loads"]:
+        per_sm.setdefault(sm, {}).setdefault(pc, {})[slot] = (address, cycle)
     points = []
     for d in distances:
         correct = total = 0
@@ -145,23 +147,22 @@ def fig1_interwarp_accuracy(
     return points
 
 
+@_figure
 def sec1_nn_stalls(
     *,
     scale: Scale = Scale.SMALL,
     config: Optional[GPUConfig] = None,
-) -> Dict[str, float]:
+) -> Steps[Dict[str, float]]:
     """Section I motivation: where nearest neighbor's cycles go (the
     paper: stalled with every warp waiting on L1 for most of them).
 
     The kernel (:func:`repro.workloads.extra.build_nn`) is outside the
-    Table IV suite, so like Figure 1 it is simulated here rather than
-    named as a cell.
+    Table IV suite, so its cell is written down here, without a
+    prefetcher on ``config`` as given, rather than through
+    :func:`make_key` (which names suite benchmarks only).
     """
-    from repro.sim.gpu import simulate
-    from repro.workloads.extra import build_nn
-
-    r = simulate(build_nn(scale),
-                 config if config is not None else small_config())
+    cfg = config if config is not None else small_config()
+    r = (yield {"nn": RunKey("NN", "none", scale, cfg)})["nn"]
     s = r.sm_stats
     return {
         "stall_all": r.stall_fraction(),
@@ -381,7 +382,7 @@ def fig14b_prefetch_distance(
     prefetch-aware two-level scheduler (PA-TLV), derived from the
     :mod:`repro.obs` time-series totals (``None`` where no benchmark
     consumed a prefetch)."""
-    from repro.obs import consumed_prefetches, mean_prefetch_lead
+    from repro.obs.collector import consumed_prefetches, mean_prefetch_lead
 
     cfg = config if config is not None else small_config()
     cfg = cfg.with_obs(metrics=True)

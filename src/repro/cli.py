@@ -39,7 +39,7 @@ from repro.errors import (
     hang_snapshot,
 )
 from repro.exec import DEFAULT_CACHE_DIR
-from repro.prefetch.factory import PREFETCHERS
+from repro.prefetch.factory import ENGINE_CHOICES, PREFETCHERS
 from repro.workloads.base import Scale
 
 #: Process exit codes for scripted callers (CI, Makefiles).
@@ -50,7 +50,6 @@ EXIT_HANG = 3          # a simulation hung or hit its cycle limit
 EXIT_SWEEP_FAILED = 4  # a resilient sweep finished with failed cells
 EXIT_UNAVAILABLE = 5   # server unreachable / overloaded / draining
 
-ENGINE_CHOICES = ("none",) + PREFETCHERS
 SCALES = {s.value: s for s in Scale}
 
 

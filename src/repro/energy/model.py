@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.hwcost import CAPS_ACCESS_ENERGY_PJ, CAPS_STATIC_POWER_UW
-from repro.sim.gpu import SimResult
+from repro.result import SimResult
 
 #: Core clock used to convert static power to energy (Table III).
 CORE_CLOCK_GHZ = 1.4

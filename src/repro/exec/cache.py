@@ -98,8 +98,9 @@ def make_key(
 
     cfg = config if config is not None else small_config()
     kind = scheduler if scheduler is not None else default_scheduler_for(prefetcher)
-    return RunKey(normalize_benchmark(benchmark), prefetcher, scale,
-                  cfg.with_scheduler(kind))
+    if cfg.scheduler is not kind:   # configs are frozen: reuse, don't copy
+        cfg = cfg.with_scheduler(kind)
+    return RunKey(normalize_benchmark(benchmark), prefetcher, scale, cfg)
 
 
 def _jsonify(obj: Any) -> Any:

@@ -16,8 +16,9 @@
 
 The pool's start method is picked per batch by :func:`_start_method`:
 ``fork`` when the batch is launched on Linux from the main thread of a
-process that runs no other Python thread (the CLI's batch commands), so
-workers start with ``repro`` already imported; ``spawn`` otherwise
+process that runs no other Python thread (the CLI's batch commands),
+after the parent has imported the simulator, so workers start with it
+loaded; ``spawn`` otherwise
 (``repro serve`` and the fleet backends batch from an executor thread,
 where a fork could copy a lock another thread holds and the event
 loop's signal wake-up fd).  Either way tasks and results cross the
@@ -40,7 +41,9 @@ There is one batch loop and two ways to report its failures:
 
 The module-level :func:`execute_cell` is the single place that maps a
 :class:`RunKey` onto a simulation; it is importable by name so tasks
-pickle to workers of either start method.
+pickle to workers of either start method.  The simulator is imported
+by the first cell that runs, not by this module: a batch whose cells
+are all cache hits loads none of it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import (
     CellError,
@@ -61,11 +65,12 @@ from repro.errors import (
 )
 from repro.exec.cache import ResultCache, RunKey, config_fingerprint
 from repro.exec.events import EventLog
-from repro.guard.faults import FaultPlan
-from repro.prefetch.factory import make_prefetcher
 from repro.result import SimResult
-from repro.sim.gpu import simulate
-from repro.workloads.suite import build
+from repro.workloads.base import Scale
+
+if TYPE_CHECKING:
+    from repro.guard.faults import FaultPlan
+    from repro.sim.kernel import KernelInfo
 
 
 class CellTimeout(TransientError):
@@ -87,6 +92,23 @@ class CellFailure:
                 f"[{self.kind.value}, {self.attempts} attempt(s)]")
 
 
+def build(benchmark: str, scale: Scale) -> KernelInfo:
+    """Build the kernel a cell's benchmark names: a Table IV model or
+    one of :data:`repro.workloads.extra.KERNELS`."""
+    from repro.workloads.extra import KERNELS
+    from repro.workloads.suite import build as build_suite
+
+    extra = KERNELS.get(benchmark)
+    return extra(scale) if extra is not None else build_suite(benchmark, scale)
+
+
+def simulate(*args, **kwargs) -> SimResult:
+    """:func:`repro.sim.gpu.simulate`, imported on first call."""
+    from repro.sim.gpu import simulate as run
+
+    return run(*args, **kwargs)
+
+
 def execute_cell(key: RunKey, faults: Optional[FaultPlan] = None) -> SimResult:
     """Simulate one matrix cell (no caching; raises on incomplete runs).
 
@@ -94,13 +116,25 @@ def execute_cell(key: RunKey, faults: Optional[FaultPlan] = None) -> SimResult:
     kernels execute concurrently on one GPU under
     ``key.config.multi.alloc_policy`` (see :mod:`repro.sim.multi`) and
     the result carries per-kernel sub-records in ``extra["kernels"]``.
+    A cell whose engine is :data:`~repro.prefetch.factory.TRACE` runs
+    the inert load tracer and carries Figure 1's view of the load
+    stream in ``extra["first_loads"]`` (:func:`repro.sim.trace.first_loads`).
 
     The :class:`IncompleteRunError` raised for a cycle-limited run
     carries the truncated result — its ``extra["hang_snapshot"]`` is the
     end-of-run diagnostic.
     """
-    factory = (make_prefetcher(key.prefetcher)
-               if key.prefetcher != "none" else None)
+    from repro.prefetch.factory import TRACE, make_prefetcher
+
+    recorder = None
+    if key.prefetcher == TRACE:
+        from repro.sim.trace import LoadRecorder, first_loads
+
+        factory = recorder = LoadRecorder()
+    elif key.prefetcher != "none":
+        factory = make_prefetcher(key.prefetcher)
+    else:
+        factory = None
     if "+" in key.benchmark:
         from repro.sim.multi import simulate_corun
 
@@ -110,6 +144,8 @@ def execute_cell(key: RunKey, faults: Optional[FaultPlan] = None) -> SimResult:
     else:
         result = simulate(build(key.benchmark, key.scale), key.config,
                           factory, faults=faults)
+    if recorder is not None:
+        result.extra["first_loads"] = first_loads(recorder.records())
     if not result.completed:
         raise IncompleteRunError(
             f"{key.benchmark}/{key.prefetcher} hit the cycle limit "
@@ -368,7 +404,13 @@ class ExecutionEngine:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        ctx = multiprocessing.get_context(_start_method())
+        method = _start_method()
+        if method == "fork":
+            # Load the simulator once, here, so every forked worker
+            # starts with it instead of importing it on its first cell.
+            import repro.sim.gpu  # noqa: F401
+            import repro.workloads.suite  # noqa: F401
+        ctx = multiprocessing.get_context(method)
         workers = min(self.jobs, len(keys))
         attempts: Dict[RunKey, int] = {k: 0 for k in keys}
         future_key: Dict[object, RunKey] = {}

@@ -36,68 +36,42 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.collector import (
-    DISTANCE_BUCKET_CYCLES,
-    DISTANCE_BUCKETS,
-    SAMPLE_FIELDS,
-    TIMESERIES_SCHEMA,
-    MetricsCollector,
-    consumed_prefetches,
-    early_prefetch_ratio,
-    mean_prefetch_lead,
-    per_sm_ipc,
-    series,
-    window_totals,
-)
-from repro.obs.cachestats import (
-    DEFAULT_MAX_WINDOWS,
-    DEFAULT_WINDOW_S,
-    SERVE_TIERS,
-    TierHitSeries,
-)
-from repro.obs.export import write_csv, write_json, write_jsonl, write_metrics
-from repro.obs.latency import SUMMARY_QUANTILES, LatencyRecorder, percentile
-from repro.obs.profiler import PhaseProfiler, format_profile, merge_profiles
-from repro.obs.trace import (
-    CONTROL_LANE,
-    PREFETCH_LANE,
-    TraceRecorder,
-    validate_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Observability",
-    "build",
-    "MetricsCollector",
-    "TraceRecorder",
-    "PhaseProfiler",
-    "SAMPLE_FIELDS",
-    "TIMESERIES_SCHEMA",
-    "DISTANCE_BUCKET_CYCLES",
-    "DISTANCE_BUCKETS",
-    "PREFETCH_LANE",
-    "CONTROL_LANE",
-    "series",
-    "window_totals",
-    "per_sm_ipc",
-    "early_prefetch_ratio",
-    "mean_prefetch_lead",
-    "consumed_prefetches",
-    "validate_chrome_trace",
-    "write_metrics",
-    "write_json",
-    "write_jsonl",
-    "write_csv",
-    "merge_profiles",
-    "format_profile",
-    "LatencyRecorder",
-    "SUMMARY_QUANTILES",
-    "percentile",
-    "TierHitSeries",
-    "SERVE_TIERS",
-    "DEFAULT_WINDOW_S",
-    "DEFAULT_MAX_WINDOWS",
-]
+# The hub below is real code; the collectors' names are a lazy table,
+# so a reader of one module (Figure 14 reads ``collector``) loads that
+# module alone.
+_EXPORTS = {
+    "repro.obs.collector": (
+        "MetricsCollector",
+        "SAMPLE_FIELDS",
+        "TIMESERIES_SCHEMA",
+        "DISTANCE_BUCKET_CYCLES",
+        "DISTANCE_BUCKETS",
+        "series",
+        "window_totals",
+        "per_sm_ipc",
+        "early_prefetch_ratio",
+        "mean_prefetch_lead",
+        "consumed_prefetches",
+    ),
+    "repro.obs.trace": (
+        "TraceRecorder",
+        "PREFETCH_LANE",
+        "CONTROL_LANE",
+        "validate_chrome_trace",
+    ),
+    "repro.obs.profiler": ("PhaseProfiler", "merge_profiles",
+                           "format_profile"),
+    "repro.obs.export": ("write_metrics", "write_json", "write_jsonl",
+                         "write_csv"),
+    "repro.obs.latency": ("LatencyRecorder", "SUMMARY_QUANTILES",
+                          "percentile"),
+    "repro.obs.cachestats": ("TierHitSeries", "SERVE_TIERS",
+                             "DEFAULT_WINDOW_S", "DEFAULT_MAX_WINDOWS"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__ = ["Observability", "build"] + __all__
 
 
 class Observability:
@@ -109,6 +83,10 @@ class Observability:
     """
 
     def __init__(self, obs_config, num_sms: int):
+        from repro.obs.collector import MetricsCollector
+        from repro.obs.profiler import PhaseProfiler
+        from repro.obs.trace import TraceRecorder
+
         self.config = obs_config
         self.metrics: Optional[MetricsCollector] = (
             MetricsCollector(obs_config.window, num_sms)

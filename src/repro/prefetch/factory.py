@@ -38,6 +38,16 @@ def _registry() -> Dict[str, type]:
 #: Evaluation order used throughout the paper's figures.
 PREFETCHERS = ("intra", "inter", "mta", "nlp", "lap", "orch", "caps")
 
+#: Every engine a user may name (``repro run --engine``, the serve
+#: protocol): the no-prefetch baseline plus :data:`PREFETCHERS`.
+ENGINE_CHOICES = ("none",) + PREFETCHERS
+
+#: The engine of Figure 1's load-trace cell: the inert
+#: :class:`repro.sim.trace.LoadTracer`, resolved by
+#: :func:`repro.exec.runner.execute_cell`.  Internal — not in
+#: :data:`ENGINE_CHOICES`, so no command or request can name it.
+TRACE = "trace"
+
 
 def make_prefetcher(name: str) -> Callable[[GPUConfig, int], Prefetcher]:
     """Factory of per-SM prefetcher instances for :func:`repro.sim.simulate`."""

@@ -59,7 +59,7 @@ from repro.errors import (
     ShuttingDownError,
     classify,
 )
-from repro.prefetch.factory import PREFETCHERS
+from repro.prefetch.factory import ENGINE_CHOICES
 from repro.workloads.base import Scale
 
 if TYPE_CHECKING:
@@ -129,8 +129,6 @@ CODE_TO_ERROR = {
     "simulation_failed": RequestFailedError,
     "internal": RequestError,
 }
-
-ENGINE_CHOICES = ("none",) + tuple(PREFETCHERS)
 
 
 @dataclass(frozen=True)

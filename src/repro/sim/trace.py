@@ -3,9 +3,11 @@
 A :class:`LoadTracer` is an inert prefetcher that records every demand
 load the SM issues — (cycle, SM, CTA, warp, PC, address, iteration) —
 without perturbing the simulation.  It backs the Figure 1 experiment
-(offline inter-warp stride analysis), and is generally useful for
-debugging workload models: :func:`trace_kernel` runs a kernel and hands
-back the merged, time-ordered records.
+(offline inter-warp stride analysis): the engine's trace cell runs it
+through a :class:`LoadRecorder` and keeps :func:`first_loads` of the
+stream.  It is generally useful for debugging workload models:
+:func:`trace_kernel` runs a kernel and hands back the merged,
+time-ordered records.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.config import GPUConfig
 from repro.prefetch.base import Prefetcher
+from repro.prefetch.factory import TRACE
 from repro.sim.gpu import SimResult, simulate
 from repro.sim.kernel import KernelInfo
 
@@ -39,7 +42,7 @@ class LoadRecord:
 class LoadTracer(Prefetcher):
     """Records the SM's demand-load stream; never prefetches."""
 
-    name = "trace"
+    name = TRACE
 
     def __init__(self, config: GPUConfig, sm_id: int):
         super().__init__(config, sm_id)
@@ -94,6 +97,41 @@ class TraceResult:
                 w.writerow(asdict(r))
 
 
+class LoadRecorder:
+    """Prefetcher factory for :func:`repro.sim.gpu.simulate` that keeps
+    the :class:`LoadTracer` it makes for each SM."""
+
+    def __init__(self):
+        self.tracers: List[LoadTracer] = []
+
+    def __call__(self, config: GPUConfig, sm_id: int) -> LoadTracer:
+        tracer = LoadTracer(config, sm_id)
+        self.tracers.append(tracer)
+        return tracer
+
+    def records(self) -> List[LoadRecord]:
+        """Every SM's records, merged in time order."""
+        return sorted(
+            (r for t in self.tracers for r in t.records),
+            key=lambda r: (r.cycle, r.sm_id, r.warp_slot),
+        )
+
+
+def first_loads(records: List[LoadRecord]) -> List[List[int]]:
+    """``[sm, pc, warp slot, address, cycle]`` of the first
+    iteration-0, direct load of each (SM, PC, warp slot), in stream
+    order: all Figure 1 reads of a trace, as plain JSON lists."""
+    seen = set()
+    out: List[List[int]] = []
+    for r in records:
+        slot = (r.sm_id, r.pc, r.warp_slot)
+        if r.iteration != 0 or r.indirect or slot in seen:
+            continue
+        seen.add(slot)
+        out.append([r.sm_id, r.pc, r.warp_slot, r.address, r.cycle])
+    return out
+
+
 def trace_kernel(
     kernel: KernelInfo,
     config: GPUConfig,
@@ -101,16 +139,6 @@ def trace_kernel(
 ) -> TraceResult:
     """Run ``kernel`` under a tracing observer and return the merged,
     time-ordered load stream."""
-    tracers: List[LoadTracer] = []
-
-    def factory(cfg, sm_id):
-        t = LoadTracer(cfg, sm_id)
-        tracers.append(t)
-        return t
-
-    result = simulate(kernel, config, factory, max_cycles=max_cycles)
-    records = sorted(
-        (r for t in tracers for r in t.records),
-        key=lambda r: (r.cycle, r.sm_id, r.warp_slot),
-    )
-    return TraceResult(result=result, records=records)
+    recorder = LoadRecorder()
+    result = simulate(kernel, config, recorder, max_cycles=max_cycles)
+    return TraceResult(result=result, records=recorder.records())

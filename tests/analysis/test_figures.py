@@ -7,7 +7,9 @@ only check that each function produces structurally sound data.
 
 import pytest
 
+from repro.analysis import driver
 from repro.analysis.figures import (
+    Fig1Point,
     STUDIES,
     fig_caps_variants,
     fig1_interwarp_accuracy,
@@ -22,7 +24,11 @@ from repro.analysis.figures import (
     sec1_nn_stalls,
 )
 from repro.config import test_config as tiny_config
-from repro.workloads import Scale
+from repro.exec import ExecutionEngine, ResultCache
+from repro.sim.gpu import simulate
+from repro.sim.trace import trace_kernel
+from repro.workloads import Scale, build
+from repro.workloads.extra import build_nn
 
 BENCHES = ("SCN", "BFS")
 ENGINES = ("nlp", "caps")
@@ -54,6 +60,93 @@ class TestFig1:
         assert nn["completed"] == 1.0
         assert 0 < nn["stall_all"] < 1
         assert nn["stall_all"] + nn["stall_partial"] + nn["issuing"] <= 1.0
+
+
+def fig1_from_trace(distances, scale, config):
+    """Figure 1 computed the way it was before it became an engine
+    cell: straight from :func:`trace_kernel`'s records (the oracle)."""
+    trace = trace_kernel(build("MM", scale), config)
+    per_sm = {}
+    for r in trace.records:
+        if r.iteration != 0 or r.indirect:
+            continue
+        slots = per_sm.setdefault(r.sm_id, {}).setdefault(r.pc, {})
+        slots.setdefault(r.warp_slot, (r.address, r.cycle))
+    points = []
+    for d in distances:
+        correct = total = gap_sum = 0
+        for by_pc in per_sm.values():
+            for slots in by_pc.values():
+                stride = None
+                for s in sorted(slots):
+                    if s + 1 in slots:
+                        stride = slots[s + 1][0] - slots[s][0]
+                        break
+                if stride is None:
+                    continue
+                for s in sorted(slots):
+                    if s + d not in slots:
+                        continue
+                    actual, cyc_t = slots[s + d]
+                    total += 1
+                    gap_sum += max(0, cyc_t - slots[s][1])
+                    correct += slots[s][0] + d * stride == actual
+        points.append(Fig1Point(d, correct / total if total else 0.0,
+                                gap_sum / total if total else 0.0, total))
+    return points
+
+
+class TestEngineCells:
+    """Figure 1's trace and Section I's NN run are engine cells: they
+    equal the direct simulations they replaced, and a second engine on
+    the same cache answers both without simulating."""
+
+    DISTANCES = tuple(range(1, 11))
+
+    @pytest.fixture
+    def engine_on(self, tmp_path):
+        saved = driver.get_engine()
+
+        def install():
+            return driver.set_engine(
+                ExecutionEngine(cache=ResultCache(tmp_path)))
+        yield install
+        driver.set_engine(saved)
+
+    def test_fig1_equals_the_trace_kernel_oracle(self, engine_on):
+        engine_on()
+        cfg = tiny_config()
+        assert fig1_interwarp_accuracy(
+            self.DISTANCES, scale=Scale.TINY, config=cfg) == fig1_from_trace(
+            self.DISTANCES, Scale.TINY, cfg)
+
+    def test_sec1_equals_a_direct_simulation(self, engine_on):
+        engine_on()
+        cfg = tiny_config()
+        r = simulate(build_nn(Scale.TINY), cfg)
+        s = r.sm_stats
+        assert sec1_nn_stalls(scale=Scale.TINY, config=cfg) == {
+            "stall_all": r.stall_fraction(),
+            "stall_partial": s.stall_mem_partial / s.active_cycles,
+            "issuing": s.issue_cycles / s.active_cycles,
+            "ipc": r.ipc,
+            "completed": float(r.completed),
+        }
+
+    def test_a_second_engine_reads_both_from_the_cache(self, engine_on):
+        cfg = tiny_config()
+
+        def both():
+            return (fig1_interwarp_accuracy(scale=Scale.TINY, config=cfg),
+                    sec1_nn_stalls(scale=Scale.TINY, config=cfg))
+
+        cold = engine_on()
+        first = both()
+        assert [e.kind for e in cold.events.events].count("started") == 2
+        warm = engine_on()
+        assert both() == first
+        assert [e.kind for e in warm.events.events] == ["cache_hit"] * 2
+        assert {e.detail for e in warm.events.events} == {"disk"}
 
 
 class TestFig4:

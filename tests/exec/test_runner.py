@@ -277,19 +277,52 @@ print(json.dumps(facts))
 """
 
 
+#: Run in a fresh interpreter by ``TestStartMethod``: a process that has
+#: imported the runner but not the simulator batches from its main
+#: thread; each forked worker records whether ``repro.sim.gpu`` was
+#: already loaded when its first cell began.
+PREIMPORT_PROBE = """
+import json, sys
+from repro.exec import ExecutionEngine, runner
+from tests.exec.test_runner import MATRIX
+
+chosen = []
+select = runner._start_method
+runner._start_method = lambda: chosen.append(select()) or chosen[-1]
+execute = runner.execute_cell
+
+def probed(key, faults=None):
+    loaded = "repro.sim.gpu" in sys.modules
+    result = execute(key, faults)
+    result.extra["sim_loaded_at_start"] = loaded
+    return result
+
+runner.execute_cell = probed
+before = "repro.sim.gpu" in sys.modules
+results = ExecutionEngine(jobs=2).run_many(MATRIX)
+print(json.dumps({"methods": chosen, "parent_before": before, "workers": [
+    r.extra["sim_loaded_at_start"] for r in results.values()]}))
+"""
+
+
+def run_probe(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; its last stdout line, as JSON."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src.parent,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartMethod:
     """Which start method a pooled batch gets, and that neither method
     changes what the batch returns or leaves running."""
 
     @pytest.fixture(scope="class")
     def probe(self):
-        src = pathlib.Path(repro.__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-c", PROBE], cwd=src.parent,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
+        return run_probe(PROBE)
 
     def test_main_thread_with_no_other_thread_forks(self, probe):
         assert probe["main"]["threads"] == 1
@@ -316,3 +349,11 @@ class TestStartMethod:
     @pytest.mark.parametrize("caller", ["main", "thread"])
     def test_no_worker_outlives_the_batch(self, probe, caller):
         assert probe[caller]["live_workers"] == 0
+
+    def test_forked_workers_start_with_the_simulator_loaded(self):
+        """Importing the runner loads no simulator; a fork pool imports
+        it in the parent first, so no worker compiles it on its own."""
+        facts = run_probe(PREIMPORT_PROBE)
+        assert facts["methods"] == ["fork"]
+        assert facts["parent_before"] is False
+        assert facts["workers"] == [True] * len(MATRIX)

@@ -142,3 +142,43 @@ def test_source_values_are_documented():
                             r"([^.]*)\.", text)
     assert ticked(listing) == list(protocol.SOURCES)
 
+
+
+class TestEngineNames:
+    """The engine names a user may pick are declared once, in
+    :mod:`repro.prefetch.factory`; the internal cells the analysis
+    layer names (Figure 1's trace, Section I's NN kernel) stay out of
+    both the CLI and the protocol."""
+
+    def test_cli_and_protocol_share_one_declaration(self):
+        from repro import cli
+        from repro.prefetch import factory
+
+        assert cli.ENGINE_CHOICES is factory.ENGINE_CHOICES
+        assert protocol.ENGINE_CHOICES is factory.ENGINE_CHOICES
+        assert factory.TRACE not in factory.ENGINE_CHOICES
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "MM", "--engine", "trace"],
+        ["run", "NN"],
+    ])
+    def test_run_rejects_internal_cells(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--scale", "tiny"])
+        assert exit_.value.code == 2
+        assert "repro run: error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        {"engine": "trace"},
+        {"benchmark": "NN"},
+    ])
+    def test_protocol_rejects_internal_cells(self, field):
+        from repro.errors import BadRequestError
+
+        payload = dict({"v": protocol.PROTOCOL_VERSION, "id": "t",
+                        "op": "simulate", "benchmark": "MM"}, **field)
+        with pytest.raises(BadRequestError) as err:
+            protocol.parse_request(payload)
+        assert err.value.code == "bad_request"

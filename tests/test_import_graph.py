@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import repro
+from repro.exec import read_events
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
@@ -27,6 +28,13 @@ SIMULATOR_SIDE = (
     "repro.analysis", "repro.exec.runner", "repro.workloads.suite",
     "repro.serve.server", "repro.serve.scheduler", "repro.serve.fleet",
     "multiprocessing",
+)
+
+#: What a `figures` run whose every cell is cached must never load: the
+#: run loop, the memory system, the guards a simulation arms, the pool.
+WARM_NEVER = (
+    "repro.sim.gpu", "repro.sim.fastcore", "repro.sim.sm", "repro.mem",
+    "repro.guard.invariants", "repro.guard.watchdog", "multiprocessing",
 )
 
 PACKAGES = sorted(
@@ -84,6 +92,26 @@ class TestDemandDrivenImports:
                      "concurrent.futures") == []
         assert "repro.sim.gpu" in loaded
 
+    def test_warm_figures_loads_no_simulator(self, tmp_path):
+        """Every simulation `figures` performs is a cell, so a rerun on
+        a warm cache reads them all and loads none of the simulator."""
+        def figures(run, jobs):
+            return (
+                "import repro.cli\n"
+                "assert repro.cli.main(['figures', '--benchmarks', 'CP,SCN',"
+                " '--scale', 'tiny', '--jobs', '%d', '--cache', %r,"
+                " '--events-log', %r, '--out', %r]) == 0"
+                % (jobs, str(tmp_path / "cache"),
+                   str(tmp_path / f"{run}.jsonl"), str(tmp_path / run)))
+
+        run_child(figures("cold", 2) + "\nprint('ok')")
+        loaded = loaded_after(figures("warm", 2))
+        assert under(loaded, *WARM_NEVER) == []
+        warm = [e.kind for e in read_events(tmp_path / "warm.jsonl")]
+        assert warm.count("started") == 0 and "cache_hit" in warm
+        assert ((tmp_path / "warm" / "EXPERIMENTS.md").read_bytes()
+                == (tmp_path / "cold" / "EXPERIMENTS.md").read_bytes())
+
 
 def test_every_module_imports_first():
     """No module relies on a package ``__init__`` having imported its
@@ -116,7 +144,7 @@ def test_facade_parity(package):
     pkg = importlib.import_module(package)
     assert pkg.__all__ and len(set(pkg.__all__)) == len(pkg.__all__)
     exports = getattr(pkg, "_EXPORTS", None)
-    if exports is not None:  # lazy façade (obs keeps real code, eager)
+    if exports is not None:  # a lazy table (obs also keeps its hub code)
         homes = {name: home for home, names in exports.items()
                  for name in names}
         assert set(homes) <= set(pkg.__all__)
