@@ -58,7 +58,7 @@ def set_engine(engine: ExecutionEngine) -> ExecutionEngine:
 
 def clear_cache() -> None:
     """Drop the engine's in-process memo (persistent cache untouched)."""
-    _ENGINE.clear_memo()
+    _ENGINE.memo.clear()
 
 
 def run_benchmark(

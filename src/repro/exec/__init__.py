@@ -11,6 +11,8 @@ execution layer is factored out of the analysis code:
 * :mod:`repro.exec.events` — the progress/telemetry event stream
   (queued / started / cache_hit / finished / retry / failed) with a
   JSONL sink and a TTY renderer;
+* :mod:`repro.exec.memo` — :class:`ResultMemo`, the one in-memory
+  result tier (unbounded for the CLI, a bounded LRU under a server);
 * :mod:`repro.exec.runner` — :class:`ExecutionEngine`, which executes
   cells serially or on a process pool (forked from a single-threaded
   main thread, spawned from any other caller) with per-task timeout
@@ -54,6 +56,7 @@ _EXPORTS = {
         "TTYProgress",
         "read_events",
     ),
+    "repro.exec.memo": ("MemoEntry", "ResultMemo"),
     "repro.exec.runner": (
         "CellFailure",
         "CellTimeout",

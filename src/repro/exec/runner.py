@@ -2,9 +2,11 @@
 
 :class:`ExecutionEngine` owns three layers of reuse and resilience:
 
-* an **in-process memo** (`RunKey` → the exact `SimResult` object), so
+* an **in-process memo** (:class:`repro.exec.memo.ResultMemo`,
+  `RunKey` → the exact `SimResult` object): unbounded by default, so
   repeated lookups inside one process return the identical object —
-  the contract the analysis layer has always had;
+  the contract the analysis layer has always had — and bounded LRU
+  under ``repro serve``, whose scheduler answers hits from it;
 * an optional **persistent cache** (:class:`repro.exec.cache.ResultCache`)
   shared across processes and invocations;
 * a **process pool** (``jobs > 1``) with a per-task timeout
@@ -65,6 +67,7 @@ from repro.errors import (
 )
 from repro.exec.cache import ResultCache, RunKey, config_fingerprint
 from repro.exec.events import EventLog
+from repro.exec.memo import ResultMemo
 from repro.result import SimResult
 from repro.workloads.base import Scale
 
@@ -217,7 +220,8 @@ class ExecutionEngine:
         every cell inline.
     cache:
         Optional persistent :class:`ResultCache` shared across
-        processes/invocations.  ``None`` keeps only the in-process memo.
+        processes/invocations.  ``None`` keeps only the in-process
+        :attr:`memo`, which a server replaces with a bounded one.
     events:
         :class:`EventLog` receiving the telemetry stream (one is created
         if omitted).
@@ -254,31 +258,28 @@ class ExecutionEngine:
         self.timeout_s = timeout_s
         self.retries = retries
         self.faults = faults
-        self._memo: Dict[RunKey, SimResult] = {}
+        self.memo = ResultMemo()
 
     # ------------------------------------------------------------- memo
-    def clear_memo(self) -> None:
-        """Drop the in-process memo (disk cache is unaffected)."""
-        self._memo.clear()
-
     def _emit(self, kind: str, key: RunKey, **kw) -> None:
         self.events.emit(kind, key.describe(),
                          config_fingerprint(key.config)[:12], **kw)
 
     def _lookup(self, key: RunKey) -> Optional[SimResult]:
-        if key in self._memo:
+        entry = self.memo.get(key)
+        if entry is not None:
             self._emit("cache_hit", key, detail="memo")
-            return self._memo[key]
+            return entry.result
         if self.cache is not None:
             result = self.cache.get(key)
             if result is not None:
-                self._memo[key] = result
+                self.memo.put(key, result)
                 self._emit("cache_hit", key, detail="disk")
                 return result
         return None
 
     def _store(self, key: RunKey, result: SimResult) -> None:
-        self._memo[key] = result
+        self.memo.put(key, result)
         if self.cache is not None and not self._perturbed():
             self.cache.put(key, result)
 

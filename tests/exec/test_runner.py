@@ -64,8 +64,8 @@ class TestSerial:
         b = engine.run(key, use_cache=False)
         assert a is not b
         assert a == b  # deterministic simulator
-        assert key in engine._memo  # uncached run did not pollute the memo
-        assert engine._memo[key] is a
+        # The uncached run did not pollute the memo.
+        assert engine.memo.get(key).result is a
 
     def test_event_stream_order(self):
         engine = ExecutionEngine()

@@ -4,19 +4,23 @@ The backend and the fleet router share one listener, so what a
 connection may send it — and what every malformed line gets back — is
 tested here against a subclass with no engine and no timers, with raw
 bytes on a Unix socket.  Every malformed line maps to a typed
-``bad_request`` error and leaves the connection usable.
+``bad_request`` error and leaves the connection usable; a seeded fuzzer
+then sends a real backend hundreds of mutations of one valid
+``simulate`` line, none of which may be admitted.
 """
 
 import asyncio
 import json
 import os
+import random
 
 import pytest
 
-from repro.config import Endpoint
+from repro.config import Endpoint, ServeConfig
+from repro.exec import ExecutionEngine
 from repro.serve import protocol
 from repro.serve import server as server_module
-from repro.serve.server import LineEndpoint
+from repro.serve.server import LineEndpoint, SimulationServer
 
 
 class HeldEndpoint(LineEndpoint):
@@ -154,3 +158,102 @@ class TestDrain:
             with pytest.raises(OSError):
                 await asyncio.open_unix_connection(path)
         run(tmp_path, scenario)
+
+
+# ------------------------------------------------------------- the fuzzer
+#: The line every mutation starts from: valid, and naming every field.
+VALID = protocol.simulate_payload(
+    "fuzz", "MM", engine="caps", scale="tiny", preset="test",
+    overrides={"prefetch": {"prefetch_window": 9}}, scheduler="pas",
+    priority="sweep", deadline_s=5)
+
+#: Per field, values it does not accept: wrong types, unknown names and
+#: the internal cell names (``trace``, ``NN``) the protocol refuses.
+REFUSED = {
+    "v": ["1", 1.0, True, None, [1], 2, 0],
+    "id": [7, None, "", [], {}, True],
+    "op": [3, None, "SIMULATE", "run", [], {}],
+    "benchmark": [5, None, "", [], {}, "NOPE", "NN", "NN+MM", "MM+NN",
+                  "MM+", "+MM", "M M"],
+    "engine": [5, None, [], {}, "", "CAPS", "trace", "nope", "caps "],
+    "scale": [1, None, [], {}, "TINY", "huge"],
+    "preset": [1, None, [], {}, "", "tiny"],
+    "overrides": [[], "x", 5, True, None],
+    "scheduler": [5, [], {}, "fifo", "PAS"],
+    "priority": [5, None, [], {}, "urgent", ""],
+    "deadline_s": ["5", [], {}, -1, 0, True, False, float("nan"),
+                   float("inf")],
+}
+
+#: Override trees naming no field, or a field with a value it refuses.
+REFUSED_OVERRIDES = [
+    {"warp_speed": 9}, {"prefetch": {"nope": 1}}, {"prefetch": 5},
+    {"prefetch": {"prefetch_window": "9"}},
+    {"prefetch": {"prefetch_window": 1.5}},
+    {"prefetch": {"prefetch_window": 0}},
+    {"prefetch": {"prefetch_window": {"a": 1}}}, {"num_sms": "4"},
+    {"num_sms": True}, {"num_sms": 0}, {"scheduler": "nope"},
+    {"l1d": {"nope": 1}}, {"engine": "nope"}, {"max_cycles": 0},
+    {"multi": {"alloc_policy": "nope"}}, {"obs": []},
+]
+
+#: Field names a ``simulate`` request does not have.
+UNKNOWN_FIELDS = ["frob", "overide", "Engine", "benchmarks", "deadline",
+                  "ID"]
+
+NON_OBJECTS = [b"1", b"-2.5", b'"simulate"', b"null", b"true", b"[]",
+               b"[1, 2]", b"NaN", b"{}{}", b"{", b"}", b'{"v": 1,}']
+
+
+def mutations(seed=32, count=320):
+    """``count`` distinct seeded lines, each a mutation of :data:`VALID`
+    that no server may admit."""
+    rng = random.Random(seed)
+    line = protocol.encode(VALID)[:-1]
+    out = [text + b"\n" for text in NON_OBJECTS]
+    for name, values in REFUSED.items():
+        out += [protocol.encode({**VALID, name: value}) for value in values]
+    for tree in REFUSED_OVERRIDES:
+        out.append(protocol.encode({**VALID, "overrides": tree}))
+    for name in UNKNOWN_FIELDS:
+        value = rng.choice([1, "caps", None, {"prefetch": {}}])
+        out.append(protocol.encode({**VALID, name: value}))
+    out = dict.fromkeys(out)
+    while len(out) < count:
+        if rng.random() < 0.5:      # truncation: the object never closes
+            text = line[:rng.randrange(1, len(line))]
+        else:                       # byte flip: never valid UTF-8
+            at = rng.randrange(len(line))
+            text = line[:at] + bytes([line[at] ^ 0x80]) + line[at + 1:]
+        out[text + b"\n"] = None
+    return list(out)
+
+
+class TestFuzzedRequestLines:
+    def test_every_mutation_is_refused_and_the_connection_survives(
+            self, tmp_path):
+        lines = mutations()
+        assert len(set(lines)) == len(lines) >= 300
+
+        async def main():
+            path = str(tmp_path / "fuzz.sock")
+            server = SimulationServer(ExecutionEngine(),
+                                      ServeConfig(socket_path=path))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(path)
+                for n, raw in enumerate(lines):
+                    writer.write(raw)
+                    error = (await recv(reader))["error"]
+                    assert error["code"] in protocol.ERROR_CODES, raw
+                    assert error["code"] == "bad_request", (raw, error)
+                    writer.write(message(id=f"p{n}", op="ping"))
+                    assert (await recv(reader))["result"]["pong"] is True
+                writer.close()
+                stats = server.stats()
+                assert stats["admitted"] == 0
+                assert stats["simulations"] == 0
+                assert stats["server"]["errors"] == len(lines)
+            finally:
+                await server.drain()
+        asyncio.run(main())
