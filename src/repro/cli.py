@@ -485,14 +485,15 @@ def _run_corun(args, cfg) -> int:
     """``repro run --co-run A,B``: one concurrent-kernel simulation.
 
     Runs the co-schedule plus one solo run per kernel (same engine and
-    config preset), prints the per-kernel sub-records and the ANTT/STP
-    interference metrics — see docs/metrics-glossary.md.
+    config preset), prints each kernel's co-run and solo cycles and
+    slowdown, and the ANTT/STP interference metrics — see
+    docs/metrics-glossary.md.
     """
-    from repro.analysis import format_percent, format_table, run_benchmark
+    from repro.analysis import format_table, run_benchmark
     from repro.sim.multi import antt_stp
 
     if len(args.co_run) < 2:
-        raise SystemExit(
+        raise ConfigError(
             "repro run --co-run: name at least two comma-separated "
             f"benchmarks (got {','.join(args.co_run)!r})")
     pair = "+".join(args.co_run)
@@ -507,21 +508,13 @@ def _run_corun(args, cfg) -> int:
     kernels = co.extra["kernels"]
     t = antt_stp([k["finish_cycle"] for k in kernels],
                  [s.cycles for s in solos])
-    rows = []
-    for rec, solo in zip(kernels, solos):
-        rows.append((
-            rec["name"],
-            rec["finish_cycle"],
-            solo.cycles,
-            f"{rec['finish_cycle'] / solo.cycles:.3f}x",
-            f"{rec['ipc']:.3f}",
-            format_percent(rec["l1_hit_rate"]),
-            format_percent(rec["coverage"]),
-            format_percent(rec["stall_fraction"]),
-        ))
+    rows = [
+        (rec["name"], rec["finish_cycle"], solo.cycles,
+         f"{rec['finish_cycle'] / solo.cycles:.3f}x")
+        for rec, solo in zip(kernels, solos)
+    ]
     print(format_table(
-        ["kernel", "co-run cycles", "solo cycles", "slowdown", "IPC",
-         "L1 hit", "coverage", "stall"],
+        ["kernel", "co-run cycles", "solo cycles", "slowdown"],
         rows,
         title=(f"{pair} @ {args.scale} via {args.engine} "
                f"[{cfg.multi.alloc_policy}]"),

@@ -57,7 +57,9 @@ log = logging.getLogger(__name__)
 #: benchmarks may be co-run pairs ("A+B") and SimResult.extra may hold
 #: per-kernel sub-records — single-kernel v3 entries must never be
 #: served for a co-run request (or vice versa).
-CACHE_SCHEMA_VERSION = 4
+#: v5: a co-run's per-kernel records shrank to name, CTA counts and
+#: finish cycle.
+CACHE_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)

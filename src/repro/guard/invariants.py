@@ -20,7 +20,9 @@ cost: one pass over the machine after the run):
 * prefetch outcome conservation — prefetches issued equal
   useful + late-merged + early-evicted + unused-at-end (the Figure 12/14
   classification is exhaustive);
-* CTA conservation — on a completed run, every launched CTA retired.
+* CTA conservation — on a completed run, every launched CTA retired;
+  a co-run's per-kernel retirements (the distributor's) sum to the
+  SMs' and, once complete, equal each kernel's CTA count.
 
 **Opt-in per-cycle audits** (:meth:`InvariantChecker.check_cycle`,
 enabled by ``GPUConfig.deep_checks`` / ``--deep-checks``): scheduler
@@ -150,11 +152,29 @@ class InvariantChecker:
                  "completed": completed},
             )
 
-        if getattr(gpu, "app", None) is not None:
-            self._verify_per_kernel(gpu, completed)
+        retired = sum(sm.stats.ctas_executed for sm in gpu.sms)
+        app = getattr(gpu, "app", None)
+        if app is not None:
+            # Co-run: the distributor's per-kernel retirements account
+            # for every CTA the SMs retired.
+            done = gpu.distributor.finished_ctas
+            if sum(done) != retired:
+                _violate(
+                    "per_kernel_cta_conservation",
+                    "per-kernel CTA retirements disagree with the SMs",
+                    {"per_kernel": list(done), "retired": retired},
+                )
+            for kid, kernel in enumerate(app.kernels):
+                if completed and done[kid] != kernel.num_ctas:
+                    _violate(
+                        "per_kernel_cta_conservation",
+                        "completed co-run left a kernel with unretired "
+                        "CTAs",
+                        {"kernel_id": kid, "retired": done[kid],
+                         "launched": kernel.num_ctas},
+                    )
 
         if completed:
-            retired = sum(sm.stats.ctas_executed for sm in gpu.sms)
             if retired != gpu.kernel.num_ctas:
                 _violate(
                     "cta_conservation",
@@ -170,107 +190,6 @@ class InvariantChecker:
                         {"sm": sm.sm_id,
                          "unfinished": sm.unfinished_warps},
                     )
-
-    # ------------------------------------------------- per-kernel slices
-    def _verify_per_kernel(self, gpu, completed: bool) -> None:
-        """Concurrent-kernel runs: per-kernel sub-records must
-        conservation-sum to the global counters.
-
-        Applies to every event-count counter (instructions, loads,
-        stores, L1 accesses/hits/misses, demand fetches, MSHR traffic,
-        prefetch outcomes, CTAs, memory-subsystem requests/responses).
-        Cycle-overlap counters (active/issue/stall) are per-kernel
-        *perspectives* — co-resident kernels legitimately overlap — and
-        are deliberately not summed here.
-        """
-        from repro.prefetch.stats import PrefetchStats
-        from repro.sim.sm import KernelStats
-
-        conserved = (
-            "instructions", "loads_issued", "stores_issued",
-            "demand_l1_accesses", "demand_mem_fetches",
-            "l1_accesses", "l1_hits", "l1_misses",
-            "mshr_allocated", "mshr_released", "ctas_executed",
-        )
-        totals = KernelStats()
-        for sm in gpu.sms:
-            for ks in sm.kstats.values():
-                totals.merge(ks)
-        global_l1 = {
-            "l1_accesses": sum(sm.l1.accesses for sm in gpu.sms),
-            "l1_hits": sum(sm.l1.hits for sm in gpu.sms),
-            "l1_misses": sum(sm.l1.misses for sm in gpu.sms),
-            "mshr_allocated": sum(sm.l1.mshr.allocated for sm in gpu.sms),
-            "mshr_released": sum(sm.l1.mshr.released for sm in gpu.sms),
-        }
-        for f in conserved:
-            if f in global_l1:
-                expect = global_l1[f]
-            else:
-                expect = sum(getattr(sm.stats, f) for sm in gpu.sms)
-            got = getattr(totals, f)
-            if got != expect:
-                _violate(
-                    "per_kernel_conservation",
-                    f"per-kernel {f} slices do not sum to the global "
-                    "counter",
-                    {"counter": f, "per_kernel_sum": got,
-                     "global": expect, "completed": completed},
-                )
-
-        merged_k = PrefetchStats()
-        for sm in gpu.sms:
-            for pk in sm.pstats_k.values():
-                merged_k.merge(pk)
-        merged = self._merged_pstats(gpu)
-        for f in merged.__dataclass_fields__:
-            got, expect = getattr(merged_k, f), getattr(merged, f)
-            if got != expect:
-                _violate(
-                    "per_kernel_prefetch_conservation",
-                    f"per-kernel prefetch {f} slices do not sum to the "
-                    "global counter",
-                    {"counter": f, "per_kernel_sum": got,
-                     "global": expect, "completed": completed},
-                )
-
-        sub = gpu.subsystem
-        pk = sub.per_kernel or {}
-        sums = [sum(c[i] for c in pk.values()) for i in range(4)]
-        mem_expect = (sub.core_demand_requests, sub.core_prefetch_requests,
-                      sub.core_store_requests, sub.responses_delivered)
-        names = ("demand", "prefetch", "store", "responses")
-        for name, got, expect in zip(names, sums, mem_expect):
-            if got != expect:
-                _violate(
-                    "per_kernel_traffic_conservation",
-                    f"per-kernel {name} traffic does not sum to the "
-                    "subsystem counter",
-                    {"counter": name, "per_kernel_sum": got,
-                     "global": expect, "completed": completed},
-                )
-
-        dist = gpu.distributor
-        for kid, kernel in enumerate(gpu.app.kernels):
-            retired = sum(
-                sm.kstats[kid].ctas_executed
-                for sm in gpu.sms if kid in sm.kstats
-            )
-            if retired != dist.finished_ctas[kid]:
-                _violate(
-                    "per_kernel_cta_conservation",
-                    "per-kernel CTAs retired on SMs disagree with the "
-                    "distributor",
-                    {"kernel_id": kid, "retired": retired,
-                     "distributor": dist.finished_ctas[kid]},
-                )
-            if completed and retired != kernel.num_ctas:
-                _violate(
-                    "per_kernel_cta_conservation",
-                    "completed co-run left a kernel with unretired CTAs",
-                    {"kernel_id": kid, "retired": retired,
-                     "launched": kernel.num_ctas},
-                )
 
     @staticmethod
     def _check_mshr(name: str, mshr) -> None:

@@ -123,11 +123,6 @@ class MemorySubsystem:
         self.core_prefetch_requests = 0
         self.core_store_requests = 0
         self.responses_delivered = 0
-        # Per-kernel traffic slices for concurrent-kernel runs: kernel id
-        # -> [demand, prefetch, store, responses].  None (the default)
-        # keeps the single-kernel hot path branch-cheap; MultiGPU
-        # installs a dict at construction.
-        self.per_kernel = None
 
     # ------------------------------------------------------------------ SM side
     def can_accept(self) -> bool:
@@ -146,19 +141,10 @@ class MemorySubsystem:
         self.core_requests += 1
         if req.access is Access.DEMAND:
             self.core_demand_requests += 1
-            slot = 0
         elif req.access is Access.PREFETCH:
             self.core_prefetch_requests += 1
-            slot = 1
         else:
             self.core_store_requests += 1
-            slot = 2
-        pk = self.per_kernel
-        if pk is not None:
-            counts = pk.get(req.kernel_id)
-            if counts is None:
-                counts = pk[req.kernel_id] = [0, 0, 0, 0]
-            counts[slot] += 1
         return True
 
     # ------------------------------------------------------------- address maps
@@ -214,12 +200,6 @@ class MemorySubsystem:
         self._retire(req)
         self.on_response(req)
         self.responses_delivered += 1
-        pk = self.per_kernel
-        if pk is not None:
-            counts = pk.get(req.kernel_id)
-            if counts is None:
-                counts = pk[req.kernel_id] = [0, 0, 0, 0]
-            counts[3] += 1
         return True
 
     def _track(self, req: MemoryRequest, due: int) -> None:

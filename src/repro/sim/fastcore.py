@@ -22,9 +22,9 @@ phase timing (``obs.profile``) — and is parameterised by
 
 Hooks, profiling and deep checks belong to the scaffold, so they never
 change which step runs; spans charge their cycles through the same
-``SM._charge_stall`` / ``_charge_kernels`` the per-cycle path calls
-with a count of one.  How the event step stays exact
-(docs/architecture.md has the contract):
+``SM._charge_stall`` the per-cycle path calls with a count of one.
+How the event step stays exact (docs/architecture.md has the
+contract):
 
 * **Next-event sources.**  :func:`_dispatch` opens an SM's next span
   from ``Scheduler.next_issue_cycle``, ``Prefetcher.next_event_cycle``
@@ -64,6 +64,8 @@ with a count of one.  How the event step stays exact
   ``_span_hard`` and allowed to run to the hook boundary instead of the
   response horizon; responses do not reset its ``_skip_until``.
   Lazy stall spans are never hard: a response settles them immediately.
+  Co-run SMs take the same rule: an SM keeps no per-kernel counters,
+  so which kernel owns a warp never changes what a span may batch.
 
 * **Backpressure wedges.**  A component blocked by memory backpressure
   sleeps until the one event that can free it: an L2 partition whose
@@ -315,8 +317,6 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
     if issued:
         sched._ptr = ptr
         total = 0
-        own = {}  # kernel id -> instructions (= issue cycles) this span
-        multi = sm._multi
         for j in range(n):
             if cnt[j]:
                 ready[j].cursor.consume_alu(cnt[j])
@@ -326,16 +326,10 @@ def _issue_span(sm, now: int, end: int, stall_cap: int, lsu_busy: bool) -> int:
                 w.instructions_issued += tj
                 w.ready_at = ra[j]
                 total += tj
-                if multi:
-                    own[w.kernel_id] = own.get(w.kernel_id, 0) + tj
         stats = sm.stats
         stats.instructions += total
         stats.issue_cycles += issued
         stats.active_cycles += issued
-        if multi:
-            for kid, tj in own.items():
-                sm.kstats[kid].instructions += tj
-            sm._charge_kernels(issued, own)
     return t
 
 
@@ -415,14 +409,9 @@ def _dispatch(sm, now: int, hook_at: int, sub) -> None:
     # gated prefetch work can become serviceable.  In-span picks are
     # then provably response-independent and may run to the hook
     # boundary; only stalls stay under the response horizon.
-    # Multi-kernel runs additionally classify each issue cycle from
-    # every co-resident kernel's perspective using that kernel's live
-    # waiting count — a response landing mid-span changes it — so they
-    # keep all spans under the response horizon.
     hard = (
         rp is None
         and wake == NEVER
-        and not sm._multi
         and (sm._hard_span_ok or not sm._inflight_prefetch)
         and not sm.prefetch_queue
         and len(sched.ready) == sched.ready_size

@@ -40,11 +40,6 @@ class GPU:
     this class directly.
     """
 
-    #: Whether the SMs host several kernels at once and slice their
-    #: counters per kernel (:class:`repro.sim.multi.MultiGPU`);
-    #: ``kernel`` is then the co-run app.
-    multi = False
-
     def __init__(
         self,
         kernel: KernelInfo,
@@ -70,7 +65,7 @@ class GPU:
         self.obs = build_obs(config, config.num_sms)
         self.sms: List[SM] = [
             SM(sm_id, config, kernel, factory(config, sm_id), self.subsystem,
-               self._on_cta_done, obs=self.obs, multi=self.multi)
+               self._on_cta_done, obs=self.obs)
             for sm_id in range(config.num_sms)
         ]
         self.distributor = self._make_distributor()

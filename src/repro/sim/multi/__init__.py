@@ -5,8 +5,8 @@ Runs N kernels *simultaneously* on one simulated GPU (contrast with
 persistent memory hierarchy).  CTA slots are allocated between kernels
 by a pluggable policy — ``spatial`` (fixed SM partition), ``leftover``
 (priority fill) or ``preempt`` (CTA-boundary preemptive SRTF driven by
-an online runtime predictor) — and every SM/memory counter is sliced
-per kernel so interference can be measured exactly.
+an online runtime predictor) — and each kernel's finish cycle is
+recorded, from which ANTT / STP measure the interference.
 """
 
 from repro._lazy import lazy_exports

@@ -63,7 +63,7 @@ class MultiKernelApp:
     Exposes the ``name``/``num_ctas`` surface of a single
     :class:`KernelInfo` so the existing GPU plumbing (result collection,
     watchdog snapshots, end-of-run invariants) treats the co-run as one
-    combined launch whose counters are additionally sliced per kernel.
+    combined launch.
     """
 
     def __init__(self, kernels: Sequence[KernelInfo]):

@@ -55,7 +55,7 @@ class MultiKernelDistributor:
         #: active[sm_id][kid] — CTAs of each kernel resident on each SM.
         self.active: List[List[int]] = [[0] * k for _ in range(self.num_sms)]
         self.resident_warps: List[int] = [0] * self.num_sms
-        self.max_ctas_per_kernel: List[int] = [
+        self.kernel_cta_limit: List[int] = [
             min(config.max_ctas_per_sm, kern.max_ctas_per_sm(config))
             for kern in app.kernels
         ]
@@ -81,7 +81,7 @@ class MultiKernelDistributor:
         return (
             self.next_cta[kid] < kernel.num_ctas
             and sum(row) < self.config.max_ctas_per_sm
-            and row[kid] < self.max_ctas_per_kernel[kid]
+            and row[kid] < self.kernel_cta_limit[kid]
             and (self.resident_warps[sm_id] + kernel.warps_per_cta
                  <= self.config.max_warps_per_sm)
         )

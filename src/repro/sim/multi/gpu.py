@@ -4,21 +4,19 @@
 from several kernels at once.  Construction, the run loop with both
 engine steps, memory flush, observability and the always-on guard
 invariants are inherited unchanged — the subclass only swaps the CTA
-distributor for a policy-driven multi-kernel one, switches every SM
-into per-kernel accounting mode (``multi = True``), and extends the
-collected :class:`SimResult` with per-kernel sub-records that
-conservation-sum to the global counters.
+distributor for a policy-driven multi-kernel one and extends the
+collected :class:`SimResult` with one record per kernel: its name, CTA
+count and the cycle its last CTA retired, which is all the ANTT / STP
+math reads.  The SMs and the memory system keep one set of counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import GPUConfig
-from repro.prefetch.stats import PrefetchStats
 from repro.sim.gpu import GPU, SimResult
 from repro.sim.kernel import KernelInfo
-from repro.sim.sm import KernelStats
 
 from .app import MultiKernelApp
 from .distributor import MultiKernelDistributor
@@ -34,8 +32,6 @@ class MultiGPU(GPU):
     expect, so none of that plumbing needs multi-kernel special cases.
     """
 
-    multi = True
-
     def __init__(
         self,
         app: MultiKernelApp,
@@ -45,11 +41,6 @@ class MultiGPU(GPU):
     ):
         self.app = app
         super().__init__(app, config, prefetcher_factory, faults)
-        # Pre-install every kernel's traffic slice so zero-traffic
-        # kernels still appear in the per-kernel records.
-        self.subsystem.per_kernel = {
-            k.kernel_id: [0, 0, 0, 0] for k in app.kernels
-        }
 
     def _make_distributor(self) -> MultiKernelDistributor:
         self.policy = make_policy(self.config.multi.alloc_policy,
@@ -73,44 +64,17 @@ class MultiGPU(GPU):
     def _collect(self, completed: bool, cycles: Optional[int] = None) -> SimResult:
         result = super()._collect(completed, cycles)
         dist = self.distributor
-        run_cycles = result.cycles
-        records: List[Dict[str, Any]] = []
-        for kid, kernel in enumerate(self.app.kernels):
-            ks = KernelStats()
-            pk = PrefetchStats()
-            for sm in self.sms:
-                if kid in sm.kstats:
-                    ks.merge(sm.kstats[kid])
-                if kid in sm.pstats_k:
-                    pk.merge(sm.pstats_k[kid])
-            demand, prefetch, store, responses = self.subsystem.per_kernel[kid]
-            finish = dist.finish_cycle[kid]
-            rec: Dict[str, Any] = {
+        result.extra["kernels"] = [
+            {
                 "kernel_id": kid,
                 "name": kernel.name,
                 "num_ctas": kernel.num_ctas,
-                "finish_cycle": finish,
-                "finished": finish >= 0,
-                # Per-kernel IPC over the kernel's own residency window
-                # (launch at 0 to its last CTA's retirement).
-                "ipc": (ks.instructions / finish if finish > 0
-                        else (ks.instructions / run_cycles if run_cycles
-                              else 0.0)),
-                "l1_hit_rate": (ks.l1_hits / ks.l1_accesses
-                                if ks.l1_accesses else 0.0),
-                "coverage": pk.coverage(ks.demand_mem_fetches),
-                "accuracy": pk.accuracy(),
-                "stall_fraction": (ks.stall_mem_all / ks.active_cycles
-                                   if ks.active_cycles else 0.0),
-                "mem_demand_requests": demand,
-                "mem_prefetch_requests": prefetch,
-                "mem_store_requests": store,
-                "mem_responses": responses,
-                **{k: getattr(ks, k) for k in ks.__dataclass_fields__},
-                **{f"pf_{k}": v for k, v in pk.as_dict().items()},
+                "finish_cycle": dist.finish_cycle[kid],
+                "finished": dist.finish_cycle[kid] >= 0,
+                "ctas_executed": dist.finished_ctas[kid],
             }
-            records.append(rec)
-        result.extra["kernels"] = records
+            for kid, kernel in enumerate(self.app.kernels)
+        ]
         result.extra["multi"] = {
             "alloc_policy": self.policy.name,
             "num_kernels": self.app.num_kernels,
@@ -132,7 +96,7 @@ def simulate_corun(
 ) -> SimResult:
     """Run ``kernels`` concurrently on one GPU under
     ``config.multi.alloc_policy`` and return the combined
-    :class:`SimResult` (per-kernel sub-records in
+    :class:`SimResult` (one record per kernel in
     ``result.extra["kernels"]``)."""
     app = MultiKernelApp(kernels)
     gpu = MultiGPU(app, config, prefetcher_factory, faults=faults)

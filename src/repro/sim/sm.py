@@ -65,39 +65,6 @@ class CTAState:
 
 
 @dataclass
-class KernelStats:
-    """Per-kernel slice of an SM's counters (concurrent-kernel runs).
-
-    Maintained only when the SM runs in multi-kernel mode; the guard
-    layer asserts the slices conservation-sum to the global counters
-    (instructions, loads/stores, L1, MSHR, CTAs — the cycle-overlap
-    counters ``active/issue/stall_*`` are per-kernel perspectives and
-    legitimately exceed the wall-clock totals).
-    """
-
-    instructions: int = 0
-    loads_issued: int = 0
-    stores_issued: int = 0
-    demand_l1_accesses: int = 0
-    demand_mem_fetches: int = 0
-    l1_accesses: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
-    mshr_allocated: int = 0
-    mshr_released: int = 0
-    issue_cycles: int = 0
-    active_cycles: int = 0
-    stall_mem_all: int = 0
-    stall_mem_partial: int = 0
-    stall_other: int = 0
-    ctas_executed: int = 0
-
-    def merge(self, other: "KernelStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
-
-@dataclass
 class _InflightPrefetch:
     """An issued prefetch whose line has not filled L1 yet.
 
@@ -138,7 +105,6 @@ class SM:
         subsystem: MemorySubsystem,
         on_cta_done: Callable,
         obs=None,
-        multi: bool = False,
     ):
         self.sm_id = sm_id
         self.config = config
@@ -210,18 +176,6 @@ class SM:
         #: kernel id -> static load sites, filled as kernels launch CTAs.
         self._kernel_load_sites: Dict[int, int] = {}
 
-        # Concurrent-kernel accounting (all dormant when ``multi`` is
-        # False — the single-kernel hot path pays one bool test per
-        # site).  ``kstats``/``pstats_k`` slice the global counters per
-        # kernel id; ``k_unfinished``/``k_waiting`` mirror the SM-wide
-        # warp counts per kernel for the per-kernel stall classifier.
-        self._multi = multi
-        self.kstats: Dict[int, KernelStats] = {}
-        self.pstats_k: Dict[int, PrefetchStats] = {}
-        self.k_unfinished: Dict[int, int] = {}
-        self.k_waiting: Dict[int, int] = {}
-        self._issued_kid = -1
-
     # ------------------------------------------------------------- CTA launch
     def free_slot(self) -> Optional[int]:
         for i, s in enumerate(self.cta_slots):
@@ -269,13 +223,6 @@ class SM:
             kernel=kernel, kernel_id=kid, launch_cycle=now,
         )
         self.unfinished_warps += len(warps)
-        if self._multi:
-            self.k_unfinished[kid] = (
-                self.k_unfinished.get(kid, 0) + len(warps)
-            )
-            if kid not in self.kstats:
-                self.kstats[kid] = KernelStats()
-                self.pstats_k[kid] = PrefetchStats()
         if self.prefetcher.wants_group_interleave:
             # ORCH: consecutive warps land in different scheduling groups.
             order = sorted(warps, key=lambda w: (w.warp_in_cta % 2, w.warp_in_cta))
@@ -321,8 +268,6 @@ class SM:
         if issued:
             self.stats.issue_cycles += 1
             self.stats.active_cycles += 1
-            if self._multi:
-                self._charge_kernels(1, {self._issued_kid: 1})
         else:
             self._charge_stall(1)
 
@@ -362,8 +307,8 @@ class SM:
 
     # ------------------------------------------------------- cycle accounting
     def _charge_stall(self, k: int) -> None:
-        """Charge ``k`` cycles in which nothing issued: active time, the
-        stall class, and (multi mode) every resident kernel's view.
+        """Charge ``k`` cycles in which nothing issued: active time and
+        the stall class.
 
         The one stall classifier: the per-cycle path calls it with
         ``k == 1`` and the event engine with whole spans, over which the
@@ -377,8 +322,6 @@ class SM:
             stats.stall_mem_partial += k
         else:
             stats.stall_other += k
-        if self._multi:
-            self._charge_kernels(k, {})
 
     def _charge_wedged_replay(self, k: int) -> None:
         """Charge ``k`` skipped cycles of a wedged replay: on each the
@@ -393,36 +336,6 @@ class SM:
         l1._tick += k
         l1.accesses += k
         l1.misses += k
-        if self._multi:
-            ks = self.kstats[self.replay.warp.kernel_id]
-            ks.l1_accesses += k
-            ks.l1_misses += k
-
-    def _charge_kernels(self, cycles: int, own: Dict[int, int]) -> None:
-        """Multi mode: charge a window of ``cycles`` SM cycles from each
-        resident kernel's perspective.  ``own[kid]`` of them issued an
-        instruction of kernel ``kid``; the rest (another kernel's issue
-        cycles included) are stalls of its own, classified from its own
-        waiting/unfinished counts, constant over the window as in
-        :meth:`_charge_stall`."""
-        for kid, unfin in self.k_unfinished.items():
-            issued = own.get(kid, 0)
-            if unfin <= 0 and not issued:
-                # Not resident — unless the EXIT that retired its last
-                # warp is the instruction this very cycle issued.
-                continue
-            ks = self.kstats[kid]
-            ks.active_cycles += cycles
-            ks.issue_cycles += issued
-            stalled = cycles - issued
-            if stalled:
-                kw = self.k_waiting.get(kid, 0)
-                if kw >= unfin:
-                    ks.stall_mem_all += stalled
-                elif kw > 0:
-                    ks.stall_mem_partial += stalled
-                else:
-                    ks.stall_other += stalled
 
     def _complete_hits(self, now: int) -> None:
         heap = self._hit_heap
@@ -435,8 +348,6 @@ class SM:
         since = warp.blocked_since
         if warp.piece_arrived(now):
             self.waiting_mem_warps -= 1
-            if self._multi:
-                self.k_waiting[warp.kernel_id] -= 1
             if self.obs is not None and since >= 0:
                 self.obs.warp_unblock(warp, since, now)
             if warp.exit_pending:
@@ -448,10 +359,6 @@ class SM:
         """``warp`` just entered WAITING_MEM: count it and tell the
         scheduler and the trace."""
         self.waiting_mem_warps += 1
-        if self._multi:
-            self.k_waiting[warp.kernel_id] = (
-                self.k_waiting.get(warp.kernel_id, 0) + 1
-            )
         self.scheduler.on_block(warp)
         if self.obs is not None:
             self.obs.warp_block(warp, now)
@@ -483,8 +390,6 @@ class SM:
         warp = self.scheduler.pick(now, lsu_free)
         if warp is None:
             return False
-        if self._multi:
-            self._issued_kid = warp.kernel_id
         cursor = warp.cursor
         kind = cursor.kind
         if kind == EXIT:
@@ -502,8 +407,6 @@ class SM:
             return "alu"
         warp.instructions_issued += 1
         self.stats.instructions += 1
-        if self._multi:
-            self.kstats[warp.kernel_id].instructions += 1
         if kind == ALU:
             warp.ready_at = now + cursor.lat
             cursor.consume_alu(1)
@@ -535,10 +438,6 @@ class SM:
         line_addrs = coalesce(addrs, self.l1.line_bytes)
         self.stats.loads_issued += 1
         self.stats.demand_l1_accesses += len(line_addrs)
-        if self._multi:
-            ks = self.kstats[warp.kernel_id]
-            ks.loads_issued += 1
-            ks.demand_l1_accesses += len(line_addrs)
         cands = self.prefetcher.on_load_issue(
             warp, site, addrs, line_addrs, iteration, now
         )
@@ -585,8 +484,6 @@ class SM:
         addrs = site.addresses(self._ctx(warp, iteration))
         line_addrs = coalesce(addrs, self.l1.line_bytes)
         self.stats.stores_issued += 1
-        if self._multi:
-            self.kstats[warp.kernel_id].stores_issued += 1
         warp.ready_at = now + STORE_LATENCY
         remaining = list(line_addrs)
         self._process_store_lines(warp, site.pc, remaining, now)
@@ -624,22 +521,11 @@ class SM:
         while remaining:
             line_addr = remaining[0]
             line = self.l1.lookup(line_addr)
-            if self._multi:
-                ks = self.kstats[warp.kernel_id]
-                ks.l1_accesses += 1
-                if line is not None:
-                    ks.l1_hits += 1
-                else:
-                    ks.l1_misses += 1
             if line is not None:
                 if line.prefetched and not line.used:
                     line.used = True
                     self.unused_prefetched_resident -= 1
                     self.pstats.record_useful(now - line.prefetch_issue_cycle)
-                    if self._multi:
-                        self.pstats_k[warp.kernel_id].record_useful(
-                            now - line.prefetch_issue_cycle
-                        )
                     if self.obs is not None:
                         self.obs.pf_useful(
                             self.sm_id, now - line.prefetch_issue_cycle, now
@@ -661,10 +547,6 @@ class SM:
                     # demand warps merging are ordinary MSHR-style
                     # merges, not additional prefetch successes).
                     self.pstats.record_late_merge(now - meta.issue_cycle)
-                    if self._multi:
-                        self.pstats_k[warp.kernel_id].record_late_merge(
-                            now - meta.issue_cycle
-                        )
                     if self.obs is not None:
                         self.obs.pf_late_merge(
                             self.sm_id, now - meta.issue_cycle, now
@@ -696,10 +578,6 @@ class SM:
             mshr.allocate(req)
             self.miss_queue.append(req)
             self.stats.demand_mem_fetches += 1
-            if self._multi:
-                ks = self.kstats[warp.kernel_id]
-                ks.demand_mem_fetches += 1
-                ks.mshr_allocated += 1
             cands = self.prefetcher.on_l1_miss(warp, pc, line_addr, now)
             if cands:
                 self.enqueue_prefetches(cands)
@@ -724,24 +602,10 @@ class SM:
             )
 
     # -------------------------------------------------------------- prefetch
-    def _pk(self, line_addr: int) -> PrefetchStats:
-        """Per-kernel prefetch stats slice owning ``line_addr`` (multi
-        mode only); kernels occupy disjoint address ranges, so the owner
-        is exact."""
-        kid = line_addr >> KERNEL_ADDR_SHIFT
-        pk = self.pstats_k.get(kid)
-        if pk is None:
-            pk = self.pstats_k[kid] = PrefetchStats()
-        return pk
-
     def enqueue_prefetches(self, cands: List[PrefetchCandidate]) -> None:
         self.pstats.candidates += len(cands)
-        multi = self._multi
         for c in cands:
             line = self.l1.align(c.line_addr)
-            if multi:
-                pk = self._pk(line)
-                pk.candidates += 1
             if line in self._queued_prefetch_lines:
                 continue
             if len(self.prefetch_queue) >= PREFETCH_QUEUE_DEPTH:
@@ -749,8 +613,6 @@ class SM:
                 # closer to their demand; the incoming one is furthest in
                 # the future and cheapest to lose.
                 self.pstats.queue_drops += 1
-                if multi:
-                    pk.queue_drops += 1
                 continue
             self.prefetch_queue.append(c)
             self._queued_prefetch_lines.add(line)
@@ -759,24 +621,17 @@ class SM:
         cand = self.prefetch_queue.popleft()
         line_addr = self.l1.align(cand.line_addr)
         self._queued_prefetch_lines.discard(line_addr)
-        multi = self._multi
         if self.l1.probe(line_addr) is not None:
             self.pstats.drop_l1_hit += 1
-            if multi:
-                self._pk(line_addr).drop_l1_hit += 1
             return
         if self.l1.mshr.pending(line_addr) or line_addr in self._inflight_prefetch:
             self.pstats.drop_inflight += 1
-            if multi:
-                self._pk(line_addr).drop_inflight += 1
             return
         if (
             len(self._inflight_prefetch) >= self.prefetch_inflight_limit
             or len(self.prefetch_miss_queue) >= self.prefetch_miss_queue_depth
         ):
             self.pstats.drop_resource += 1
-            if multi:
-                self._pk(line_addr).drop_resource += 1
             return
         req = MemoryRequest(
             line_addr=line_addr,
@@ -795,8 +650,6 @@ class SM:
             req=req,
         )
         self.pstats.issued += 1
-        if multi:
-            self._pk(line_addr).issued += 1
         if self.obs is not None:
             self.obs.pf_issue(req, now)
 
@@ -816,8 +669,6 @@ class SM:
             self._on_prefetch_fill(meta, now)
             return
         merged = self.l1.mshr.release(line_addr)
-        if self._multi:
-            self.kstats[req.kernel_id].mshr_released += 1
         victim = self.l1.fill(line_addr, cycle=now)
         if victim is not None and victim.prefetched and not victim.used:
             self._early_evicted(victim, now)
@@ -833,8 +684,6 @@ class SM:
     def _early_evicted(self, victim, now: int) -> None:
         """A fill displaced a prefetched line no demand ever used."""
         self.pstats.early_evicted += 1
-        if self._multi:
-            self._pk(victim.line_addr).early_evicted += 1
         self.unused_prefetched_resident -= 1
         if self.obs is not None:
             self.obs.pf_early_evict(self.sm_id, now)
@@ -881,13 +730,9 @@ class SM:
         self.unfinished_warps -= 1
         cta = self.cta_slots[warp.cta_slot]
         cta.unfinished -= 1
-        if self._multi:
-            self.k_unfinished[warp.kernel_id] -= 1
         if cta.unfinished == 0:
             self.cta_slots[warp.cta_slot] = None
             self.stats.ctas_executed += 1
-            if self._multi:
-                self.kstats[cta.kernel_id].ctas_executed += 1
             for w in cta.warps:
                 self.warps_by_uid.pop(w.uid, None)
                 self.warp_by_slot.pop(w.slot, None)
@@ -897,16 +742,10 @@ class SM:
     # -------------------------------------------------------------- finalize
     def finalize(self) -> None:
         """Classify leftover prefetched lines as unused (run end)."""
-        l1 = self.l1
-        for idx, cset in enumerate(l1._sets):
-            for tag, line in cset.items():
+        for cset in self.l1._sets:
+            for line in cset.values():
                 if line.prefetched and not line.used:
                     self.pstats.unused_at_end += 1
-                    if self._multi:
-                        addr = ((tag << l1._set_shift) | idx) << l1._line_shift
-                        self._pk(addr).unused_at_end += 1
         for m in self._inflight_prefetch.values():
             if not m.waiters:
                 self.pstats.unused_at_end += 1
-                if self._multi:
-                    self._pk(m.req.line_addr).unused_at_end += 1

@@ -128,6 +128,15 @@ class TestCommaLists:
         assert "Traceback" not in message
         assert list(tmp_path.iterdir()) == []  # no cache or bundle
 
+    def test_one_corun_name_is_a_config_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--co-run", "MM"]) == 2  # EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: ")
+        assert "at least two" in err[0]
+
     def test_lists_accept_aliases_and_corun_names(self):
         p = build_parser()
         assert p.parse_args(["figures", "--benchmarks", "sgemm,cp"]

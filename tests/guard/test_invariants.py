@@ -99,6 +99,19 @@ def test_cta_loss_detected():
     assert err.value.name == "cta_conservation"
 
 
+def test_per_kernel_cta_corruption_detected():
+    from repro.sim.multi import MultiGPU, MultiKernelApp
+
+    gpu = MultiGPU(MultiKernelApp([build(b, Scale.TINY)
+                                   for b in ("MRQ", "MM")]),
+                   tiny_config().with_multi(alloc_policy="preempt"))
+    assert gpu.run().completed
+    gpu.distributor.finished_ctas[1] -= 1
+    with pytest.raises(InvariantViolation) as err:
+        gpu.invariants.verify_end(gpu, completed=True)
+    assert err.value.name == "per_kernel_cta_conservation"
+
+
 def test_deep_check_catches_counter_drift():
     gpu = GPU(make_stream_kernel(), tiny_config())
     gpu.sms[0].unfinished_warps += 1
