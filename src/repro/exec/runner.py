@@ -118,7 +118,8 @@ def execute_cell(key: RunKey, faults: Optional[FaultPlan] = None) -> SimResult:
     A benchmark of the form ``"A+B"`` is a *co-run* cell: the named
     kernels execute concurrently on one GPU under
     ``key.config.multi.alloc_policy`` (see :mod:`repro.sim.multi`) and
-    the result carries per-kernel sub-records in ``extra["kernels"]``.
+    the result carries one record per kernel (name, CTA counts, finish
+    cycle) in ``extra["kernels"]``.
     A cell whose engine is :data:`~repro.prefetch.factory.TRACE` runs
     the inert load tracer and carries Figure 1's view of the load
     stream in ``extra["first_loads"]`` (:func:`repro.sim.trace.first_loads`).

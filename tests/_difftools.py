@@ -174,10 +174,10 @@ def run_corun_engine(
 
 
 def corun_fingerprint(gpu, result) -> Dict[str, Any]:
-    """:func:`fingerprint` plus the per-kernel sub-records and the
-    allocation-policy summary (grant history length, finish cycles,
-    predictor estimates) — the parts of a co-run the global counters
-    cannot see."""
+    """:func:`fingerprint` plus the per-kernel records (name, CTA
+    counts, finish cycle) and the allocation-policy summary (grant
+    history length, finish cycles, predictor estimates) — the parts of a
+    co-run the global counters cannot see."""
     fp = fingerprint(gpu, result)
     fp["kernels"] = repr(result.extra["kernels"])
     fp["multi"] = repr(result.extra["multi"])

@@ -229,7 +229,8 @@ class TestEngineKnob:
 
 class TestMultiKernel:
     """Concurrent-kernel co-runs must be bit-identical too — including
-    the per-kernel sub-records and the allocation-policy summary."""
+    the per-kernel records (name, CTA counts, finish cycle) and the
+    allocation-policy summary."""
 
     PAIRS = (("MRQ", "MM"), ("BFS", "CP"), ("KM", "FFT"))
     POLICIES = ("spatial", "leftover", "preempt")
