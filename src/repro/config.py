@@ -171,6 +171,13 @@ class DRAMConfig:
                 f"dram.banks_per_channel must be >= 1 "
                 f"(got {self.banks_per_channel})"
             )
+        if self.row_bytes < 1:
+            raise ConfigError(f"dram.row_bytes must be >= 1 (got {self.row_bytes})")
+        if self.row_hit_cycles < 1:
+            raise ConfigError(
+                f"dram.row_hit_cycles must be >= 1 (got {self.row_hit_cycles}): "
+                "a burst holds the data bus for at least one cycle"
+            )
         if self.row_miss_cycles < self.row_hit_cycles:
             raise ConfigError(
                 f"dram.row_miss_cycles ({self.row_miss_cycles}) must be >= "

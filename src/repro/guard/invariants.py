@@ -53,8 +53,8 @@ def memory_inflight_reads(sub) -> int:
     """Demand/prefetch requests alive anywhere behind the SMs.
 
     A read that missed L2 is represented by its partition MSHR entry for
-    its entire below-L2 lifetime (the DRAM queue and completion heap
-    hold the same request object), so only the MSHR side is counted —
+    its entire below-L2 lifetime (the DRAM queue and read-completion
+    FIFO hold the same request object), so only the MSHR side is counted —
     each request appears in exactly one term.
     """
     count = sum(1 for _, req in sub.request_pipe.entries()
@@ -71,8 +71,8 @@ def memory_inflight_stores(sub) -> int:
     """Store requests alive anywhere behind the SMs.
 
     ``DramChannel.writes`` increments when a store is *issued* to the
-    banks (it leaves the write queue for the completion heap), so a
-    store still completing is already counted as a DRAM write and must
+    banks (it leaves the write queue and only its done cycle stays on
+    the channel, in the write-completion FIFO), so a store still completing is already counted as a DRAM write and must
     not be counted as in flight too.
     """
     count = sum(1 for _, req in sub.request_pipe.entries() if req.is_store)

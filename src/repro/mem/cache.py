@@ -1,5 +1,9 @@
 """Set-associative cache with LRU replacement and an MSHR file.
 
+Each set is a dict from tag to line kept in recency order: a hit or a
+refill moves its tag to the end, so the least recently used line is the
+set's first key.
+
 The cache stores only tags and per-line metadata (no data payloads are
 simulated).  Lines carry a *prefetched* and a *used* bit so the prefetch
 stats unit can classify fills as useful (demand hit before eviction) or
@@ -19,7 +23,6 @@ from repro.mem.request import DATACLASS_SLOTS, MemoryRequest
 @dataclass(**DATACLASS_SLOTS)
 class CacheLine:
     tag: int
-    last_use: int = 0
     prefetched: bool = False
     used: bool = False
     fill_cycle: int = 0
@@ -154,18 +157,18 @@ class Cache:
         return self._sets[line_no & self._set_mask].get(line_no >> self._set_shift)
 
     def lookup(self, line_addr: int, *, count: bool = True) -> Optional[CacheLine]:
-        """Access the cache; updates LRU and hit/miss counters on demand
-        of the caller (``count=False`` for prefetch probes that should not
-        perturb miss-rate statistics)."""
+        """Access the cache; updates LRU always and hit/miss counters on
+        demand of the caller (``count=False`` for prefetch probes that
+        should not perturb miss-rate statistics)."""
         self._tick += 1
         line_no = line_addr >> self._line_shift
-        idx = line_no & self._set_mask
+        cset = self._sets[line_no & self._set_mask]
         tag = line_no >> self._set_shift
-        line = self._sets[idx].get(tag)
+        line = cset.pop(tag, None)
         if count:
             self.accesses += 1
         if line is not None:
-            line.last_use = self._tick
+            cset[tag] = line
             if count:
                 self.hits += 1
             return line
@@ -189,13 +192,8 @@ class Cache:
         tag = line_no >> self._set_shift
         cset = self._sets[idx]
         victim: Optional[EvictedLine] = None
-        if tag not in cset and len(cset) >= self.assoc:
-            lru_tag = -1
-            lru_use = None
-            for t, ln in cset.items():
-                if lru_use is None or ln.last_use < lru_use:
-                    lru_use = ln.last_use
-                    lru_tag = t
+        if cset.pop(tag, None) is None and len(cset) >= self.assoc:
+            lru_tag = next(iter(cset))
             old = cset.pop(lru_tag)
             victim_line_no = lru_tag * self.num_sets + idx
             victim = EvictedLine(
@@ -206,7 +204,6 @@ class Cache:
             )
         cset[tag] = CacheLine(
             tag=tag,
-            last_use=self._tick,
             prefetched=prefetched,
             used=not prefetched,
             fill_cycle=cycle,

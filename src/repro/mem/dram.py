@@ -19,8 +19,8 @@ it, after inaccurate prefetch interleaving) changes effective latency.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import DRAMConfig
 from repro.mem.request import Access, MemoryRequest
@@ -42,8 +42,13 @@ class DramChannel:
         self._open_row: Dict[int, int] = {}
         self._bank_free: Dict[int, int] = {}
         self._bus_free = 0
-        self._completions: List[Tuple[int, int, MemoryRequest]] = []
-        self._seq = 0
+        # Every burst starts at or after _bus_free and then sets it to
+        # its done cycle, and a burst takes >= 1 cycle (DRAMConfig), so
+        # done cycles strictly increase in issue order: both in-flight
+        # FIFOs below are sorted.  A read's completion calls back; a
+        # write's does nothing, so only the last write is an event.
+        self._completions: Deque[Tuple[int, MemoryRequest]] = deque()
+        self._writes: Deque[int] = deque()
         # stats
         self.reads = 0
         self.writes = 0
@@ -63,7 +68,7 @@ class DramChannel:
 
     @property
     def inflight(self) -> int:
-        return len(self._completions)
+        return len(self._completions) + len(self._writes)
 
     @property
     def full(self) -> bool:
@@ -92,10 +97,6 @@ class DramChannel:
         bank = row_id % self.config.banks_per_channel
         row = row_id // self.config.banks_per_channel
         return bank, row
-
-    def _is_row_hit(self, req: MemoryRequest) -> bool:
-        bank, row = self._bank_row(req.line_addr)
-        return self._open_row.get(bank) == row
 
     def _pick(self) -> Optional[int]:
         """FR-FCFS pick: queue index of the next request, or None.
@@ -133,12 +134,14 @@ class DramChannel:
         and ``issued(req, done)`` on a read sent to the banks this cycle."""
         self.cycles_observed += 1
         self.queue_occupancy_sum += len(self.queue)
-        while self._completions and self._completions[0][0] <= now:
-            _, _, req = heapq.heappop(self._completions)
-            if req.access is not _STORE:
-                complete(req)
+        comp = self._completions
+        while comp and comp[0][0] <= now:
+            complete(comp.popleft()[1])
+        writes = self._writes
+        while writes and writes[0] <= now:
+            writes.popleft()
         if not self.queue and not self.write_queue:
-            if self._completions:
+            if comp or writes:
                 self.busy_cycles += 1
             return
         self.busy_cycles += 1
@@ -181,12 +184,12 @@ class DramChannel:
         self.service_wait_sum += done - now
         if req.access is _STORE:
             self.writes += 1
+            self._writes.append(done)
         else:
             self.reads += 1
             if issued is not None:
                 issued(req, done)
-        self._seq += 1
-        heapq.heappush(self._completions, (done, self._seq, req))
+            self._completions.append((done, req))
 
     def next_event_cycle(self, now: int) -> int:
         """Earliest cycle >= ``now`` at which :meth:`cycle` does real
@@ -194,24 +197,30 @@ class DramChannel:
 
         With a queued read or write the channel issues every cycle, so
         the answer is ``now``.  With empty queues the only future work is
-        popping the completion heap; idle cycles until then touch only
+        completing what is in flight: the earlier of the read head and
+        the *last* write (an earlier write's completion calls nothing
+        back, so it is popped lazily).  Idle cycles until then touch only
         the per-cycle utilization counters, which the event engine
         batch-accrues via :meth:`account_idle_span`."""
         if self.queue or self.write_queue:
             return now
+        t = 1 << 62
         if self._completions:
-            head = self._completions[0][0]
-            return head if head > now else now
-        return 1 << 62
+            t = self._completions[0][0]
+        if self._writes and self._writes[-1] < t:
+            t = self._writes[-1]
+        return t if t > now else now
 
     def account_idle_span(self, cycles: int) -> None:
         """Batch-accrue ``cycles`` quiet cycles the event engine skipped.
 
         Matches what :meth:`cycle` would have recorded per skipped
         cycle: both queues empty, so occupancy adds zero and the channel
-        counts busy only while completions are still in flight."""
+        counts busy only while completions are still in flight.  The
+        channel wakes no later than its read head and its last write, so
+        whatever is in flight stays in flight through the whole span."""
         self.cycles_observed += cycles
-        if self._completions:
+        if self._completions or self._writes:
             self.busy_cycles += cycles
 
     @property
@@ -227,4 +236,5 @@ class DramChannel:
 
     @property
     def drained(self) -> bool:
-        return not self.queue and not self.write_queue and not self._completions
+        return not (self.queue or self.write_queue or self._completions
+                    or self._writes)

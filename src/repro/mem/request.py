@@ -43,7 +43,7 @@ class MemoryRequest:
     issue_cycle: int = 0
     # owning kernel in a concurrent-kernel run (always 0 single-kernel)
     kernel_id: int = 0
-    uid: int = field(default_factory=lambda: next(_uid))
+    uid: int = field(default_factory=_uid.__next__)
     # set on the return path
     l2_hit: bool = False
     # set by the fault injector so a response is delayed at most once
@@ -55,6 +55,8 @@ class MemoryRequest:
     # cached so FR-FCFS scans don't re-derive it every cycle
     dram_bank: int = -1
     dram_row: int = -1
+    # L2 partition index, set once by MemorySubsystem.submit
+    part: int = -1
 
     @property
     def is_prefetch(self) -> bool:

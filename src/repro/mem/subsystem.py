@@ -45,16 +45,6 @@ class _L2Partition:
         # MemorySubsystem._l2_cycle.
         self.wedged_from = -1
 
-    @property
-    def full(self) -> bool:
-        return len(self.in_queue) >= self.in_capacity
-
-    def accept(self, req: MemoryRequest) -> bool:
-        if len(self.in_queue) >= self.in_capacity:
-            return False
-        self.in_queue.append(req)
-        return True
-
     def settle_wedge(self, upto: int) -> None:
         """Charge wedged cycles ``[wedged_from, upto)`` and move the mark
         to ``upto``: on each the reference ``_l2_cycle`` re-probed the
@@ -125,15 +115,15 @@ class MemorySubsystem:
         self.responses_delivered = 0
 
     # ------------------------------------------------------------------ SM side
-    def can_accept(self) -> bool:
-        return self.request_pipe.can_accept()
-
     def submit(self, req: MemoryRequest, now: int) -> bool:
         """Called by an SM's LSU for each L1 miss / store.  Returns False
-        when the network is saturated (SM must retry)."""
+        when the network is saturated (SM must retry).  The one entry
+        into the request pipe, so it routes the request: ``req.part`` is
+        its L2 partition (lines interleave across partitions)."""
         pipe = self.request_pipe
         if len(pipe._q) >= pipe.capacity:
             return False
+        req.part = (req.line_addr >> self._line_shift) % len(self.partitions)
         pipe.push(req, now)
         ripe = now + pipe.latency
         if ripe < self._next_event:
@@ -147,12 +137,6 @@ class MemorySubsystem:
             self.core_store_requests += 1
         return True
 
-    # ------------------------------------------------------------- address maps
-    def partition_of(self, line_addr: int) -> _L2Partition:
-        return self.partitions[
-            (line_addr >> self._line_shift) % len(self.partitions)
-        ]
-
     # ------------------------------------------------------------------- cycle
     def cycle(self, now: int) -> None:
         # 1. DRAM: completions fill L2 and release partition MSHRs.
@@ -160,14 +144,14 @@ class MemorySubsystem:
         # closure per channel per cycle measurably slows the hot loop.)
         self._complete_now = now
         for ch in self.channels:
-            ch.cycle(now, self._dram_complete_now, self._dram_issued)
+            ch.cycle(now, self._dram_complete, self._dram_issued)
         # 2. L2 hit completions that have waited out the L2 latency.
         self._drain_l2_wait(now)
         # 3. L2 partitions process their input queues.
         for part in self.partitions:
             self._l2_cycle(part, now)
         # 4. Move requests from the icnt into partition input queues.
-        self.request_pipe.drain(now, self._deliver_to_partition)
+        self._drain_requests(now)
         # 5. Deliver ripe responses to SMs.
         self.response_pipe.drain(now, self._deliver_response)
 
@@ -193,8 +177,24 @@ class MemorySubsystem:
                     continue
             self.response_pipe.push(req, now)
 
-    def _deliver_to_partition(self, req: MemoryRequest) -> bool:
-        return self.partition_of(req.line_addr).accept(req)
+    def _drain_requests(self, now: int) -> None:
+        """Move up to the pipe's bandwidth of ripe requests into their
+        partitions' input queues, in order: a head whose partition is
+        full blocks everything behind it (head-of-line blocking)."""
+        pipe = self.request_pipe
+        q = pipe._q
+        parts = self.partitions
+        n = pipe.bw
+        while q and n:
+            ready_at, req = q[0]
+            if ready_at > now:
+                return
+            part = parts[req.part]
+            if len(part.in_queue) >= part.in_capacity:
+                return
+            q.popleft()
+            part.in_queue.append(req)
+            n -= 1
 
     def _deliver_response(self, req: MemoryRequest) -> bool:
         self._retire(req)
@@ -228,16 +228,15 @@ class MemorySubsystem:
         """The DRAM read of ``req``'s L2 MSHR entry issued: every read
         on the entry is due once the fill crossed L2 and the return pipe."""
         due = done + self.response_lag
-        part = self.partition_of(req.line_addr)
-        for r in part.mshr._entries[req.line_addr].requests:
+        entry = self.partitions[req.part].mshr._entries[req.line_addr]
+        for r in entry.requests:
             self._track(r, due)
 
-    def _dram_complete_now(self, req: MemoryRequest) -> None:
-        """Completion callback bound to the cycle set in :meth:`cycle`."""
-        self._dram_complete(req, self._complete_now)
-
-    def _dram_complete(self, req: MemoryRequest, now: int) -> None:
-        part = self.partition_of(req.line_addr)
+    def _dram_complete(self, req: MemoryRequest) -> None:
+        """Completion callback; the cycle is the one :meth:`cycle` (or
+        :meth:`cycle_event`) set in ``_complete_now``."""
+        now = self._complete_now
+        part = self.partitions[req.part]
         if part.wedged_from >= 0:
             # The fill may free it: settle before the fill's tick and
             # let cycle_event re-probe the head.
@@ -315,11 +314,13 @@ class MemorySubsystem:
         nxt = 1 << 62
         for ch in self.channels:
             comp = ch._completions
-            if ch.queue or ch.write_queue or (comp and comp[0][0] <= now):
+            writes = ch._writes
+            if (ch.queue or ch.write_queue or (comp and comp[0][0] <= now)
+                    or (writes and writes[-1] <= now)):
                 gap = now - ch._accounted_to
                 if gap > 0:
                     ch.account_idle_span(gap)
-                ch.cycle(now, self._dram_complete_now, self._dram_issued)
+                ch.cycle(now, self._dram_complete, self._dram_issued)
                 ch._accounted_to = now + 1
         w = self._l2_wait
         if w and w[0][0] <= now:
@@ -333,7 +334,7 @@ class MemorySubsystem:
                     busy = True
         q = self.request_pipe._q
         if q and q[0][0] <= now:
-            self.request_pipe.drain(now, self._deliver_to_partition)
+            self._drain_requests(now)
         q = self.response_pipe._q
         if q and q[0][0] <= now:
             self.response_pipe.drain(now, self._deliver_response)
@@ -346,7 +347,7 @@ class MemorySubsystem:
         # channel's term bounds.  submit() pulls it earlier mid-span.
         rq = self.request_pipe._q
         if not busy and rq and rq[0][0] <= now:
-            part = self.partition_of(rq[0][1].line_addr)
+            part = self.partitions[rq[0][1].part]
             if part.wedged_from < 0 or len(part.in_queue) < part.in_capacity:
                 busy = True
             rq = None
@@ -373,13 +374,17 @@ class MemorySubsystem:
 
     def sync_accounting(self, now: int) -> None:
         """Bring lazy counters (idle DRAM channels, wedged L2 partitions)
-        up to date through ``now - 1``; called before any observer reads
+        up to date through ``now - 1``, and drop the writes finished by
+        then, so ``inflight`` is exact; called before any observer reads
         them (window flushes, deep checks, hang snapshots, run end)."""
         for ch in self.channels:
             gap = now - ch._accounted_to
             if gap > 0:
                 ch.account_idle_span(gap)
                 ch._accounted_to = now
+            writes = ch._writes
+            while writes and writes[0] < now:
+                writes.popleft()
         for part in self.partitions:
             if part.wedged_from >= 0:
                 part.settle_wedge(now)

@@ -108,21 +108,6 @@ class Prefetcher:
         self.candidates_generated += len(cands)
         return cands
 
-    # -- event engine ----------------------------------------------------
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which this engine spontaneously
-        needs its SM to run a cycle — the prefetcher half of the event
-        engine's next-event contract (docs/architecture.md).
-
-        Every shipped engine (including CAPS, see
-        :meth:`repro.core.caps.CapsPrefetcher.next_event_cycle`) is
-        purely reactive: it acts only inside hooks the SM already calls
-        on real events (load issue, L1 miss, CTA launch/finish, fills),
-        so the base returns "never".  A hypothetical timer-driven engine
-        must override this or the event engine would skip its wakeups.
-        """
-        return 1 << 62
-
 
 class NoPrefetcher(Prefetcher):
     """The paper's baseline: two-level scheduler, no prefetching."""

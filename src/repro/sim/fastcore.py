@@ -14,8 +14,8 @@ phase timing (``obs.profile``) — and is parameterised by
   (``tests/sim/test_differential_engines.py``) compares against.
 
 * ``"event"`` — the default step.  Most cycles do nothing but accrue a
-  stall counter: warps wait on memory, DRAM waits on its completion
-  heap, the interconnect pipes wait on their latency.  The event step
+  stall counter: warps wait on memory, DRAM waits on its in-flight
+  bursts, the interconnect pipes wait on their latency.  The event step
   skips those cycles in batches while staying *bit-identical* to the
   reference — every counter, series and snapshot is pinned across both
   steps.
@@ -27,11 +27,14 @@ How the event step stays exact (docs/architecture.md has the
 contract):
 
 * **Next-event sources.**  :func:`_dispatch` opens an SM's next span
-  from ``Scheduler.next_issue_cycle``, ``Prefetcher.next_event_cycle``
-  and the SM's own hit heap; the subsystem runs ``cycle_event`` when
-  its cached ``_next_event`` (recomputed there, pulled earlier by
-  ``submit``) is ripe.  All are conservative lower bounds: they
-  may fire early (wasting a check) but never late (missing work).
+  from ``Scheduler.next_issue_cycle`` and the SM's own hit heap (every
+  prefetch engine acts only inside hooks the SM calls on real events);
+  the subsystem runs ``cycle_event`` when its cached ``_next_event``
+  (recomputed there, pulled earlier by ``submit``) is ripe.  A DRAM
+  channel's term is the earlier of its read head and its last write:
+  an earlier write's completion calls nothing back.  All are
+  conservative lower bounds: they may fire early (wasting a check) but
+  never late (missing work).
 
 * **Response horizon.**  An SM's state changes under its span only via
   a memory response *to that SM* (CTA launches land only on the SM
@@ -370,9 +373,6 @@ def _dispatch(sm, now: int, hook_at: int, sub) -> None:
     lazy_end = hook_at if hook_at < wake else wake
     if hh and hh[0][0] < lazy_end:
         lazy_end = hh[0][0]
-    p = sm.prefetcher.next_event_cycle(now)
-    if p < lazy_end:
-        lazy_end = p
     nxt = sm.scheduler.next_issue_cycle()
     if nxt > now:
         # No warp can issue before `nxt` absent an external event: open

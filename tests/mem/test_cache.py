@@ -1,6 +1,7 @@
 """Tests for the set-associative cache and MSHR file (repro.mem.cache)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.mem.cache import Cache, Mshr, MshrFullError
@@ -90,6 +91,82 @@ class TestLRUReplacement:
         c.fill(addr)
         victim = c.fill(addr + 8 * 128)
         assert victim.line_addr == addr
+
+
+class _ReferenceLRU:
+    """Tag sets that remember each line's last touch and evict the least
+    recently touched line of a full set (no reliance on dict order)."""
+
+    def __init__(self, num_sets, assoc):
+        self.num_sets, self.assoc = num_sets, assoc
+        self.sets = [{} for _ in range(num_sets)]  # line_no -> last touch
+        self.clock = 0
+
+    def _set(self, line_no):
+        return self.sets[line_no % self.num_sets]
+
+    def lookup(self, line_no):
+        self.clock += 1
+        lines = self._set(line_no)
+        if line_no in lines:
+            lines[line_no] = self.clock
+            return True
+        return False
+
+    def probe(self, line_no):
+        return line_no in self._set(line_no)
+
+    def fill(self, line_no):
+        self.clock += 1
+        lines = self._set(line_no)
+        victim = None
+        if line_no not in lines and len(lines) >= self.assoc:
+            victim = min(lines, key=lines.get)
+            del lines[victim]
+        lines[line_no] = self.clock
+        return victim
+
+
+#: (operation, line number) streams over 12 lines of a 2-set cache, so
+#: a set holds 4 of its 6 lines and most fills refill or evict.
+OPS = st.lists(st.tuples(
+    st.sampled_from(("lookup", "lookup_uncounted", "probe", "fill", "fill",
+                     "fill_prefetch")),
+    st.integers(0, 11)), max_size=150)
+
+
+class TestLRUProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(OPS)
+    # A refill and an uncounted hit each make their line most recent.
+    @example([("fill", 0), ("fill", 2), ("fill", 4), ("fill", 6),
+              ("fill", 0), ("lookup_uncounted", 2), ("fill", 8),
+              ("fill", 10)])
+    def test_matches_least_recently_touched_reference(self, ops):
+        """Hits, misses and victims of a 2-set, 4-way cache match a model
+        that evicts the least recently touched line, across counted and
+        uncounted lookups, probes, fills and refills."""
+        c = cache(size=8 * 128, assoc=4)
+        ref = _ReferenceLRU(c.num_sets, c.assoc)
+        hits = misses = 0
+        for op, line_no in ops:
+            addr = line_no * 128
+            if op == "probe":
+                assert (c.probe(addr) is not None) == ref.probe(line_no)
+            elif op.startswith("lookup"):
+                count = op == "lookup"
+                hit = ref.lookup(line_no)
+                assert (c.lookup(addr, count=count) is not None) == hit
+                if count:
+                    hits += hit
+                    misses += not hit
+            else:
+                victim = c.fill(addr, prefetched=op == "fill_prefetch")
+                expect = ref.fill(line_no)
+                got = None if victim is None else victim.line_addr // 128
+                assert got == expect
+        assert (c.hits, c.misses, c.accesses) == (hits, misses, hits + misses)
+        assert c.occupancy() == sum(len(s) for s in ref.sets)
 
 
 class TestPrefetchedLineState:

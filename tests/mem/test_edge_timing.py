@@ -8,6 +8,8 @@ bit-identity contract.  These tests pin the boundaries directly at the
 component level (the differential suite pins them end-to-end).
 """
 
+import random
+
 import pytest
 
 from repro.config import DRAMConfig
@@ -123,7 +125,7 @@ class TestFullQueues:
 class TestSameCycleCompletions:
     def test_back_to_back_completions_pop_in_issue_order(self):
         """Two reads finished in the past both deliver on the next cycle
-        call, oldest issue first (heap orders by (done, seq))."""
+        call, oldest issue first (the completion FIFO is in issue order)."""
         ch = DramChannel(dcfg(), 0)
         a, b = req(0), req(128)  # same bank+row: miss then hit
         ch.push(a)
@@ -135,6 +137,35 @@ class TestSameCycleCompletions:
         ch.cycle(500, done.append)  # far beyond both completion times
         assert done == [a, b]
         assert ch.drained
+
+    def test_done_cycles_rise_in_issue_order(self):
+        """Why the in-flight FIFOs need no heap: every burst starts at or
+        after the bus's free cycle and then moves it to its done cycle,
+        and DRAMConfig holds a burst to row_hit_cycles >= 1, so done
+        cycles strictly increase in issue order.  Pinned at that floor,
+        with no activate time, over a mixed stream of reads and writes
+        across banks and rows."""
+        rng = random.Random(5)
+        ch = DramChannel(dcfg(row_hit_cycles=1, row_miss_cycles=1,
+                              queue_entries=8), 0)
+        issued = []
+        for now in range(400):
+            if rng.random() < 0.7:
+                access = rng.choice((Access.DEMAND, Access.STORE,
+                                     Access.PREFETCH))
+                r = req(rng.randrange(64) * 128 * rng.choice((1, 8)), access)
+                if access is Access.STORE and ch.can_accept_write():
+                    ch.push(r)
+                elif access is not Access.STORE and ch.can_accept():
+                    ch.push(r)
+            ch.cycle(now, lambda r: None, lambda r, done: issued.append(done))
+            reads = [done for done, _ in ch._completions]
+            writes = list(ch._writes)
+            assert reads == sorted(set(reads))
+            assert writes == sorted(set(writes))
+            assert not set(reads) & set(writes)
+        assert ch.reads > 50 and ch.writes > 50
+        assert issued == sorted(set(issued))
 
     def test_completion_not_early(self):
         """A read completing at cycle D is invisible at D-1, popped at D."""
@@ -167,13 +198,46 @@ class TestNextEventContract:
         # A stale head (already ripe) clamps to now, never the past.
         assert ch.next_event_cycle(30) == 30
 
+    def test_writes_only_mean_last_write(self):
+        """A write's completion calls nothing back: with only writes in
+        flight the next event is the last write's done cycle."""
+        ch = DramChannel(dcfg(), 0)
+        for now, line in enumerate((0, 128, 256)):  # one row: miss, hit, hit
+            ch.push(req(line, Access.STORE))
+            ch.cycle(now, lambda r: None)
+        assert list(ch._writes) == [20, 24, 28]
+        assert ch.next_event_cycle(3) == 28
+        ch.cycle(28, lambda r: None)
+        assert ch.drained and ch.next_event_cycle(29) == SENTINEL
+
+    def test_reads_and_writes_mean_earlier_of_read_head_and_last_write(self):
+        ch = DramChannel(dcfg(), 0)
+        ch.push(req(0, Access.STORE))
+        ch.cycle(0, lambda r: None)  # write miss: done 20
+        ch.push(req(128))
+        ch.cycle(1, lambda r: None)  # read hit: done 24
+        ch.push(req(256, Access.STORE))
+        ch.cycle(2, lambda r: None)  # write hit: done 28
+        assert ch.next_event_cycle(3) == 24  # not the write at 20
+        done = []
+        ch.cycle(24, done.append)
+        assert len(done) == 1 and ch.inflight == 1
+        assert ch.next_event_cycle(25) == 28
+        # A last write due before the read head wins.
+        ch2 = DramChannel(dcfg(), 0)
+        ch2.push(req(1024, Access.STORE))  # bank 1 miss: done 20
+        ch2.cycle(0, lambda r: None)
+        ch2.push(req(0))  # bank 0 miss, bursts after the write: done 24
+        ch2.cycle(1, lambda r: None)
+        assert ch2.next_event_cycle(2) == 20
+
     def test_drained_means_sentinel(self):
         ch = DramChannel(dcfg(), 0)
         assert ch.next_event_cycle(5) == SENTINEL
 
     def test_idle_span_accrual_matches_percycle_loop(self):
         """account_idle_span(n) == n idle cycle() calls, counter for
-        counter, both with and without in-flight completions."""
+        counter, with in-flight reads, with none, and with a write tail."""
         def idle_spin(ch, start, n):
             for now in range(start, start + n):
                 ch.cycle(now, lambda r: None)
@@ -195,6 +259,37 @@ class TestNextEventContract:
         idle_spin(spun, 51, 10)
         assert (batched.cycles_observed, batched.busy_cycles) == (
             spun.cycles_observed, spun.busy_cycles)
+
+        # A write tail: a read and two writes in flight.  The batched
+        # channel wakes only at the read head (20) and the last write
+        # (28), so the first write's done cycle (24) passes inside a
+        # span; counters and ``inflight`` still match at every wake-up.
+        def counters(ch):
+            return (ch.cycles_observed, ch.busy_cycles,
+                    ch.queue_occupancy_sum, ch.inflight)
+
+        batched, spun = DramChannel(dcfg(), 0), DramChannel(dcfg(), 0)
+        for ch in (batched, spun):
+            ch.push(req(0))
+            ch.cycle(0, lambda r: None)  # read miss: done 20
+            ch.push(req(128, Access.STORE))
+            ch.cycle(1, lambda r: None)  # write hit: done 24
+            ch.push(req(256, Access.STORE))
+            ch.cycle(2, lambda r: None)  # write hit: done 28
+        last = 2
+        while not batched.drained:
+            wake = batched.next_event_cycle(last + 1)
+            batched.account_idle_span(wake - last - 1)
+            batched.cycle(wake, lambda r: None)
+            for now in range(last + 1, wake + 1):
+                spun.cycle(now, lambda r: None)
+            assert counters(batched) == counters(spun), wake
+            last = wake
+        assert last == 28 and spun.drained
+        batched.account_idle_span(10)
+        for now in range(29, 39):
+            spun.cycle(now, lambda r: None)
+        assert counters(batched) == counters(spun)
 
     def test_pipe_boundary_delivery(self):
         """ready_at is exact: no delivery at latency-1, delivery at latency."""

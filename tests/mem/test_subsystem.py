@@ -78,10 +78,19 @@ class TestRequestLifecycle:
         assert sub.dram_writes == 1
 
     def test_partition_interleave_by_line(self):
+        """``submit`` routes once: consecutive lines interleave across
+        partitions, and each request is delivered to the one it names."""
         cfg, sub, _ = make_subsystem()
-        line = cfg.line_bytes
-        parts = {sub.partition_of(i * line).pid for i in range(8)}
-        assert parts == set(range(cfg.l2_partitions))
+        n = cfg.icnt.requests_per_cycle  # all delivered in one drain
+        reqs = [req(i * cfg.line_bytes) for i in range(n)]
+        for r in reqs:
+            assert sub.submit(r, 0)
+        assert [r.part for r in reqs] == [i % cfg.l2_partitions
+                                          for i in range(n)]
+        assert {r.part for r in reqs} == set(range(cfg.l2_partitions))
+        sub._drain_requests(cfg.icnt.latency)
+        for r in reqs:
+            assert r in sub.partitions[r.part].in_queue
 
     def test_drained(self):
         cfg, sub, responses = make_subsystem()

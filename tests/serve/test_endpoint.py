@@ -203,6 +203,8 @@ REFUSED_OVERRIDES = [
     {"num_sms": 1024, "l1d": {"size_bytes": 1 << 24, "line_bytes": 1,
                               "assoc": 1}, "l2": {"line_bytes": 1}},
     {"num_sms": 1024, "l1d": {"size_bytes": 1 << 16}},
+    {"dram": {"row_bytes": 0}}, {"dram": {"row_bytes": -4096}},
+    {"dram": {"row_hit_cycles": -5, "row_miss_cycles": -5}},
 ]
 
 #: Field names a ``simulate`` request does not have.

@@ -11,6 +11,12 @@ MSHR entries, the interconnect two-entry queues and there is one DRAM
 channel, so every case reaches both — and asserts that it did, so the
 suite cannot pass vacuously.
 
+A DRAM write's completion calls nothing back, so a channel wakes for
+its read head and its *last* write only; earlier writes linger after
+their done cycle until the channel's next cycle or ``sync_accounting``
+drops them.  Samples and cuts inside such a write tail must still read
+the reference's utilization and queue depth.
+
 A third wedge needs many SMs: a partition whose head read is pending on
 an L2 MSHR entry already at its merge limit sleeps until that line's
 fill.  Ten SMs reading one line at once reach it (one allocation, seven
@@ -23,8 +29,10 @@ import dataclasses
 
 import pytest
 
+from repro.config import ObsConfig
 from repro.config import test_config as tiny_config
 from repro.guard.faults import FaultPlan
+from repro.obs.collector import series
 from repro.prefetch.factory import make_prefetcher
 from repro.sim.isa import ComputeOp, LoadOp, LoadSite, LoopOp, WarpProgram
 from repro.sim.kernel import KernelInfo
@@ -67,12 +75,13 @@ def _assert_backpressure(gpu) -> None:
 
 
 def _differential(bench, pf, cfg, max_cycles=None, faults=None,
-                  kernel_fn=None):
+                  kernel_fn=None, spy=None):
     """Run both engines; assert identical fingerprints and return the
-    event run's ``(gpu, result)``."""
+    event run's ``(gpu, result)``.  ``spy(gpu)`` is attached to the
+    event run only."""
     kernel_fn = kernel_fn or (lambda: build(bench, Scale.TINY))
     runs = [run_engine(kernel_fn, cfg, engine, _factory(pf), max_cycles,
-                       faults)
+                       faults, before=spy if engine == "event" else None)
             for engine in ("cycle", "event")]
     (gpu_ref, res_ref), (gpu_evt, res_evt) = runs
     assert_identical(fingerprint(gpu_ref, res_ref),
@@ -122,6 +131,35 @@ def test_corun_identical():
                      corun_fingerprint(gpu_evt, res_evt), "HST+BFS/congested")
     assert res_evt.completed
     _assert_backpressure(gpu_evt)
+
+
+@pytest.mark.parametrize("pf", (None, "caps"), ids=("HST/none", "HST/caps"))
+def test_write_tail_samples_identical(pf):
+    """Window samples and cuts inside write tails match the cycle step:
+    ``busy_cycles``, ``cycles_observed``, the ``dram_queue_depth`` column
+    and the run end (all in the fingerprint).  Asserts that a sync did
+    drop a finished write and that a cut left writes in flight."""
+    cfg = congested(obs=ObsConfig(metrics=True, window=50))
+    dropped = []
+
+    def count_dropped(gpu):
+        sub = gpu.subsystem
+        sync = sub.sync_accounting
+
+        def counting(now):
+            before = sum(len(ch._writes) for ch in sub.channels)
+            sync(now)
+            dropped.append(before - sum(len(ch._writes) for ch in sub.channels))
+        sub.sync_accounting = counting
+
+    in_tail = 0
+    for cut in (None,) + CUTS:
+        gpu, res = _differential("HST", pf, cfg, max_cycles=cut,
+                                 spy=count_dropped)
+        assert any(series(res.extra["timeseries"], "dram_queue_depth"))
+        in_tail += any(ch._writes for ch in gpu.subsystem.channels)
+    assert in_tail
+    assert any(dropped)
 
 
 def _one_line_kernel():

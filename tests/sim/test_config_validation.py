@@ -12,6 +12,7 @@ from repro.config import (
     InterconnectConfig,
     fermi_config,
 )
+from repro.errors import ConfigError
 
 
 def l1(line=128):
@@ -78,6 +79,16 @@ class TestGPUConfigValidation:
         anything is allocated for it."""
         with pytest.raises(ValueError, match="must be <="):
             build()
+
+    @pytest.mark.parametrize("fields", [
+        {"row_bytes": 0}, {"row_bytes": -4096},
+        {"row_hit_cycles": 0}, {"row_hit_cycles": -5, "row_miss_cycles": -5},
+    ], ids=["row_bytes=0", "row_bytes<0", "row_hit=0", "row_hit<0"])
+    def test_dram_geometry_and_timing_refused(self, fields):
+        """A zero row divides by zero in the bank map, and a burst under
+        one cycle finishes before it issues."""
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            DRAMConfig(**fields)
 
     def test_largest_study_within_cache_line_bound(self):
         """The 64KB-L1 study on the 15-SM preset is the biggest cache
