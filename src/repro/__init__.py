@@ -40,7 +40,6 @@ _EXPORTS = {
         "small_config",
         "test_config",
     ),
-    "repro.sim.application": ("ApplicationResult", "simulate_application"),
     "repro.sim.gpu": ("GPU", "simulate"),
     "repro.sim.kernel": ("KernelInfo",),
     "repro.result": ("SimResult",),

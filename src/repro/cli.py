@@ -230,18 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one benchmark",
                          parents=[ex])
-    run.add_argument("bench", type=_cell, nargs="?", default=None,
-                     help="benchmark abbreviation (omit when using "
-                          "--co-run)")
-    run.add_argument("--co-run", type=_list_of(_cell), metavar="A,B",
-                     help="co-schedule two or more kernels on one GPU "
-                          "(comma-separated benchmarks, e.g. MRQ,SGEMM); "
-                          "prints per-kernel metrics plus ANTT/STP "
-                          "against solo runs")
+    run.add_argument("bench", type=_cell,
+                     help="benchmark abbreviation, or A+B to co-schedule "
+                          "kernels on one GPU (adds per-kernel cycles and "
+                          "ANTT/STP against solo runs)")
     run.add_argument("--alloc-policy", choices=ALLOC_POLICIES,
                      default=None,
-                     help="inter-kernel CTA allocation policy for "
-                          "--co-run: spatial (fixed SM partition), "
+                     help="inter-kernel CTA allocation policy of an A+B "
+                          "co-run: spatial (fixed SM partition), "
                           "leftover (fill idle slots), preempt "
                           "(CTA-boundary preemptive SRTF; default: "
                           "the config preset's policy)")
@@ -481,30 +477,16 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _run_corun(args, cfg) -> int:
-    """``repro run --co-run A,B``: one concurrent-kernel simulation.
-
-    Runs the co-schedule plus one solo run per kernel (same engine and
-    config preset), prints each kernel's co-run and solo cycles and
-    slowdown, and the ANTT/STP interference metrics — see
-    docs/metrics-glossary.md.
-    """
+def _print_corun(args, cfg, co) -> None:
+    """The co-run rows of ``repro run A+B``: each kernel's co-run and
+    solo cycles (same engine and config) and slowdown, then the
+    ANTT/STP interference metrics — see docs/metrics-glossary.md."""
     from repro.analysis import format_table, run_benchmark
     from repro.sim.multi import antt_stp
 
-    if len(args.co_run) < 2:
-        raise ConfigError(
-            "repro run --co-run: name at least two comma-separated "
-            f"benchmarks (got {','.join(args.co_run)!r})")
-    pair = "+".join(args.co_run)
-    if args.alloc_policy is not None:
-        cfg = cfg.with_multi(alloc_policy=args.alloc_policy)
-    scale = SCALES[args.scale]
-    co = run_benchmark(pair, args.engine, config=cfg, scale=scale,
-                       scheduler=args.scheduler)
-    solos = [run_benchmark(b, args.engine, config=cfg, scale=scale,
-                           scheduler=args.scheduler)
-             for b in pair.split("+")]
+    solos = [run_benchmark(b, args.engine, config=cfg,
+                           scale=SCALES[args.scale], scheduler=args.scheduler)
+             for b in args.bench.split("+")]
     kernels = co.extra["kernels"]
     t = antt_stp([k["finish_cycle"] for k in kernels],
                  [s.cycles for s in solos])
@@ -513,29 +495,25 @@ def _run_corun(args, cfg) -> int:
          f"{rec['finish_cycle'] / solo.cycles:.3f}x")
         for rec, solo in zip(kernels, solos)
     ]
+    policy = cfg.multi.alloc_policy
+    print()
     print(format_table(
-        ["kernel", "co-run cycles", "solo cycles", "slowdown"],
-        rows,
-        title=(f"{pair} @ {args.scale} via {args.engine} "
-               f"[{cfg.multi.alloc_policy}]"),
+        ["kernel", "co-run cycles", "solo cycles", "slowdown"], rows,
+        title=f"{args.bench} @ {args.scale} via {args.engine} [{policy}]",
     ))
     print(f"\ntotal cycles {co.cycles}  "
-          f"ANTT {t['antt']:.3f}  STP {t['stp']:.3f}  "
-          f"(policy: {cfg.multi.alloc_policy})")
-    return EXIT_OK
+          f"ANTT {t['antt']:.3f}  STP {t['stp']:.3f}  (policy: {policy})")
 
 
 def cmd_run(args) -> int:
     cfg = _guarded_config(args)
-    if args.co_run is not None:
-        if args.bench is not None:
-            raise SystemExit(
-                "repro run: give either a positional benchmark or "
-                "--co-run, not both")
-        return _run_corun(args, cfg)
-    if args.bench is None:
-        raise SystemExit(
-            "repro run: name a benchmark or pass --co-run A,B")
+    corun = "+" in args.bench
+    if args.alloc_policy is not None:
+        if not corun:
+            raise ConfigError(
+                "--alloc-policy only acts on an A+B co-run; "
+                f"{args.bench} is one kernel")
+        cfg = cfg.with_multi(alloc_policy=args.alloc_policy)
     from repro.analysis import format_percent, format_table, run_benchmark
     from repro.obs import format_profile, write_metrics
 
@@ -574,7 +552,9 @@ def cmd_run(args) -> int:
         print(f"\nphase profile ({args.engine} run):")
         for line in format_profile(r.extra["profile"]):
             print(line)
-    return 0
+    if corun:
+        _print_corun(args, cfg, r)
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:

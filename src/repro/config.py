@@ -308,10 +308,11 @@ ALLOC_POLICIES = ("spatial", "leftover", "preempt")
 class MultiConfig:
     """Concurrent-kernel execution knobs (see docs/architecture.md).
 
-    Only consulted when a run co-schedules more than one kernel
-    (``repro run --co-run A,B``); single-kernel runs ignore every field
-    but still fingerprint them, so co-run results can never alias a
-    cached single-kernel cell (exec-cache schema v4).
+    Only acts when a run co-schedules more than one kernel (``repro run
+    A+B``): with one kernel every policy grants the same CTAs in the
+    same order (``tests/sim/test_differential_engines.py`` pins it).
+    Single-kernel runs still fingerprint the fields, so co-run results
+    can never alias a cached single-kernel cell (exec-cache schema v4).
     """
 
     #: Inter-kernel CTA allocation policy:

@@ -117,7 +117,7 @@ def execute_cell(key: RunKey, faults: Optional[FaultPlan] = None) -> SimResult:
 
     A benchmark of the form ``"A+B"`` is a *co-run* cell: the named
     kernels execute concurrently on one GPU under
-    ``key.config.multi.alloc_policy`` (see :mod:`repro.sim.multi`) and
+    ``key.config.multi.alloc_policy`` (see :mod:`repro.sim.cta`) and
     the result carries one record per kernel (name, CTA counts, finish
     cycle) in ``extra["kernels"]``.
     A cell whose engine is :data:`~repro.prefetch.factory.TRACE` runs

@@ -21,8 +21,8 @@ cost: one pass over the machine after the run):
   useful + late-merged + early-evicted + unused-at-end (the Figure 12/14
   classification is exhaustive);
 * CTA conservation — on a completed run, every launched CTA retired;
-  a co-run's per-kernel retirements (the distributor's) sum to the
-  SMs' and, once complete, equal each kernel's CTA count.
+  the distributor's per-kernel retirements sum to the SMs' and, once
+  complete, equal each kernel's CTA count (one kernel or several).
 
 **Opt-in per-cycle audits** (:meth:`InvariantChecker.check_cycle`,
 enabled by ``GPUConfig.deep_checks`` / ``--deep-checks``): scheduler
@@ -153,35 +153,32 @@ class InvariantChecker:
             )
 
         retired = sum(sm.stats.ctas_executed for sm in gpu.sms)
-        app = getattr(gpu, "app", None)
-        if app is not None:
-            # Co-run: the distributor's per-kernel retirements account
-            # for every CTA the SMs retired.
-            done = gpu.distributor.finished_ctas
-            if sum(done) != retired:
-                _violate(
-                    "per_kernel_cta_conservation",
-                    "per-kernel CTA retirements disagree with the SMs",
-                    {"per_kernel": list(done), "retired": retired},
-                )
+        app = gpu.app
+        if completed and retired != app.num_ctas:
+            _violate(
+                "cta_conservation",
+                "CTAs retired != CTAs launched at kernel end",
+                {"retired": retired, "launched": app.num_ctas,
+                 "undistributed": gpu.distributor.remaining},
+            )
+        # The distributor's per-kernel retirements account for every
+        # CTA the SMs retired, and a completed run retired each kernel.
+        done = gpu.distributor.finished_ctas
+        if sum(done) != retired:
+            _violate(
+                "per_kernel_cta_conservation",
+                "per-kernel CTA retirements disagree with the SMs",
+                {"per_kernel": list(done), "retired": retired},
+            )
+        if completed:
             for kid, kernel in enumerate(app.kernels):
-                if completed and done[kid] != kernel.num_ctas:
+                if done[kid] != kernel.num_ctas:
                     _violate(
                         "per_kernel_cta_conservation",
-                        "completed co-run left a kernel with unretired "
-                        "CTAs",
+                        "completed run left a kernel with unretired CTAs",
                         {"kernel_id": kid, "retired": done[kid],
                          "launched": kernel.num_ctas},
                     )
-
-        if completed:
-            if retired != gpu.kernel.num_ctas:
-                _violate(
-                    "cta_conservation",
-                    "CTAs retired != CTAs launched at kernel end",
-                    {"retired": retired, "launched": gpu.kernel.num_ctas,
-                     "undistributed": gpu.distributor.remaining},
-                )
             for sm in gpu.sms:
                 if sm.unfinished_warps:
                     _violate(

@@ -82,7 +82,7 @@ class Watchdog:
             raise SimulationHangError(
                 f"no forward progress for {stalled} cycles (limit "
                 f"{self.limit}) at cycle {now} of kernel "
-                f"{gpu.kernel.name!r}: no instruction issued, no memory "
+                f"{gpu.app.name!r}: no instruction issued, no memory "
                 "response delivered, no DRAM transaction serviced",
                 snapshot=snapshot,
                 cycle=now,
@@ -169,11 +169,11 @@ def build_snapshot(gpu, now: int) -> Dict[str, Any]:
     }
     return {
         "cycle": now,
-        "kernel": gpu.kernel.name,
+        "kernel": gpu.app.name,
         "scheduler": gpu.config.scheduler.value,
         "ctas": {
-            "total": gpu.kernel.num_ctas,
-            "issued": gpu.kernel.num_ctas - gpu.distributor.remaining,
+            "total": gpu.app.num_ctas,
+            "issued": gpu.app.num_ctas - gpu.distributor.remaining,
             "retired": sum(sm.stats.ctas_executed for sm in gpu.sms),
         },
         "sms": sms,

@@ -23,7 +23,7 @@ Recorded events (``pid`` = SM id, ``tid`` = lane within the SM):
   ``eager_wakeup`` (PAS promoted the bound warp), ``percta_register`` /
   ``percta_advance`` (CAP table writes) and ``cta_launch``.
 
-In concurrent-kernel runs (``repro run --co-run A,B``) every span and
+In concurrent-kernel runs (``repro run A+B``) every span and
 CTA launch carries the owning kernel id in ``args.kernel`` and warp
 spans from kernels other than 0 get a ``k<id>:`` name prefix, so one
 co-running kernel's activity can be isolated in the viewer.

@@ -2,10 +2,11 @@
 
 This package models the pieces of GPGPU-Sim that the paper's mechanisms
 exercise: warp instruction streams (:mod:`repro.sim.isa`), kernel/CTA
-geometry (:mod:`repro.sim.kernel`), demand-driven CTA distribution
-(:mod:`repro.sim.cta`), warp schedulers (:mod:`repro.sim.sched`), memory
-coalescing (:mod:`repro.sim.coalesce`), the SM issue pipeline
-(:mod:`repro.sim.sm`) and the top-level GPU (:mod:`repro.sim.gpu`).
+geometry (:mod:`repro.sim.kernel`), demand-driven CTA distribution and
+its co-run allocation policies (:mod:`repro.sim.cta`), warp schedulers
+(:mod:`repro.sim.sched`), memory coalescing (:mod:`repro.sim.coalesce`),
+the SM issue pipeline (:mod:`repro.sim.sm`) and the top-level GPU
+(:mod:`repro.sim.gpu`), which runs a single kernel as a launch of one.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +27,6 @@ _EXPORTS = {
     "repro.sim.cta": ("CTADistributor",),
     "repro.sim.gpu": ("GPU", "simulate"),
     "repro.result": ("SimResult",),
-    "repro.sim.application": ("ApplicationResult", "simulate_application"),
     "repro.sim.trace": (
         "LoadRecord",
         "LoadTracer",

@@ -3,12 +3,13 @@
 :func:`simulate` is the main entry point used by examples, tests and the
 benchmark harness: it runs one kernel to completion under a given config
 and prefetcher and returns a :class:`SimResult` holding every metric the
-paper's figures report.
+paper's figures report.  :func:`simulate_corun` runs several kernels at
+once on the same driver: a single kernel is a launch of one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.config import GPUConfig
 from repro.guard.invariants import InvariantChecker
@@ -21,6 +22,7 @@ from repro.sim.cta import CTADistributor
 from repro.sim.fastcore import flush_memory, run_loop
 from repro.result import SimResult, SMStats
 from repro.sim.kernel import KernelInfo
+from repro.sim.multi.app import MultiKernelApp
 from repro.sim.sm import SM
 
 
@@ -36,18 +38,20 @@ class GPU:
     (:func:`repro.sim.fastcore.run_loop`, with the step
     ``config.engine`` selects) until every CTA retires.
 
-    Most callers should use :func:`simulate` rather than instantiating
-    this class directly.
+    Most callers should use :func:`simulate` / :func:`simulate_corun`
+    rather than instantiating this class directly.  ``self.app`` is the
+    launch: its combined ``name`` ("A+B"), summed ``num_ctas`` and the
+    virtualized ``kernels``.
     """
 
     def __init__(
         self,
-        kernel: KernelInfo,
+        kernels: Sequence[KernelInfo],
         config: GPUConfig,
         prefetcher_factory=None,
         faults=None,
     ):
-        self.kernel = kernel
+        self.app = MultiKernelApp(kernels)
         self.config = config
         factory = prefetcher_factory or (lambda cfg, sm_id: NoPrefetcher(cfg, sm_id))
         injector = None
@@ -60,39 +64,27 @@ class GPU:
         self.watchdog = (Watchdog(config.hang_cycles)
                          if config.hang_cycles else None)
         self.invariants = InvariantChecker(config)
-        # Created before the SMs: _launch_initial() below already emits
+        # Created before the SMs: the initial wave below already emits
         # CTA/warp launch events through the hub.
         self.obs = build_obs(config, config.num_sms)
         self.sms: List[SM] = [
-            SM(sm_id, config, kernel, factory(config, sm_id), self.subsystem,
+            SM(sm_id, config, factory(config, sm_id), self.subsystem,
                self._on_cta_done, obs=self.obs)
             for sm_id in range(config.num_sms)
         ]
-        self.distributor = self._make_distributor()
+        self.distributor = CTADistributor(self.app.kernels, config)
         self.now = 0
-        self._launch_initial()
-
-    def _make_distributor(self):
-        kernel = self.kernel
-        config = self.config
-        max_ctas = min(config.max_ctas_per_sm, kernel.max_ctas_per_sm(config))
-        return CTADistributor(
-            num_ctas=kernel.num_ctas,
-            num_sms=config.num_sms,
-            max_ctas_per_sm=max_ctas,
-        )
-
-    def _launch_initial(self) -> None:
-        for cta_id, sm_id in self.distributor.initial_fill():
-            self.sms[sm_id].launch_cta(cta_id, self.now)
+        for sm_id, kid, cta_id in self.distributor.initial_fill():
+            self.sms[sm_id].launch_cta(cta_id, 0, self.app.kernels[kid])
 
     def _on_response(self, req) -> None:
         self.sms[req.sm_id].on_mem_response(req, self.now)
 
     def _on_cta_done(self, sm_id: int, cta, now: int) -> None:
-        nxt = self.distributor.on_cta_finish(sm_id)
-        if nxt is not None:
-            self.sms[sm_id].launch_cta(nxt, self.now)
+        grants = self.distributor.on_cta_finish(
+            sm_id, cta.kernel_id, now - cta.launch_cycle, now)
+        for kid, cta_id in grants:
+            self.sms[sm_id].launch_cta(cta_id, now, self.app.kernels[kid])
 
     @property
     def done(self) -> bool:
@@ -131,8 +123,8 @@ class GPU:
             l1_hit += sm.l1.hits
             l1_miss += sm.l1.misses
         sub = self.subsystem
-        return SimResult(
-            kernel=self.kernel.name,
+        result = SimResult(
+            kernel=self.app.name,
             prefetcher=self.sms[0].prefetcher.name,
             scheduler=self.config.scheduler.value,
             cycles=cycles if cycles is not None else self.now,
@@ -151,8 +143,38 @@ class GPU:
             core_prefetch_requests=sub.core_prefetch_requests,
             core_store_requests=sub.core_store_requests,
             completed=completed,
-            ctas_total=self.kernel.num_ctas,
+            ctas_total=self.app.num_ctas,
         )
+        if len(self.app.kernels) > 1:
+            self._collect_corun(result.extra)
+        return result
+
+    def _collect_corun(self, extra) -> None:
+        """One record per co-run kernel (name, CTA counts, the cycle its
+        last CTA retired: all the ANTT / STP math reads) plus the
+        allocation summary."""
+        dist = self.distributor
+        policy = dist.policy
+        extra["kernels"] = [
+            {
+                "kernel_id": kid,
+                "name": kernel.name,
+                "num_ctas": kernel.num_ctas,
+                "finish_cycle": dist.finish_cycle[kid],
+                "finished": dist.finish_cycle[kid] >= 0,
+                "ctas_executed": dist.finished_ctas[kid],
+            }
+            for kid, kernel in enumerate(self.app.kernels)
+        ]
+        extra["multi"] = {
+            "alloc_policy": policy.name,
+            "num_kernels": len(self.app.kernels),
+            "grants": len(dist.history),
+            "finish_cycles": list(dist.finish_cycle),
+            "predictor_estimates": [
+                round(e, 6) for e in policy.predictor.estimate
+            ] if policy.name == "preempt" else None,
+        }
 
 
 def simulate(
@@ -169,5 +191,20 @@ def simulate(
     through a seeded injector (chaos testing only — such results are
     never persisted to the shared result cache).
     """
-    gpu = GPU(kernel, config, prefetcher_factory, faults=faults)
-    return gpu.run(max_cycles=max_cycles)
+    return GPU([kernel], config, prefetcher_factory,
+               faults=faults).run(max_cycles=max_cycles)
+
+
+def simulate_corun(
+    kernels: Sequence[KernelInfo],
+    config: GPUConfig,
+    prefetcher_factory=None,
+    max_cycles: Optional[int] = None,
+    faults=None,
+) -> SimResult:
+    """Run ``kernels`` concurrently on one GPU under
+    ``config.multi.alloc_policy`` and return the combined
+    :class:`SimResult` (one record per kernel in
+    ``result.extra["kernels"]``)."""
+    return GPU(kernels, config, prefetcher_factory,
+               faults=faults).run(max_cycles=max_cycles)

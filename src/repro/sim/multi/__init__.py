@@ -1,12 +1,12 @@
-"""Concurrent-kernel execution subsystem.
+"""Concurrent-kernel execution: what a co-run adds to a launch.
 
-Runs N kernels *simultaneously* on one simulated GPU (contrast with
-:mod:`repro.sim.application`, which runs kernels back-to-back with a
-persistent memory hierarchy).  CTA slots are allocated between kernels
-by a pluggable policy — ``spatial`` (fixed SM partition), ``leftover``
-(priority fill) or ``preempt`` (CTA-boundary preemptive SRTF driven by
-an online runtime predictor) — and each kernel's finish cycle is
-recorded, from which ANTT / STP measure the interference.
+Runs N kernels *simultaneously* on one simulated GPU.  The driver
+(:class:`repro.sim.gpu.GPU`) and the CTA distributor with its
+allocation policies (:mod:`repro.sim.cta`) are the ones every run
+uses; this package holds only the co-run specifics: kernel
+virtualization (disjoint pcs and address spaces), the
+:func:`simulate_corun` entry point, and the ANTT / STP interference
+metrics computed from each kernel's recorded finish cycle.
 """
 
 from repro._lazy import lazy_exports
@@ -17,19 +17,7 @@ _EXPORTS = {
         "MultiKernelApp",
         "virtualize_kernel",
     ),
-    "repro.sim.multi.distributor": (
-        "CorunAssignment",
-        "MultiKernelDistributor",
-    ),
-    "repro.sim.multi.gpu": ("MultiGPU", "simulate_corun"),
+    "repro.sim.gpu": ("simulate_corun",),
     "repro.sim.multi.metrics": ("antt_stp",),
-    "repro.sim.multi.policies": (
-        "AllocPolicy",
-        "LeftoverPolicy",
-        "PreemptPolicy",
-        "RuntimePredictor",
-        "SpatialPolicy",
-        "make_policy",
-    ),
 }
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -1,10 +1,10 @@
-"""Concurrent-kernel applications: kernel virtualization + the app model.
+"""A launch's kernels: kernel virtualization + the launch model.
 
-A :class:`MultiKernelApp` holds N kernels that share one GPU *at the
-same time* (unlike :mod:`repro.sim.application`, which runs kernels
-back-to-back).  Because the simulator's per-kernel state is keyed by
-static pcs (prefetcher PerCTA/Dist tables) and byte addresses (L1 tags,
-MSHRs, DRAM rows), co-resident kernels must never alias each other:
+A :class:`MultiKernelApp` holds the N kernels that share one GPU *at
+the same time* (N is 1 for a single-kernel run).  Because the
+simulator's per-kernel state is keyed by static pcs (prefetcher
+PerCTA/Dist tables) and byte addresses (L1 tags, MSHRs, DRAM rows),
+co-resident kernels must never alias each other:
 :func:`virtualize_kernel` rebases kernel ``k``'s program pcs by
 ``k * PC_STRIDE`` and its address space by ``k << KERNEL_ADDR_SHIFT``,
 making every pc- or address-keyed table kernel-disjoint by construction
@@ -58,35 +58,18 @@ def virtualize_kernel(kernel: KernelInfo, kernel_id: int) -> KernelInfo:
 
 
 class MultiKernelApp:
-    """N kernels co-resident on one GPU.
+    """The kernels of one launch, co-resident on one GPU.
 
     Exposes the ``name``/``num_ctas`` surface of a single
-    :class:`KernelInfo` so the existing GPU plumbing (result collection,
-    watchdog snapshots, end-of-run invariants) treats the co-run as one
-    combined launch.
+    :class:`KernelInfo` so result collection, watchdog snapshots and
+    the end-of-run invariants treat a co-run as one combined launch.
     """
 
     def __init__(self, kernels: Sequence[KernelInfo]):
         if not kernels:
-            raise ValueError("co-run needs at least one kernel")
+            raise ValueError("a launch needs at least one kernel")
         self.kernels: List[KernelInfo] = [
             virtualize_kernel(k, i) for i, k in enumerate(kernels)
         ]
-
-    @property
-    def name(self) -> str:
-        return "+".join(k.name for k in self.kernels)
-
-    @property
-    def num_ctas(self) -> int:
-        return sum(k.num_ctas for k in self.kernels)
-
-    @property
-    def num_kernels(self) -> int:
-        return len(self.kernels)
-
-    def __len__(self) -> int:
-        return len(self.kernels)
-
-    def __iter__(self):
-        return iter(self.kernels)
+        self.name = "+".join(k.name for k in self.kernels)
+        self.num_ctas = sum(k.num_ctas for k in self.kernels)

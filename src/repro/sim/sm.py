@@ -58,10 +58,9 @@ class CTAState:
     cta_id: int
     warps: List[Warp]
     unfinished: int
-    #: Owning kernel (multi-kernel runs; equals ``SM.kernel`` otherwise).
-    kernel: Optional[KernelInfo] = None
-    kernel_id: int = 0
-    launch_cycle: int = 0
+    kernel: KernelInfo
+    kernel_id: int
+    launch_cycle: int
 
 
 @dataclass
@@ -100,7 +99,6 @@ class SM:
         self,
         sm_id: int,
         config: GPUConfig,
-        kernel: KernelInfo,
         prefetcher: Prefetcher,
         subsystem: MemorySubsystem,
         on_cta_done: Callable,
@@ -108,7 +106,6 @@ class SM:
     ):
         self.sm_id = sm_id
         self.config = config
-        self.kernel = kernel
         self.prefetcher = prefetcher
         self.subsystem = subsystem
         self.on_cta_done = on_cta_done
@@ -183,8 +180,7 @@ class SM:
                 return i
         return None
 
-    def launch_cta(self, cta_id: int, now: int,
-                   kernel: Optional[KernelInfo] = None) -> None:
+    def launch_cta(self, cta_id: int, now: int, kernel: KernelInfo) -> None:
         if self._span_from >= 0:  # defensive: launches reach a lazy-span
             self._settle_span(now)  # SM only via its own cycle
         if not self._span_hard:
@@ -195,7 +191,6 @@ class SM:
         slot = self.free_slot()
         if slot is None:
             raise RuntimeError(f"SM {self.sm_id} has no free CTA slot")
-        kernel = kernel if kernel is not None else self.kernel
         kid = kernel.kernel_id
         if kid not in self._kernel_load_sites:
             self._kernel_load_sites[kid] = max(

@@ -8,9 +8,8 @@ slots, so preemptive SRTF allocation can drain the short kernel early
 and buy ANTT without hurting throughput.
 
 Each pair is expressed as the canonical ``"A+B"`` co-run benchmark
-string accepted everywhere a single abbreviation is (``repro run
---co-run``, :func:`repro.analysis.driver.make_key`, the serve
-protocol).  Kernel order matters for per-kernel records (kernel 0 is
+string accepted everywhere a single abbreviation is (``repro run``,
+:func:`repro.analysis.driver.make_key`, the serve protocol).  Kernel order matters for per-kernel records (kernel 0 is
 listed first) but not for the cache key semantics — ``"A+B"`` and
 ``"B+A"`` are distinct schedules and distinct cells.
 """

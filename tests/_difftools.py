@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import repro.mem.request as _request_mod
 import repro.sim.warp as _warp_mod
@@ -36,8 +36,14 @@ def reset_uid_counters() -> None:
     _request_mod._uid = itertools.count()
 
 
+#: Builds a fresh launch: one kernel, or a list of co-run kernels
+#: (programs are virtualized in place, so instances cannot be shared
+#: between paired runs).
+LaunchFn = Callable[[], Union[KernelInfo, List[KernelInfo]]]
+
+
 def run_engine(
-    kernel_fn: Callable[[], KernelInfo],
+    kernel_fn: LaunchFn,
     config,
     engine: str,
     prefetcher_factory=None,
@@ -45,7 +51,7 @@ def run_engine(
     faults=None,
     before: Optional[Callable[[GPU], None]] = None,
 ):
-    """Run ``kernel_fn()`` under ``config`` with the given engine.
+    """Run ``kernel_fn()``'s launch under ``config`` with the given engine.
 
     Returns ``(gpu, result)`` so fingerprints can reach component-level
     counters the :class:`repro.sim.gpu.SimResult` does not aggregate.
@@ -55,7 +61,9 @@ def run_engine(
     """
     reset_uid_counters()
     cfg = dataclasses.replace(config, engine=engine)
-    gpu = GPU(kernel_fn(), cfg, prefetcher_factory, faults=faults)
+    launch = kernel_fn()
+    kernels = launch if isinstance(launch, list) else [launch]
+    gpu = GPU(kernels, cfg, prefetcher_factory, faults=faults)
     if before is not None:
         before(gpu)
     result = gpu.run(max_cycles=max_cycles)
@@ -66,7 +74,10 @@ def fingerprint(gpu: GPU, result) -> Dict[str, Any]:
     """Deep state digest of a finished run.
 
     Everything in the returned dict is plain ints/floats/strings, so
-    ``assert_identical`` can diff two fingerprints key by key.
+    ``assert_identical`` can diff two fingerprints key by key.  A co-run
+    adds its per-kernel records (name, CTA counts, finish cycle) and the
+    allocation summary (grant count, finish cycles, predictor
+    estimates) — the parts the global counters cannot see.
     """
     fp: Dict[str, Any] = dict(result.as_dict())
     fp["sm_stats"] = dataclasses.asdict(result.sm_stats)
@@ -102,8 +113,9 @@ def fingerprint(gpu: GPU, result) -> Dict[str, Any]:
         )
     if "timeseries" in result.extra:
         fp["timeseries"] = result.extra["timeseries"]
-    if "hang_snapshot" in result.extra:
-        fp["hang_snapshot"] = result.extra["hang_snapshot"]
+    for key in ("hang_snapshot", "kernels", "multi"):
+        if key in result.extra:
+            fp[key] = result.extra[key]
     return fp
 
 
@@ -130,7 +142,7 @@ def assert_identical(a: Dict[str, Any], b: Dict[str, Any],
 
 
 def run_differential(
-    kernel_fn: Callable[[], KernelInfo],
+    kernel_fn: LaunchFn,
     config,
     prefetcher_factory=None,
     max_cycles: Optional[int] = None,
@@ -146,59 +158,4 @@ def run_differential(
                                   prefetcher_factory, max_cycles)
     assert_identical(fingerprint(gpu_ref, res_ref),
                      fingerprint(gpu_evt, res_evt), label)
-    return res_ref
-
-
-# ------------------------------------------------------ multi-kernel co-runs
-
-def run_corun_engine(
-    kernels_fn: Callable[[], list],
-    config,
-    engine: str,
-    prefetcher_factory=None,
-    max_cycles: Optional[int] = None,
-):
-    """Run a multi-kernel co-schedule under the given engine.
-
-    ``kernels_fn`` must build *fresh* kernels on every call (kernel
-    programs are virtualized in place by :class:`MultiKernelApp`, so
-    instances cannot be shared between the paired runs).
-    """
-    from repro.sim.multi import MultiGPU, MultiKernelApp
-
-    reset_uid_counters()
-    cfg = dataclasses.replace(config, engine=engine)
-    gpu = MultiGPU(MultiKernelApp(kernels_fn()), cfg, prefetcher_factory)
-    result = gpu.run(max_cycles=max_cycles)
-    return gpu, result
-
-
-def corun_fingerprint(gpu, result) -> Dict[str, Any]:
-    """:func:`fingerprint` plus the per-kernel records (name, CTA
-    counts, finish cycle) and the allocation-policy summary (grant
-    history length, finish cycles, predictor estimates) — the parts of a
-    co-run the global counters cannot see."""
-    fp = fingerprint(gpu, result)
-    fp["kernels"] = repr(result.extra["kernels"])
-    fp["multi"] = repr(result.extra["multi"])
-    return fp
-
-
-def run_corun_differential(
-    kernels_fn: Callable[[], list],
-    config,
-    prefetcher_factory=None,
-    max_cycles: Optional[int] = None,
-    label: str = "",
-):
-    """Run a co-schedule under both engines; assert bit-identity.
-
-    Returns the reference result (for further assertions by the caller).
-    """
-    gpu_ref, res_ref = run_corun_engine(kernels_fn, config, "cycle",
-                                        prefetcher_factory, max_cycles)
-    gpu_evt, res_evt = run_corun_engine(kernels_fn, config, "event",
-                                        prefetcher_factory, max_cycles)
-    assert_identical(corun_fingerprint(gpu_ref, res_ref),
-                     corun_fingerprint(gpu_evt, res_evt), label)
     return res_ref

@@ -115,7 +115,7 @@ class TestCommaLists:
         ["sweep", "--benchmarks", "MM,NOPE"],
         ["validate", "--benchmarks", "NOPE"],
         ["sweep", "--benchmarks", "MM", "--engines", "nlp,bogus"],
-        ["run", "--co-run", "MM,NOPE"],
+        ["run", "MM+NOPE"],
     ])
     def test_unknown_name_is_a_usage_error(self, argv, tmp_path, capsys,
                                            monkeypatch):
@@ -130,12 +130,44 @@ class TestCommaLists:
 
     def test_one_corun_name_is_a_config_error(self, tmp_path, capsys,
                                               monkeypatch):
+        """A co-run flag on a cell naming one kernel cannot act, so it is
+        refused before anything runs."""
         monkeypatch.chdir(tmp_path)
-        assert main(["run", "--co-run", "MM"]) == 2  # EXIT_CONFIG
+        assert main(["run", "MM", "--alloc-policy", "spatial"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("configuration error: ")
-        assert "at least two" in err[0]
+        assert "A+B" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corun_applies_alloc_policy(self, capsys):
+        """``repro run A+B --alloc-policy P`` simulates under P: its
+        cycles row and per-kernel footer are the co-run's own."""
+        from repro.config import small_config
+        from repro.exec.cache import make_key
+        from repro.exec.runner import build
+        from repro.sim.multi import simulate_corun
+        from repro.workloads import Scale
+
+        cycles = {}
+        for policy in ("spatial", "leftover"):
+            key = make_key("MRQ+MM", "none", scale=Scale.TINY,
+                           config=small_config().with_multi(
+                               alloc_policy=policy))
+            cycles[policy] = simulate_corun(
+                [build(b, Scale.TINY) for b in ("MRQ", "MM")],
+                key.config).cycles
+        assert cycles["spatial"] != cycles["leftover"]
+        assert main(["run", "mrq+sgemm", "--engine", "none", "--scale",
+                     "tiny", "--alloc-policy", "spatial"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        row, = [line.split() for line in out
+                if line.split()[:1] == ["cycles"]]
+        assert row[1:] == [str(cycles["spatial"])] * 2
+        assert "MRQ+MM @ tiny via none [spatial]" in out
+        footer = out[-1].split()
+        assert footer[:3] == ["total", "cycles", str(cycles["spatial"])]
+        assert footer[3] == "ANTT" and footer[-1] == "spatial)"
 
     def test_lists_accept_aliases_and_corun_names(self):
         p = build_parser()
@@ -143,8 +175,7 @@ class TestCommaLists:
                             ).benchmarks == ["MM", "CP"]
         assert p.parse_args(["sweep", "--benchmarks", "mrq+sgemm"]
                             ).benchmarks == ["MRQ+MM"]
-        assert p.parse_args(["run", "--co-run", "mrq, sgemm"]
-                            ).co_run == ["MRQ", "MM"]
+        assert p.parse_args(["run", "mrq+sgemm"]).bench == "MRQ+MM"
         sweep = p.parse_args(["sweep"])
         assert sweep.benchmarks is None  # "all 16", resolved by the handler
         assert sweep.engines == ["intra", "inter", "mta", "nlp", "lap",

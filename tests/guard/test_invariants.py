@@ -42,7 +42,7 @@ def test_deep_checks_pass_incomplete_run():
 
 
 def _finished_gpu():
-    gpu = GPU(make_stream_kernel(), tiny_config())
+    gpu = GPU([make_stream_kernel()], tiny_config())
     gpu.run()
     return gpu
 
@@ -82,7 +82,7 @@ def test_store_leak_detected():
 
 def test_prefetch_outcome_corruption_detected():
     cfg = tiny_config().with_scheduler(default_scheduler_for("caps"))
-    gpu = GPU(build("SCN", Scale.TINY), cfg, make_prefetcher("caps"))
+    gpu = GPU([build("SCN", Scale.TINY)], cfg, make_prefetcher("caps"))
     gpu.run()
     assert gpu.sms[0].pstats.issued > 0
     gpu.sms[0].pstats.issued += 1
@@ -99,21 +99,34 @@ def test_cta_loss_detected():
     assert err.value.name == "cta_conservation"
 
 
-def test_per_kernel_cta_corruption_detected():
-    from repro.sim.multi import MultiGPU, MultiKernelApp
-
-    gpu = MultiGPU(MultiKernelApp([build(b, Scale.TINY)
-                                   for b in ("MRQ", "MM")]),
-                   tiny_config().with_multi(alloc_policy="preempt"))
+def _corrupt_per_kernel(benches, adjust):
+    gpu = GPU([build(b, Scale.TINY) for b in benches],
+              tiny_config().with_multi(alloc_policy="preempt"))
     assert gpu.run().completed
-    gpu.distributor.finished_ctas[1] -= 1
+    adjust(gpu.distributor.finished_ctas)
     with pytest.raises(InvariantViolation) as err:
         gpu.invariants.verify_end(gpu, completed=True)
     assert err.value.name == "per_kernel_cta_conservation"
+    return str(err.value)
+
+
+def test_per_kernel_cta_corruption_detected():
+    """Every launch, one kernel or a co-run, checks the distributor's
+    per-kernel retirements against the SMs' and each kernel's grid."""
+    def lose_one(done):
+        done[-1] -= 1
+
+    def move_one(done):  # sums agree; kernel 0 credited kernel 1's CTA
+        done[0] += 1
+        done[1] -= 1
+
+    assert "disagree" in _corrupt_per_kernel(("MM",), lose_one)
+    assert "disagree" in _corrupt_per_kernel(("MRQ", "MM"), lose_one)
+    assert "unretired" in _corrupt_per_kernel(("MRQ", "MM"), move_one)
 
 
 def test_deep_check_catches_counter_drift():
-    gpu = GPU(make_stream_kernel(), tiny_config())
+    gpu = GPU([make_stream_kernel()], tiny_config())
     gpu.sms[0].unfinished_warps += 1
     with pytest.raises(InvariantViolation) as err:
         gpu.invariants.check_cycle(gpu, now=0)

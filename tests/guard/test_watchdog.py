@@ -17,7 +17,7 @@ from tests.conftest import make_stream_kernel
 def test_wedged_scheduler_trips_watchdog():
     """A machine making zero progress terminates well before max_cycles."""
     cfg = tiny_config(hang_cycles=2_000)
-    gpu = GPU(make_stream_kernel(), cfg)
+    gpu = GPU([make_stream_kernel()], cfg)
     for sm in gpu.sms:
         sm.cycle = lambda now: None  # the stuck-scheduler chaos monkey
     with pytest.raises(SimulationHangError) as err:
@@ -59,7 +59,7 @@ def test_watchdog_quiet_on_healthy_run():
 
 def test_watchdog_disabled_by_zero():
     cfg = tiny_config(hang_cycles=0)
-    gpu = GPU(make_stream_kernel(), cfg)
+    gpu = GPU([make_stream_kernel()], cfg)
     assert gpu.watchdog is None
 
 
@@ -78,7 +78,7 @@ def test_snapshot_is_jsonable():
     import json
 
     cfg = tiny_config(hang_cycles=0)
-    gpu = GPU(make_stream_kernel(), cfg)
+    gpu = GPU([make_stream_kernel()], cfg)
     gpu.run(max_cycles=120)
     snap = build_snapshot(gpu, 120)
     json.dumps(snap)  # must not raise
@@ -98,7 +98,7 @@ def test_hang_error_survives_pickling():
     """The error must cross the process-pool boundary intact (it is
     pickled whether the workers were forked or spawned)."""
     cfg = tiny_config(hang_cycles=1_500)
-    gpu = GPU(make_stream_kernel(), cfg)
+    gpu = GPU([make_stream_kernel()], cfg)
     for sm in gpu.sms:
         sm.cycle = lambda now: None
     with pytest.raises(SimulationHangError) as err:
@@ -142,7 +142,7 @@ class TestWatchdogEventEngine:
         plus one check interval of *simulated* cycles."""
         cfg = tiny_config(hang_cycles=2_000)
         assert cfg.engine == "event"
-        gpu = GPU(make_stream_kernel(), cfg)
+        gpu = GPU([make_stream_kernel()], cfg)
         for sm in gpu.sms:
             sm.cycle = lambda now: None  # the stuck-scheduler chaos monkey
         with pytest.raises(SimulationHangError) as err:
@@ -155,7 +155,7 @@ class TestWatchdogEventEngine:
     def test_flush_deadline_is_simulated_cycles_event_engine(self):
         """Post-retirement draining must not leave traffic in flight."""
         cfg = tiny_config(hang_cycles=1_000)
-        gpu = GPU(make_stream_kernel(), cfg)
+        gpu = GPU([make_stream_kernel()], cfg)
         result = gpu.run()
         assert result.completed
         assert gpu.subsystem.drained()

@@ -4,7 +4,6 @@
 
 from repro.config import test_config as tiny_config
 from repro.prefetch import make_prefetcher
-from repro.sim.application import simulate_application
 from repro.sim.gpu import simulate
 from repro.sim.isa import ComputeOp, LoadOp, LoadSite, LoopOp, WarpProgram
 from repro.sim.kernel import KernelInfo
@@ -57,16 +56,6 @@ class TestNlpLapEndToEnd:
         k = make_stream_kernel(num_ctas=6, warps_per_cta=4, loads=2)
         r = simulate(k, tiny_config(), make_prefetcher("inter"))
         assert r.prefetch_stats.issued > 0
-
-
-class TestApplicationWithPrefetcher:
-    def test_caps_runs_across_kernels(self):
-        kernels = [make_stream_kernel(name="k0"),
-                   make_stream_kernel(name="k1", base=1 << 26)]
-        app = simulate_application(kernels, tiny_config(),
-                                   make_prefetcher("nlp"))
-        assert app.completed
-        assert all(k.prefetcher == "nlp" for k in app.kernels)
 
 
 class TestEmptyRunDefaults:

@@ -60,9 +60,3 @@ def test_burstiness_timeline():
     out = run_example("burstiness_timeline.py", "SCN")
     assert "burstiness" in out
     assert "with CAPS" in out
-
-
-def test_multi_kernel_pipeline():
-    out = run_example("multi_kernel_pipeline.py")
-    assert "produce" in out and "reduce" in out
-    assert "application IPC" in out

@@ -20,11 +20,11 @@ def cfg():
 
 
 def test_fermi_machine_shape(cfg):
-    gpu = GPU(build("BPR", Scale.FULL), cfg)
+    gpu = GPU([build("BPR", Scale.FULL)], cfg)
     assert len(gpu.sms) == 15
     assert len(gpu.subsystem.partitions) == 12
     assert len(gpu.subsystem.channels) == 6
-    assert gpu.distributor.num_ctas == 240
+    assert gpu.app.num_ctas == 240
 
 
 def test_full_scale_baseline_completes(cfg):

@@ -40,9 +40,7 @@ from repro.workloads import Scale, build
 
 from tests._difftools import (
     assert_identical,
-    corun_fingerprint,
     fingerprint,
-    run_corun_engine,
     run_engine,
 )
 
@@ -122,13 +120,13 @@ class TestCongested:
 
 def test_corun_identical():
     cfg = congested().with_multi(alloc_policy="preempt")
-    runs = [run_corun_engine(
+    runs = [run_engine(
                 lambda: [build(b, Scale.TINY) for b in ("HST", "BFS")],
                 cfg, engine, make_prefetcher("caps"))
             for engine in ("cycle", "event")]
     (gpu_ref, res_ref), (gpu_evt, res_evt) = runs
-    assert_identical(corun_fingerprint(gpu_ref, res_ref),
-                     corun_fingerprint(gpu_evt, res_evt), "HST+BFS/congested")
+    assert_identical(fingerprint(gpu_ref, res_ref),
+                     fingerprint(gpu_evt, res_evt), "HST+BFS/congested")
     assert res_evt.completed
     _assert_backpressure(gpu_evt)
 

@@ -26,7 +26,6 @@ from repro.workloads import ALL_BENCHMARKS, Scale, build
 from tests._difftools import (
     assert_identical,
     fingerprint,
-    run_corun_differential,
     run_differential,
     run_engine,
 )
@@ -167,7 +166,7 @@ class TestSharedScaffold:
             tiny_config(hang_cycles=800, deep_checks=deep)
             .with_obs(metrics=True, window=window),
             engine=engine)
-        gpu = GPU(build("MRQ", Scale.TINY), cfg, _factory("caps"))
+        gpu = GPU([build("MRQ", Scale.TINY)], cfg, _factory("caps"))
         flushes, checks, audits = [], [], []
         _spy(gpu.obs, "flush", flushes)
         _spy(gpu.watchdog, "check", checks)
@@ -240,7 +239,7 @@ class TestMultiKernel:
     @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "+".join(p))
     def test_corun_identical(self, pair, policy, pf):
         cfg = tiny_config().with_multi(alloc_policy=policy)
-        res = run_corun_differential(
+        res = run_differential(
             lambda: [build(b, Scale.TINY) for b in pair], cfg,
             _factory(pf),
             label=f"{'+'.join(pair)}/{policy}/{pf or 'none'}",
@@ -254,14 +253,34 @@ class TestMultiKernel:
         decisions half-made) must still fingerprint identically.
         """
         cfg = tiny_config().with_multi(alloc_policy=policy)
-        full = run_corun_differential(
+        full = run_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
             _factory("caps"), label=f"corun/{policy}/full",
         )
         cut = max(64, full.cycles // 3)
-        res = run_corun_differential(
+        res = run_differential(
             lambda: [build(b, Scale.TINY) for b in ("MRQ", "MM")], cfg,
             _factory("caps"), max_cycles=cut,
             label=f"corun/{policy}/truncated@{cut}",
         )
         assert not res.completed
+
+    @pytest.mark.parametrize("pf", PREFETCHERS, ids=["nopf", "caps"])
+    @pytest.mark.parametrize("bench", ("HST", "MM"))
+    def test_policy_inert_for_one_kernel(self, bench, pf):
+        """A launch of one kernel goes through the same distributor, and
+        ``MultiConfig`` cannot touch it: every allocation policy gives
+        the same fingerprint under both engine steps, with no co-run
+        records."""
+        runs = [(policy, engine)
+                for policy in self.POLICIES for engine in ("cycle", "event")]
+        fps = []
+        for policy, engine in runs:
+            cfg = tiny_config().with_multi(alloc_policy=policy)
+            fps.append(fingerprint(*run_engine(
+                lambda: build(bench, Scale.TINY), cfg, engine,
+                _factory(pf))))
+        assert "kernels" not in fps[0] and "multi" not in fps[0]
+        for (policy, engine), fp in zip(runs[1:], fps[1:]):
+            assert_identical(fps[0], fp,
+                             f"{bench}/{pf or 'none'} {policy}/{engine}")

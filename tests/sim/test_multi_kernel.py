@@ -27,14 +27,12 @@ from repro.config import test_config as tiny_config
 from repro.errors import ConfigError
 from repro.exec.cache import key_fingerprint
 from repro.prefetch.factory import make_prefetcher
+from repro.sim.cta import CTADistributor, RuntimePredictor, make_policy
+from repro.sim.gpu import GPU
 from repro.sim.multi import (
     PC_STRIDE,
-    MultiGPU,
     MultiKernelApp,
-    MultiKernelDistributor,
-    RuntimePredictor,
     antt_stp,
-    make_policy,
     simulate_corun,
 )
 from repro.sim.sm import KERNEL_ADDR_SHIFT
@@ -58,7 +56,7 @@ def _corun(benches, policy, pf=None, config=None, max_cycles=None):
     reset_uid_counters()
     cfg = (config or tiny_config()).with_multi(alloc_policy=policy)
     factory = make_prefetcher(pf) if pf else None
-    gpu = MultiGPU(MultiKernelApp(_kernels(*benches)), cfg, factory)
+    gpu = GPU(_kernels(*benches), cfg, factory)
     return gpu, gpu.run(max_cycles=max_cycles)
 
 
@@ -87,7 +85,7 @@ class TestVirtualization:
         app = MultiKernelApp(_kernels("MRQ", "MM"))
         assert app.name == "MRQ+MM"
         assert app.num_ctas == sum(k.num_ctas for k in app.kernels)
-        assert len(app) == 2
+        assert len(app.kernels) == 2
 
     def test_empty_app_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +96,7 @@ class TestVirtualization:
         a co-run submits carries its issuing kernel's address tag."""
         reset_uid_counters()
         cfg = tiny_config().with_multi(alloc_policy="leftover")
-        gpu = MultiGPU(MultiKernelApp(_kernels("MRQ", "MM")), cfg)
+        gpu = GPU(_kernels("MRQ", "MM"), cfg)
         submit = gpu.subsystem.submit
         tags = []
 
@@ -155,10 +153,9 @@ class TestPolicies:
 
 class TestDistributor:
     def _dist(self, policy="leftover"):
-        cfg = tiny_config()
+        cfg = tiny_config().with_multi(alloc_policy=policy)
         app = MultiKernelApp(_kernels("MRQ", "MM"))
-        return cfg, app, MultiKernelDistributor(
-            app, cfg, make_policy(policy, app.kernels, cfg))
+        return cfg, app, CTADistributor(app.kernels, cfg)
 
     def test_initial_fill_respects_limits(self):
         cfg, app, dist = self._dist()
@@ -169,7 +166,7 @@ class TestDistributor:
             assert dist.resident_warps[sm_id] <= cfg.max_warps_per_sm
         for sm_id, kid, _ in grants:
             assert 0 <= sm_id < cfg.num_sms
-            assert 0 <= kid < app.num_kernels
+            assert 0 <= kid < len(app.kernels)
 
     def test_initial_fill_only_once(self):
         _, _, dist = self._dist()
@@ -187,6 +184,15 @@ class TestDistributor:
         assert dist.remaining <= before  # grants only consume the pool
         for g_kid, cta_id in regrants:
             assert cta_id >= 0 and 0 <= g_kid < 2
+
+    def test_finish_of_a_kernel_the_sm_does_not_hold_refused(self):
+        """Under ``spatial`` SM 0 hosts only kernel 0, so retiring a
+        kernel-1 CTA there is a bookkeeping error, not a refill."""
+        _, _, dist = self._dist("spatial")
+        dist.initial_fill()
+        assert dist.active[0][1] == 0
+        with pytest.raises(RuntimeError):
+            dist.on_cta_finish(0, 1, duration=50, now=100)
 
 
 # ------------------------------------------------------ per-kernel records

@@ -22,7 +22,7 @@ def kernel_with_loads(n_loads, warps=4, ctas=2):
 
 
 def pas_gpu(kernel, **kw):
-    return GPU(kernel, tiny_config(**kw).with_scheduler(SchedulerKind.PAS))
+    return GPU([kernel], tiny_config(**kw).with_scheduler(SchedulerKind.PAS))
 
 
 class TestLeadingMarkerLifecycle:
@@ -62,7 +62,7 @@ class TestLeadingMarkerLifecycle:
             assert not w.leading
 
     def test_no_markers_without_pas(self):
-        gpu = GPU(kernel_with_loads(2), tiny_config())
+        gpu = GPU([kernel_with_loads(2)], tiny_config())
         assert not any(
             w.leading for sm in gpu.sms for w in sm.warps_by_uid.values()
         )

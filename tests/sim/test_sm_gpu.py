@@ -57,7 +57,7 @@ class TestEndToEnd:
         assert r.dram_reads == 1
 
     def test_cycle_limit_reports_incomplete(self, cfg, stream_kernel):
-        gpu = GPU(stream_kernel, cfg)
+        gpu = GPU([stream_kernel], cfg)
         r = gpu.run(max_cycles=10)
         assert not r.completed
         assert r.cycles == 10
@@ -93,23 +93,23 @@ class TestOccupancyIntegration:
     def test_cta_limit_respected(self):
         cfg = tiny_config(max_ctas_per_sm=2)
         k = make_stream_kernel(num_ctas=8, warps_per_cta=2)
-        gpu = GPU(k, cfg)
-        assert gpu.distributor.max_ctas_per_sm == 2
+        gpu = GPU([k], cfg)
+        assert gpu.distributor.kernel_cta_limit == [2]
         r = gpu.run()
         assert r.completed
 
     def test_warp_limited_kernel(self):
         cfg = tiny_config()  # 16 warps/SM max
         k = make_stream_kernel(num_ctas=4, warps_per_cta=10)
-        gpu = GPU(k, cfg)
-        assert gpu.distributor.max_ctas_per_sm == 1
+        gpu = GPU([k], cfg)
+        assert gpu.distributor.kernel_cta_limit == [1]
         assert gpu.run().completed
 
     def test_too_wide_cta_rejected(self):
         cfg = tiny_config()
         k = make_stream_kernel(num_ctas=2, warps_per_cta=17)
         with pytest.raises(ValueError):
-            GPU(k, cfg)
+            GPU([k], cfg)
 
 
 class _OneShotPrefetcher(Prefetcher):

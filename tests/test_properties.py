@@ -10,13 +10,15 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
+from repro.config import ALLOC_POLICIES, CacheConfig
+from repro.config import test_config as tiny_config
 from repro.mem.cache import Cache, Mshr
 from repro.mem.icnt import Pipe
 from repro.mem.request import Access, MemoryRequest
 from repro.sim.coalesce import coalesce
 from repro.sim.cta import CTADistributor
 from repro.sim.isa import ComputeOp, LoadOp, LoadSite, LoopOp, WarpProgram
+from repro.sim.kernel import KernelInfo
 from repro.workloads.generators import indirect, mix64
 
 LINE = 128
@@ -109,19 +111,24 @@ class TestPipeProperties:
 
 class TestDistributorProperties:
     @given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from(ALLOC_POLICIES),
            st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_every_cta_issued_once(self, n_ctas, n_sms, max_ctas, rng):
-        d = CTADistributor(n_ctas, n_sms, max_ctas)
-        d.initial_fill()
-        active = {sm: d.active_on(sm) for sm in range(n_sms)}
-        while any(active.values()):
-            sm = rng.choice([s for s, a in active.items() if a])
-            nxt = d.on_cta_finish(sm)
-            active[sm] -= 1
-            if nxt is not None:
-                active[sm] += 1
-            assert d.active_on(sm) <= max_ctas
+    def test_every_cta_issued_once(self, n_ctas, n_sms, max_ctas, policy,
+                                   rng):
+        cfg = tiny_config(num_sms=n_sms, max_ctas_per_sm=max_ctas
+                          ).with_multi(alloc_policy=policy)
+        kernel = KernelInfo("k", n_ctas, 1, WarpProgram(ops=[ComputeOp(1)]))
+        d = CTADistributor([kernel], cfg)
+        active = [0] * n_sms
+        for sm, _, _ in d.initial_fill():
+            active[sm] += 1
+        while any(active):
+            sm = rng.choice([s for s, a in enumerate(active) if a])
+            grants = d.on_cta_finish(sm, 0, duration=1, now=1)
+            active[sm] += len(grants) - 1
+            assert d.active[sm] == [active[sm]]
+            assert active[sm] <= max_ctas
         issued = [a.cta_id for a in d.history]
         assert sorted(issued) == list(range(n_ctas))
 

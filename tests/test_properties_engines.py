@@ -27,7 +27,7 @@ from repro.sim.isa import (
 from repro.sim.kernel import KernelInfo
 from repro.workloads.generators import indirect, linear
 
-from tests._difftools import run_corun_differential, run_differential
+from tests._difftools import run_differential
 
 LINE = 128
 
@@ -189,7 +189,7 @@ class TestGeneratedCorunsIdentical:
     @settings(max_examples=10, deadline=None)
     def test_random_pair_random_policy(self, ka, kb, policy):
         cfg = tiny_config().with_multi(alloc_policy=policy)
-        res = run_corun_differential(
+        res = run_differential(
             lambda: [_fresh(ka), _fresh(kb)], cfg,
             label=f"prop-corun/{policy}",
         )
@@ -203,7 +203,7 @@ class TestGeneratedCorunsIdentical:
     @settings(max_examples=6, deadline=None)
     def test_random_pair_with_caps(self, ka, kb, policy):
         cfg = tiny_config().with_multi(alloc_policy=policy)
-        res = run_corun_differential(
+        res = run_differential(
             lambda: [_fresh(ka), _fresh(kb)], cfg,
             make_prefetcher("caps"),
             label=f"prop-corun-caps/{policy}",
