@@ -195,12 +195,13 @@ def render(plan: Plan, data: Dict[str, Any]) -> str:
             ["scheduler", "measured (cycles)"],
             [[k, _f(v, 1)] for k, v in data["fig14b"].items()])
         + _graded("fig14b", data["fig14b"])
-        + "\nBoth metrics are derived from the `repro.obs` windowed time "
-        "series (`extra[\"timeseries\"]` totals; see "
-        "[docs/observability.md](docs/observability.md) and "
-        "[docs/metrics-glossary.md](docs/metrics-glossary.md)) — the "
-        "same series `repro run --metrics-out` exports, so the figure "
-        "is recomputable from an exported file alone.\n"
+        + "\nBoth metrics are prefetch counts read from each run's "
+        "`PrefetchStats` (Section VI; see "
+        "[docs/metrics-glossary.md](docs/metrics-glossary.md)): 14a is "
+        "early-evicted over issued, summed over the benchmarks, and 14b "
+        "the mean of `mean_lead()` over the benchmarks that consumed a "
+        "prefetch.  The `repro.obs` series totals that `repro run "
+        "--metrics-out` exports equal the same counters.\n"
     )
 
     # ----------------------------------------------------------- Figure 15

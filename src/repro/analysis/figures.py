@@ -5,15 +5,16 @@ Each function returns plain dicts/lists ready for tabulation;
 grades the paper's claims on them.  Every figure that simulates has the
 shape *cells → one batch → view* (:func:`_figure`): it names its runs as
 ``RunKey`` cells, the engine executes them as one batch (in parallel
-with ``--jobs N``; figures sharing runs — 10/12/13/15 — simulate once),
-and the figure computes from the returned results.  ``fig.cells(...)``
-stops after the first step, which is how ``validate.run_plan`` simulates
-every figure of a report or a scoreboard as a single batch.  No figure
-simulates outside that batch — Figure 1's load trace and Section I's
-nearest-neighbor run are cells too — so a warm regeneration is cache
-reads only and never imports the simulator.  Where a
-Figure 14 ratio has no denominator (no prefetch issued, none consumed)
-it is ``None``, not zero; Figure 12 carries the issued counts instead.
+with ``--jobs N``; figures sharing runs — 10/12/13/14/15 and the
+ablations — simulate once), and the figure computes from the returned
+results.  ``fig.cells(...)`` stops after the first step, which is how
+``validate.run_plan`` simulates every figure of a report or a
+scoreboard as a single batch.  No figure simulates outside that batch —
+Figure 1's load trace and Section I's nearest-neighbor run are cells
+too — so a warm regeneration is cache reads only and never imports the
+simulator.  Where a Figure 14 ratio has no denominator (no prefetch
+issued, none consumed) it is ``None``, not zero; Figure 12 carries the
+issued counts instead.
 """
 
 from __future__ import annotations
@@ -328,12 +329,9 @@ def fig13_bandwidth_overhead(
 
 # --------------------------------------------------------------- Figure 14
 #
-# Both Figure 14 metrics are event-stream properties (prefetch issue,
-# fill, consume, evict), so they are computed from the repro.obs windowed
-# time series rather than end-of-run counters: the runs carry
-# ``extra["timeseries"]`` and the ratios/means come from its totals.
-# Hooks fire at the exact PrefetchStats call sites, so the values agree
-# with the legacy counters to the last integer (tests/obs golden test).
+# Both Figure 14 metrics are prefetch counts (Section VI), so they read
+# ``SimResult.prefetch_stats``: the runs are the same cells Figure 10
+# and the scheduler ablation simulate, with no collector turned on.
 
 @_figure
 def fig14a_early_prefetch_ratio(
@@ -343,11 +341,9 @@ def fig14a_early_prefetch_ratio(
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
 ) -> Steps[Dict[str, Optional[float]]]:
     """Figure 14a: mean early-prefetch (evicted-before-use) ratio for
-    INTRA / INTER / MTA / CAPS / CAPS without eager wake-up, derived
-    from the :mod:`repro.obs` time-series totals (``None`` for an
-    engine that issued nothing)."""
+    INTRA / INTER / MTA / CAPS / CAPS without eager wake-up (``None``
+    for an engine that issued nothing)."""
     cfg = config if config is not None else small_config()
-    cfg = cfg.with_obs(metrics=True)
     nowake = dataclasses.replace(
         cfg, prefetch=dataclasses.replace(cfg.prefetch, eager_wakeup=False)
     )
@@ -360,12 +356,11 @@ def fig14a_early_prefetch_ratio(
     }
     out: Dict[str, Optional[float]] = {}
     for label in variants:
-        totals = [r[label, b].extra["timeseries"]["totals"]
-                  for b in benchmarks]
-        issued = sum(t["pf_issued"] for t in totals)
+        stats = [r[label, b].prefetch_stats for b in benchmarks]
+        issued = sum(s.issued for s in stats)
         # Aggregate over all prefetches (issued-weighted), matching the
         # paper's single MEAN bar.
-        out[label] = (sum(t["pf_early_evicted"] for t in totals) / issued
+        out[label] = (sum(s.early_evicted for s in stats) / issued
                       if issued else None)
     return out
 
@@ -377,15 +372,12 @@ def fig14b_prefetch_distance(
     config: Optional[GPUConfig] = None,
     benchmarks: Sequence[str] = ALL_BENCHMARKS,
 ) -> Steps[Dict[str, Optional[float]]]:
-    """Figure 14b: mean prefetch->demand distance of timely CAPS
+    """Figure 14b: mean prefetch->demand distance of consumed CAPS
     prefetches under LRR, the plain two-level scheduler (TLV), and the
-    prefetch-aware two-level scheduler (PA-TLV), derived from the
-    :mod:`repro.obs` time-series totals (``None`` where no benchmark
-    consumed a prefetch)."""
-    from repro.obs.collector import consumed_prefetches, mean_prefetch_lead
-
+    prefetch-aware two-level scheduler (PA-TLV): the mean of
+    ``PrefetchStats.mean_lead()`` over the benchmarks that consumed a
+    prefetch (``None`` where none did)."""
     cfg = config if config is not None else small_config()
-    cfg = cfg.with_obs(metrics=True)
     kinds = {"LRR": SchedulerKind.LRR, "TLV": SchedulerKind.TWO_LEVEL,
              "PA-TLV": SchedulerKind.PAS}
     r = yield {
@@ -395,9 +387,8 @@ def fig14b_prefetch_distance(
     }
     out: Dict[str, Optional[float]] = {}
     for label in kinds:
-        series = [r[label, b].extra["timeseries"] for b in benchmarks]
-        leads = [mean_prefetch_lead(ts) for ts in series
-                 if consumed_prefetches(ts)]
+        stats = [r[label, b].prefetch_stats for b in benchmarks]
+        leads = [s.mean_lead() for s in stats if s.consumed]
         out[label] = mean(leads) if leads else None
     return out
 
@@ -486,7 +477,7 @@ def _variants(cfg: GPUConfig) -> Dict[str, Dict[Any, Tuple[GPUConfig, Any]]]:
                       for n in (2, 4, 16, 64)},
         "tables": {n: prefetch(percta_entries=n, dist_entries=n)
                    for n in (1, 2, 4, 8)},
-        "window": {n: prefetch(prefetch_window=n) for n in (2, 8, 16, 48)},
+        "window": {n: prefetch(prefetch_window=n) for n in (2, 16)},
         "scheduler": {label: (cfg, kind) for label, kind in (
             ("LRR", SchedulerKind.LRR), ("PAS-LRR", SchedulerKind.PAS_LRR),
             ("GTO", SchedulerKind.GTO), ("PAS-GTO", SchedulerKind.PAS_GTO),
@@ -494,7 +485,7 @@ def _variants(cfg: GPUConfig) -> Dict[str, Dict[Any, Tuple[GPUConfig, Any]]]:
             ("PAS", SchedulerKind.PAS))},
         "l1": {f"{kb}KB": machine(l1d=dataclasses.replace(
                    cfg.l1d, size_bytes=kb * 1024)) for kb in (8, 16, 32, 64)},
-        "warps": {n: machine(max_warps_per_sm=n) for n in (24, 48, 64)},
+        "warps": {n: machine(max_warps_per_sm=n) for n in (24, 48)},
         "dram": {n: machine(dram=dataclasses.replace(cfg.dram, channels=n),
                             l2_partitions=4) for n in (1, 2, 4)},
     }
@@ -509,13 +500,19 @@ def fig_caps_variants(
 ) -> Steps[Dict[str, Dict[Any, Dict[str, Any]]]]:
     """One :data:`STUDIES` group: per study and labelled variant, CAPS's
     speed-up over the two-level no-prefetch baseline on the same machine
-    (per benchmark and geomean) and that baseline's geomean IPC."""
+    (per benchmark and geomean) and that baseline's geomean IPC.
+
+    The baseline reads no :class:`~repro.config.PrefetcherConfig` field,
+    so its cell keeps ``cfg.prefetch``: a prefetcher study's points
+    share one baseline instead of re-simulating it per point."""
     cfg = config if config is not None else small_config()
     benchmarks, studies = STUDIES[group]
     variants = _variants(cfg)
     r = yield {
         (study, label, engine, b): make_key(
-            b, engine, config=machine, scale=scale,
+            b, engine, scale=scale,
+            config=(machine if engine == "caps" else
+                    dataclasses.replace(machine, prefetch=cfg.prefetch)),
             scheduler=kind if engine == "caps" else None)
         for study in studies
         for label, (machine, kind) in variants[study].items()

@@ -269,9 +269,6 @@ CLAIMS: Tuple[Claim, ...] = (
           "fewer L1 lines per warp make misses burstier",
           lambda d: min(v["geomean"] for v in d["l1"].values()),
           lo=_above(1.0)),
-    Claim("sensitivity", "caps_gains_at_64_warps",
-          "more warps per SM make prefetching more critical",
-          lambda d: d["warps"][64]["geomean"], lo=_above(1.0)),
     Claim("sensitivity", "caps_never_regresses_hard_by_warps", _OURS,
           lambda d: min(v["geomean"] for v in d["warps"].values()),
           lo=_above(0.95)),

@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--scale", choices=sorted(SCALES), default="small")
     plan.add_argument("--benchmarks", type=_list_of(_cell), default=None,
                       help="comma-separated subset; Figure 11 then runs on "
-                           "its first two names (default: all 16 - 550 "
-                           "cells, about 4 CPU-minutes at --scale small)")
+                           "its first two names (default: all 16 - 417 "
+                           "cells, about 3 CPU-minutes at --scale small)")
     plan.add_argument("--full-scale", action="store_true",
                       help="also run the Figure 10 matrix on the Table III "
                            "machine at FULL scale (128 cells, about 5 "

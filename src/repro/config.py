@@ -37,9 +37,10 @@ MAX_CACHE_LINES = 1 << 16
 
 def _check_upper_bounds(section: str, obj, limits) -> None:
     """Refuse a size above its bound.  Each bounded field sizes a
-    per-SM, per-partition or per-channel structure, so an absurd value
-    from a client would allocate without limit; every preset, study and
-    test stays at least 4x below its bound."""
+    per-SM, per-partition or per-channel structure, or the work of one
+    event, so an absurd value from a client would allocate without
+    limit; every preset, study and test stays at least 4x below its
+    bound."""
     for name, hi in limits:
         value = getattr(obj, name)
         if value > hi:
@@ -242,9 +243,19 @@ class PrefetcherConfig:
     prefetch_window: int = 16
 
     def __post_init__(self) -> None:
+        # The baseline engines' knobs: a distance, depth, degree or
+        # macro-block sizes the candidate list one load or L1 miss
+        # builds (LAP divides by its macro-block), and a trigger above
+        # the macro-block never fires.
+        engine_knobs = ("inter_warp_distance", "intra_warp_depth",
+                        "nlp_degree", "lap_macroblock_lines",
+                        "lap_miss_trigger")
+        _check_upper_bounds("prefetch.", self,
+                            [(name, 64) for name in engine_knobs])
         for name in ("percta_entries", "dist_entries", "mispredict_threshold",
                      "max_coalesced_targets", "prefetch_miss_queue_depth",
-                     "prefetch_inflight_entries", "prefetch_window"):
+                     "prefetch_inflight_entries", "prefetch_window",
+                     *engine_knobs):
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"prefetch.{name} must be >= 1 (got {getattr(self, name)})"

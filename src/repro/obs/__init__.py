@@ -39,8 +39,8 @@ from typing import Optional
 from repro._lazy import lazy_exports
 
 # The hub below is real code; the collectors' names are a lazy table,
-# so a reader of one module (Figure 14 reads ``collector``) loads that
-# module alone.
+# so a reader of one module (``repro timeline`` reads ``collector``)
+# loads that module alone.
 _EXPORTS = {
     "repro.obs.collector": (
         "MetricsCollector",
@@ -51,9 +51,6 @@ _EXPORTS = {
         "series",
         "window_totals",
         "per_sm_ipc",
-        "early_prefetch_ratio",
-        "mean_prefetch_lead",
-        "consumed_prefetches",
     ),
     "repro.obs.trace": (
         "TraceRecorder",

@@ -14,16 +14,13 @@ records:
   depth, DRAM read-queue depth, and in-flight prefetches;
 * **prefetch events** that occurred inside the window: issues, fills,
   useful consumptions, late (in-flight) merges and early evictions,
-  together with the issue→use distance sums the paper's Figure 14
-  metrics are derived from.
+  together with the issue→use distance sums behind the paper's Figure 14
+  metrics.
 
 Prefetch events are reported by the SM through the same call sites that
 feed :class:`repro.prefetch.stats.PrefetchStats`, so the series totals
-reconcile *exactly* with the end-of-run counters — the property the
-``tests/obs`` golden tests assert and that lets
-:func:`repro.analysis.figures.fig14a_early_prefetch_ratio` and
-:func:`~repro.analysis.figures.fig14b_prefetch_distance` be recomputed
-from the series.
+reconcile *exactly* with the end-of-run counters that Figure 14 reads —
+the property the ``tests/obs`` golden tests assert.
 
 The collector is never consulted when disabled: the SM and GPU hold
 ``obs = None`` and skip every hook, so a default config pays nothing.
@@ -253,26 +250,3 @@ def per_sm_ipc(payload: Dict[str, Any]) -> List[List[float]]:
         prev = int(cyc)
     return out
 
-
-def early_prefetch_ratio(payload: Dict[str, Any]) -> float:
-    """Figure 14a's metric recomputed from the series totals:
-    prefetched lines evicted before use / prefetches issued."""
-    t = payload["totals"]
-    return t["pf_early_evicted"] / t["pf_issued"] if t["pf_issued"] else 0.0
-
-
-def mean_prefetch_lead(payload: Dict[str, Any]) -> float:
-    """Figure 14b's metric recomputed from the series totals: mean
-    cycles of demand latency covered per consumed prefetch (fully
-    timely distances plus in-flight merge leads)."""
-    t = payload["totals"]
-    consumed = t["pf_useful"] + t["pf_late_merge"]
-    if not consumed:
-        return 0.0
-    return (t["pf_distance_sum"] + t["pf_late_wait_sum"]) / consumed
-
-
-def consumed_prefetches(payload: Dict[str, Any]) -> int:
-    """Total prefetches consumed by demand (useful + late merges)."""
-    t = payload["totals"]
-    return t["pf_useful"] + t["pf_late_merge"]

@@ -11,6 +11,7 @@ from repro.analysis import driver
 from repro.analysis.figures import (
     Fig1Point,
     STUDIES,
+    _variants,
     fig_caps_variants,
     fig1_interwarp_accuracy,
     fig4_loop_iterations,
@@ -24,7 +25,9 @@ from repro.analysis.figures import (
     sec1_nn_stalls,
 )
 from repro.config import test_config as tiny_config
-from repro.exec import ExecutionEngine, ResultCache
+from repro.exec import ExecutionEngine, ResultCache, result_bytes
+from repro.exec.cache import make_key
+from repro.exec.runner import execute_cell
 from repro.sim.gpu import simulate
 from repro.sim.trace import trace_kernel
 from repro.workloads import Scale, build
@@ -225,7 +228,30 @@ class TestFig14_15:
         assert all(0.5 < v < 1.5 for v in data.values())
 
 
+#: The ablation points that vary the prefetcher alone.
+PREFETCH_POINTS = [(study, label) for study in ("threshold", "tables",
+                                                "window")
+                   for label in _variants(tiny_config())[study]]
+
+
 class TestStudies:
+    @pytest.fixture(scope="class")
+    def baselines(self):
+        return {b: result_bytes(execute_cell(make_key(
+            b, "none", config=tiny_config(), scale=Scale.TINY)))
+            for b in STUDIES["ablations"][0]}
+
+    @pytest.mark.parametrize("study, label", PREFETCH_POINTS)
+    def test_baseline_reads_no_prefetcher_knob(self, baselines, study,
+                                               label):
+        """Why a study's ``none`` cells keep the unvaried prefetcher
+        config: on the two-level scheduler the run comes out the same
+        to the byte."""
+        machine, _ = _variants(tiny_config())[study][label]
+        for b, expect in baselines.items():
+            key = make_key(b, "none", config=machine, scale=Scale.TINY)
+            assert result_bytes(execute_cell(key)) == expect, b
+
     def test_every_variant_has_speedups_and_a_baseline(self, cfg):
         benchmarks, studies = STUDIES["sensitivity"]
         data = fig_caps_variants("sensitivity", scale=Scale.TINY, config=cfg)

@@ -52,7 +52,7 @@ def _healthy():
                           ("scheduler", ("two-level", "PAS")))},
         "sensitivity": {
             "l1": {kb: dict(variant, base_ipc=3.0) for kb in (8, 64)},
-            "warps": {n: variant for n in (24, 64)},
+            "warps": {n: variant for n in (24, 48)},
             "dram": {n: dict(variant, base_ipc=float(n)) for n in (1, 4)},
         },
         "sec1_nn": {"stall_all": 0.62, "completed": 1.0},

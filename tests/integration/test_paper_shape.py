@@ -3,8 +3,8 @@
 Runs a representative benchmark subset at SMALL scale (the machine
 ``repro validate`` runs the whole suite on) and grades the rows of
 :data:`repro.analysis.validate.CLAIMS` that read Figures 10 / 12 / 13 /
-14a / 15 — the same rows, measures and bands as the scoreboard, on 78
-cells.  Slower than the unit tests (~30 s) but the single most important
+14a / 15 — the same rows, measures and bands as the scoreboard, on 54
+cells.  Slower than the unit tests (~20 s) but the single most important
 test in the suite: it fails if a change stops the code from reproducing
 the paper.
 """

@@ -10,8 +10,6 @@ from repro.config import test_config as tiny_config
 from repro.obs import (
     SAMPLE_FIELDS,
     MetricsCollector,
-    early_prefetch_ratio,
-    mean_prefetch_lead,
     per_sm_ipc,
     series,
     window_totals,
@@ -81,17 +79,6 @@ class TestReconciliation:
         ts = res.extra["timeseries"]
         assert window_totals(ts, "pf_issued") == ps.issued
         assert window_totals(ts, "pf_useful") == ps.useful
-
-    def test_derived_figure_metrics(self):
-        res = run_observed()
-        ts = res.extra["timeseries"]
-        ps = res.prefetch_stats
-        if ps.issued:
-            assert early_prefetch_ratio(ts) == ps.early_evicted / ps.issued
-        consumed = ps.useful + ps.late_merge
-        if consumed:
-            expect = (ps.distance_sum + ps.late_wait_sum) / consumed
-            assert mean_prefetch_lead(ts) == pytest.approx(expect)
 
     def test_distance_histogram_counts_consumptions(self):
         res = run_observed()

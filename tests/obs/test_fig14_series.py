@@ -1,11 +1,11 @@
-"""Golden tests: Figure 14 metrics from the obs series vs legacy counters.
+"""Golden tests: Figure 14 metrics from the obs series vs the counters.
 
-The Figure 14 functions in :mod:`repro.analysis.figures` derive their
-values from ``extra["timeseries"]`` totals.  These tests pin the
-contract that made that refactor safe: the series totals equal the
-end-of-run :class:`~repro.prefetch.stats.PrefetchStats` counters to the
-integer (the hooks fire at the same call sites), and the series are
-deterministic across serial and parallel execution.
+The Figure 14 functions in :mod:`repro.analysis.figures` read the
+end-of-run :class:`~repro.prefetch.stats.PrefetchStats`.  These tests
+pin that the ``extra["timeseries"]`` totals give the same two metrics to
+the last bit (the hooks fire at the same call sites), the figures'
+values at TINY, and that the series are deterministic across serial and
+parallel execution.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.analysis.figures import (
 )
 from repro.config import test_config as tiny_config
 from repro.exec import ExecutionEngine, RunKey
-from repro.obs import early_prefetch_ratio, mean_prefetch_lead
 from repro.prefetch import make_prefetcher
 from repro.prefetch.factory import default_scheduler_for
 from repro.sim.gpu import simulate
@@ -31,43 +30,41 @@ def obs_config(engine="caps"):
             .with_obs(metrics=True))
 
 
+def observed(bench):
+    r = simulate(build(bench, Scale.TINY), obs_config(),
+                 make_prefetcher("caps"))
+    return r.extra["timeseries"]["totals"], r.prefetch_stats
+
+
 class TestGoldenAgainstCounters:
     def test_fig14a_series_matches_counter_math(self):
-        """Early-evict ratio from the series == ratio from PrefetchStats
-        (the pre-refactor computation), benchmark by benchmark."""
+        """Early-evict ratio from the series totals == the
+        PrefetchStats ratio Figure 14a reads, benchmark by benchmark."""
         for bench in BENCHES:
-            r = simulate(build(bench, Scale.TINY), obs_config(),
-                         make_prefetcher("caps"))
-            ps = r.prefetch_stats
-            legacy = ps.early_evicted / ps.issued if ps.issued else 0.0
-            assert early_prefetch_ratio(r.extra["timeseries"]) == legacy
+            t, ps = observed(bench)
+            assert t["pf_issued"] == ps.issued > 0
+            assert t["pf_early_evicted"] / t["pf_issued"] == ps.early_ratio()
 
     def test_fig14b_series_matches_counter_math(self):
         for bench in BENCHES:
-            r = simulate(build(bench, Scale.TINY), obs_config(),
-                         make_prefetcher("caps"))
-            ps = r.prefetch_stats
-            consumed = ps.useful + ps.late_merge
-            legacy = ((ps.distance_sum + ps.late_wait_sum) / consumed
-                      if consumed else 0.0)
-            series_val = mean_prefetch_lead(r.extra["timeseries"])
-            assert series_val == legacy
-            # The acceptance bound from the issue: within 1% — exact here.
-            if legacy:
-                assert abs(series_val - legacy) / legacy < 0.01
+            t, ps = observed(bench)
+            consumed = t["pf_useful"] + t["pf_late_merge"]
+            assert consumed == ps.consumed > 0
+            lead = (t["pf_distance_sum"] + t["pf_late_wait_sum"]) / consumed
+            assert lead == ps.mean_lead()
 
-    def test_fig14_figure_functions_run_on_series(self):
-        """The figure entry points themselves produce sane values from
-        the series (tiny scale, two benchmarks to stay fast)."""
-        a = fig14a_early_prefetch_ratio(
-            scale=Scale.TINY, config=tiny_config(), benchmarks=BENCHES)
-        assert set(a) == {"intra", "inter", "mta", "caps", "caps_no_wakeup"}
-        # None: an engine that issued nothing has no ratio.
-        assert all(v is None or 0.0 <= v <= 1.0 for v in a.values())
-        b = fig14b_prefetch_distance(
-            scale=Scale.TINY, config=tiny_config(), benchmarks=BENCHES)
-        assert set(b) == {"LRR", "TLV", "PA-TLV"}
-        assert all(v is None or v >= 0.0 for v in b.values())
+    def test_fig14_figures_pinned_at_tiny(self):
+        """The figure entry points at TINY on two benchmarks, pinned to
+        the bit (the obs series totals give the same values)."""
+        assert fig14a_early_prefetch_ratio(
+            scale=Scale.TINY, config=tiny_config(), benchmarks=BENCHES) == {
+            "intra": None,      # INTRA issued nothing on these two
+            "inter": 0.4476439790575916, "mta": 0.5125786163522013,
+            "caps": 0.0, "caps_no_wakeup": 0.0}
+        assert fig14b_prefetch_distance(
+            scale=Scale.TINY, config=tiny_config(), benchmarks=BENCHES) == {
+            "LRR": 23.33974358974359, "TLV": 69.48492723492723,
+            "PA-TLV": 67.39604728922856}
 
 
 class TestDeterminism:

@@ -185,10 +185,11 @@ REFUSED = {
                    float("inf")],
 }
 
-#: Override trees naming no field, or a field with a value it refuses
-#: (the last five: well-typed sizes far above the config's bounds, the
-#: last two within each field's own bound but over the GPU's total
-#: cache lines).
+#: Override trees naming no field, or a field with a value it refuses:
+#: wrong types and names; well-typed sizes far above the config's
+#: bounds, two of them within each field's own bound but over the GPU's
+#: total cache lines; DRAM rows and bursts under one; a LAP macro-block
+#: of zero lines and each baseline engine's knob far above its bound.
 REFUSED_OVERRIDES = [
     {"warp_speed": 9}, {"prefetch": {"nope": 1}}, {"prefetch": 5},
     {"prefetch": {"prefetch_window": "9"}},
@@ -205,6 +206,10 @@ REFUSED_OVERRIDES = [
     {"num_sms": 1024, "l1d": {"size_bytes": 1 << 16}},
     {"dram": {"row_bytes": 0}}, {"dram": {"row_bytes": -4096}},
     {"dram": {"row_hit_cycles": -5, "row_miss_cycles": -5}},
+    {"prefetch": {"lap_macroblock_lines": 0}},
+    *({"prefetch": {name: 10**9}} for name in (
+        "nlp_degree", "inter_warp_distance", "intra_warp_depth",
+        "lap_macroblock_lines", "lap_miss_trigger")),
 ]
 
 #: Field names a ``simulate`` request does not have.

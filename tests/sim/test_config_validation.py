@@ -10,9 +10,15 @@ from repro.config import (
     GPUConfig,
     MAX_CACHE_LINES,
     InterconnectConfig,
+    PrefetcherConfig,
     fermi_config,
 )
 from repro.errors import ConfigError
+
+
+#: The baseline prefetch engines' knobs, each bounded to 1..64.
+ENGINE_KNOBS = ("inter_warp_distance", "intra_warp_depth", "nlp_degree",
+                "lap_macroblock_lines", "lap_miss_trigger")
 
 
 def l1(line=128):
@@ -73,6 +79,11 @@ class TestGPUConfigValidation:
         lambda: DRAMConfig(banks_per_channel=257),
         lambda: DRAMConfig(queue_entries=4097),
         lambda: InterconnectConfig(queue_depth=4097),
+        # A baseline engine's knob sizes the candidate list one load or
+        # L1 miss builds.
+        *(lambda name=name: PrefetcherConfig(**{name: 10**9})
+          for name in ENGINE_KNOBS),
+        lambda: PrefetcherConfig(lap_macroblock_lines=65),
     ])
     def test_sizes_have_upper_bounds(self, build):
         """A structure-sizing field above its bound is refused before
@@ -89,6 +100,13 @@ class TestGPUConfigValidation:
         one cycle finishes before it issues."""
         with pytest.raises(ConfigError, match="must be >= 1"):
             DRAMConfig(**fields)
+
+    @pytest.mark.parametrize("name", ENGINE_KNOBS)
+    def test_engine_knob_zero_refused(self, name):
+        """LAP divides by its macro-block size; a zero distance, depth,
+        degree or trigger names no line to prefetch."""
+        with pytest.raises(ConfigError, match=f"prefetch.{name} must be >= 1"):
+            PrefetcherConfig(**{name: 0})
 
     def test_largest_study_within_cache_line_bound(self):
         """The 64KB-L1 study on the 15-SM preset is the biggest cache
